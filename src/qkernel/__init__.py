@@ -10,14 +10,13 @@ reports; `qkernel.cli` is the command line front end (`python -m qkernel`).
 
 from .context import QContext, context_for
 from .errors import ConvergenceError, DomainError, PoleError, QKernelError
-from .integrate import (QuadratureResult, WeightKind, WeightSpec,
-                        jackson_q_integral, periodic_quadrature,
-                        weight_omega_ab, weight_omega_beta)
+from .integrate import (QuadratureResult, jackson_q_integral,
+                        periodic_quadrature, weight_omega_ab,
+                        weight_omega_beta)
 from .pochhammer import (INFINITY, PochhammerIndex, qbinom, qpoch_finite,
                          qpoch_infinite, qpoch_multi)
-from .polynomials import (Family, Method, PolynomialEval, chebyshev_t,
-                          connection_coeffs, evaluate, gasper_c, h_norm,
-                          phi_poly, q_hermite, ultraspherical_c)
+from .polynomials import (Method, chebyshev_t, connection_coeffs, gasper_c,
+                          h_norm, phi_poly, q_hermite, ultraspherical_c)
 from .series import (HypergeometricSpec, TruncatedPowerSeries, gf_expand,
                      phi_series, ps_mul, ps_reciprocal, rogers_6w5_rhs,
                      series_from_coeffs, w_series)
@@ -40,11 +39,10 @@ __all__ = [
     "TruncatedPowerSeries", "series_from_coeffs", "ps_mul", "ps_reciprocal",
     "gf_expand", "HypergeometricSpec", "phi_series", "w_series",
     "rogers_6w5_rhs",
-    "Method", "Family", "PolynomialEval", "evaluate", "ultraspherical_c",
-    "gasper_c", "phi_poly", "q_hermite", "chebyshev_t", "h_norm",
-    "connection_coeffs",
-    "QuadratureResult", "WeightKind", "WeightSpec", "jackson_q_integral",
-    "periodic_quadrature", "weight_omega_beta", "weight_omega_ab",
+    "Method", "ultraspherical_c", "gasper_c", "phi_poly", "q_hermite",
+    "chebyshev_t", "h_norm", "connection_coeffs",
+    "QuadratureResult", "jackson_q_integral", "periodic_quadrature",
+    "weight_omega_beta", "weight_omega_ab",
     "VerificationReport", "CHECK_RUNNERS", "DEFAULT_TOLERANCES",
     "default_tolerance", "default_suite_config", "run_suite",
     "verify_thm_1_1", "verify_thm_1_2", "verify_thm_1_3", "verify_thm_1_4",

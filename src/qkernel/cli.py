@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -435,6 +436,27 @@ def _convert_check_value(name: str, value):
     return parse_complex(value)
 
 
+def _check_kwargs(check_id: str, pairs: dict) -> dict:
+    """Convert the named arguments of one check and bind them to its runner;
+    UsageError for a bad value, a ctx, or arguments the runner does not take."""
+    kwargs = {}
+    for name, value in pairs.items():
+        if name == "ctx":
+            raise UsageError(f"{check_id}: ctx cannot be set from outside")
+        if name == "tol":
+            try:
+                kwargs["tol"] = float(value)
+            except (TypeError, ValueError):
+                raise UsageError(f"{check_id}: tol expects a real number")
+        else:
+            kwargs[name] = _convert_check_value(name, value)
+    try:
+        inspect.signature(verify.CHECK_RUNNERS[check_id]).bind(**kwargs)
+    except TypeError as exc:
+        raise UsageError(f"bad arguments for {check_id}: {exc}")
+    return kwargs
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -446,19 +468,8 @@ def _cmd_eval(command: CliCommand) -> int:
 
 
 def _cmd_check(command: CliCommand) -> int:
-    pairs = dict(command.named_args)
-    tol_raw = pairs.pop("tol", None)
-    kwargs = {name: _convert_check_value(name, value) for name, value in pairs.items()}
-    if tol_raw is not None:
-        try:
-            kwargs["tol"] = float(tol_raw)
-        except (TypeError, ValueError):
-            raise UsageError("--tol expects a real number")
-    runner = verify.CHECK_RUNNERS[command.target]
-    try:
-        report = runner(**kwargs)
-    except TypeError as exc:
-        raise UsageError(f"bad arguments for {command.target}: {exc}")
+    kwargs = _check_kwargs(command.target, command.named_args)
+    report = verify.CHECK_RUNNERS[command.target](**kwargs)
     _emit(render_reports([report], command.format, single=True), command.output)
     return 0 if report.passed else 1
 
@@ -502,13 +513,7 @@ def _convert_config(raw) -> dict:
         for entry in entries:
             if not isinstance(entry, dict):
                 raise UsageError(f"parameters for {check_id!r} must be objects")
-            kwargs = {}
-            for name, value in entry.items():
-                if name == "tol":
-                    kwargs["tol"] = float(value)
-                else:
-                    kwargs[name] = _convert_check_value(name, value)
-            converted.append(kwargs)
+            converted.append(_check_kwargs(check_id, entry))
         config[check_id] = converted
     return config
 

@@ -10,14 +10,13 @@ value, keeping the spectral rate.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .context import QContext, context_for
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .pochhammer import qpoch_infinite
 
 
@@ -112,38 +111,3 @@ def weight_omega_ab(theta, alpha, beta, q, ctx: QContext | None = None):
     value = (qpoch_infinite(plus, c) * qpoch_infinite(minus, c)
              / (qpoch_infinite(alpha * plus, c) * qpoch_infinite(beta * minus, c)))
     return complex(value) if np.ndim(theta) == 0 else value
-
-
-class WeightKind(enum.Enum):
-    OMEGA_BETA = "omega_beta"
-    OMEGA_AB = "omega_ab"
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """A weight function choice; callable on theta.
-
-    Parameter moduli below 1 keep the denominator products away from zero
-    everywhere on the circle.
-    """
-
-    kind: WeightKind
-    q: complex
-    beta: complex
-    alpha: complex | None = None
-
-    def __post_init__(self) -> None:
-        if abs(self.beta) >= 1.0:
-            raise DomainError("weight parameter beta must satisfy |beta| < 1")
-        if self.kind is WeightKind.OMEGA_AB:
-            if self.alpha is None:
-                raise DomainError("OMEGA_AB needs alpha")
-            if abs(self.alpha) >= 1.0:
-                raise DomainError("weight parameter alpha must satisfy |alpha| < 1")
-        elif self.alpha is not None:
-            raise DomainError("OMEGA_BETA takes no alpha")
-
-    def __call__(self, theta, ctx: QContext | None = None):
-        if self.kind is WeightKind.OMEGA_BETA:
-            return weight_omega_beta(theta, self.beta, self.q, ctx)
-        return weight_omega_ab(theta, self.alpha, self.beta, self.q, ctx)

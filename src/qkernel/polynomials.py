@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -28,14 +26,6 @@ class Method(enum.Enum):
     EXPLICIT = "explicit"
     RECURRENCE = "recurrence"
     GENFUNC = "genfunc"
-
-
-class Family(enum.Enum):
-    ULTRASPHERICAL = "ultraspherical"
-    GASPER = "gasper"
-    PHI = "phi"
-    QHERMITE = "qhermite"
-    CHEBYSHEV = "chebyshev"
 
 
 def ultraspherical_c(n: int, x, beta, q, method: Method = Method.RECURRENCE,
@@ -63,7 +53,7 @@ def ultraspherical_c(n: int, x, beta, q, method: Method = Method.RECURRENCE,
     if np.any(np.abs(x) > 1.0):
         raise DomainError("x = cos(theta) must lie in [-1, 1]")
     if method is Method.RECURRENCE:
-        return _three_term_recurrence(n, x, beta, q)
+        return ultraspherical_table(n, x, beta, q)[n]
     if method is Method.EXPLICIT:
         theta = np.arccos(x)
         ratios = _poch_over_qfact(beta, q, n)
@@ -80,16 +70,20 @@ def ultraspherical_c(n: int, x, beta, q, method: Method = Method.RECURRENCE,
     raise DomainError(f"unsupported method {method!r}")
 
 
-def _three_term_recurrence(n, x, beta, q):
-    c_prev = 1.0 + 0.0 * x
+def ultraspherical_table(n: int, x, beta, q) -> list:
+    """[C_0(x; beta|q), ..., C_n(x; beta|q)] by the upward three-term
+    recurrence of ultraspherical_c; `x` may be an array."""
+    if n < 0:
+        raise DomainError("degree must be >= 0")
+    table = [1.0 + 0.0 * x]
     if n == 0:
-        return c_prev
-    c_cur = 2.0 * x * (1.0 - beta) / (1.0 - q)
+        return table
+    table.append(2.0 * x * (1.0 - beta) / (1.0 - q))
     for m in range(1, n):
-        c_next = (2.0 * x * (1.0 - beta * q**m) * c_cur
-                  - (1.0 - beta * beta * q ** (m - 1)) * c_prev) / (1.0 - q ** (m + 1))
-        c_prev, c_cur = c_cur, c_next
-    return c_cur
+        table.append((2.0 * x * (1.0 - beta * q**m) * table[m]
+                      - (1.0 - beta * beta * q ** (m - 1)) * table[m - 1])
+                     / (1.0 - q ** (m + 1)))
+    return table
 
 
 def _poch_over_qfact(a, q, n):
@@ -216,56 +210,3 @@ def connection_coeffs(n: int, beta, gamma, q, ctx: QContext | None = None):
         coeffs.append(value)
         front = front * (beta - gamma * q**k)
     return coeffs
-
-
-@dataclass(frozen=True)
-class PolynomialEval:
-    """One polynomial evaluation request: family, degree, parameters, point.
-
-    Exactly one of `x` (the cosine of the angle for the real families, or a
-    complex first coordinate for PHI) and `theta` must be set.  PHI reads its
-    second coordinate from parameters["y"] when `x` is used, and evaluates at
-    (e^{i theta}, e^{-i theta}) when `theta` is used.
-    """
-
-    family: Family
-    degree: int
-    parameters: Mapping[str, complex] = field(default_factory=dict)
-    x: complex | None = None
-    theta: float | None = None
-    method: Method | None = None
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise DomainError("degree must be >= 0")
-        if (self.x is None) == (self.theta is None):
-            raise DomainError("set exactly one of x and theta")
-
-
-def evaluate(request: PolynomialEval, ctx: QContext | None = None):
-    """Dispatch a PolynomialEval request to the matching evaluator."""
-    p = dict(request.parameters)
-    n = request.degree
-    if request.family is Family.CHEBYSHEV:
-        x = request.x if request.x is not None else math.cos(request.theta)
-        return chebyshev_t(n, x)
-    q = p["q"]
-    if request.family is Family.ULTRASPHERICAL:
-        x = request.x if request.x is not None else math.cos(request.theta)
-        method = request.method or Method.RECURRENCE
-        return ultraspherical_c(n, x, p["beta"], q, method, ctx)
-    if request.family is Family.GASPER:
-        theta = request.theta if request.theta is not None else math.acos(request.x)
-        method = request.method or Method.EXPLICIT
-        return gasper_c(n, theta, p["alpha"], p["beta"], q, method, ctx)
-    if request.family is Family.QHERMITE:
-        x = request.x if request.x is not None else math.cos(request.theta)
-        return q_hermite(n, x, q, ctx)
-    if request.family is Family.PHI:
-        if request.theta is not None:
-            x = unit_phase(request.theta)
-            y = 1.0 / x
-        else:
-            x, y = request.x, p["y"]
-        return phi_poly(n, p["alpha"], p["beta"], x, y, q, ctx)
-    raise DomainError(f"unknown family {request.family!r}")

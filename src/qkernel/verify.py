@@ -19,9 +19,14 @@ Check catalog (the ids the CLI accepts):
 
 Every check returns a VerificationReport.  Left-hand sides come from the
 quadrature / ladder-sum / series engines, right-hand sides from closed forms,
-and rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).  A kernel error during
-evaluation yields a failed report with infinite errors instead of raising,
-so a suite always runs to completion.
+and rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
+
+Each runner hands a body to one scaffold, _check, which times it and
+resolves the default tolerance.  The body returns (lhs, rhs, nodes_used);
+when lhs and rhs are matching arrays (grid points, coefficients) the report
+carries the entry with the largest rel_err.  Any QKernelError the body
+raises, argument validation included, yields a failed report with infinite
+errors instead of raising, so a suite always runs to completion.
 
 For inequality checks (uniform-bound) lhs is the clamped worst violation and
 rhs is zero, which keeps the pass <=> rel_err <= tol convention.
@@ -42,7 +47,7 @@ from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
 from .pochhammer import INFINITY, qbinom, qpoch_finite, qpoch_infinite, qpoch_multi
 from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
-                          phi_poly, ultraspherical_c)
+                          phi_poly, ultraspherical_c, ultraspherical_table)
 from .series import HypergeometricSpec, gf_expand, phi_series, rogers_6w5_rhs, w_series
 
 # Baseline tolerance profile: quadrature-backed checks settle near the
@@ -92,7 +97,21 @@ class VerificationReport:
     runtime_ms: float
 
 
-def _finish(check_id, params, lhs, rhs, tol, nodes, started) -> VerificationReport:
+def _check(check_id, params, tol, body) -> VerificationReport:
+    """Run one check: `body()` returns (lhs, rhs, nodes_used).
+
+    Matching lhs and rhs arrays report their entry with the largest rel_err.
+    A QKernelError raised by `body` becomes a failed report.
+    """
+    started = time.perf_counter()
+    tol = default_tolerance(check_id) if tol is None else tol
+    try:
+        lhs, rhs, nodes = body()
+    except QKernelError:
+        return _failed(check_id, params, tol, started)
+    if np.ndim(lhs) != 0:
+        worst = int(np.argmax(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))))
+        lhs, rhs = lhs[worst], rhs[worst]
     lhs = complex(lhs)
     rhs = complex(rhs)
     abs_err = abs(lhs - rhs)
@@ -134,10 +153,7 @@ def verify_thm_1_1(m: int, n: int, beta, q, ctx: QContext | None = None,
     The integrand is even and 2 pi periodic, so the left side is computed as
     half of the full-period trapezoid value.
     """
-    started = time.perf_counter()
-    tol = default_tolerance("thm-1.1") if tol is None else tol
-    params = {"m": m, "n": n, "beta": beta, "q": q}
-    try:
+    def body():
         c = context_for(q, ctx)
 
         def integrand(theta):
@@ -148,9 +164,9 @@ def verify_thm_1_1(m: int, n: int, beta, q, ctx: QContext | None = None,
         quad = periodic_quadrature(integrand, c)
         lhs = quad.value / 2.0
         rhs = 1.0 / h_norm(n, beta, q, c) if m == n else 0.0
-        return _finish("thm-1.1", params, lhs, rhs, tol, quad.nodes_used, started)
-    except QKernelError:
-        return _failed("thm-1.1", params, tol, started)
+        return lhs, rhs, quad.nodes_used
+
+    return _check("thm-1.1", {"m": m, "n": n, "beta": beta, "q": q}, tol, body)
 
 
 def verify_thm_1_2(m: int, n: int, beta, gamma, q, ctx: QContext | None = None,
@@ -168,10 +184,7 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q, ctx: QContext | None = None,
     1/(q;q)_{-j}, which vanishes under the negative-index convention, so the
     right side is taken as zero there (the degree argument gives the same).
     """
-    started = time.perf_counter()
-    tol = default_tolerance("thm-1.2") if tol is None else tol
-    params = {"m": m, "n": n, "beta": beta, "gamma": gamma, "q": q}
-    try:
+    def body():
         if beta == 0:
             raise DomainError("thm-1.2 closed form needs beta != 0")
         c = context_for(q, ctx)
@@ -182,7 +195,6 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q, ctx: QContext | None = None,
                     * weight_omega_beta(theta, beta, q, c))
 
         quad = periodic_quadrature(integrand, c)
-        lhs = quad.value / 2.0
         if (m - n) % 2 != 0 or m < n:
             rhs = 0.0
         else:
@@ -192,9 +204,10 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q, ctx: QContext | None = None,
                    * qpoch_finite(gamma, q, half_sum)
                    / ((1.0 - beta) * h_norm(n, beta, q, c) * qpoch_finite(q, q, j)
                       * qpoch_finite(q * beta, q, half_sum)))
-        return _finish("thm-1.2", params, lhs, rhs, tol, quad.nodes_used, started)
-    except QKernelError:
-        return _failed("thm-1.2", params, tol, started)
+        return quad.value / 2.0, rhs, quad.nodes_used
+
+    return _check("thm-1.2", {"m": m, "n": n, "beta": beta, "gamma": gamma, "q": q},
+                  tol, body)
 
 
 def verify_thm_1_3(m: int, n: int, alpha, beta, q, ctx: QContext | None = None,
@@ -209,10 +222,7 @@ def verify_thm_1_3(m: int, n: int, alpha, beta, q, ctx: QContext | None = None,
     full complex integral is compared, so an imaginary residue counts as
     error.
     """
-    started = time.perf_counter()
-    tol = default_tolerance("thm-1.3") if tol is None else tol
-    params = {"m": m, "n": n, "alpha": alpha, "beta": beta, "q": q}
-    try:
+    def body():
         c = context_for(q, ctx)
 
         def integrand(theta):
@@ -221,9 +231,10 @@ def verify_thm_1_3(m: int, n: int, alpha, beta, q, ctx: QContext | None = None,
 
         quad = periodic_quadrature(integrand, c)
         rhs = _thm_1_3_diagonal(n, alpha, beta, q, c) if m == n else 0.0
-        return _finish("thm-1.3", params, quad.value, rhs, tol, quad.nodes_used, started)
-    except QKernelError:
-        return _failed("thm-1.3", params, tol, started)
+        return quad.value, rhs, quad.nodes_used
+
+    return _check("thm-1.3", {"m": m, "n": n, "alpha": alpha, "beta": beta, "q": q},
+                  tol, body)
 
 
 def _thm_1_3_diagonal(n, alpha, beta, q, ctx):
@@ -248,10 +259,9 @@ def verify_thm_1_4(alpha, beta, s, t, q, ctx: QContext | None = None,
     The series is truncated under an a priori geometric tail bound; the final
     bound is recorded in params["series_tail_bound"].
     """
-    started = time.perf_counter()
-    tol = default_tolerance("thm-1.4") if tol is None else tol
     params = {"alpha": alpha, "beta": beta, "s": s, "t": t, "q": q}
-    try:
+
+    def body():
         if max(abs(alpha), abs(beta), abs(s), abs(t)) >= 1.0:
             raise DomainError("thm-1.4 needs all of |alpha|, |beta|, |s|, |t| < 1")
         c = context_for(q, ctx)
@@ -274,9 +284,9 @@ def verify_thm_1_4(alpha, beta, s, t, q, ctx: QContext | None = None,
         rhs = (2.0 * math.pi * qpoch_multi([alpha, beta], q, INFINITY, c)
                / qpoch_multi([q, alpha * beta], q, INFINITY, c)) * series_sum
         params["series_tail_bound"] = tail_bound
-        return _finish("thm-1.4", params, quad.value, rhs, tol, quad.nodes_used, started)
-    except QKernelError:
-        return _failed("thm-1.4", params, tol, started)
+        return quad.value, rhs, quad.nodes_used
+
+    return _check("thm-1.4", params, tol, body)
 
 
 def _beta_integral_series(alpha, beta, w, q, ctx):
@@ -313,10 +323,7 @@ def verify_prop_3_1(a, b, c, x, y, q, ctx: QContext | None = None,
         = (1-q) y (q, x/y, qy/x, ab, acx, bcy; q)_inf
           / (ax/y, by/x, a, b, cx, cy; q)_inf.
     """
-    started = time.perf_counter()
-    tol = default_tolerance("prop-3.1") if tol is None else tol
-    params = {"a": a, "b": b, "c": c, "x": x, "y": y, "q": q}
-    try:
+    def body():
         if x == 0 or y == 0:
             raise DomainError("prop-3.1 needs nonzero endpoints")
         if max(abs(a), abs(b), abs(c * x), abs(c * y), abs(a * x / y), abs(b * y / x)) >= 1.0:
@@ -334,9 +341,9 @@ def verify_prop_3_1(a, b, c, x, y, q, ctx: QContext | None = None,
         rhs = ((1.0 - q) * y
                * qpoch_multi([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q, INFINITY, cx)
                / qpoch_multi([a * x / y, b * y / x, a, b, c * x, c * y], q, INFINITY, cx))
-        return _finish("prop-3.1", params, lhs, rhs, tol, counted.calls, started)
-    except QKernelError:
-        return _failed("prop-3.1", params, tol, started)
+        return lhs, rhs, counted.calls
+
+    return _check("prop-3.1", {"a": a, "b": b, "c": c, "x": x, "y": y, "q": q}, tol, body)
 
 
 def verify_prop_3_2(n: int, a, b, x, y, q, ctx: QContext | None = None,
@@ -348,10 +355,7 @@ def verify_prop_3_2(n: int, a, b, x, y, q, ctx: QContext | None = None,
                                 int_x^y (qz/x, qz/y; q)_inf z^n
                                         / (bz/x, az/y; q)_inf d_q z.
     """
-    started = time.perf_counter()
-    tol = default_tolerance("prop-3.2") if tol is None else tol
-    params = {"n": n, "a": a, "b": b, "x": x, "y": y, "q": q}
-    try:
+    def body():
         if x == 0 or y == 0 or x == y:
             raise DomainError("prop-3.2 needs distinct nonzero endpoints")
         cx = context_for(q, ctx)
@@ -368,9 +372,9 @@ def verify_prop_3_2(n: int, a, b, x, y, q, ctx: QContext | None = None,
                         * qpoch_multi([q, a * b, x / y, q * y / x], q, INFINITY, cx)))
         lhs = phi_poly(n, a, b, x, y, q, cx)
         rhs = prefactor * integral
-        return _finish("prop-3.2", params, lhs, rhs, tol, counted.calls, started)
-    except QKernelError:
-        return _failed("prop-3.2", params, tol, started)
+        return lhs, rhs, counted.calls
+
+    return _check("prop-3.2", {"n": n, "a": a, "b": b, "x": x, "y": y, "q": q}, tol, body)
 
 
 def verify_rogers_connection(n: int, beta, gamma, q, theta_grid=None,
@@ -379,16 +383,16 @@ def verify_rogers_connection(n: int, beta, gamma, q, theta_grid=None,
     """Pointwise reconstruction C_n(x; gamma) = sum_k c_k C_{n-2k}(x; beta)
     with the connection coefficients, on a theta grid; the report carries the
     worst grid point."""
-    started = time.perf_counter()
-    tol = default_tolerance("rogers-connection") if tol is None else tol
     if theta_grid is None:
         theta_grid = 16
     if np.ndim(theta_grid) == 0:
         grid = (np.arange(int(theta_grid)) + 0.5) * math.pi / int(theta_grid)
     else:
         grid = np.asarray(theta_grid, dtype=float)
-    params = {"n": n, "beta": beta, "gamma": gamma, "q": q, "grid_size": len(grid)}
-    try:
+
+    def body():
+        if len(grid) == 0:
+            raise DomainError("rogers-connection needs at least one grid point")
         c = context_for(q, ctx)
         x = np.cos(grid)
         coeffs = connection_coeffs(n, beta, gamma, q, c)
@@ -396,12 +400,11 @@ def verify_rogers_connection(n: int, beta, gamma, q, theta_grid=None,
         rhs_values = np.zeros_like(lhs_values)
         for k, ck in enumerate(coeffs):
             rhs_values = rhs_values + ck * ultraspherical_c(n - 2 * k, x, beta, q)
-        worst = int(np.argmax(np.abs(lhs_values - rhs_values)
-                              / (1.0 + np.maximum(np.abs(lhs_values), np.abs(rhs_values)))))
-        return _finish("rogers-connection", params, lhs_values[worst], rhs_values[worst],
-                       tol, len(grid), started)
-    except QKernelError:
-        return _failed("rogers-connection", params, tol, started)
+        return lhs_values, rhs_values, len(grid)
+
+    return _check("rogers-connection",
+                  {"n": n, "beta": beta, "gamma": gamma, "q": q, "grid_size": len(grid)},
+                  tol, body)
 
 
 def verify_askey_ismail_chebyshev(n: int, k: int, beta, q, ctx: QContext | None = None,
@@ -416,10 +419,7 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q, ctx: QContext | None 
     The trailing factor is evaluated as prod_{j<k} (beta - q^j), defined for
     every nonzero beta (and continuously at beta = 0).
     """
-    started = time.perf_counter()
-    tol = default_tolerance("askey-ismail") if tol is None else tol
-    params = {"n": n, "k": k, "beta": beta, "q": q}
-    try:
+    def body():
         if k < 1:
             raise DomainError("askey-ismail needs k >= 1")
         c = context_for(q, ctx)
@@ -430,7 +430,6 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q, ctx: QContext | None 
                     * weight_omega_beta(theta, beta, q, c))
 
         quad = periodic_quadrature(integrand, c)
-        lhs = quad.value / 2.0
         front = 1.0
         for j in range(k):
             front *= (beta - q**j)
@@ -439,9 +438,9 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q, ctx: QContext | None 
                * qpoch_multi([beta, beta * q ** (n + k + 1)], q, INFINITY, c)
                / qpoch_multi([q, beta * beta * q**n], q, INFINITY, c)
                * front)
-        return _finish("askey-ismail", params, lhs, rhs, tol, quad.nodes_used, started)
-    except QKernelError:
-        return _failed("askey-ismail", params, tol, started)
+        return quad.value / 2.0, rhs, quad.nodes_used
+
+    return _check("askey-ismail", {"n": n, "k": k, "beta": beta, "q": q}, tol, body)
 
 
 def verify_gf_4_1(beta, q, theta, degree: int = 16, ctx: QContext | None = None,
@@ -454,13 +453,10 @@ def verify_gf_4_1(beta, q, theta, degree: int = 16, ctx: QContext | None = None,
 
     The report carries the worst coefficient.
     """
-    started = time.perf_counter()
-    tol = default_tolerance("gf-4.1") if tol is None else tol
-    params = {"beta": beta, "q": q, "theta": theta, "degree": degree}
-    try:
+    def body():
         c = context_for(q, ctx)
         x = math.cos(theta)
-        table = _ultra_table(degree, x, beta, q)
+        table = ultraspherical_table(degree, x, beta, q)
         lhs_coeffs = np.array([(1.0 - beta * q**n) * table[n] for n in range(degree + 1)],
                               dtype=complex)
         phase = complex(math.cos(theta), math.sin(theta))
@@ -470,12 +466,10 @@ def verify_gf_4_1(beta, q, theta, degree: int = 16, ctx: QContext | None = None,
         rhs_coeffs = np.empty(degree + 1, dtype=complex)
         for p in range(degree + 1):
             rhs_coeffs[p] = (1.0 - beta) * (g[p] - (beta * g[p - 2] if p >= 2 else 0.0))
-        worst = int(np.argmax(np.abs(lhs_coeffs - rhs_coeffs)
-                              / (1.0 + np.maximum(np.abs(lhs_coeffs), np.abs(rhs_coeffs)))))
-        return _finish("gf-4.1", params, lhs_coeffs[worst], rhs_coeffs[worst],
-                       tol, degree + 1, started)
-    except QKernelError:
-        return _failed("gf-4.1", params, tol, started)
+        return lhs_coeffs, rhs_coeffs, degree + 1
+
+    return _check("gf-4.1", {"beta": beta, "q": q, "theta": theta, "degree": degree},
+                  tol, body)
 
 
 def verify_prop_4_2(beta, gamma, q, theta, degree: int = 12, ctx: QContext | None = None,
@@ -487,16 +481,13 @@ def verify_prop_4_2(beta, gamma, q, theta, degree: int = 12, ctx: QContext | Non
                     / ((q;q)_j (beta;q)_{m+j+1})
           C_m(cos u; beta|q) t^{m+2j}.
     """
-    started = time.perf_counter()
-    tol = default_tolerance("prop-4.2") if tol is None else tol
-    params = {"beta": beta, "gamma": gamma, "q": q, "theta": theta, "degree": degree}
-    try:
+    def body():
         if beta == 0:
             raise DomainError("prop-4.2 needs beta != 0")
-        c = context_for(q, ctx)
+        context_for(q, ctx)  # validates q
         x = math.cos(theta)
-        gamma_table = _ultra_table(degree, x, gamma, q)
-        beta_table = _ultra_table(degree, x, beta, q)
+        gamma_table = ultraspherical_table(degree, x, gamma, q)
+        beta_table = ultraspherical_table(degree, x, beta, q)
         lhs_coeffs = np.asarray(gamma_table, dtype=complex)
         rhs_coeffs = np.zeros(degree + 1, dtype=complex)
         for p in range(degree + 1):
@@ -509,25 +500,11 @@ def verify_prop_4_2(beta, gamma, q, theta, degree: int = 12, ctx: QContext | Non
                              * beta_table[m])
                 front = front * (beta - gamma * q**j)
             rhs_coeffs[p] = acc
-        worst = int(np.argmax(np.abs(lhs_coeffs - rhs_coeffs)
-                              / (1.0 + np.maximum(np.abs(lhs_coeffs), np.abs(rhs_coeffs)))))
-        return _finish("prop-4.2", params, lhs_coeffs[worst], rhs_coeffs[worst],
-                       tol, degree + 1, started)
-    except QKernelError:
-        return _failed("prop-4.2", params, tol, started)
+        return lhs_coeffs, rhs_coeffs, degree + 1
 
-
-def _ultra_table(max_degree, x, beta, q):
-    """C_0(x; beta|q) .. C_{max_degree}(x; beta|q) by the upward recurrence."""
-    table = [1.0 + 0.0 * x]
-    if max_degree == 0:
-        return table
-    table.append(2.0 * x * (1.0 - beta) / (1.0 - q))
-    for m in range(1, max_degree):
-        table.append((2.0 * x * (1.0 - beta * q**m) * table[m]
-                      - (1.0 - beta * beta * q ** (m - 1)) * table[m - 1])
-                     / (1.0 - q ** (m + 1)))
-    return table
+    return _check("prop-4.2",
+                  {"beta": beta, "gamma": gamma, "q": q, "theta": theta, "degree": degree},
+                  tol, body)
 
 
 def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64,
@@ -536,48 +513,43 @@ def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64,
     """|C_n^{(a,b)}(e^{i t}; q)| <= C_n^{(a,b)}(1; q) for real parameters in
     (-1, 1), checked on a uniform theta grid.  lhs is the clamped worst
     violation, rhs is zero."""
-    started = time.perf_counter()
-    tol = default_tolerance("uniform-bound") if tol is None else tol
-    params = {"n": n, "alpha": alpha, "beta": beta, "q": q, "grid_size": grid_size}
-    try:
+    def body():
+        if grid_size < 1:
+            raise DomainError("uniform-bound needs grid_size >= 1")
         grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
         values = np.abs(gasper_c(n, grid, alpha, beta, q))
         bound = complex(gasper_c(n, 0.0, alpha, beta, q)).real
         violation = max(0.0, float(np.max(values)) - bound)
-        return _finish("uniform-bound", params, violation, 0.0, tol, grid_size, started)
-    except QKernelError:
-        return _failed("uniform-bound", params, tol, started)
+        return violation, 0.0, grid_size
+
+    return _check("uniform-bound",
+                  {"n": n, "alpha": alpha, "beta": beta, "q": q, "grid_size": grid_size},
+                  tol, body)
 
 
 def verify_qbinomial(a, z, q, ctx: QContext | None = None,
                      tol: float | None = None) -> VerificationReport:
     """q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf / (z;q)_inf for |z| < 1."""
-    started = time.perf_counter()
-    tol = default_tolerance("qbinomial") if tol is None else tol
-    params = {"a": a, "z": z, "q": q}
-    try:
+    def body():
         c = context_for(q, ctx)
         lhs = phi_series(HypergeometricSpec((a,), (), z), q, c)
         rhs = qpoch_infinite(a * z, c) / qpoch_infinite(z, c)
-        return _finish("qbinomial", params, lhs, rhs, tol, 0, started)
-    except QKernelError:
-        return _failed("qbinomial", params, tol, started)
+        return lhs, rhs, 0
+
+    return _check("qbinomial", {"a": a, "z": z, "q": q}, tol, body)
 
 
 def verify_rogers_6w5(a, b, c, d, q, ctx: QContext | None = None,
                       tol: float | None = None) -> VerificationReport:
     """Rogers summation: 6W5(a; b, c, d; q, aq/(bcd)) equals its product form."""
-    started = time.perf_counter()
-    tol = default_tolerance("rogers-6phi5") if tol is None else tol
-    params = {"a": a, "b": b, "c": c, "d": d, "q": q}
-    try:
+    def body():
         cx = context_for(q, ctx)
         z = a * q / (b * c * d)
         lhs = w_series(a, [b, c, d], q, z, cx)
         rhs = rogers_6w5_rhs(a, b, c, d, q, cx)
-        return _finish("rogers-6phi5", params, lhs, rhs, tol, 0, started)
-    except QKernelError:
-        return _failed("rogers-6phi5", params, tol, started)
+        return lhs, rhs, 0
+
+    return _check("rogers-6phi5", {"a": a, "b": b, "c": c, "d": d, "q": q}, tol, body)
 
 
 CHECK_RUNNERS = {
@@ -686,11 +658,7 @@ def run_suite(config: dict | None = None, ctx: QContext | None = None):
         if runner is None:
             raise DomainError(f"unknown check id {check_id!r}")
         for entry in config[check_id]:
-            try:
-                reports.append(runner(ctx=ctx, **entry))
-            except QKernelError:
-                tol = entry.get("tol", default_tolerance(check_id))
-                reports.append(_failed(check_id, entry, tol, time.perf_counter()))
+            reports.append(runner(ctx=ctx, **entry))
     reports.sort(key=_report_sort_key)
     return reports
 

@@ -248,18 +248,18 @@ def test_criterion_13_uniform_bound():
     _gate(13, "uniform modulus bound", ok)
 
 
-def test_criterion_14_cli_suite(tmp_path):
+def test_criterion_14_cli_suite(tmp_path, child_env):
     target = tmp_path / "reports.json"
     proc = subprocess.run(
         [sys.executable, "-m", "qkernel", "suite", "--format", "json", "--out", str(target)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=child_env)
     data = json.loads(target.read_text())
     round_trips = all(
         report_to_dict(report_from_dict(entry)) == entry for entry in data)
     forced = subprocess.run(
         [sys.executable, "-m", "qkernel", "check", "thm-1.1", "--m", "3", "--n", "3",
          "--beta", "0.6", "--q", "0.3", "--tol", "1e-30"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=child_env)
     ok = (proc.returncode == 0 and len(data) >= 60 and all(d["pass"] for d in data)
           and round_trips and forced.returncode == 1)
     _gate(14, "command line suite", ok,

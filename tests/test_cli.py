@@ -169,6 +169,13 @@ class TestCheck:
         assert code == 2
         assert "usage" in err.lower()
 
+    def test_ctx_is_usage(self, capsys):
+        code, _, err = run_cli(
+            ["check", "qbinomial", "--a", "0.4", "--z", "0.5", "--q", "0.3", "--ctx", "1"],
+            capsys)
+        assert code == 2
+        assert "usage" in err.lower()
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             ["check", "qbinomial", "--a", "0.4", "--z", "0.5", "--q", "0.3",
@@ -262,6 +269,19 @@ class TestSuiteCommand:
         code, _, _ = run_cli(["suite", "--config", str(path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("entry", [
+        {"a": 0.4, "z": 0.5, "q": 0.3, "zz": 1.0},
+        {"a": 0.4, "z": 0.5},
+        {"a": 0.4, "z": 0.5, "q": 0.3, "tol": None},
+        {"a": 0.4, "z": 0.5, "q": 0.3, "ctx": 0.3},
+    ], ids=["unknown-key", "missing-parameter", "null-tol", "ctx-key"])
+    def test_malformed_config_entry_exits_two(self, tmp_path, capsys, entry):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"qbinomial": [entry]}))
+        code, _, err = run_cli(["suite", "--config", str(path)], capsys)
+        assert code == 2
+        assert "config error" in err
+
     def test_unknown_only_id_exits_two(self, capsys):
         code, _, _ = run_cli(["suite", "--only", "nope"], capsys)
         assert code == 2
@@ -279,9 +299,9 @@ class TestSuiteCommand:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m(self):
+    def test_python_dash_m(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "qkernel", "eval", "T", "--n", "3", "--x", "1"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env)
         assert proc.returncode == 0
         assert float(proc.stdout.strip()) == 1

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import (ConvergenceError, DomainError, QContext, WeightKind,
-                     WeightSpec, jackson_q_integral, periodic_quadrature,
-                     qpoch_infinite, ultraspherical_c, weight_omega_ab,
-                     weight_omega_beta)
+from qkernel import (ConvergenceError, DomainError, QContext,
+                     jackson_q_integral, periodic_quadrature, qpoch_infinite,
+                     ultraspherical_c, weight_omega_ab, weight_omega_beta)
 
 
 def plain_trapezoid(f, n):
@@ -169,24 +168,3 @@ class TestWeights:
         assert np.allclose(weight_omega_ab(theta, 0.5, 0.5, 0.3),
                            weight_omega_beta(theta, 0.5, 0.3), rtol=1e-14)
 
-
-class TestWeightSpec:
-    def test_single_parameter_kind(self):
-        spec = WeightSpec(WeightKind.OMEGA_BETA, q=0.3, beta=0.5)
-        assert spec(0.9) == pytest.approx(weight_omega_beta(0.9, 0.5, 0.3), rel=1e-14)
-
-    def test_two_parameter_kind(self):
-        spec = WeightSpec(WeightKind.OMEGA_AB, q=0.35, beta=-0.3, alpha=0.4)
-        assert spec(0.9) == pytest.approx(weight_omega_ab(0.9, 0.4, -0.3, 0.35), rel=1e-14)
-
-    def test_rejects_parameters_on_the_circle(self):
-        with pytest.raises(DomainError):
-            WeightSpec(WeightKind.OMEGA_BETA, q=0.3, beta=1.0)
-        with pytest.raises(DomainError):
-            WeightSpec(WeightKind.OMEGA_AB, q=0.3, beta=0.5, alpha=-1.0)
-
-    def test_alpha_only_for_two_parameter_kind(self):
-        with pytest.raises(DomainError):
-            WeightSpec(WeightKind.OMEGA_BETA, q=0.3, beta=0.5, alpha=0.2)
-        with pytest.raises(DomainError):
-            WeightSpec(WeightKind.OMEGA_AB, q=0.3, beta=0.5)

@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import (DomainError, Family, Method, PoleError, PolynomialEval,
-                     QContext, chebyshev_t, connection_coeffs, evaluate,
-                     gasper_c, gf_expand, h_norm, periodic_quadrature,
-                     phi_poly, q_hermite, qbinom, qpoch_finite,
-                     qpoch_infinite, ultraspherical_c)
+from qkernel import (DomainError, Method, PoleError, QContext, chebyshev_t,
+                     connection_coeffs, gasper_c, gf_expand, h_norm,
+                     periodic_quadrature, phi_poly, q_hermite, qbinom,
+                     qpoch_finite, qpoch_infinite, ultraspherical_c)
 
 ALL_METHODS = (Method.EXPLICIT, Method.RECURRENCE, Method.GENFUNC)
 
@@ -231,37 +230,3 @@ class TestConnectionCoeffs:
                       for k, c in enumerate(coeffs))
         assert np.max(np.abs(target - rebuilt)) <= 1e-12 * (1 + np.max(np.abs(target)))
 
-
-class TestEvaluateDispatch:
-    def test_each_family(self):
-        q = 0.3
-        cases = [
-            (PolynomialEval(Family.ULTRASPHERICAL, 3, {"beta": 0.5, "q": q}, x=0.4),
-             ultraspherical_c(3, 0.4, 0.5, q)),
-            (PolynomialEval(Family.GASPER, 2, {"alpha": 0.4, "beta": -0.2, "q": q}, theta=0.9),
-             gasper_c(2, 0.9, 0.4, -0.2, q)),
-            (PolynomialEval(Family.PHI, 2, {"alpha": 0.4, "beta": -0.2, "q": q}, theta=0.9),
-             phi_poly(2, 0.4, -0.2, np.exp(0.9j), np.exp(-0.9j), q)),
-            (PolynomialEval(Family.QHERMITE, 4, {"q": q}, x=0.25),
-             q_hermite(4, 0.25, q)),
-            (PolynomialEval(Family.CHEBYSHEV, 6, {}, x=0.25),
-             chebyshev_t(6, 0.25)),
-        ]
-        for request, expected in cases:
-            assert evaluate(request) == pytest.approx(expected, rel=1e-12)
-
-    def test_method_override(self):
-        request = PolynomialEval(Family.ULTRASPHERICAL, 4, {"beta": 0.5, "q": 0.3},
-                                 x=0.4, method=Method.EXPLICIT)
-        assert evaluate(request) == pytest.approx(
-            ultraspherical_c(4, 0.4, 0.5, 0.3, Method.EXPLICIT), rel=1e-13)
-
-    def test_point_must_be_exactly_one(self):
-        with pytest.raises(DomainError):
-            PolynomialEval(Family.CHEBYSHEV, 1, {}, x=0.5, theta=0.5)
-        with pytest.raises(DomainError):
-            PolynomialEval(Family.CHEBYSHEV, 1, {})
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(DomainError):
-            PolynomialEval(Family.CHEBYSHEV, -1, {}, x=0.5)

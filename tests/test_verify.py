@@ -297,6 +297,16 @@ class TestSuite:
         assert not reports[0].passed
         assert reports[0].tol == 1e-30
 
+    @pytest.mark.parametrize("check_id,entry", [
+        ("rogers-connection", {"n": 3, "beta": 0.4, "gamma": 0.7, "q": 0.3, "theta_grid": 0}),
+        ("uniform-bound", {"n": 3, "alpha": 0.5, "beta": 0.5, "q": 0.3, "grid_size": 0}),
+        ("prop-4.2", {"beta": 0.3, "gamma": 0.6, "q": 0.4, "theta": 1.1, "degree": -1}),
+    ])
+    def test_empty_size_arguments_are_recorded_not_raised(self, check_id, entry):
+        [report] = run_suite({check_id: [entry]})
+        assert not report.passed
+        assert report.rel_err == math.inf
+
     def test_default_config_covers_every_check(self):
         config = default_suite_config()
         assert set(config) == set(CHECK_RUNNERS)
