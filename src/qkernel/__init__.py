@@ -18,8 +18,7 @@ from .pochhammer import (INFINITY, PochhammerIndex, qbinom, qpoch_finite,
 from .polynomials import (Method, chebyshev_t, connection_coeffs, gasper_c,
                           h_norm, phi_poly, q_hermite, ultraspherical_c)
 from .series import (HypergeometricSpec, TruncatedPowerSeries, gf_expand,
-                     phi_series, ps_mul, ps_reciprocal, rogers_6w5_rhs,
-                     series_from_coeffs, w_series)
+                     phi_series, rogers_6w5_rhs, w_series)
 from .verify import (CHECK_RUNNERS, DEFAULT_TOLERANCES, VerificationReport,
                      default_suite_config, default_tolerance, run_suite,
                      verify_askey_ismail_chebyshev, verify_gf_4_1,
@@ -36,9 +35,8 @@ __all__ = [
     "QKernelError", "DomainError", "PoleError", "ConvergenceError",
     "INFINITY", "PochhammerIndex", "qpoch_finite", "qpoch_infinite",
     "qpoch_multi", "qbinom",
-    "TruncatedPowerSeries", "series_from_coeffs", "ps_mul", "ps_reciprocal",
-    "gf_expand", "HypergeometricSpec", "phi_series", "w_series",
-    "rogers_6w5_rhs",
+    "TruncatedPowerSeries", "gf_expand", "HypergeometricSpec", "phi_series",
+    "w_series", "rogers_6w5_rhs",
     "Method", "ultraspherical_c", "gasper_c", "phi_poly", "q_hermite",
     "chebyshev_t", "h_norm", "connection_coeffs",
     "QuadratureResult", "jackson_q_integral", "periodic_quadrature",

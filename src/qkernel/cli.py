@@ -418,8 +418,8 @@ _FLOAT_PARAMS = {"theta"}
 
 def _convert_check_value(name: str, value):
     if name in _INT_PARAMS:
-        try:
-            return int(value)
+        try:  # through str, so 3.7 and true are refused instead of truncated
+            return int(str(value))
         except (TypeError, ValueError):
             raise UsageError(f"--{name} expects an integer")
     if name in _FLOAT_PARAMS:

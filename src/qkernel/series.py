@@ -1,8 +1,10 @@
-"""Truncated power series arithmetic and basic hypergeometric summation.
+"""Generating-function expansion and basic hypergeometric summation.
 
-TruncatedPowerSeries is the generating-function oracle: infinite products
-(c t; q)_inf are expanded as polynomials in t, combined with Cauchy products
-and series reciprocals, and single coefficients are read off.
+TruncatedPowerSeries is the generating-function oracle: gf_expand writes a
+ratio of infinite products (c t; q)_inf as a power series in t from Euler's
+closed-form coefficients of (c t; q)_inf and 1/(c t; q)_inf, and single
+coefficients are read off.  It truncates no product, so eps_product and
+max_product_terms do not apply to it.
 
 phi_series sums the one-variable basic hypergeometric series
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .context import QContext, context_for
 from .errors import ConvergenceError, DomainError, PoleError
-from .pochhammer import INFINITY, _truncation_length, qpoch_multi
+from .pochhammer import INFINITY, qpoch_multi
 
 # A term factor within this relative distance of zero marks a terminating
 # series (an upper parameter of the form q^{-m} up to roundoff).
@@ -51,70 +53,33 @@ class TruncatedPowerSeries:
         return self.coeffs[j]
 
 
-def series_from_coeffs(coeffs, degree_cap: int) -> TruncatedPowerSeries:
-    """Series with the given leading coefficients, zero padded to the cap."""
-    cs = list(coeffs)[: degree_cap + 1]
-    cs.extend([0.0] * (degree_cap + 1 - len(cs)))
-    return TruncatedPowerSeries(tuple(cs))
-
-
-def ps_mul(a: TruncatedPowerSeries, b: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """Cauchy product, truncated to the smaller operand cap."""
-    cap = min(a.degree_cap, b.degree_cap)
-    ca = np.asarray(a.coeffs[: cap + 1], dtype=complex)
-    cb = np.asarray(b.coeffs[: cap + 1], dtype=complex)
-    return TruncatedPowerSeries(tuple(np.convolve(ca, cb)[: cap + 1]))
-
-
-def ps_reciprocal(a: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """Inverse modulo t^(D+1), by b_0 = 1/a_0, b_j = -(sum_{i>=1} a_i b_{j-i})/a_0."""
-    if a.coeffs[0] == 0:
-        raise DomainError("series reciprocal needs a nonzero constant term")
-    cap = a.degree_cap
-    ca = np.asarray(a.coeffs, dtype=complex)
-    out = np.zeros(cap + 1, dtype=complex)
-    out[0] = 1.0 / ca[0]
-    for j in range(1, cap + 1):
-        out[j] = -np.dot(ca[1 : j + 1], out[j - 1 :: -1]) / ca[0]
-    return TruncatedPowerSeries(tuple(out))
-
-
 def gf_expand(numerators, denominators, q, degree_cap: int = 24,
               ctx: QContext | None = None) -> TruncatedPowerSeries:
     """Expand prod_c (c t; q)_inf over `numerators` divided by the same
     product over `denominators` as a power series in t.
 
-    Each infinite product keeps the factors (1 - c q^k t) with
-    |c| |q|^k >= eps_product; dropped factors perturb every retained
-    coefficient by less than the product tolerance.  The default cap of 24
-    covers every identity check here with margin.
+    Euler's closed forms (Gasper & Rahman (1.3.15)-(1.3.16))
+
+        (c t; q)_inf = sum_k (-c)^k q^{k(k-1)/2} t^k / (q;q)_k,
+        1 / (c t; q)_inf = sum_k c^k t^k / (q;q)_k
+
+    give each factor up to t^degree_cap by its term ratio; the factors are
+    multiplied by Cauchy products truncated to the cap.  No product is
+    truncated, so eps_product and max_product_terms do not apply.  The
+    default cap of 24 covers every identity check here with margin.
     """
     if degree_cap < 0:
         raise DomainError("degree_cap must be >= 0")
-    c = context_for(q, ctx)
-    num = _product_series(numerators, c, degree_cap)
-    den = _product_series(denominators, c, degree_cap)
-    return ps_mul(num, ps_reciprocal(den))
-
-
-def _product_series(factors, ctx: QContext, degree_cap: int) -> TruncatedPowerSeries:
-    q = ctx.q
+    q = context_for(q, ctx).q
+    k = np.arange(degree_cap)
+    qk = q**k
+    qfact = 1.0 - q * qk
     coeffs = np.zeros(degree_cap + 1, dtype=complex)
     coeffs[0] = 1.0
-    for c in factors:
-        scale = abs(c)
-        if scale == 0.0:
-            continue
-        n_factors = _truncation_length(scale, abs(q), ctx.eps_product)
-        if n_factors > ctx.max_product_terms:
-            raise ConvergenceError(
-                f"(c t; q)_inf expansion needs {n_factors} linear factors, "
-                f"cap is {ctx.max_product_terms}"
-            )
-        w = complex(c)
-        for _ in range(n_factors):
-            coeffs[1:] = coeffs[1:] - w * coeffs[:-1]
-            w *= q
+    for ratios in ([-complex(c) * qk / qfact for c in numerators]
+                   + [complex(c) / qfact for c in denominators]):
+        euler = np.concatenate(([1.0], np.cumprod(ratios)))
+        coeffs = np.convolve(coeffs, euler)[: degree_cap + 1]
     return TruncatedPowerSeries(tuple(coeffs))
 
 

@@ -543,6 +543,8 @@ def verify_rogers_6w5(a, b, c, d, q, ctx: QContext | None = None,
                       tol: float | None = None) -> VerificationReport:
     """Rogers summation: 6W5(a; b, c, d; q, aq/(bcd)) equals its product form."""
     def body():
+        if b * c * d == 0:
+            raise DomainError("rogers-6phi5 needs nonzero b, c, d")
         cx = context_for(q, ctx)
         z = a * q / (b * c * d)
         lhs = w_series(a, [b, c, d], q, z, cx)

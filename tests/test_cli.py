@@ -269,15 +269,18 @@ class TestSuiteCommand:
         code, _, _ = run_cli(["suite", "--config", str(path)], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("entry", [
-        {"a": 0.4, "z": 0.5, "q": 0.3, "zz": 1.0},
-        {"a": 0.4, "z": 0.5},
-        {"a": 0.4, "z": 0.5, "q": 0.3, "tol": None},
-        {"a": 0.4, "z": 0.5, "q": 0.3, "ctx": 0.3},
-    ], ids=["unknown-key", "missing-parameter", "null-tol", "ctx-key"])
-    def test_malformed_config_entry_exits_two(self, tmp_path, capsys, entry):
+    @pytest.mark.parametrize("check_id,entry", [
+        ("qbinomial", {"a": 0.4, "z": 0.5, "q": 0.3, "zz": 1.0}),
+        ("qbinomial", {"a": 0.4, "z": 0.5}),
+        ("qbinomial", {"a": 0.4, "z": 0.5, "q": 0.3, "tol": None}),
+        ("qbinomial", {"a": 0.4, "z": 0.5, "q": 0.3, "ctx": 0.3}),
+        ("thm-1.1", {"m": 3.7, "n": 2, "beta": 0.6, "q": 0.3}),
+        ("thm-1.1", {"m": True, "n": 2, "beta": 0.6, "q": 0.3}),
+    ], ids=["unknown-key", "missing-parameter", "null-tol", "ctx-key",
+            "fractional-integer", "boolean-integer"])
+    def test_malformed_config_entry_exits_two(self, tmp_path, capsys, check_id, entry):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"qbinomial": [entry]}))
+        path.write_text(json.dumps({check_id: [entry]}))
         code, _, err = run_cli(["suite", "--config", str(path)], capsys)
         assert code == 2
         assert "config error" in err

@@ -301,6 +301,7 @@ class TestSuite:
         ("rogers-connection", {"n": 3, "beta": 0.4, "gamma": 0.7, "q": 0.3, "theta_grid": 0}),
         ("uniform-bound", {"n": 3, "alpha": 0.5, "beta": 0.5, "q": 0.3, "grid_size": 0}),
         ("prop-4.2", {"beta": 0.3, "gamma": 0.6, "q": 0.4, "theta": 1.1, "degree": -1}),
+        ("rogers-6phi5", {"a": 0.1, "b": 0.0, "c": 0.6, "d": 0.8, "q": 0.4}),
     ])
     def test_empty_size_arguments_are_recorded_not_raised(self, check_id, entry):
         [report] = run_suite({check_id: [entry]})
