@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import QContext, context_for
-from .errors import ConvergenceError
+from .errors import ConvergenceError, PoleError
 from .pochhammer import qpoch_infinite
 
 
@@ -60,32 +60,66 @@ def jackson_q_integral(f, a, b, ctx: QContext) -> complex:
 
         (1-q) b sum_{n>=0} q^n f(b q^n)  -  (1-q) a sum_{n>=0} q^n f(a q^n).
 
-    Each ladder sum stops once the geometric tail bound
+    `f` receives a numpy array of ladder points and must return the matching
+    array of (possibly complex) values, or a scalar, which is broadcast.
+    Each ladder is evaluated in blocks of 8, 16, 32, ... rungs.  The sum then
+    runs rung by rung and stops once the geometric tail bound
     max_recent|f| * |q|^{n+1} / (1 - |q|) drops below eps_series relative,
     where the max runs over the latest rungs (the ladder accumulates at 0).
+    The stop and the sum are those of one call per rung; the blocks evaluate
+    at most 2 (rungs summed) + 6 rungs per ladder.  The complex returned
+    carries the number of rungs the two sums used as its `rungs` attribute.
+    PoleError at the first summed rung where f is not finite;
     ConvergenceError if f grows too fast along the ladder for the bound to
     be met within max_series_terms.
     """
     q = ctx.q
-    return (1.0 - q) * (b * _ladder_sum(f, b, ctx) - a * _ladder_sum(f, a, ctx))
+    upper, upper_rungs = _ladder_sum(f, b, ctx)
+    lower, lower_rungs = _ladder_sum(f, a, ctx)
+    return _LadderValue((1.0 - q) * (b * upper - a * lower), upper_rungs + lower_rungs)
 
 
-def _ladder_sum(f, endpoint, ctx: QContext) -> complex:
+class _LadderValue(complex):
+    """A Jackson integral with the number of ladder rungs it summed."""
+
+    __slots__ = ("rungs",)
+
+    def __new__(cls, value, rungs: int):
+        self = super().__new__(cls, value)
+        self.rungs = rungs
+        return self
+
+
+def _ladder_sum(f, endpoint, ctx: QContext) -> tuple[complex, int]:
     if endpoint == 0:
-        return 0.0 + 0j
+        return 0.0 + 0j, 0
     q = ctx.q
     abs_q = abs(q)
     total = 0.0 + 0j
     qn = 1.0 + 0j
     recent = deque(maxlen=8)
-    for n in range(ctx.max_series_terms):
-        value = complex(f(endpoint * qn))
-        total += qn * value
-        recent.append(abs(value))
-        qn *= q
-        tail = max(recent) * abs(qn) / (1.0 - abs_q)
-        if n >= 7 and tail <= ctx.eps_series * (1.0 + abs(total)):
-            return total
+    n = 0
+    block = 8
+    while n < ctx.max_series_terms:
+        powers = []
+        for _ in range(min(block, ctx.max_series_terms - n)):
+            powers.append(qn)
+            qn *= q
+        # Non-finite values are refused below, rung by rung, as they are summed.
+        with np.errstate(all="ignore"):
+            values = f(np.array([endpoint * power for power in powers]))
+        values = np.broadcast_to(np.asarray(values, dtype=complex), (len(powers),))
+        finite = np.isfinite(values).tolist()
+        for power, value, ok in zip(powers, values.tolist(), finite):
+            if not ok:
+                raise PoleError(f"Jackson integrand is not finite at rung {n}")
+            total += power * value
+            recent.append(abs(value))
+            n += 1
+            tail = max(recent) * abs(power * q) / (1.0 - abs_q)
+            if n >= 8 and tail <= ctx.eps_series * (1.0 + abs(total)):
+                return total, n
+        block *= 2
     raise ConvergenceError("Jackson ladder sum did not meet its tail bound")
 
 

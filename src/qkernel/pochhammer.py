@@ -8,7 +8,10 @@ after N factors, where N is the smallest integer with
     |a| |q|^N / (1 - |q|)  <  eps_product,
 
 which certifies a relative truncation error of at most twice that bound once
-the bound is below 1/2.
+the bound is below 1/2 (Gasper & Rahman, *Basic Hypergeometric Series*,
+section 1.3).  The factors 1 - q^k a are formed as a (factors x points)
+block against one table of q^k and reduced down the factor axis, so the
+products come out in the same sequential order as a factor-by-factor loop.
 """
 
 from __future__ import annotations
@@ -36,6 +39,15 @@ PochhammerIndex = int | _InfinityTag
 
 # Negative-index denominators this close to zero (relative) are poles.
 _POLE_SNAP = 1e-12
+
+# Elements per factor block of qpoch_infinite; keeps the temporaries of one
+# block near the size of the arrays a factor-by-factor loop allocates.
+_BLOCK_ELEMENTS = 2**13
+
+# From this size up numpy evaluates a factor loop's acc * (1 - a q^k) in
+# place in the temporary factor, as (1 - a q^k) * acc; its complex multiply
+# rounds the two operand orders differently.
+_IN_PLACE_BYTES = 256 * 1024
 
 
 def qpoch_finite(a, q, n: int):
@@ -70,7 +82,15 @@ def qpoch_infinite(a, ctx: QContext):
     """Infinite q-Pochhammer symbol (a;q)_inf at base q = ctx.q.
 
     `a` may be an array; one shared truncation length is chosen from its
-    largest modulus, so the certified tail bound holds elementwise.
+    largest modulus, so the certified tail bound holds elementwise.  The
+    factors 1 - q^k a form blocks of rows k and columns a, at most
+    _BLOCK_ELEMENTS entries each; the running product is multiplied into the
+    first row, in the operand order numpy gives a factor loop's multiply at
+    that size, and each block is reduced over its rows.  For real q the
+    result equals the sequential product ((1 - a)(1 - q a))(1 - q^2 a)...
+    bit for bit at every size (numpy's complex multiply may round
+    differently from Python's, so a complex q, or a complex array of one
+    point, can differ in the last bits).
     """
     q = ctx.q
     abs_q = abs(q)
@@ -81,13 +101,25 @@ def qpoch_infinite(a, ctx: QContext):
             f"(a;q)_inf needs {n_factors} factors for the tail bound, "
             f"cap is {ctx.max_product_terms}"
         )
-    scalar = np.ndim(a) == 0
-    acc = 1.0 + 0j if scalar else np.ones(np.shape(a), dtype=complex)
-    qk = 1.0
-    for _ in range(n_factors):
-        acc = acc * (1.0 - a * qk)
-        qk = qk * q
-    return complex(acc) if scalar else acc
+    points = np.asarray(a, dtype=complex)
+    row = points.reshape(1, -1)
+    # q^0, q^1, ... as a running product, the powers a factor loop forms
+    steps = np.full(n_factors, q, dtype=complex)
+    steps[:1] = 1.0
+    powers = np.cumprod(steps).reshape(-1, 1)
+    acc = np.ones(row.shape[1], dtype=complex)
+    rows = max(1, _BLOCK_ELEMENTS // row.shape[1])
+    for start in range(0, n_factors, rows):
+        block = powers[start:start + rows] * row
+        np.subtract(1.0, block, out=block)
+        first = block[0]
+        if first.nbytes < _IN_PLACE_BYTES:
+            np.multiply(acc, first, out=first)
+        else:
+            np.multiply(first, acc, out=first)
+        # a single row is already the product (the reduction would copy it)
+        acc = np.multiply.reduce(block, axis=0) if len(block) > 1 else first
+    return complex(acc[0]) if points.ndim == 0 else acc.reshape(points.shape)
 
 
 def _truncation_length(scale: float, abs_q: float, target: float) -> int:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import QContext, context_for
-from .errors import ConvergenceError, DomainError, QKernelError
+from .errors import ConvergenceError, DomainError, PoleError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
 from .pochhammer import INFINITY, qbinom, qpoch_finite, qpoch_infinite, qpoch_multi
@@ -129,18 +129,6 @@ def _failed(check_id, params, tol, started) -> VerificationReport:
         abs_err=math.inf, rel_err=math.inf, tol=tol, nodes_used=0,
         passed=False, runtime_ms=(time.perf_counter() - started) * 1e3,
     )
-
-
-class _Counted:
-    """Wrap an integrand and count evaluations (for nodes_used)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, z):
-        self.calls += 1
-        return self.fn(z)
 
 
 def verify_thm_1_1(m: int, n: int, beta, q, ctx: QContext | None = None,
@@ -336,12 +324,11 @@ def verify_prop_3_1(a, b, c, x, y, q, ctx: QContext | None = None,
                     / (qpoch_infinite(a * z / y, cx) * qpoch_infinite(b * z / x, cx)
                        * qpoch_infinite(c * z, cx)))
 
-        counted = _Counted(integrand)
-        lhs = jackson_q_integral(counted, x, y, cx)
+        lhs = jackson_q_integral(integrand, x, y, cx)
         rhs = ((1.0 - q) * y
                * qpoch_multi([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q, INFINITY, cx)
                / qpoch_multi([a * x / y, b * y / x, a, b, c * x, c * y], q, INFINITY, cx))
-        return lhs, rhs, counted.calls
+        return complex(lhs), rhs, lhs.rungs
 
     return _check("prop-3.1", {"a": a, "b": b, "c": c, "x": x, "y": y, "q": q}, tol, body)
 
@@ -364,15 +351,14 @@ def verify_prop_3_2(n: int, a, b, x, y, q, ctx: QContext | None = None,
             return (qpoch_infinite(q * z / x, cx) * qpoch_infinite(q * z / y, cx) * z**n
                     / (qpoch_infinite(b * z / x, cx) * qpoch_infinite(a * z / y, cx)))
 
-        counted = _Counted(integrand)
-        integral = jackson_q_integral(counted, x, y, cx)
+        integral = jackson_q_integral(integrand, x, y, cx)
         prefactor = (qpoch_finite(a * b, q, n)
                      * qpoch_multi([a, b, b * y / x, a * x / y], q, INFINITY, cx)
                      / ((1.0 - q) * y
                         * qpoch_multi([q, a * b, x / y, q * y / x], q, INFINITY, cx)))
         lhs = phi_poly(n, a, b, x, y, q, cx)
-        rhs = prefactor * integral
-        return lhs, rhs, counted.calls
+        rhs = prefactor * complex(integral)
+        return lhs, rhs, integral.rungs
 
     return _check("prop-3.2", {"n": n, "a": a, "b": b, "x": x, "y": y, "q": q}, tol, body)
 
@@ -495,9 +481,11 @@ def verify_prop_4_2(beta, gamma, q, theta, degree: int = 12, ctx: QContext | Non
             front = 1.0
             for j in range(p // 2 + 1):
                 m = p - 2 * j
+                denominator = qpoch_finite(q, q, j) * qpoch_finite(beta, q, m + j + 1)
+                if denominator == 0:
+                    raise PoleError(f"prop-4.2 needs (beta;q)_{m + j + 1} != 0")
                 acc = acc + ((1.0 - beta * q**m) * front * qpoch_finite(gamma, q, j + m)
-                             / (qpoch_finite(q, q, j) * qpoch_finite(beta, q, m + j + 1))
-                             * beta_table[m])
+                             / denominator * beta_table[m])
                 front = front * (beta - gamma * q**j)
             rhs_coeffs[p] = acc
         return lhs_coeffs, rhs_coeffs, degree + 1

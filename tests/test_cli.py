@@ -86,6 +86,18 @@ class TestEval:
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.64 / 1.35, rel=1e-12)
 
+    def test_jackson_complex_polynomial(self, capsys):
+        # the integrand gets arrays of complex rungs; z^k from a to b is
+        # (1-q) (b^{k+1} - a^{k+1}) / (1 - q^{k+1})
+        coeffs, a, b, q = [1 + 2j, -0.5j, 0.25], 0.3 - 0.2j, 0.9 + 0.1j, 0.6
+        code, out, _ = run_cli(
+            ["eval", "jackson", "--coeff", "1,2", "--coeff", "0,-0.5", "--coeff", "0.25",
+             "--a", "0.3,-0.2", "--b", "0.9,0.1", "--q", "0.6"], capsys)
+        assert code == 0
+        want = sum(c * (1 - q) * (b**(k + 1) - a**(k + 1)) / (1 - q**(k + 1))
+                   for k, c in enumerate(coeffs))
+        assert _parse_printed_value(out.strip()) == pytest.approx(want, rel=1e-13)
+
     def test_method_selection(self, capsys):
         args = ["eval", "C", "--n", "4", "--beta", "0.5", "--q", "0.3", "--x", "0.4"]
         _, base, _ = run_cli(args, capsys)

@@ -1,13 +1,31 @@
 """Jackson ladder sums, the doubling trapezoid rule, and the circle weights."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from qkernel import (ConvergenceError, DomainError, QContext,
+from qkernel import (ConvergenceError, DomainError, PoleError, QContext,
                      jackson_q_integral, periodic_quadrature, qpoch_infinite,
                      ultraspherical_c, weight_omega_ab, weight_omega_beta)
+
+
+def rung_by_rung(f, endpoint, ctx):
+    """sum_n q^n f(endpoint q^n) one scalar call per rung, with the ladder's
+    stopping rule; returns the sum and the number of rungs summed."""
+    q = ctx.q
+    total = 0j
+    qn = 1.0 + 0j
+    recent = deque(maxlen=8)
+    for n in range(ctx.max_series_terms):
+        value = complex(f(endpoint * qn))
+        total += qn * value
+        recent.append(abs(value))
+        qn *= q
+        if n >= 7 and max(recent) * abs(qn) / (1 - abs(q)) <= ctx.eps_series * (1 + abs(total)):
+            return total, n + 1
+    raise AssertionError("reference ladder did not stop")
 
 
 def plain_trapezoid(f, n):
@@ -71,6 +89,49 @@ class TestJackson:
         ctx = QContext(q=0.5, max_series_terms=500)
         with pytest.raises(ConvergenceError):
             jackson_q_integral(lambda z: 1.0 / (z * z), 0.0, 1.0, ctx)
+
+    @pytest.mark.parametrize("q", [0.3, -0.6, 0.9, 0.97])
+    def test_blocks_stop_and_sum_as_rung_by_rung(self, q):
+        # real endpoints and coefficients: numpy and Python round alike, so
+        # the blocked ladder must give the rung-by-rung sum and stop exactly
+        ctx = QContext(q=q)
+        blocks = []
+
+        def f(z):
+            return 0.3 + z * (-1.2 + z * (0.7 + z * 2.1))
+
+        def counted(z):
+            blocks.append(len(z))
+            return f(z)
+
+        a, b = -0.6, 0.9
+        value = jackson_q_integral(counted, a, b, ctx)
+        upper, upper_rungs = rung_by_rung(f, b, ctx)
+        lower, lower_rungs = rung_by_rung(f, a, ctx)
+        assert value == (1.0 - q) * (b * upper - a * lower)
+        assert value.rungs == upper_rungs + lower_rungs
+        assert blocks[:3] == [8, 16, 32]
+        # each of the two ladders evaluates at most 2 (rungs summed) + 6 rungs
+        assert sum(blocks) <= 2 * value.rungs + 12
+
+    def test_rungs_past_the_stop_are_not_summed(self):
+        # the constant ladder at q=0.5 stops after 46 rungs; the third block
+        # reaches rung 55, where this integrand is nan
+        ctx = QContext(q=0.5)
+
+        def f(z):
+            return np.where(np.abs(z) < 1e-15, np.nan, 1.0)
+
+        value = jackson_q_integral(f, 0.0, 1.0, ctx)
+        assert value.rungs == 46
+        assert value == pytest.approx(1.0, rel=1e-13)
+
+    def test_non_finite_integrand_is_a_pole(self):
+        ctx = QContext(q=0.5)
+        with pytest.raises(PoleError, match="rung 0"):
+            jackson_q_integral(lambda z: 1.0 / (1.0 - z), 0.0, 1.0, ctx)
+        with pytest.raises(PoleError, match="rung 2"):
+            jackson_q_integral(lambda z: 1.0 / (z - 0.25), 0.0, 1.0, ctx)
 
 
 class TestPeriodicQuadrature:

@@ -1,19 +1,27 @@
-"""gf_expand against an independent 40-digit mpmath oracle.
+"""The kernel against an independent 40-digit mpmath oracle.
 
-The oracle applies the q-binomial theorem to each numerator/denominator pair,
+gf_expand: the oracle applies the q-binomial theorem to each
+numerator/denominator pair,
 
     (a t; q)_inf / (b t; q)_inf = sum_k (a/b; q)_k b^k t^k / (q; q)_k,
 
 and convolves the pair series in mpmath, so it shares nothing with the
 per-factor Euler expansions inside gf_expand.  The error of a coefficient is
-|got - true| / (1 + |true|); each bound sits 10-100x above the measured error.
+|got - true| / (1 + |true|).
+
+qpoch_infinite and the Jackson ladder: mp.qp, and a ladder sum in mpmath
+that steps its integrand down by the ratio of consecutive rungs.  The error
+is relative, |got - true| / |true|.
+
+Each bound sits 10-100x above the measured error.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from qkernel import gf_expand
+from qkernel import QContext, gf_expand, jackson_q_integral, qpoch_infinite
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -55,3 +63,73 @@ def test_gf_4_1_factors_match_oracle(beta, q, theta, cap, bound):
 
 def test_complex_parameters_match_oracle():
     assert worst_error([0.3, 0.5j], [0.8, 0.2 - 0.1j], 0.4, 20) <= 1e-14
+
+
+def oracle_qp(a, q):
+    """(a;q)_inf to 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.qp(mpmath.mpmathify(a), mpmath.mpmathify(q), maxterms=20000)
+
+
+PRODUCT_ARGUMENTS = [0.5, -0.9, 0.7 - 0.4j, 1.8j, 0.0, 0.95 + 0.2j]
+
+
+@pytest.mark.parametrize("q,bound", [
+    (0.3, 2e-14), (-0.6, 2e-14), (0.9, 1e-13), (0.99, 1e-12), (0.5 + 0.3j, 1e-13),
+])
+def test_qpoch_infinite_matches_oracle(q, bound):
+    # scalars one at a time, all of them as one 2 x 3 array, which shares
+    # the truncation length of its largest modulus, and repeated over 16386
+    # points (256 KiB), which takes one factor per block in the swapped
+    # operand order
+    ctx = QContext(q=q)
+    arguments = np.array(PRODUCT_ARGUMENTS)
+    batch = qpoch_infinite(arguments.reshape(2, 3), ctx).ravel()
+    wide = qpoch_infinite(np.tile(arguments, 2731), ctx).reshape(-1, len(arguments))
+    with mpmath.workdps(40):
+        for i, a in enumerate(PRODUCT_ARGUMENTS):
+            true = oracle_qp(a, q)
+            for got in (qpoch_infinite(a, ctx), batch[i], *set(wide[:, i])):
+                assert float(abs(got - true) / abs(true)) <= bound
+
+
+def oracle_prop_3_1_ladder(a, b, c, x, y, q, endpoint):
+    """Jackson integral from 0 to `endpoint` of the prop-3.1 integrand
+
+        g(z) = (qz/x, qz/y, abcz; q)_inf / (az/y, bz/x, cz; q)_inf
+
+    at 40 digits: the ladder starts from six mp.qp products and steps down by
+    g(qz) = g(z) (1 - az/y)(1 - bz/x)(1 - cz) / ((1 - qz/x)(1 - qz/y)(1 - abcz))."""
+    with mpmath.workdps(40):
+        a, b, c, x, y, q, z = (mpmath.mpmathify(v) for v in (a, b, c, x, y, q, endpoint))
+        g = (oracle_qp(q * z / x, q) * oracle_qp(q * z / y, q) * oracle_qp(a * b * c * z, q)
+             / (oracle_qp(a * z / y, q) * oracle_qp(b * z / x, q) * oracle_qp(c * z, q)))
+        total, qn = mpmath.mpf(0), mpmath.mpf(1)
+        while abs(qn * g) > mpmath.mpf(10) ** -45:
+            total += qn * g
+            g *= ((1 - a * z / y) * (1 - b * z / x) * (1 - c * z)
+                  / ((1 - q * z / x) * (1 - q * z / y) * (1 - a * b * c * z)))
+            z *= q
+            qn *= q
+        return (1 - q) * endpoint * total
+
+
+def test_jackson_ladders_of_prop_3_1_match_oracle():
+    # the q=0.9 stress case: 645 rungs in blocks of 8 ... 256 over the two
+    # ladders.  Each ladder is compared on its own: the integral from x to y
+    # is their difference, about 5e-15 against ladders of about 0.05, so it
+    # keeps only a few digits in double precision.
+    a, b, c, x, y, q = 0.3, 0.2, 0.4, 0.5, 0.7, 0.9
+    ctx = QContext(q=q)
+
+    def integrand(z):
+        return (qpoch_infinite(q * z / x, ctx) * qpoch_infinite(q * z / y, ctx)
+                * qpoch_infinite(a * b * c * z, ctx)
+                / (qpoch_infinite(a * z / y, ctx) * qpoch_infinite(b * z / x, ctx)
+                   * qpoch_infinite(c * z, ctx)))
+
+    for endpoint in (x, y):
+        got = jackson_q_integral(integrand, 0.0, endpoint, ctx)
+        true = oracle_prop_3_1_ladder(a, b, c, x, y, q, endpoint)
+        with mpmath.workdps(40):
+            assert float(abs(got - true) / abs(true)) <= 3e-13

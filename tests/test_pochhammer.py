@@ -6,6 +6,25 @@ import pytest
 from qkernel import (INFINITY, ConvergenceError, DomainError, PoleError,
                      QContext, qbinom, qpoch_finite, qpoch_infinite,
                      qpoch_multi)
+from qkernel.pochhammer import _truncation_length
+
+
+def sequential_product(a, ctx):
+    """(a;q)_inf as one factor per step, on the truncation qpoch_infinite uses."""
+    q = ctx.q
+    n = _truncation_length(float(np.max(np.abs(a))), abs(q), ctx.eps_product * (1 - abs(q)))
+    scalar = np.ndim(a) == 0
+    acc = 1.0 + 0j if scalar else np.ones(np.shape(a), dtype=complex)
+    qk = 1.0
+    for _ in range(n):
+        acc = acc * (1.0 - a * qk)
+        qk = qk * q
+    return complex(acc) if scalar else acc
+
+
+def bits(value):
+    """The 64-bit patterns of the real and imaginary parts."""
+    return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.int64)
 
 
 class TestQContext:
@@ -116,6 +135,40 @@ class TestInfinite:
         ctx = QContext(q=0.999, max_product_terms=16)
         with pytest.raises(ConvergenceError):
             qpoch_infinite(0.5, ctx)
+
+    def test_blocked_product_is_the_sequential_product_bit_for_bit(self):
+        # the factor blocks keep the order ((1 - a)(1 - q a))(1 - q^2 a)...
+        # and the powers q^k = q^{k-1} q of a factor-by-factor loop
+        rng = np.random.default_rng(29)
+        for case in range(240):
+            q = float(rng.choice([0.3, -0.6, 0.9, 0.99, rng.uniform(-0.99, 0.99)]))
+            kind = case % 4
+            if kind == 0:
+                a = float(rng.uniform(-3, 3))
+            elif kind == 1:
+                a = complex(*rng.uniform(-3, 3, 2))
+            elif kind == 2:
+                a = rng.uniform(-2, 2, int(rng.integers(1, 600)))
+            else:
+                shape = (int(rng.integers(1, 6)), int(rng.integers(1, 200)))
+                a = rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
+            ctx = QContext(q=q)
+            got, want = qpoch_infinite(a, ctx), sequential_product(a, ctx)
+            assert type(got) is type(want)
+            assert np.array_equal(bits(got), bits(want)), (q, np.shape(a))
+
+    @pytest.mark.parametrize("size", [4096, 4097, 16383, 16384, 20000])
+    def test_wide_arrays_are_the_sequential_product_bit_for_bit(self, size):
+        # from 4097 points a block holds one row; from 16384 points (256 KiB)
+        # numpy evaluates the loop's acc * (1 - a q^k) in place in the
+        # factor, with the operands of its complex multiply swapped
+        rng = np.random.default_rng(size)
+        real = rng.uniform(-2, 2, size)
+        for a in (real, real + 1j * rng.uniform(-2, 2, size)):
+            for q in (0.9, -0.6):
+                ctx = QContext(q=q)
+                got, want = qpoch_infinite(a, ctx), sequential_product(a, ctx)
+                assert np.array_equal(bits(got), bits(want)), (q, a.dtype)
 
 
 class TestMulti:

@@ -14,6 +14,7 @@ from qkernel import (CHECK_RUNNERS, INFINITY, h_norm,
                      verify_rogers_connection, verify_thm_1_1,
                      verify_thm_1_2, verify_thm_1_3, verify_thm_1_4,
                      verify_uniform_bound)
+from qkernel import verify
 from qkernel.verify import default_suite_config, default_tolerance
 
 
@@ -199,6 +200,32 @@ class TestJacksonIdentities:
         assert not report.passed
         assert report.rel_err == math.inf
 
+    def test_ladder_work_near_q_one(self, monkeypatch):
+        # the ladder evaluates its integrand on blocks of rungs: 14 blocks of
+        # six products here, where one call per rung made 8118 products
+        products = []
+        evaluated = []
+        qpoch_infinite = verify.qpoch_infinite
+        jackson = verify.jackson_q_integral
+
+        def counted_qpoch(a, ctx):
+            products.append(np.size(a))
+            return qpoch_infinite(a, ctx)
+
+        def counted_jackson(f, a, b, ctx):
+            def integrand(z):
+                evaluated.append(len(z))
+                return f(z)
+            return jackson(integrand, a, b, ctx)
+
+        monkeypatch.setattr(verify, "qpoch_infinite", counted_qpoch)
+        monkeypatch.setattr(verify, "jackson_q_integral", counted_jackson)
+        report = verify_prop_3_1(0.3, 0.2, 0.4, 0.5, 0.7, 0.95)
+        assert report.passed
+        assert report.nodes_used == 1353
+        assert len(products) <= 100
+        assert sum(evaluated) <= 2 * report.nodes_used + 8
+
 
 class TestConnectionAndChebyshev:
     def test_equal_parameters_exact(self):
@@ -302,6 +329,11 @@ class TestSuite:
         ("uniform-bound", {"n": 3, "alpha": 0.5, "beta": 0.5, "q": 0.3, "grid_size": 0}),
         ("prop-4.2", {"beta": 0.3, "gamma": 0.6, "q": 0.4, "theta": 1.1, "degree": -1}),
         ("rogers-6phi5", {"a": 0.1, "b": 0.0, "c": 0.6, "d": 0.8, "q": 0.4}),
+        # poles: the Jackson integrand divides by (a z/y; q)_inf = 0 at z = y,
+        # by (b z/x; q)_inf = 0 at z = x, and prop-4.2 by (beta; q)_{m+j+1} = 0
+        ("prop-3.2", {"n": 3, "a": 1.0, "b": 0.2, "x": 0.5, "y": 0.7, "q": 0.3}),
+        ("prop-3.2", {"n": 3, "a": 0.3, "b": 1.0, "x": 0.5, "y": 0.7, "q": 0.3}),
+        ("prop-4.2", {"beta": 1.0, "gamma": 0.6, "q": 0.4, "theta": 1.1, "degree": 12}),
     ])
     def test_empty_size_arguments_are_recorded_not_raised(self, check_id, entry):
         [report] = run_suite({check_id: [entry]})
