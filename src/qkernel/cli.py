@@ -6,10 +6,16 @@ Verbs:
   check  <check-id> --name value ...   run one identity check
   suite  [--config f] [--only id] [--format json|csv|text] [--out path]
 
-Complex arguments are written "re" or "re,im".  Exit codes: 0 all good,
-1 numeric failure (a failed check or a pole/convergence error), 2 usage or
-configuration error.  Setting QKERNEL_TOL overrides the default tolerance
-profile of every check.
+The flags of `eval` and `check` are the parameter names of the target's
+kernel function and of the check's runner; `suite --config` entries use the
+same names as keys.  One binder converts all three by the parameter
+annotations: `int` takes an integer, `float` a real number, `Method` one of
+explicit, recurrence, genfunc; an unannotated parameter takes a number, and
+a `list` parameter is a repeatable flag (`--upper`, `--lower`, `--b`,
+`--coeff`).  The number rule: "re" and a JSON number stay real, "re,im" and
+[re, im] become complex.  Exit codes: 0 all good, 1 numeric failure (a
+failed check or a pole/convergence error), 2 usage or configuration error.
+Setting QKERNEL_TOL overrides the default tolerance profile of every check.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import types
 
 from . import verify
 from .context import QContext
@@ -37,22 +43,6 @@ class UsageError(Exception):
     """Bad command line or configuration input (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class CliCommand:
-    """One parsed invocation: verb, target, raw named arguments, output sink.
-
-    `named_args` holds the --name value pairs as strings (repeated names
-    collect into lists); each verb converts what it needs.  `output` of None
-    means standard output.
-    """
-
-    verb: str
-    target: str = ""
-    named_args: dict = field(default_factory=dict)
-    output: str | None = None
-    format: str = "text"
-
-
 def format_complex(value) -> str:
     """Render a value as re or re+imi with 17 significant digits."""
     z = complex(value)
@@ -61,17 +51,15 @@ def format_complex(value) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
-def parse_complex(text) -> complex:
-    """Parse "re" or "re,im" into a complex number."""
-    parts = str(text).split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise UsageError(f"cannot parse complex value {text!r} (expected re or re,im)")
+def parse_number(text: str) -> float | complex:
+    """Parse "re" into a float or "re,im" into a complex number; ValueError
+    otherwise."""
+    parts = text.split(",")
+    if len(parts) == 1:
+        return float(parts[0])
+    if len(parts) == 2:
+        return complex(float(parts[0]), float(parts[1]))
+    raise ValueError(f"cannot parse number {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +137,9 @@ def _report_line(report: verify.VerificationReport) -> str:
             f"t={report.runtime_ms:.1f}ms")
 
 
+_FORMATS = ("json", "csv", "text")
+
+
 def render_reports(reports, fmt: str, single: bool = False) -> str:
     if fmt == "json":
         if single and len(reports) == 1:
@@ -167,82 +158,88 @@ def render_reports(reports, fmt: str, single: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# named-argument handling
+# argument binding: one converter, keyed on the parameter annotation
 
-class _Missing:
-    def __repr__(self):
-        return "<required>"
-
-
-_MISSING = _Missing()
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-class _Args:
-    """Typed access to --name value pairs, with leftover detection."""
-
-    def __init__(self, pairs: dict):
-        self._pairs = dict(pairs)
-
-    def _take(self, key, default):
-        if key not in self._pairs:
-            if default is not _MISSING:
-                return default
-            raise UsageError(f"missing required argument --{key}")
-        value = self._pairs.pop(key)
-        if isinstance(value, list):
-            raise UsageError(f"--{key} given more than once")
-        return value
-
-    def string(self, key, default=_MISSING):
-        return self._take(key, default)
-
-    def complex_(self, key, default=_MISSING):
-        value = self._take(key, default)
-        return value if value is default else parse_complex(value)
-
-    def float_(self, key, default=_MISSING):
-        value = self._take(key, default)
-        if value is default:
-            return value
+def _number(name, value):
+    """The number rule: "re" and a JSON number are real, "re,im" and
+    [re, im] complex."""
+    if _is_real(value):
+        return float(value)
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
+        return complex(value[0], value[1])
+    if isinstance(value, str):
         try:
-            return float(value)
-        except ValueError as exc:
-            raise UsageError(f"--{key} expects a real number: {exc}")
-
-    def int_(self, key, default=_MISSING):
-        value = self._take(key, default)
-        if value is default:
-            return value
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise UsageError(f"--{key} expects an integer: {exc}")
-
-    def complex_list(self, key, default=_MISSING):
-        if key not in self._pairs:
-            if default is not _MISSING:
-                return default
-            raise UsageError(f"missing required argument --{key}")
-        value = self._pairs.pop(key)
-        values = value if isinstance(value, list) else [value]
-        return [parse_complex(v) for v in values]
-
-    def method(self, key, default):
-        value = self._take(key, default)
-        if value is default:
-            return value
-        try:
-            return Method(str(value).lower())
+            return parse_number(value)
         except ValueError:
-            raise UsageError(f"--{key} must be one of explicit, recurrence, genfunc")
+            pass
+    raise UsageError(f"--{name} expects a number (re or re,im), got {value!r}")
 
-    def done(self):
-        if self._pairs:
-            extra = ", ".join(f"--{k}" for k in sorted(self._pairs))
-            raise UsageError(f"unknown argument(s): {extra}")
+
+def _real(name, value) -> float:
+    number = _number(name, value)
+    if isinstance(number, complex):
+        raise UsageError(f"--{name} expects a real number, got {value!r}")
+    return number
+
+
+def _integer(name, value) -> int:
+    try:  # through str, so that 3.7 and true are refused instead of truncated
+        return int(str(value))
+    except ValueError:
+        raise UsageError(f"--{name} expects an integer, got {value!r}")
+
+
+def _method(name, value) -> Method:
+    try:
+        return Method(str(value).lower())
+    except ValueError:
+        raise UsageError(f"--{name} must be one of {', '.join(m.value for m in Method)}")
+
+
+def _text(name, value) -> str:
+    return str(value)
+
+
+_CONVERTERS = {int: _integer, float: _real, Method: _method, str: _text}
+
+
+def _convert(name, annotation, value):
+    """Convert one argument by its parameter's annotation.  A tuple holds the
+    values of a repeated flag, which only a `list` parameter takes."""
+    if isinstance(annotation, types.UnionType):  # `float | None` converts as float
+        annotation = annotation.__args__[0]
+    if annotation is list:
+        return [_number(name, v) for v in (value if isinstance(value, tuple) else (value,))]
+    if isinstance(value, tuple):
+        raise UsageError(f"--{name} given more than once")
+    return _CONVERTERS.get(annotation, _number)(name, value)
+
+
+def _bind(func, raw: dict, name: str) -> dict:
+    """Convert the named arguments `raw` for `func` and check that they bind;
+    UsageError for a ctx, an unknown, missing or repeated argument, or a
+    value of the wrong type."""
+    signature = inspect.signature(func, eval_str=True)
+    kwargs = {}
+    for key, value in raw.items():
+        if key == "ctx":
+            raise UsageError(f"{name}: ctx cannot be set from outside")
+        if key not in signature.parameters:
+            raise UsageError(f"{name} takes no argument --{key}")
+        kwargs[key] = _convert(key, signature.parameters[key].annotation, value)
+    try:
+        signature.bind(**kwargs)
+    except TypeError as exc:
+        raise UsageError(f"bad arguments for {name}: {exc}")
+    return kwargs
 
 
 def _parse_pairs(tokens) -> dict:
+    """--name value pairs; the values of a repeated name collect in a tuple."""
     out: dict = {}
     i = 0
     while i < len(tokens):
@@ -254,10 +251,8 @@ def _parse_pairs(tokens) -> dict:
         key = token[2:].replace("-", "_")
         value = tokens[i + 1]
         if key in out:
-            if isinstance(out[key], list):
-                out[key].append(value)
-            else:
-                out[key] = [out[key], value]
+            previous = out[key]
+            out[key] = (previous if isinstance(previous, tuple) else (previous,)) + (value,)
         else:
             out[key] = value
         i += 2
@@ -265,128 +260,38 @@ def _parse_pairs(tokens) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# eval targets
+# eval targets: kernel functions, or adapters where the flags differ
 
-def _eval_qpoch(r: _Args):
-    a = r.complex_("a")
-    q = r.complex_("q")
-    n_raw = r.string("n")
-    r.done()
-    if n_raw == "inf":
+def _qpoch(a, q, n: str):
+    """(a;q)_n; `--n inf` is the infinite product."""
+    if n == "inf":
         return qpoch_infinite(a, QContext(q=q))
-    try:
-        n = int(n_raw)
-    except ValueError:
-        raise UsageError("--n expects an integer or inf")
-    return qpoch_finite(a, q, n)
+    return qpoch_finite(a, q, _integer("n", n))
 
 
-def _eval_phi(r: _Args):
-    upper = r.complex_list("upper")
-    lower = r.complex_list("lower", default=[])
-    z = r.complex_("z")
-    q = r.complex_("q")
-    r.done()
-    return phi_series(HypergeometricSpec(tuple(upper), tuple(lower), z), q)
+def _phi(upper: list, z, q, lower: list = ()):
+    return phi_series(HypergeometricSpec(upper, lower, z), q)
 
 
-def _eval_wseries(r: _Args):
-    a1 = r.complex_("a1")
-    rest = r.complex_list("b")
-    q = r.complex_("q")
-    z = r.complex_("z")
-    r.done()
-    return w_series(a1, rest, q, z)
+def _wseries(a1, b: list, q, z):
+    return w_series(a1, b, q, z)
 
 
-def _eval_big_c(r: _Args):
-    n = r.int_("n")
-    beta = r.complex_("beta")
-    q = r.complex_("q")
-    theta = r.float_("theta", None)
-    x = r.float_("x", None)
-    method = r.method("method", Method.RECURRENCE)
-    r.done()
+def _big_c(n: int, beta, q, theta: float | None = None, x: float | None = None,
+           method: Method = Method.RECURRENCE):
+    """C_n at x or at x = cos(theta), exactly one of them given."""
     if (theta is None) == (x is None):
         raise UsageError("give exactly one of --theta and --x")
-    point = math.cos(theta) if theta is not None else x
-    return ultraspherical_c(n, point, beta, q, method)
+    return ultraspherical_c(n, math.cos(theta) if x is None else x, beta, q, method)
 
 
-def _eval_big_cg(r: _Args):
-    n = r.int_("n")
-    theta = r.float_("theta")
-    alpha = r.complex_("alpha")
-    beta = r.complex_("beta")
-    q = r.complex_("q")
-    method = r.method("method", Method.EXPLICIT)
-    r.done()
-    return gasper_c(n, theta, alpha, beta, q, method)
-
-
-def _eval_big_phi(r: _Args):
-    n = r.int_("n")
-    alpha = r.complex_("alpha")
-    beta = r.complex_("beta")
-    x = r.complex_("x")
-    y = r.complex_("y")
-    q = r.complex_("q")
-    r.done()
-    return phi_poly(n, alpha, beta, x, y, q)
-
-
-def _eval_hermite(r: _Args):
-    n = r.int_("n")
-    x = r.float_("x")
-    q = r.complex_("q")
-    r.done()
-    return q_hermite(n, x, q)
-
-
-def _eval_chebyshev(r: _Args):
-    n = r.int_("n")
-    x = r.float_("x")
-    r.done()
-    return chebyshev_t(n, x)
-
-
-def _eval_h_norm(r: _Args):
-    n = r.int_("n")
-    beta = r.complex_("beta")
-    q = r.complex_("q")
-    r.done()
-    return h_norm(n, beta, q)
-
-
-def _eval_omega_b(r: _Args):
-    theta = r.float_("theta")
-    beta = r.complex_("beta")
-    q = r.complex_("q")
-    r.done()
-    return weight_omega_beta(theta, beta, q)
-
-
-def _eval_omega_ab(r: _Args):
-    theta = r.float_("theta")
-    alpha = r.complex_("alpha")
-    beta = r.complex_("beta")
-    q = r.complex_("q")
-    r.done()
-    return weight_omega_ab(theta, alpha, beta, q)
-
-
-def _eval_jackson(r: _Args):
-    coeffs = r.complex_list("coeff")
-    a = r.complex_("a")
-    b = r.complex_("b")
-    q = r.complex_("q")
-    r.done()
-
+def _jackson(coeff: list, a, b, q):
+    """Jackson q-integral of the polynomial sum_k coeff[k] z^k from a to b."""
     def poly(z):
         total = 0j
         power = 1.0 + 0j
-        for coeff in coeffs:
-            total += coeff * power
+        for c in coeff:
+            total += c * power
             power *= z
         return total
 
@@ -394,92 +299,46 @@ def _eval_jackson(r: _Args):
 
 
 EVAL_TARGETS = {
-    "qpoch": _eval_qpoch,
-    "phi": _eval_phi,
-    "wseries": _eval_wseries,
-    "C": _eval_big_c,
-    "Cg": _eval_big_cg,
-    "Phi": _eval_big_phi,
-    "H": _eval_hermite,
-    "T": _eval_chebyshev,
-    "h": _eval_h_norm,
-    "omega_b": _eval_omega_b,
-    "omega_ab": _eval_omega_ab,
-    "jackson": _eval_jackson,
+    "qpoch": _qpoch,
+    "phi": _phi,
+    "wseries": _wseries,
+    "C": _big_c,
+    "Cg": gasper_c,
+    "Phi": phi_poly,
+    "H": q_hermite,
+    "T": chebyshev_t,
+    "h": h_norm,
+    "omega_b": weight_omega_beta,
+    "omega_ab": weight_omega_ab,
+    "jackson": _jackson,
 }
-
-
-# ---------------------------------------------------------------------------
-# check parameter conversion
-
-_INT_PARAMS = {"m", "n", "k", "degree", "grid_size", "theta_grid"}
-_FLOAT_PARAMS = {"theta"}
-
-
-def _convert_check_value(name: str, value):
-    if name in _INT_PARAMS:
-        try:  # through str, so 3.7 and true are refused instead of truncated
-            return int(str(value))
-        except (TypeError, ValueError):
-            raise UsageError(f"--{name} expects an integer")
-    if name in _FLOAT_PARAMS:
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"--{name} expects a real number")
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, list):
-        if len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
-            return complex(value[0], value[1])
-        raise UsageError(f"parameter {name!r} given more than once")
-    return parse_complex(value)
-
-
-def _check_kwargs(check_id: str, pairs: dict) -> dict:
-    """Convert the named arguments of one check and bind them to its runner;
-    UsageError for a bad value, a ctx, or arguments the runner does not take."""
-    kwargs = {}
-    for name, value in pairs.items():
-        if name == "ctx":
-            raise UsageError(f"{check_id}: ctx cannot be set from outside")
-        if name == "tol":
-            try:
-                kwargs["tol"] = float(value)
-            except (TypeError, ValueError):
-                raise UsageError(f"{check_id}: tol expects a real number")
-        else:
-            kwargs[name] = _convert_check_value(name, value)
-    try:
-        inspect.signature(verify.CHECK_RUNNERS[check_id]).bind(**kwargs)
-    except TypeError as exc:
-        raise UsageError(f"bad arguments for {check_id}: {exc}")
-    return kwargs
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_eval(command: CliCommand) -> int:
-    handler = EVAL_TARGETS[command.target]
-    value = handler(_Args(command.named_args))
-    print(format_complex(value))
+def _cmd_eval(ns) -> int:
+    func = EVAL_TARGETS[ns.target]
+    print(format_complex(func(**_bind(func, _parse_pairs(ns.args), ns.target))))
     return 0
 
 
-def _cmd_check(command: CliCommand) -> int:
-    kwargs = _check_kwargs(command.target, command.named_args)
-    report = verify.CHECK_RUNNERS[command.target](**kwargs)
-    _emit(render_reports([report], command.format, single=True), command.output)
+def _cmd_check(ns) -> int:
+    pairs = _parse_pairs(ns.args)
+    fmt = _convert("format", str, pairs.pop("format", "text"))
+    out = _convert("out", str, pairs.pop("out")) if "out" in pairs else None
+    if fmt not in _FORMATS:
+        raise UsageError(f"unknown format {fmt!r}")
+    runner = verify.CHECK_RUNNERS[ns.check_id]
+    report = runner(**_bind(runner, pairs, ns.check_id))
+    _emit(render_reports([report], fmt, single=True), out)
     return 0 if report.passed else 1
 
 
-def _cmd_suite(command: CliCommand) -> int:
-    config_path = command.named_args.get("config")
-    only = command.named_args.get("only")
-    if config_path:
+def _cmd_suite(ns) -> int:
+    if ns.config:
         try:
-            with open(config_path, encoding="utf-8") as handle:
+            with open(ns.config, encoding="utf-8") as handle:
                 raw = json.load(handle)
             config = _convert_config(raw)
         except (OSError, ValueError, UsageError) as exc:
@@ -487,13 +346,13 @@ def _cmd_suite(command: CliCommand) -> int:
             return 2
     else:
         config = verify.default_suite_config()
-    if only:
-        unknown = sorted(set(only) - set(verify.CHECK_RUNNERS))
+    if ns.only:
+        unknown = sorted(set(ns.only) - set(verify.CHECK_RUNNERS))
         if unknown:
             raise UsageError(f"unknown check id(s): {', '.join(unknown)}")
-        config = {cid: entries for cid, entries in config.items() if cid in set(only)}
+        config = {cid: entries for cid, entries in config.items() if cid in set(ns.only)}
     reports = verify.run_suite(config)
-    _emit(render_reports(reports, command.format), command.output)
+    _emit(render_reports(reports, ns.format), ns.out)
     passing = sum(1 for r in reports if r.passed)
     total = len(reports)
     print(f"PASS {passing}/{total}" if passing == total else f"FAIL {passing}/{total}")
@@ -513,7 +372,7 @@ def _convert_config(raw) -> dict:
         for entry in entries:
             if not isinstance(entry, dict):
                 raise UsageError(f"parameters for {check_id!r} must be objects")
-            converted.append(_check_kwargs(check_id, entry))
+            converted.append(_bind(verify.CHECK_RUNNERS[check_id], entry, check_id))
         config[check_id] = converted
     return config
 
@@ -536,44 +395,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one library function")
     p_eval.add_argument("target", choices=sorted(EVAL_TARGETS))
     p_eval.add_argument("args", nargs=argparse.REMAINDER)
+    p_eval.set_defaults(command=_cmd_eval)
 
     p_check = sub.add_parser("check", help="run one identity check")
     p_check.add_argument("check_id", choices=sorted(verify.CHECK_RUNNERS))
     p_check.add_argument("args", nargs=argparse.REMAINDER)
+    p_check.set_defaults(command=_cmd_check)
 
     p_suite = sub.add_parser("suite", help="run the verification suite")
     p_suite.add_argument("--config", help="JSON file mapping check ids to parameter lists")
     p_suite.add_argument("--only", action="append", help="restrict to one check id (repeatable)")
-    p_suite.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    p_suite.add_argument("--format", choices=_FORMATS, default="text")
     p_suite.add_argument("--out", help="write reports to this path instead of stdout")
+    p_suite.set_defaults(command=_cmd_suite)
     return parser
-
-
-def _command_from_namespace(ns) -> CliCommand:
-    if ns.verb == "eval":
-        return CliCommand(verb="eval", target=ns.target, named_args=_parse_pairs(ns.args))
-    if ns.verb == "check":
-        pairs = _parse_pairs(ns.args)
-        fmt = pairs.pop("format", "text")
-        output = pairs.pop("out", None)
-        if fmt not in ("json", "csv", "text"):
-            raise UsageError(f"unknown format {fmt!r}")
-        return CliCommand(verb="check", target=ns.check_id, named_args=pairs,
-                          output=output, format=fmt)
-    return CliCommand(verb="suite",
-                      named_args={"config": ns.config, "only": ns.only},
-                      output=ns.out, format=ns.format)
 
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        command = _command_from_namespace(ns)
-        if command.verb == "eval":
-            return _cmd_eval(command)
-        if command.verb == "check":
-            return _cmd_check(command)
-        return _cmd_suite(command)
+        return ns.command(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

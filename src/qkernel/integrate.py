@@ -27,7 +27,6 @@ class QuadratureResult:
     value: complex
     nodes_used: int
     error_estimate: float
-    converged: bool
 
 
 def periodic_quadrature(f, ctx: QContext) -> QuadratureResult:
@@ -45,7 +44,7 @@ def periodic_quadrature(f, ctx: QContext) -> QuadratureResult:
         current = _trapezoid(f, nodes)
         difference = abs(current - previous)
         if difference <= ctx.eps_quad * (1.0 + abs(current)):
-            return QuadratureResult(current, nodes, difference, True)
+            return QuadratureResult(current, nodes, difference)
         previous = current
     raise ConvergenceError("periodic_quadrature hit the node cap before converging")
 
@@ -123,7 +122,7 @@ def _ladder_sum(f, endpoint, ctx: QContext) -> tuple[complex, int]:
     raise ConvergenceError("Jackson ladder sum did not meet its tail bound")
 
 
-def weight_omega_beta(theta, beta, q, ctx: QContext | None = None):
+def weight_omega_beta(theta: float, beta, q, ctx: QContext | None = None):
     """One-parameter circle weight
 
         (e^{2i theta}, e^{-2i theta}; q)_inf / (beta e^{2i theta}, beta e^{-2i theta}; q)_inf,
@@ -134,7 +133,7 @@ def weight_omega_beta(theta, beta, q, ctx: QContext | None = None):
     return weight_omega_ab(theta, beta, beta, q, ctx)
 
 
-def weight_omega_ab(theta, alpha, beta, q, ctx: QContext | None = None):
+def weight_omega_ab(theta: float, alpha, beta, q, ctx: QContext | None = None):
     """Two-parameter (generally complex) circle weight
 
         (e^{2i theta}, e^{-2i theta}; q)_inf / (alpha e^{2i theta}, beta e^{-2i theta}; q)_inf.

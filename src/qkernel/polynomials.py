@@ -28,7 +28,7 @@ class Method(enum.Enum):
     GENFUNC = "genfunc"
 
 
-def ultraspherical_c(n: int, x, beta, q, method: Method = Method.RECURRENCE,
+def ultraspherical_c(n: int, x: float, beta, q, method: Method = Method.RECURRENCE,
                      ctx: QContext | None = None):
     """Continuous q-ultraspherical polynomial C_n(x; beta | q), x = cos(theta).
 
@@ -94,7 +94,7 @@ def _poch_over_qfact(a, q, n):
     return out
 
 
-def gasper_c(n: int, theta, alpha, beta, q, method: Method = Method.EXPLICIT,
+def gasper_c(n: int, theta: float, alpha, beta, q, method: Method = Method.EXPLICIT,
              ctx: QContext | None = None):
     """Two-parameter circle polynomial C_n^{(alpha,beta)}(e^{i theta}; q).
 
@@ -156,12 +156,12 @@ def phi_poly(n: int, alpha, beta, x, y, q, ctx: QContext | None = None):
     return acc
 
 
-def q_hermite(n: int, x, q, ctx: QContext | None = None):
+def q_hermite(n: int, x: float, q, ctx: QContext | None = None):
     """Continuous q-Hermite polynomial H_n(x|q) = (q;q)_n C_n(x; 0 | q)."""
     return qpoch_finite(q, q, n) * ultraspherical_c(n, x, 0.0, q, Method.RECURRENCE, ctx)
 
 
-def chebyshev_t(n: int, x):
+def chebyshev_t(n: int, x: float):
     """Chebyshev polynomial of the first kind, T_n(cos theta) = cos(n theta)."""
     if n < 0:
         raise DomainError("degree must be >= 0")

@@ -363,7 +363,7 @@ def verify_prop_3_2(n: int, a, b, x, y, q, ctx: QContext | None = None,
     return _check("prop-3.2", {"n": n, "a": a, "b": b, "x": x, "y": y, "q": q}, tol, body)
 
 
-def verify_rogers_connection(n: int, beta, gamma, q, theta_grid=None,
+def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = None,
                              ctx: QContext | None = None,
                              tol: float | None = None) -> VerificationReport:
     """Pointwise reconstruction C_n(x; gamma) = sum_k c_k C_{n-2k}(x; beta)
@@ -429,7 +429,7 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q, ctx: QContext | None 
     return _check("askey-ismail", {"n": n, "k": k, "beta": beta, "q": q}, tol, body)
 
 
-def verify_gf_4_1(beta, q, theta, degree: int = 16, ctx: QContext | None = None,
+def verify_gf_4_1(beta, q, theta: float, degree: int = 16, ctx: QContext | None = None,
                   tol: float | None = None) -> VerificationReport:
     """Shifted generating function, coefficientwise in t up to `degree`:
 
@@ -458,7 +458,7 @@ def verify_gf_4_1(beta, q, theta, degree: int = 16, ctx: QContext | None = None,
                   tol, body)
 
 
-def verify_prop_4_2(beta, gamma, q, theta, degree: int = 12, ctx: QContext | None = None,
+def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12, ctx: QContext | None = None,
                     tol: float | None = None) -> VerificationReport:
     """Double-sum re-expansion, coefficientwise in t up to `degree`:
 
