@@ -8,7 +8,6 @@ orthogonality, and summation identity numerically and emits machine-readable
 reports; `qkernel.cli` is the command line front end (`python -m qkernel`).
 """
 
-from .context import QContext, context_for
 from .errors import ConvergenceError, DomainError, PoleError, QKernelError
 from .integrate import (QuadratureResult, jackson_q_integral,
                         periodic_quadrature, weight_omega_ab,
@@ -31,7 +30,6 @@ from .verify import (CHECK_RUNNERS, DEFAULT_TOLERANCES, VerificationReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "QContext", "context_for",
     "QKernelError", "DomainError", "PoleError", "ConvergenceError",
     "INFINITY", "PochhammerIndex", "qpoch_finite", "qpoch_infinite",
     "qpoch_multi", "qbinom",

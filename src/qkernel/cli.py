@@ -30,7 +30,6 @@ import sys
 import types
 
 from . import verify
-from .context import QContext
 from .errors import QKernelError
 from .integrate import jackson_q_integral, weight_omega_ab, weight_omega_beta
 from .pochhammer import qpoch_finite, qpoch_infinite
@@ -221,13 +220,11 @@ def _convert(name, annotation, value):
 
 def _bind(func, raw: dict, name: str) -> dict:
     """Convert the named arguments `raw` for `func` and check that they bind;
-    UsageError for a ctx, an unknown, missing or repeated argument, or a
-    value of the wrong type."""
+    UsageError for an unknown, missing or repeated argument, or a value of
+    the wrong type."""
     signature = inspect.signature(func, eval_str=True)
     kwargs = {}
     for key, value in raw.items():
-        if key == "ctx":
-            raise UsageError(f"{name}: ctx cannot be set from outside")
         if key not in signature.parameters:
             raise UsageError(f"{name} takes no argument --{key}")
         kwargs[key] = _convert(key, signature.parameters[key].annotation, value)
@@ -265,7 +262,7 @@ def _parse_pairs(tokens) -> dict:
 def _qpoch(a, q, n: str):
     """(a;q)_n; `--n inf` is the infinite product."""
     if n == "inf":
-        return qpoch_infinite(a, QContext(q=q))
+        return qpoch_infinite(a, q)
     return qpoch_finite(a, q, _integer("n", n))
 
 
@@ -295,7 +292,7 @@ def _jackson(coeff: list, a, b, q):
             power *= z
         return total
 
-    return jackson_q_integral(poly, a, b, QContext(q=q))
+    return jackson_q_integral(poly, a, b, q)
 
 
 EVAL_TARGETS = {

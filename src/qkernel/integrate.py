@@ -15,9 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext, context_for
 from .errors import ConvergenceError, PoleError
-from .pochhammer import qpoch_infinite
+from .pochhammer import check_base, qpoch_infinite
+from .series import EPS_SERIES, MAX_SERIES_TERMS
+
+# Budget of periodic_quadrature: doubling tolerance and node cap.
+EPS_QUAD = 1e-11
+MAX_QUAD_NODES = 2**20
 
 
 @dataclass(frozen=True)
@@ -29,21 +33,21 @@ class QuadratureResult:
     error_estimate: float
 
 
-def periodic_quadrature(f, ctx: QContext) -> QuadratureResult:
+def periodic_quadrature(f) -> QuadratureResult:
     """Integrate f over [0, 2 pi] with the uniform trapezoid rule.
 
     `f` receives a numpy array of angles and must return the matching array
     of (possibly complex) values.  The node count doubles from 64 until the
-    last doubling moves the value by at most eps_quad * (1 + |value|);
-    ConvergenceError if max_quad_nodes is hit first.
+    last doubling moves the value by at most EPS_QUAD * (1 + |value|);
+    ConvergenceError if MAX_QUAD_NODES is hit first.
     """
     nodes = 64
     previous = _trapezoid(f, nodes)
-    while 2 * nodes <= ctx.max_quad_nodes:
+    while 2 * nodes <= MAX_QUAD_NODES:
         nodes *= 2
         current = _trapezoid(f, nodes)
         difference = abs(current - previous)
-        if difference <= ctx.eps_quad * (1.0 + abs(current)):
+        if difference <= EPS_QUAD * (1.0 + abs(current)):
             return QuadratureResult(current, nodes, difference)
         previous = current
     raise ConvergenceError("periodic_quadrature hit the node cap before converging")
@@ -54,8 +58,8 @@ def _trapezoid(f, n: int) -> complex:
     return (2.0 * np.pi / n) * complex(np.sum(np.asarray(f(theta))))
 
 
-def jackson_q_integral(f, a, b, ctx: QContext) -> complex:
-    """Jackson q-integral of f from a to b at base q = ctx.q:
+def jackson_q_integral(f, a, b, q) -> complex:
+    """Jackson q-integral of f from a to b at base q, |q| < 1:
 
         (1-q) b sum_{n>=0} q^n f(b q^n)  -  (1-q) a sum_{n>=0} q^n f(a q^n).
 
@@ -63,18 +67,18 @@ def jackson_q_integral(f, a, b, ctx: QContext) -> complex:
     array of (possibly complex) values, or a scalar, which is broadcast.
     Each ladder is evaluated in blocks of 8, 16, 32, ... rungs.  The sum then
     runs rung by rung and stops once the geometric tail bound
-    max_recent|f| * |q|^{n+1} / (1 - |q|) drops below eps_series relative,
+    max_recent|f| * |q|^{n+1} / (1 - |q|) drops below EPS_SERIES relative,
     where the max runs over the latest rungs (the ladder accumulates at 0).
     The stop and the sum are those of one call per rung; the blocks evaluate
     at most 2 (rungs summed) + 6 rungs per ladder.  The complex returned
     carries the number of rungs the two sums used as its `rungs` attribute.
     PoleError at the first summed rung where f is not finite;
     ConvergenceError if f grows too fast along the ladder for the bound to
-    be met within max_series_terms.
+    be met within MAX_SERIES_TERMS.
     """
-    q = ctx.q
-    upper, upper_rungs = _ladder_sum(f, b, ctx)
-    lower, lower_rungs = _ladder_sum(f, a, ctx)
+    check_base(q)
+    upper, upper_rungs = _ladder_sum(f, b, q)
+    lower, lower_rungs = _ladder_sum(f, a, q)
     return _LadderValue((1.0 - q) * (b * upper - a * lower), upper_rungs + lower_rungs)
 
 
@@ -89,19 +93,18 @@ class _LadderValue(complex):
         return self
 
 
-def _ladder_sum(f, endpoint, ctx: QContext) -> tuple[complex, int]:
+def _ladder_sum(f, endpoint, q) -> tuple[complex, int]:
     if endpoint == 0:
         return 0.0 + 0j, 0
-    q = ctx.q
     abs_q = abs(q)
     total = 0.0 + 0j
     qn = 1.0 + 0j
     recent = deque(maxlen=8)
     n = 0
     block = 8
-    while n < ctx.max_series_terms:
+    while n < MAX_SERIES_TERMS:
         powers = []
-        for _ in range(min(block, ctx.max_series_terms - n)):
+        for _ in range(min(block, MAX_SERIES_TERMS - n)):
             powers.append(qn)
             qn *= q
         # Non-finite values are refused below, rung by rung, as they are summed.
@@ -116,13 +119,13 @@ def _ladder_sum(f, endpoint, ctx: QContext) -> tuple[complex, int]:
             recent.append(abs(value))
             n += 1
             tail = max(recent) * abs(power * q) / (1.0 - abs_q)
-            if n >= 8 and tail <= ctx.eps_series * (1.0 + abs(total)):
+            if n >= 8 and tail <= EPS_SERIES * (1.0 + abs(total)):
                 return total, n
         block *= 2
     raise ConvergenceError("Jackson ladder sum did not meet its tail bound")
 
 
-def weight_omega_beta(theta: float, beta, q, ctx: QContext | None = None):
+def weight_omega_beta(theta: float, beta, q):
     """One-parameter circle weight
 
         (e^{2i theta}, e^{-2i theta}; q)_inf / (beta e^{2i theta}, beta e^{-2i theta}; q)_inf,
@@ -130,17 +133,16 @@ def weight_omega_beta(theta: float, beta, q, ctx: QContext | None = None):
     real and nonnegative on the circle for real beta, |beta| < 1.  `theta`
     may be an array.
     """
-    return weight_omega_ab(theta, beta, beta, q, ctx)
+    return weight_omega_ab(theta, beta, beta, q)
 
 
-def weight_omega_ab(theta: float, alpha, beta, q, ctx: QContext | None = None):
+def weight_omega_ab(theta: float, alpha, beta, q):
     """Two-parameter (generally complex) circle weight
 
         (e^{2i theta}, e^{-2i theta}; q)_inf / (alpha e^{2i theta}, beta e^{-2i theta}; q)_inf.
     """
-    c = context_for(q, ctx)
     plus = np.exp(2j * np.asarray(theta))
     minus = np.exp(-2j * np.asarray(theta))
-    value = (qpoch_infinite(plus, c) * qpoch_infinite(minus, c)
-             / (qpoch_infinite(alpha * plus, c) * qpoch_infinite(beta * minus, c)))
+    value = (qpoch_infinite(plus, q) * qpoch_infinite(minus, q)
+             / (qpoch_infinite(alpha * plus, q) * qpoch_infinite(beta * minus, q)))
     return complex(value) if np.ndim(theta) == 0 else value

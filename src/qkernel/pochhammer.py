@@ -5,7 +5,7 @@ extended to negative index by the convention (a;q)_{-n} = 1/(a q^{-n}; q)_n.
 The infinite symbol (a;q)_inf converges for |q| < 1 and is truncated here
 after N factors, where N is the smallest integer with
 
-    |a| |q|^N / (1 - |q|)  <  eps_product,
+    |a| |q|^N / (1 - |q|)  <  EPS_PRODUCT,
 
 which certifies a relative truncation error of at most twice that bound once
 the bound is below 1/2 (Gasper & Rahman, *Basic Hypergeometric Series*,
@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .context import QContext, context_for
 from .errors import ConvergenceError, DomainError, PoleError
 
 
@@ -37,6 +36,10 @@ INFINITY = _InfinityTag()
 
 PochhammerIndex = int | _InfinityTag
 
+# Truncation budget of qpoch_infinite: relative tail bound and factor cap.
+EPS_PRODUCT = 1e-15
+MAX_PRODUCT_TERMS = 10_000
+
 # Negative-index denominators this close to zero (relative) are poles.
 _POLE_SNAP = 1e-12
 
@@ -48,6 +51,13 @@ _BLOCK_ELEMENTS = 2**13
 # place in the temporary factor, as (1 - a q^k) * acc; its complex multiply
 # rounds the two operand orders differently.
 _IN_PLACE_BYTES = 256 * 1024
+
+
+def check_base(q) -> None:
+    """DomainError unless the base q lies strictly inside the unit disk
+    (a NaN base is refused too)."""
+    if not abs(q) < 1.0:
+        raise DomainError(f"base q must satisfy |q| < 1, got |q| = {abs(q)}")
 
 
 def qpoch_finite(a, q, n: int):
@@ -78,8 +88,8 @@ def _ascending_product(a, q, n, check_poles=False):
     return acc
 
 
-def qpoch_infinite(a, ctx: QContext):
-    """Infinite q-Pochhammer symbol (a;q)_inf at base q = ctx.q.
+def qpoch_infinite(a, q):
+    """Infinite q-Pochhammer symbol (a;q)_inf, for |q| < 1.
 
     `a` may be an array; one shared truncation length is chosen from its
     largest modulus, so the certified tail bound holds elementwise.  The
@@ -92,14 +102,14 @@ def qpoch_infinite(a, ctx: QContext):
     differently from Python's, so a complex q, or a complex array of one
     point, can differ in the last bits).
     """
-    q = ctx.q
+    check_base(q)
     abs_q = abs(q)
     a_max = float(np.max(np.abs(a)))
-    n_factors = _truncation_length(a_max, abs_q, ctx.eps_product * (1.0 - abs_q))
-    if n_factors > ctx.max_product_terms:
+    n_factors = _truncation_length(a_max, abs_q, EPS_PRODUCT * (1.0 - abs_q))
+    if n_factors > MAX_PRODUCT_TERMS:
         raise ConvergenceError(
             f"(a;q)_inf needs {n_factors} factors for the tail bound, "
-            f"cap is {ctx.max_product_terms}"
+            f"cap is {MAX_PRODUCT_TERMS}"
         )
     points = np.asarray(a, dtype=complex)
     row = points.reshape(1, -1)
@@ -134,22 +144,16 @@ def _truncation_length(scale: float, abs_q: float, target: float) -> int:
     return n
 
 
-def qpoch_multi(values, q, n: PochhammerIndex, ctx: QContext | None = None):
+def qpoch_multi(values, q, n: PochhammerIndex):
     """Product shorthand (a_1, ..., a_k; q)_n over a finite or INFINITY index."""
     values = list(values)
     if not values:
         raise DomainError("qpoch_multi needs at least one argument")
-    if n is INFINITY:
-        c = context_for(q, ctx)
-        out = 1.0
-        for a in values:
-            out = out * qpoch_infinite(a, c)
-        return out
-    if not isinstance(n, int):
+    if n is not INFINITY and not isinstance(n, int):
         raise DomainError(f"index must be an integer or INFINITY, got {n!r}")
     out = 1.0
     for a in values:
-        out = out * qpoch_finite(a, q, n)
+        out = out * (qpoch_infinite(a, q) if n is INFINITY else qpoch_finite(a, q, n))
     return out
 
 

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from .context import QContext, context_for
 from .errors import DomainError, PoleError
 from .pochhammer import INFINITY, qpoch_finite, qpoch_multi
 from .series import gf_expand
@@ -28,8 +27,7 @@ class Method(enum.Enum):
     GENFUNC = "genfunc"
 
 
-def ultraspherical_c(n: int, x: float, beta, q, method: Method = Method.RECURRENCE,
-                     ctx: QContext | None = None):
+def ultraspherical_c(n: int, x: float, beta, q, method: Method = Method.RECURRENCE):
     """Continuous q-ultraspherical polynomial C_n(x; beta | q), x = cos(theta).
 
     EXPLICIT sums
@@ -46,7 +44,8 @@ def ultraspherical_c(n: int, x: float, beta, q, method: Method = Method.RECURREN
         (beta r e^{i theta}, beta r e^{-i theta}; q)_inf
             / (r e^{i theta}, r e^{-i theta}; q)_inf .
 
-    `x` may be an array for EXPLICIT and RECURRENCE; GENFUNC is scalar only.
+    `x` may be an array for EXPLICIT and RECURRENCE; GENFUNC is scalar only,
+    and real for real beta and q.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
@@ -65,8 +64,8 @@ def ultraspherical_c(n: int, x: float, beta, q, method: Method = Method.RECURREN
         if np.ndim(x) != 0:
             raise DomainError("GENFUNC evaluates one point at a time")
         phase = unit_phase(math.acos(x))
-        series = gf_expand([beta * phase, beta / phase], [phase, 1.0 / phase], q, n, ctx)
-        return series.coefficient(n)
+        value = gf_expand([beta * phase, beta / phase], [phase, 1.0 / phase], q, n).coeffs[n]
+        return value if isinstance(beta, complex) or isinstance(q, complex) else value.real
     raise DomainError(f"unsupported method {method!r}")
 
 
@@ -94,8 +93,7 @@ def _poch_over_qfact(a, q, n):
     return out
 
 
-def gasper_c(n: int, theta: float, alpha, beta, q, method: Method = Method.EXPLICIT,
-             ctx: QContext | None = None):
+def gasper_c(n: int, theta: float, alpha, beta, q, method: Method = Method.EXPLICIT):
     """Two-parameter circle polynomial C_n^{(alpha,beta)}(e^{i theta}; q).
 
     Defined by the generating function
@@ -127,8 +125,7 @@ def gasper_c(n: int, theta: float, alpha, beta, q, method: Method = Method.EXPLI
         if np.ndim(theta) != 0:
             raise DomainError("GENFUNC evaluates one point at a time")
         phase = unit_phase(theta)
-        series = gf_expand([alpha * phase, beta / phase], [phase, 1.0 / phase], q, n, ctx)
-        return series.coefficient(n)
+        return gf_expand([alpha * phase, beta / phase], [phase, 1.0 / phase], q, n).coeffs[n]
     raise DomainError(f"unsupported method {method!r} (EXPLICIT or GENFUNC)")
 
 
@@ -137,7 +134,7 @@ def unit_phase(theta) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
-def phi_poly(n: int, alpha, beta, x, y, q, ctx: QContext | None = None):
+def phi_poly(n: int, alpha, beta, x, y, q):
     """Homogeneous bivariate polynomial
 
         sum_{k=0}^{n} [n choose k]_q (alpha;q)_k (beta;q)_{n-k} x^k y^{n-k},
@@ -156,9 +153,9 @@ def phi_poly(n: int, alpha, beta, x, y, q, ctx: QContext | None = None):
     return acc
 
 
-def q_hermite(n: int, x: float, q, ctx: QContext | None = None):
+def q_hermite(n: int, x: float, q):
     """Continuous q-Hermite polynomial H_n(x|q) = (q;q)_n C_n(x; 0 | q)."""
-    return qpoch_finite(q, q, n) * ultraspherical_c(n, x, 0.0, q, Method.RECURRENCE, ctx)
+    return qpoch_finite(q, q, n) * ultraspherical_c(n, x, 0.0, q)
 
 
 def chebyshev_t(n: int, x: float):
@@ -168,7 +165,7 @@ def chebyshev_t(n: int, x: float):
     return np.cos(n * np.arccos(x))
 
 
-def h_norm(n: int, beta, q, ctx: QContext | None = None):
+def h_norm(n: int, beta, q):
     """Reciprocal of the diagonal orthogonality integral for C_n(.; beta | q):
 
         h_n(beta|q) = (q, beta^2; q)_inf (q;q)_n (1 - beta q^n)
@@ -176,10 +173,9 @@ def h_norm(n: int, beta, q, ctx: QContext | None = None):
     """
     if beta == 1:
         raise PoleError("h_norm has a pole at beta = 1")
-    c = context_for(q, ctx)
-    num = (qpoch_multi([q, beta * beta], q, INFINITY, c)
+    num = (qpoch_multi([q, beta * beta], q, INFINITY)
            * qpoch_finite(q, q, n) * (1.0 - beta * q**n))
-    den = (2.0 * math.pi * qpoch_multi([beta, beta * q], q, INFINITY, c)
+    den = (2.0 * math.pi * qpoch_multi([beta, beta * q], q, INFINITY)
            * qpoch_finite(beta * beta, q, n) * (1.0 - beta))
     value = num / den
     if isinstance(beta, complex) or isinstance(q, complex):
@@ -187,7 +183,7 @@ def h_norm(n: int, beta, q, ctx: QContext | None = None):
     return value.real
 
 
-def connection_coeffs(n: int, beta, gamma, q, ctx: QContext | None = None):
+def connection_coeffs(n: int, beta, gamma, q):
     """Coefficients c_k, k = 0..floor(n/2), with
 
         C_n(x; gamma | q) = sum_k c_k C_{n-2k}(x; beta | q),

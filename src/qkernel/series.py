@@ -3,14 +3,15 @@
 TruncatedPowerSeries is the generating-function oracle: gf_expand writes a
 ratio of infinite products (c t; q)_inf as a power series in t from Euler's
 closed-form coefficients of (c t; q)_inf and 1/(c t; q)_inf, and single
-coefficients are read off.  It truncates no product, so eps_product and
-max_product_terms do not apply to it.
+coefficients are read off `.coeffs`.  It truncates no product, so the
+product budget EPS_PRODUCT / MAX_PRODUCT_TERMS does not apply to it.
 
 phi_series sums the one-variable basic hypergeometric series
 
     sum_{n>=0} (a_1, ..., a_{r+1}; q)_n / (q, b_1, ..., b_r; q)_n  z^n
 
-with a running term recurrence and a certified geometric tail bound;
+with a running term recurrence and a certified geometric tail bound, within
+the series budget EPS_SERIES / MAX_SERIES_TERMS;
 w_series wraps it with the very-well-poised parameter substitution, and
 rogers_6w5_rhs is the matching closed product form.
 """
@@ -22,9 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext, context_for
 from .errors import ConvergenceError, DomainError, PoleError
-from .pochhammer import INFINITY, qpoch_multi
+from .pochhammer import INFINITY, check_base, qpoch_multi
+
+# Budget of every summed series (phi_series, the Jackson ladder, the q-beta
+# series of thm-1.4): relative tail bound and term cap.
+EPS_SERIES = 1e-14
+MAX_SERIES_TERMS = 100_000
 
 # A term factor within this relative distance of zero marks a terminating
 # series (an upper parameter of the form q^{-m} up to roundoff).
@@ -42,19 +47,8 @@ class TruncatedPowerSeries:
             raise DomainError("a truncated power series needs at least the t^0 coefficient")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
-    @property
-    def degree_cap(self) -> int:
-        return len(self.coeffs) - 1
 
-    def coefficient(self, j: int) -> complex:
-        """Coefficient of t^j (raises IndexError beyond the cap)."""
-        if j < 0:
-            raise IndexError("negative power")
-        return self.coeffs[j]
-
-
-def gf_expand(numerators, denominators, q, degree_cap: int = 24,
-              ctx: QContext | None = None) -> TruncatedPowerSeries:
+def gf_expand(numerators, denominators, q, degree_cap: int = 24) -> TruncatedPowerSeries:
     """Expand prod_c (c t; q)_inf over `numerators` divided by the same
     product over `denominators` as a power series in t.
 
@@ -65,12 +59,12 @@ def gf_expand(numerators, denominators, q, degree_cap: int = 24,
 
     give each factor up to t^degree_cap by its term ratio; the factors are
     multiplied by Cauchy products truncated to the cap.  No product is
-    truncated, so eps_product and max_product_terms do not apply.  The
-    default cap of 24 covers every identity check here with margin.
+    truncated, so the product budget does not apply.  The default cap of 24
+    covers every identity check here with margin.
     """
     if degree_cap < 0:
         raise DomainError("degree_cap must be >= 0")
-    q = context_for(q, ctx).q
+    check_base(q)
     k = np.arange(degree_cap)
     qk = q**k
     qfact = 1.0 - q * qk
@@ -102,12 +96,12 @@ class HypergeometricSpec:
             )
 
 
-def phi_series(spec: HypergeometricSpec, q, ctx: QContext | None = None) -> complex:
+def phi_series(spec: HypergeometricSpec, q) -> complex:
     """Value of the basic hypergeometric series described by `spec`.
 
     Terms follow the running recurrence term_{n+1} = term_n * ratio(n).
     Summation stops at a terminating zero factor (upper parameter q^{-m}),
-    or once the remaining tail is certifiably below eps_series relative:
+    or once the remaining tail is certifiably below EPS_SERIES relative:
     past index n every term ratio is bounded by
 
         rho = |z| prod_i (1 + |a_i| |q|^n) / ((1 - |q|^{n+1}) prod_j (1 - |b_j| |q|^n))
@@ -115,7 +109,7 @@ def phi_series(spec: HypergeometricSpec, q, ctx: QContext | None = None) -> comp
     which decreases with n, so the tail after term_n is at most
     |term_n| rho / (1 - rho) once rho < 1.
     """
-    c = context_for(q, ctx)
+    check_base(q)
     q = complex(q)
     z = spec.argument
     if z == 0:
@@ -124,7 +118,7 @@ def phi_series(spec: HypergeometricSpec, q, ctx: QContext | None = None) -> comp
     total = 1.0 + 0j
     term = 1.0 + 0j
     qn = 1.0 + 0j
-    for _ in range(c.max_series_terms):
+    for _ in range(MAX_SERIES_TERMS):
         num = 1.0 + 0j
         for a in spec.upper:
             w = a * qn
@@ -154,12 +148,12 @@ def phi_series(spec: HypergeometricSpec, q, ctx: QContext | None = None) -> comp
                 break
             rho /= g
         if lower_ok and rho < 1.0:
-            if abs(term) * rho / (1.0 - rho) <= c.eps_series * (1.0 + abs(total)):
+            if abs(term) * rho / (1.0 - rho) <= EPS_SERIES * (1.0 + abs(total)):
                 return total
-    raise ConvergenceError("phi_series did not meet its tail bound within max_series_terms")
+    raise ConvergenceError("phi_series did not meet its tail bound within MAX_SERIES_TERMS")
 
 
-def w_series(a1, rest, q, z, ctx: QContext | None = None) -> complex:
+def w_series(a1, rest, q, z) -> complex:
     """Very-well-poised series (r+1)_W_r(a1; rest; q, z).
 
     Uses the defining substitution into phi_series: extra upper parameters
@@ -172,20 +166,19 @@ def w_series(a1, rest, q, z, ctx: QContext | None = None) -> complex:
     root = cmath.sqrt(complex(a1))
     upper = (complex(a1), q * root, -q * root, *rest)
     lower = (root, -root, *(q * complex(a1) / b for b in rest))
-    return phi_series(HypergeometricSpec(upper, lower, z), q, ctx)
+    return phi_series(HypergeometricSpec(upper, lower, z), q)
 
 
-def rogers_6w5_rhs(a, b, c, d, q, ctx: QContext | None = None) -> complex:
+def rogers_6w5_rhs(a, b, c, d, q) -> complex:
     """Product side of the Rogers summation for 6_W_5(a; b, c, d; q, aq/(bcd)):
 
         (aq, aq/bc, aq/cd, aq/bd; q)_inf / (aq/b, aq/c, aq/d, aq/bcd; q)_inf
     """
     if b * c * d == 0:
         raise DomainError("6W5 closed form needs nonzero b, c, d")
-    cx = context_for(q, ctx)
     aq = a * q
-    num = qpoch_multi([aq, aq / (b * c), aq / (c * d), aq / (b * d)], q, INFINITY, cx)
-    den = qpoch_multi([aq / b, aq / c, aq / d, aq / (b * c * d)], q, INFINITY, cx)
+    num = qpoch_multi([aq, aq / (b * c), aq / (c * d), aq / (b * d)], q, INFINITY)
+    den = qpoch_multi([aq / b, aq / c, aq / d, aq / (b * c * d)], q, INFINITY)
     if den == 0:
         raise PoleError("vanishing denominator product in the 6W5 closed form")
     return complex(num / den)

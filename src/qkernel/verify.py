@@ -26,7 +26,10 @@ resolves the default tolerance.  The body returns (lhs, rhs, nodes_used);
 when lhs and rhs are matching arrays (grid points, coefficients) the report
 carries the entry with the largest rel_err.  Any QKernelError the body
 raises, argument validation included, yields a failed report with infinite
-errors instead of raising, so a suite always runs to completion.
+errors instead of raising, so a suite always runs to completion.  A base
+with |q| >= 1 is refused by the first engine a body calls; the bodies that
+evaluate a polynomial first (which divides by 1 - q^k) or call no engine
+check it up front.
 
 For inequality checks (uniform-bound) lhs is the clamped worst violation and
 rhs is zero, which keeps the pass <=> rel_err <= tol convention.
@@ -41,14 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext, context_for
 from .errors import ConvergenceError, DomainError, PoleError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
-from .pochhammer import INFINITY, qbinom, qpoch_finite, qpoch_infinite, qpoch_multi
+from .pochhammer import (INFINITY, check_base, qbinom, qpoch_finite, qpoch_infinite,
+                         qpoch_multi)
 from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
                           phi_poly, ultraspherical_c, ultraspherical_table)
-from .series import HypergeometricSpec, gf_expand, phi_series, rogers_6w5_rhs, w_series
+from .series import (EPS_SERIES, MAX_SERIES_TERMS, HypergeometricSpec, gf_expand,
+                     phi_series, rogers_6w5_rhs, w_series)
 
 # Baseline tolerance profile: quadrature-backed checks settle near the
 # trapezoid noise floor, pure series/product checks near double precision.
@@ -131,8 +135,7 @@ def _failed(check_id, params, tol, started) -> VerificationReport:
     )
 
 
-def verify_thm_1_1(m: int, n: int, beta, q, ctx: QContext | None = None,
-                   tol: float | None = None) -> VerificationReport:
+def verify_thm_1_1(m: int, n: int, beta, q, tol: float | None = None) -> VerificationReport:
     """Orthogonality on [0, pi]:
 
         int_0^pi C_m(cos t; beta|q) C_n(cos t; beta|q) omega_beta(cos t|q) dt
@@ -142,23 +145,22 @@ def verify_thm_1_1(m: int, n: int, beta, q, ctx: QContext | None = None,
     half of the full-period trapezoid value.
     """
     def body():
-        c = context_for(q, ctx)
+        check_base(q)
 
         def integrand(theta):
             x = np.cos(theta)
             return (ultraspherical_c(m, x, beta, q) * ultraspherical_c(n, x, beta, q)
-                    * weight_omega_beta(theta, beta, q, c))
+                    * weight_omega_beta(theta, beta, q))
 
-        quad = periodic_quadrature(integrand, c)
+        quad = periodic_quadrature(integrand)
         lhs = quad.value / 2.0
-        rhs = 1.0 / h_norm(n, beta, q, c) if m == n else 0.0
+        rhs = 1.0 / h_norm(n, beta, q) if m == n else 0.0
         return lhs, rhs, quad.nodes_used
 
     return _check("thm-1.1", {"m": m, "n": n, "beta": beta, "q": q}, tol, body)
 
 
-def verify_thm_1_2(m: int, n: int, beta, gamma, q, ctx: QContext | None = None,
-                   tol: float | None = None) -> VerificationReport:
+def verify_thm_1_2(m: int, n: int, beta, gamma, q, tol: float | None = None) -> VerificationReport:
     """Mixed-parameter integral on [0, pi]:
 
         int_0^pi C_m(cos t; gamma|q) C_n(cos t; beta|q) omega_beta(cos t|q) dt
@@ -175,14 +177,14 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q, ctx: QContext | None = None,
     def body():
         if beta == 0:
             raise DomainError("thm-1.2 closed form needs beta != 0")
-        c = context_for(q, ctx)
+        check_base(q)
 
         def integrand(theta):
             x = np.cos(theta)
             return (ultraspherical_c(m, x, gamma, q) * ultraspherical_c(n, x, beta, q)
-                    * weight_omega_beta(theta, beta, q, c))
+                    * weight_omega_beta(theta, beta, q))
 
-        quad = periodic_quadrature(integrand, c)
+        quad = periodic_quadrature(integrand)
         if (m - n) % 2 != 0 or m < n:
             rhs = 0.0
         else:
@@ -190,7 +192,7 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q, ctx: QContext | None = None,
             half_sum = (m + n) // 2
             rhs = ((1.0 - beta * q**n) * beta**j * qpoch_finite(gamma / beta, q, j)
                    * qpoch_finite(gamma, q, half_sum)
-                   / ((1.0 - beta) * h_norm(n, beta, q, c) * qpoch_finite(q, q, j)
+                   / ((1.0 - beta) * h_norm(n, beta, q) * qpoch_finite(q, q, j)
                       * qpoch_finite(q * beta, q, half_sum)))
         return quad.value / 2.0, rhs, quad.nodes_used
 
@@ -198,8 +200,7 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q, ctx: QContext | None = None,
                   tol, body)
 
 
-def verify_thm_1_3(m: int, n: int, alpha, beta, q, ctx: QContext | None = None,
-                   tol: float | None = None) -> VerificationReport:
+def verify_thm_1_3(m: int, n: int, alpha, beta, q, tol: float | None = None) -> VerificationReport:
     """Orthogonality of the two-parameter circle functions:
 
         int_0^{2 pi} C_m^{(a,b)}(e^{it};q) C_n^{(a,b)}(e^{it};q) omega^{(a,b)}(cos t|q) dt
@@ -211,30 +212,29 @@ def verify_thm_1_3(m: int, n: int, alpha, beta, q, ctx: QContext | None = None,
     error.
     """
     def body():
-        c = context_for(q, ctx)
+        check_base(q)
 
         def integrand(theta):
             return (gasper_c(m, theta, alpha, beta, q) * gasper_c(n, theta, alpha, beta, q)
-                    * weight_omega_ab(theta, alpha, beta, q, c))
+                    * weight_omega_ab(theta, alpha, beta, q))
 
-        quad = periodic_quadrature(integrand, c)
-        rhs = _thm_1_3_diagonal(n, alpha, beta, q, c) if m == n else 0.0
+        quad = periodic_quadrature(integrand)
+        rhs = _thm_1_3_diagonal(n, alpha, beta, q) if m == n else 0.0
         return quad.value, rhs, quad.nodes_used
 
     return _check("thm-1.3", {"m": m, "n": n, "alpha": alpha, "beta": beta, "q": q},
                   tol, body)
 
 
-def _thm_1_3_diagonal(n, alpha, beta, q, ctx):
-    prefactor = (2.0 * math.pi * qpoch_multi([alpha, beta], q, INFINITY, ctx)
-                 / qpoch_multi([q, alpha * beta], q, INFINITY, ctx))
+def _thm_1_3_diagonal(n, alpha, beta, q):
+    prefactor = (2.0 * math.pi * qpoch_multi([alpha, beta], q, INFINITY)
+                 / qpoch_multi([q, alpha * beta], q, INFINITY))
     bracket = 1.0 / (1.0 - alpha * q**n) + 1.0 / (1.0 - beta * q**n)
     return (prefactor * bracket
             * qpoch_finite(alpha * beta, q, n) / qpoch_finite(q, q, n))
 
 
-def verify_thm_1_4(alpha, beta, s, t, q, ctx: QContext | None = None,
-                   tol: float | None = None) -> VerificationReport:
+def verify_thm_1_4(alpha, beta, s, t, q, tol: float | None = None) -> VerificationReport:
     """Five-parameter q-beta integral:
 
         int_0^{2 pi} (a t e^{iu}, b t e^{-iu}, a s e^{iu}, b s e^{-iu},
@@ -252,32 +252,31 @@ def verify_thm_1_4(alpha, beta, s, t, q, ctx: QContext | None = None,
     def body():
         if max(abs(alpha), abs(beta), abs(s), abs(t)) >= 1.0:
             raise DomainError("thm-1.4 needs all of |alpha|, |beta|, |s|, |t| < 1")
-        c = context_for(q, ctx)
 
         def integrand(theta):
             plus = np.exp(1j * theta)
             minus = np.exp(-1j * theta)
             plus2 = plus * plus
             minus2 = minus * minus
-            num = (qpoch_infinite(alpha * t * plus, c) * qpoch_infinite(beta * t * minus, c)
-                   * qpoch_infinite(alpha * s * plus, c) * qpoch_infinite(beta * s * minus, c)
-                   * qpoch_infinite(plus2, c) * qpoch_infinite(minus2, c))
-            den = (qpoch_infinite(t * plus, c) * qpoch_infinite(t * minus, c)
-                   * qpoch_infinite(s * plus, c) * qpoch_infinite(s * minus, c)
-                   * qpoch_infinite(alpha * plus2, c) * qpoch_infinite(beta * minus2, c))
+            num = (qpoch_infinite(alpha * t * plus, q) * qpoch_infinite(beta * t * minus, q)
+                   * qpoch_infinite(alpha * s * plus, q) * qpoch_infinite(beta * s * minus, q)
+                   * qpoch_infinite(plus2, q) * qpoch_infinite(minus2, q))
+            den = (qpoch_infinite(t * plus, q) * qpoch_infinite(t * minus, q)
+                   * qpoch_infinite(s * plus, q) * qpoch_infinite(s * minus, q)
+                   * qpoch_infinite(alpha * plus2, q) * qpoch_infinite(beta * minus2, q))
             return num / den
 
-        quad = periodic_quadrature(integrand, c)
-        series_sum, tail_bound = _beta_integral_series(alpha, beta, s * t, q, c)
-        rhs = (2.0 * math.pi * qpoch_multi([alpha, beta], q, INFINITY, c)
-               / qpoch_multi([q, alpha * beta], q, INFINITY, c)) * series_sum
+        quad = periodic_quadrature(integrand)
+        series_sum, tail_bound = _beta_integral_series(alpha, beta, s * t, q)
+        rhs = (2.0 * math.pi * qpoch_multi([alpha, beta], q, INFINITY)
+               / qpoch_multi([q, alpha * beta], q, INFINITY)) * series_sum
         params["series_tail_bound"] = tail_bound
         return quad.value, rhs, quad.nodes_used
 
     return _check("thm-1.4", params, tol, body)
 
 
-def _beta_integral_series(alpha, beta, w, q, ctx):
+def _beta_integral_series(alpha, beta, w, q):
     """sum_n (1/(1-alpha q^n) + 1/(1-beta q^n)) (alpha beta;q)_n/(q;q)_n w^n
     with a certified tail: the bracket is bounded by B = 1/(1-|alpha|) +
     1/(1-|beta|), the Pochhammer ratio by P = (-|ab|;|q|)_inf/(|q|;|q|)_inf,
@@ -285,26 +284,25 @@ def _beta_integral_series(alpha, beta, w, q, ctx):
     abs_w = abs(w)
     if abs_w >= 1.0:
         raise ConvergenceError("series argument |s t| must be below 1")
-    mag = context_for(abs(q), ctx)
     bracket_bound = 1.0 / (1.0 - abs(alpha)) + 1.0 / (1.0 - abs(beta))
-    ratio_bound = abs(qpoch_infinite(-abs(alpha * beta), mag) / qpoch_infinite(abs(q), mag))
+    ratio_bound = abs(qpoch_infinite(-abs(alpha * beta), abs(q))
+                      / qpoch_infinite(abs(q), abs(q)))
     total = 0.0 + 0j
     poch_ratio = 1.0 + 0j
     wn = 1.0 + 0j
     qn = 1.0 + 0j
-    for n in range(ctx.max_series_terms):
+    for n in range(MAX_SERIES_TERMS):
         total += (1.0 / (1.0 - alpha * qn) + 1.0 / (1.0 - beta * qn)) * poch_ratio * wn
         poch_ratio *= (1.0 - alpha * beta * qn) / (1.0 - q * qn)
         qn *= q
         wn *= w
         tail = bracket_bound * ratio_bound * abs_w ** (n + 1) / (1.0 - abs_w) if abs_w > 0 else 0.0
-        if tail <= ctx.eps_series * (1.0 + abs(total)):
+        if tail <= EPS_SERIES * (1.0 + abs(total)):
             return total, tail
     raise ConvergenceError("q-beta series did not meet its tail bound")
 
 
-def verify_prop_3_1(a, b, c, x, y, q, ctx: QContext | None = None,
-                    tol: float | None = None) -> VerificationReport:
+def verify_prop_3_1(a, b, c, x, y, q, tol: float | None = None) -> VerificationReport:
     """Al-Salam--Verma evaluation of a Jackson q-integral:
 
         int_x^y (qz/x, qz/y, abcz; q)_inf / (az/y, bz/x, cz; q)_inf d_q z
@@ -316,25 +314,23 @@ def verify_prop_3_1(a, b, c, x, y, q, ctx: QContext | None = None,
             raise DomainError("prop-3.1 needs nonzero endpoints")
         if max(abs(a), abs(b), abs(c * x), abs(c * y), abs(a * x / y), abs(b * y / x)) >= 1.0:
             raise DomainError("prop-3.1 parameter moduli out of range")
-        cx = context_for(q, ctx)
 
         def integrand(z):
-            return (qpoch_infinite(q * z / x, cx) * qpoch_infinite(q * z / y, cx)
-                    * qpoch_infinite(a * b * c * z, cx)
-                    / (qpoch_infinite(a * z / y, cx) * qpoch_infinite(b * z / x, cx)
-                       * qpoch_infinite(c * z, cx)))
+            return (qpoch_infinite(q * z / x, q) * qpoch_infinite(q * z / y, q)
+                    * qpoch_infinite(a * b * c * z, q)
+                    / (qpoch_infinite(a * z / y, q) * qpoch_infinite(b * z / x, q)
+                       * qpoch_infinite(c * z, q)))
 
-        lhs = jackson_q_integral(integrand, x, y, cx)
+        lhs = jackson_q_integral(integrand, x, y, q)
         rhs = ((1.0 - q) * y
-               * qpoch_multi([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q, INFINITY, cx)
-               / qpoch_multi([a * x / y, b * y / x, a, b, c * x, c * y], q, INFINITY, cx))
+               * qpoch_multi([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q, INFINITY)
+               / qpoch_multi([a * x / y, b * y / x, a, b, c * x, c * y], q, INFINITY))
         return complex(lhs), rhs, lhs.rungs
 
     return _check("prop-3.1", {"a": a, "b": b, "c": c, "x": x, "y": y, "q": q}, tol, body)
 
 
-def verify_prop_3_2(n: int, a, b, x, y, q, ctx: QContext | None = None,
-                    tol: float | None = None) -> VerificationReport:
+def verify_prop_3_2(n: int, a, b, x, y, q, tol: float | None = None) -> VerificationReport:
     """Jackson q-integral representation of the homogeneous polynomials:
 
         Phi_n^{(a,b)}(x, y|q) = (ab;q)_n (a, b, by/x, ax/y; q)_inf
@@ -345,18 +341,17 @@ def verify_prop_3_2(n: int, a, b, x, y, q, ctx: QContext | None = None,
     def body():
         if x == 0 or y == 0 or x == y:
             raise DomainError("prop-3.2 needs distinct nonzero endpoints")
-        cx = context_for(q, ctx)
 
         def integrand(z):
-            return (qpoch_infinite(q * z / x, cx) * qpoch_infinite(q * z / y, cx) * z**n
-                    / (qpoch_infinite(b * z / x, cx) * qpoch_infinite(a * z / y, cx)))
+            return (qpoch_infinite(q * z / x, q) * qpoch_infinite(q * z / y, q) * z**n
+                    / (qpoch_infinite(b * z / x, q) * qpoch_infinite(a * z / y, q)))
 
-        integral = jackson_q_integral(integrand, x, y, cx)
+        integral = jackson_q_integral(integrand, x, y, q)
         prefactor = (qpoch_finite(a * b, q, n)
-                     * qpoch_multi([a, b, b * y / x, a * x / y], q, INFINITY, cx)
+                     * qpoch_multi([a, b, b * y / x, a * x / y], q, INFINITY)
                      / ((1.0 - q) * y
-                        * qpoch_multi([q, a * b, x / y, q * y / x], q, INFINITY, cx)))
-        lhs = phi_poly(n, a, b, x, y, q, cx)
+                        * qpoch_multi([q, a * b, x / y, q * y / x], q, INFINITY)))
+        lhs = phi_poly(n, a, b, x, y, q)
         rhs = prefactor * complex(integral)
         return lhs, rhs, integral.rungs
 
@@ -364,7 +359,6 @@ def verify_prop_3_2(n: int, a, b, x, y, q, ctx: QContext | None = None,
 
 
 def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = None,
-                             ctx: QContext | None = None,
                              tol: float | None = None) -> VerificationReport:
     """Pointwise reconstruction C_n(x; gamma) = sum_k c_k C_{n-2k}(x; beta)
     with the connection coefficients, on a theta grid; the report carries the
@@ -379,9 +373,9 @@ def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = No
     def body():
         if len(grid) == 0:
             raise DomainError("rogers-connection needs at least one grid point")
-        c = context_for(q, ctx)
+        check_base(q)
         x = np.cos(grid)
-        coeffs = connection_coeffs(n, beta, gamma, q, c)
+        coeffs = connection_coeffs(n, beta, gamma, q)
         lhs_values = ultraspherical_c(n, x, gamma, q) + 0j
         rhs_values = np.zeros_like(lhs_values)
         for k, ck in enumerate(coeffs):
@@ -393,7 +387,7 @@ def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = No
                   tol, body)
 
 
-def verify_askey_ismail_chebyshev(n: int, k: int, beta, q, ctx: QContext | None = None,
+def verify_askey_ismail_chebyshev(n: int, k: int, beta, q,
                                   tol: float | None = None) -> VerificationReport:
     """Integral of C_n against a Chebyshev polynomial, k >= 1:
 
@@ -408,28 +402,28 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q, ctx: QContext | None 
     def body():
         if k < 1:
             raise DomainError("askey-ismail needs k >= 1")
-        c = context_for(q, ctx)
+        check_base(q)
 
         def integrand(theta):
             x = np.cos(theta)
             return (ultraspherical_c(n, x, beta, q) * chebyshev_t(n + 2 * k, x)
-                    * weight_omega_beta(theta, beta, q, c))
+                    * weight_omega_beta(theta, beta, q))
 
-        quad = periodic_quadrature(integrand, c)
+        quad = periodic_quadrature(integrand)
         front = 1.0
         for j in range(k):
             front *= (beta - q**j)
         rhs = (math.pi * qbinom(n + k, k, q)
                * (1.0 - q ** (n + 2 * k)) / (1.0 - q ** (n + k))
-               * qpoch_multi([beta, beta * q ** (n + k + 1)], q, INFINITY, c)
-               / qpoch_multi([q, beta * beta * q**n], q, INFINITY, c)
+               * qpoch_multi([beta, beta * q ** (n + k + 1)], q, INFINITY)
+               / qpoch_multi([q, beta * beta * q**n], q, INFINITY)
                * front)
         return quad.value / 2.0, rhs, quad.nodes_used
 
     return _check("askey-ismail", {"n": n, "k": k, "beta": beta, "q": q}, tol, body)
 
 
-def verify_gf_4_1(beta, q, theta: float, degree: int = 16, ctx: QContext | None = None,
+def verify_gf_4_1(beta, q, theta: float, degree: int = 16,
                   tol: float | None = None) -> VerificationReport:
     """Shifted generating function, coefficientwise in t up to `degree`:
 
@@ -440,14 +434,14 @@ def verify_gf_4_1(beta, q, theta: float, degree: int = 16, ctx: QContext | None 
     The report carries the worst coefficient.
     """
     def body():
-        c = context_for(q, ctx)
+        check_base(q)
         x = math.cos(theta)
         table = ultraspherical_table(degree, x, beta, q)
         lhs_coeffs = np.array([(1.0 - beta * q**n) * table[n] for n in range(degree + 1)],
                               dtype=complex)
         phase = complex(math.cos(theta), math.sin(theta))
         expansion = gf_expand([beta * q * phase, beta * q / phase],
-                              [phase, 1.0 / phase], q, degree, c)
+                              [phase, 1.0 / phase], q, degree)
         g = np.asarray(expansion.coeffs)
         rhs_coeffs = np.empty(degree + 1, dtype=complex)
         for p in range(degree + 1):
@@ -458,7 +452,7 @@ def verify_gf_4_1(beta, q, theta: float, degree: int = 16, ctx: QContext | None 
                   tol, body)
 
 
-def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12, ctx: QContext | None = None,
+def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12,
                     tol: float | None = None) -> VerificationReport:
     """Double-sum re-expansion, coefficientwise in t up to `degree`:
 
@@ -470,7 +464,7 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12, ctx: QContex
     def body():
         if beta == 0:
             raise DomainError("prop-4.2 needs beta != 0")
-        context_for(q, ctx)  # validates q
+        check_base(q)
         x = math.cos(theta)
         gamma_table = ultraspherical_table(degree, x, gamma, q)
         beta_table = ultraspherical_table(degree, x, beta, q)
@@ -496,7 +490,6 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12, ctx: QContex
 
 
 def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64,
-                         ctx: QContext | None = None,
                          tol: float | None = None) -> VerificationReport:
     """|C_n^{(a,b)}(e^{i t}; q)| <= C_n^{(a,b)}(1; q) for real parameters in
     (-1, 1), checked on a uniform theta grid.  lhs is the clamped worst
@@ -515,28 +508,24 @@ def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64,
                   tol, body)
 
 
-def verify_qbinomial(a, z, q, ctx: QContext | None = None,
-                     tol: float | None = None) -> VerificationReport:
+def verify_qbinomial(a, z, q, tol: float | None = None) -> VerificationReport:
     """q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf / (z;q)_inf for |z| < 1."""
     def body():
-        c = context_for(q, ctx)
-        lhs = phi_series(HypergeometricSpec((a,), (), z), q, c)
-        rhs = qpoch_infinite(a * z, c) / qpoch_infinite(z, c)
+        lhs = phi_series(HypergeometricSpec((a,), (), z), q)
+        rhs = qpoch_infinite(a * z, q) / qpoch_infinite(z, q)
         return lhs, rhs, 0
 
     return _check("qbinomial", {"a": a, "z": z, "q": q}, tol, body)
 
 
-def verify_rogers_6w5(a, b, c, d, q, ctx: QContext | None = None,
-                      tol: float | None = None) -> VerificationReport:
+def verify_rogers_6w5(a, b, c, d, q, tol: float | None = None) -> VerificationReport:
     """Rogers summation: 6W5(a; b, c, d; q, aq/(bcd)) equals its product form."""
     def body():
         if b * c * d == 0:
             raise DomainError("rogers-6phi5 needs nonzero b, c, d")
-        cx = context_for(q, ctx)
         z = a * q / (b * c * d)
-        lhs = w_series(a, [b, c, d], q, z, cx)
-        rhs = rogers_6w5_rhs(a, b, c, d, q, cx)
+        lhs = w_series(a, [b, c, d], q, z)
+        rhs = rogers_6w5_rhs(a, b, c, d, q)
         return lhs, rhs, 0
 
     return _check("rogers-6phi5", {"a": a, "b": b, "c": c, "d": d, "q": q}, tol, body)
@@ -632,7 +621,7 @@ def default_suite_config() -> dict:
     return config
 
 
-def run_suite(config: dict | None = None, ctx: QContext | None = None):
+def run_suite(config: dict | None = None):
     """Run every configured check and return the reports.
 
     `config` maps a check id to a list of keyword-argument dicts for its
@@ -648,7 +637,7 @@ def run_suite(config: dict | None = None, ctx: QContext | None = None):
         if runner is None:
             raise DomainError(f"unknown check id {check_id!r}")
         for entry in config[check_id]:
-            reports.append(runner(ctx=ctx, **entry))
+            reports.append(runner(**entry))
     reports.sort(key=_report_sort_key)
     return reports
 

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from qkernel import (INFINITY, Method, QContext, h_norm, periodic_quadrature,
+from qkernel import (INFINITY, Method, h_norm, periodic_quadrature,
                      q_hermite, qpoch_finite, qpoch_infinite, qpoch_multi,
                      rogers_6w5_rhs, ultraspherical_c, verify_askey_ismail_chebyshev,
                      verify_gf_4_1, verify_prop_3_1, verify_prop_3_2,
@@ -52,17 +52,16 @@ def test_criterion_01_gram_matrix():
 def test_criterion_02_q_hermite_norms():
     # beta = 0 specialization at q = 0.5: diagonal equals 2 pi (q;q)_m/(q;q)_inf
     q = 0.5
-    ctx = QContext(q=q)
-    qq_inf = qpoch_infinite(q, ctx).real
+    qq_inf = qpoch_infinite(q, q).real
     worst = 0.0
     for m in range(7):
         def integrand(theta, m=m):
             plus = np.exp(2j * theta)
-            weight = qpoch_infinite(plus, ctx) * qpoch_infinite(1 / plus, ctx)
+            weight = qpoch_infinite(plus, q) * qpoch_infinite(1 / plus, q)
             h = q_hermite(m, np.cos(theta), q)
             return weight * h * h
 
-        value = periodic_quadrature(integrand, ctx).value / 2
+        value = periodic_quadrature(integrand).value / 2
         expected = 2 * math.pi * qpoch_finite(q, q, m) / qq_inf
         worst = max(worst, abs(value - expected) / abs(expected))
     _gate(2, "q-Hermite norm specialization", worst <= 1e-9, f"worst rel {worst:.2e}")

@@ -356,8 +356,7 @@ GOLDEN = [
     ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4', 0, '-0.28894777333819838\n'),
     ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method explicit', 0, '-0.28894777333819788\n'),
     ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method recurrence', 0, '-0.28894777333819838\n'),
-    ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method genfunc', 0,
-     '-0.28894777333819888-4.4408920985006262e-16i\n'),
+    ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method genfunc', 0, '-0.28894777333819888\n'),
     ('eval C --n 5 --beta 0.3,0.2 --q -0.5 --x 0.2 --method explicit', 0,
      '0.90228671864066834-0.15205929668461418i\n'),
     ('eval C --n 6 --beta 0.6 --q -0.5 --theta 0.7 --method EXPLICIT', 0,
@@ -797,10 +796,13 @@ def test_check_and_config_give_identical_reports(tmp_path, capsys):
         assert from_check[key] == from_config[key]
 
 
-def _readme_commands():
+def _readme_blocks(language):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
-    return [shlex.split(line, comments=True)[1:] for block in blocks
+    return re.findall(rf"```{language}\n(.*?)```", readme, flags=re.S)
+
+
+def _readme_commands():
+    return [shlex.split(line, comments=True)[1:] for block in _readme_blocks("sh")
             for line in block.splitlines() if line.startswith("qkernel ")]
 
 
@@ -810,3 +812,8 @@ def test_readme_example_runs(tmp_path, capsys, args):
         at = args.index("--out") + 1
         args = args[:at] + [str(tmp_path / args[at])] + args[at + 1:]
     assert main(args) == 0
+
+
+def test_readme_library_example_runs():
+    [block] = _readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})

@@ -6,24 +6,24 @@ from collections import deque
 import numpy as np
 import pytest
 
-from qkernel import (ConvergenceError, DomainError, PoleError, QContext,
+from qkernel import (ConvergenceError, DomainError, PoleError,
                      jackson_q_integral, periodic_quadrature, qpoch_infinite,
                      ultraspherical_c, weight_omega_ab, weight_omega_beta)
+from qkernel.integrate import EPS_QUAD, EPS_SERIES, MAX_SERIES_TERMS
 
 
-def rung_by_rung(f, endpoint, ctx):
+def rung_by_rung(f, endpoint, q):
     """sum_n q^n f(endpoint q^n) one scalar call per rung, with the ladder's
     stopping rule; returns the sum and the number of rungs summed."""
-    q = ctx.q
     total = 0j
     qn = 1.0 + 0j
     recent = deque(maxlen=8)
-    for n in range(ctx.max_series_terms):
+    for n in range(MAX_SERIES_TERMS):
         value = complex(f(endpoint * qn))
         total += qn * value
         recent.append(abs(value))
         qn *= q
-        if n >= 7 and max(recent) * abs(qn) / (1 - abs(q)) <= ctx.eps_series * (1 + abs(total)):
+        if n >= 7 and max(recent) * abs(qn) / (1 - abs(q)) <= EPS_SERIES * (1 + abs(total)):
             return total, n + 1
     raise AssertionError("reference ladder did not stop")
 
@@ -36,20 +36,18 @@ def plain_trapezoid(f, n):
 class TestJackson:
     def test_constant_integrand_from_zero(self):
         # b (1-q) sum q^n = b
-        ctx = QContext(q=0.4)
-        got = jackson_q_integral(lambda z: 1.0, 0.0, 0.7, ctx)
+        got = jackson_q_integral(lambda z: 1.0, 0.0, 0.7, 0.4)
         assert got == pytest.approx(0.7, rel=1e-13)
 
     def test_linear_integrand_from_zero(self):
         # (1-q) sum q^{2n} = 1/(1+q)
         q, b = 0.35, 0.8
-        got = jackson_q_integral(lambda z: z, 0.0, b, QContext(q=q))
+        got = jackson_q_integral(lambda z: z, 0.0, b, q)
         assert got == pytest.approx(b * b / (1 + q), rel=1e-13)
 
     def test_additivity_in_the_endpoints(self):
         rng = np.random.default_rng(61)
         q = 0.45
-        ctx = QContext(q=q)
         coeffs = rng.standard_normal(4)
 
         def f(z):
@@ -58,16 +56,15 @@ class TestJackson:
         for _ in range(5):
             a = complex(*rng.uniform(-0.9, 0.9, 2))
             b = complex(*rng.uniform(-0.9, 0.9, 2))
-            whole = jackson_q_integral(f, a, b, ctx)
-            split = (jackson_q_integral(f, 0.0, b, ctx)
-                     - jackson_q_integral(f, 0.0, a, ctx))
+            whole = jackson_q_integral(f, a, b, q)
+            split = (jackson_q_integral(f, 0.0, b, q)
+                     - jackson_q_integral(f, 0.0, a, q))
             assert whole == pytest.approx(split, rel=1e-12, abs=1e-12)
 
     def test_polynomial_closed_form(self):
         # termwise: integral of z^j from a to b is (b^{j+1}-a^{j+1})(1-q)/(1-q^{j+1})
         rng = np.random.default_rng(67)
         q = 0.3
-        ctx = QContext(q=q)
         for _ in range(5):
             coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             a = complex(*rng.uniform(-0.8, 0.8, 2))
@@ -83,18 +80,17 @@ class TestJackson:
                 c * (b ** (j + 1) - a ** (j + 1)) * (1 - q) / (1 - q ** (j + 1))
                 for j, c in enumerate(coeffs)
             )
-            assert jackson_q_integral(f, a, b, ctx) == pytest.approx(expected, rel=1e-12)
+            assert jackson_q_integral(f, a, b, q) == pytest.approx(expected, rel=1e-12)
 
-    def test_growing_integrand_raises(self):
-        ctx = QContext(q=0.5, max_series_terms=500)
+    def test_growing_integrand_raises(self, monkeypatch):
+        monkeypatch.setattr("qkernel.integrate.MAX_SERIES_TERMS", 500)
         with pytest.raises(ConvergenceError):
-            jackson_q_integral(lambda z: 1.0 / (z * z), 0.0, 1.0, ctx)
+            jackson_q_integral(lambda z: 1.0 / (z * z), 0.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("q", [0.3, -0.6, 0.9, 0.97])
     def test_blocks_stop_and_sum_as_rung_by_rung(self, q):
         # real endpoints and coefficients: numpy and Python round alike, so
         # the blocked ladder must give the rung-by-rung sum and stop exactly
-        ctx = QContext(q=q)
         blocks = []
 
         def f(z):
@@ -105,9 +101,9 @@ class TestJackson:
             return f(z)
 
         a, b = -0.6, 0.9
-        value = jackson_q_integral(counted, a, b, ctx)
-        upper, upper_rungs = rung_by_rung(f, b, ctx)
-        lower, lower_rungs = rung_by_rung(f, a, ctx)
+        value = jackson_q_integral(counted, a, b, q)
+        upper, upper_rungs = rung_by_rung(f, b, q)
+        lower, lower_rungs = rung_by_rung(f, a, q)
         assert value == (1.0 - q) * (b * upper - a * lower)
         assert value.rungs == upper_rungs + lower_rungs
         assert blocks[:3] == [8, 16, 32]
@@ -117,54 +113,49 @@ class TestJackson:
     def test_rungs_past_the_stop_are_not_summed(self):
         # the constant ladder at q=0.5 stops after 46 rungs; the third block
         # reaches rung 55, where this integrand is nan
-        ctx = QContext(q=0.5)
 
         def f(z):
             return np.where(np.abs(z) < 1e-15, np.nan, 1.0)
 
-        value = jackson_q_integral(f, 0.0, 1.0, ctx)
+        value = jackson_q_integral(f, 0.0, 1.0, 0.5)
         assert value.rungs == 46
         assert value == pytest.approx(1.0, rel=1e-13)
 
     def test_non_finite_integrand_is_a_pole(self):
-        ctx = QContext(q=0.5)
         with pytest.raises(PoleError, match="rung 0"):
-            jackson_q_integral(lambda z: 1.0 / (1.0 - z), 0.0, 1.0, ctx)
+            jackson_q_integral(lambda z: 1.0 / (1.0 - z), 0.0, 1.0, 0.5)
         with pytest.raises(PoleError, match="rung 2"):
-            jackson_q_integral(lambda z: 1.0 / (z - 0.25), 0.0, 1.0, ctx)
+            jackson_q_integral(lambda z: 1.0 / (z - 0.25), 0.0, 1.0, 0.5)
 
 
 class TestPeriodicQuadrature:
     def test_constant(self):
-        result = periodic_quadrature(lambda theta: np.ones_like(theta), QContext(q=0.3))
+        result = periodic_quadrature(lambda theta: np.ones_like(theta))
         assert result.value == pytest.approx(2 * math.pi, rel=1e-15)
 
     def test_pure_oscillation_integrates_to_zero(self):
-        result = periodic_quadrature(lambda theta: np.exp(3j * theta), QContext(q=0.3))
+        result = periodic_quadrature(lambda theta: np.exp(3j * theta))
         assert abs(result.value) < 1e-13
 
     def test_bare_weight_value(self):
         # integral of omega_0 over the full period is 4 pi / (q;q)_inf
         q = 0.3
-        ctx = QContext(q=q)
-        result = periodic_quadrature(lambda theta: weight_omega_beta(theta, 0.0, q, ctx), ctx)
-        expected = 4 * math.pi / qpoch_infinite(q, ctx).real
+        result = periodic_quadrature(lambda theta: weight_omega_beta(theta, 0.0, q))
+        expected = 4 * math.pi / qpoch_infinite(q, q).real
         assert abs(result.value - expected) <= 1e-10 * expected
 
     def test_error_estimate_invariant(self):
-        ctx = QContext(q=0.3)
-        result = periodic_quadrature(lambda theta: weight_omega_beta(theta, 0.5, 0.3, ctx), ctx)
-        assert result.error_estimate <= ctx.eps_quad * (1 + abs(result.value))
+        result = periodic_quadrature(lambda theta: weight_omega_beta(theta, 0.5, 0.3))
+        assert result.error_estimate <= EPS_QUAD * (1 + abs(result.value))
         assert result.nodes_used >= 128
 
     def test_spectral_doubling(self):
         # doubling 128 -> 256 moves the orthogonality integrand below 1e-12
         beta, q = 0.5, 0.3
-        ctx = QContext(q=q)
 
         def integrand(theta):
             c3 = ultraspherical_c(3, np.cos(theta), beta, q)
-            return c3 * c3 * weight_omega_beta(theta, beta, q, ctx)
+            return c3 * c3 * weight_omega_beta(theta, beta, q)
 
         t128 = plain_trapezoid(integrand, 128)
         t256 = plain_trapezoid(integrand, 256)
@@ -173,11 +164,10 @@ class TestPeriodicQuadrature:
     def test_half_period_of_even_integrand(self):
         # full-period trapezoid equals twice the endpoint-weighted half rule
         beta, q = 0.5, 0.3
-        ctx = QContext(q=q)
 
         def integrand(theta):
             c2 = ultraspherical_c(2, np.cos(theta), beta, q)
-            return c2 * c2 * weight_omega_beta(theta, beta, q, ctx)
+            return c2 * c2 * weight_omega_beta(theta, beta, q)
 
         n = 512
         full = plain_trapezoid(integrand, n)
@@ -186,14 +176,14 @@ class TestPeriodicQuadrature:
         half = (np.pi / (n // 2)) * (values[0] / 2 + values[1:-1].sum() + values[-1] / 2)
         assert abs(full - 2 * half) <= 1e-12 * (1 + abs(full))
 
-    def test_node_cap_raises(self):
-        ctx = QContext(q=0.3, max_quad_nodes=128)
+    def test_node_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("qkernel.integrate.MAX_QUAD_NODES", 128)
 
         def kinked(theta):
             return np.abs(np.sin(theta / 2))
 
         with pytest.raises(ConvergenceError):
-            periodic_quadrature(kinked, ctx)
+            periodic_quadrature(kinked)
 
 
 class TestWeights:
@@ -210,9 +200,8 @@ class TestWeights:
     def test_direct_product_at_right_angle(self):
         # e^{+-2i theta} = -1 at theta = pi/2
         q = 0.5
-        ctx = QContext(q=q)
-        got = weight_omega_beta(math.pi / 2, 0.0, q, ctx)
-        direct = qpoch_infinite(-1.0, ctx) ** 2
+        got = weight_omega_beta(math.pi / 2, 0.0, q)
+        direct = qpoch_infinite(-1.0, q) ** 2
         assert got == pytest.approx(direct, rel=1e-13)
 
     def test_two_parameter_swap_conjugation(self):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import QContext, gf_expand, jackson_q_integral, qpoch_infinite
+from qkernel import gf_expand, jackson_q_integral, qpoch_infinite
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -82,14 +82,13 @@ def test_qpoch_infinite_matches_oracle(q, bound):
     # the truncation length of its largest modulus, and repeated over 16386
     # points (256 KiB), which takes one factor per block in the swapped
     # operand order
-    ctx = QContext(q=q)
     arguments = np.array(PRODUCT_ARGUMENTS)
-    batch = qpoch_infinite(arguments.reshape(2, 3), ctx).ravel()
-    wide = qpoch_infinite(np.tile(arguments, 2731), ctx).reshape(-1, len(arguments))
+    batch = qpoch_infinite(arguments.reshape(2, 3), q).ravel()
+    wide = qpoch_infinite(np.tile(arguments, 2731), q).reshape(-1, len(arguments))
     with mpmath.workdps(40):
         for i, a in enumerate(PRODUCT_ARGUMENTS):
             true = oracle_qp(a, q)
-            for got in (qpoch_infinite(a, ctx), batch[i], *set(wide[:, i])):
+            for got in (qpoch_infinite(a, q), batch[i], *set(wide[:, i])):
                 assert float(abs(got - true) / abs(true)) <= bound
 
 
@@ -120,16 +119,15 @@ def test_jackson_ladders_of_prop_3_1_match_oracle():
     # is their difference, about 5e-15 against ladders of about 0.05, so it
     # keeps only a few digits in double precision.
     a, b, c, x, y, q = 0.3, 0.2, 0.4, 0.5, 0.7, 0.9
-    ctx = QContext(q=q)
 
     def integrand(z):
-        return (qpoch_infinite(q * z / x, ctx) * qpoch_infinite(q * z / y, ctx)
-                * qpoch_infinite(a * b * c * z, ctx)
-                / (qpoch_infinite(a * z / y, ctx) * qpoch_infinite(b * z / x, ctx)
-                   * qpoch_infinite(c * z, ctx)))
+        return (qpoch_infinite(q * z / x, q) * qpoch_infinite(q * z / y, q)
+                * qpoch_infinite(a * b * c * z, q)
+                / (qpoch_infinite(a * z / y, q) * qpoch_infinite(b * z / x, q)
+                   * qpoch_infinite(c * z, q)))
 
     for endpoint in (x, y):
-        got = jackson_q_integral(integrand, 0.0, endpoint, ctx)
+        got = jackson_q_integral(integrand, 0.0, endpoint, q)
         true = oracle_prop_3_1_ladder(a, b, c, x, y, q, endpoint)
         with mpmath.workdps(40):
             assert float(abs(got - true) / abs(true)) <= 3e-13

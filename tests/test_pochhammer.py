@@ -1,18 +1,19 @@
 """q-Pochhammer primitives: examples and product-law invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qkernel import (INFINITY, ConvergenceError, DomainError, PoleError,
-                     QContext, qbinom, qpoch_finite, qpoch_infinite,
-                     qpoch_multi)
-from qkernel.pochhammer import _truncation_length
+from qkernel import (INFINITY, ConvergenceError, DomainError, HypergeometricSpec,
+                     PoleError, gf_expand, jackson_q_integral, phi_series, qbinom,
+                     qpoch_finite, qpoch_infinite, qpoch_multi)
+from qkernel.pochhammer import EPS_PRODUCT, _truncation_length
 
 
-def sequential_product(a, ctx):
+def sequential_product(a, q):
     """(a;q)_inf as one factor per step, on the truncation qpoch_infinite uses."""
-    q = ctx.q
-    n = _truncation_length(float(np.max(np.abs(a))), abs(q), ctx.eps_product * (1 - abs(q)))
+    n = _truncation_length(float(np.max(np.abs(a))), abs(q), EPS_PRODUCT * (1 - abs(q)))
     scalar = np.ndim(a) == 0
     acc = 1.0 + 0j if scalar else np.ones(np.shape(a), dtype=complex)
     qk = 1.0
@@ -27,30 +28,21 @@ def bits(value):
     return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.int64)
 
 
-class TestQContext:
-    def test_defaults(self):
-        ctx = QContext(q=0.3)
-        assert ctx.eps_product == 1e-15
-        assert ctx.eps_series == 1e-14
-        assert ctx.eps_quad == 1e-11
-        assert ctx.max_product_terms == 10_000
-        assert ctx.max_series_terms == 100_000
-        assert ctx.max_quad_nodes == 2**20
+# Every engine that needs |q| < 1, called with a valid argument for base q.
+ENGINES = {
+    "qpoch_infinite": lambda q: qpoch_infinite(0.5, q),
+    "phi_series": lambda q: phi_series(HypergeometricSpec((0.4,), (), 0.5), q),
+    "gf_expand": lambda q: gf_expand([0.5], [0.2], q, 4),
+    "jackson_q_integral": lambda q: jackson_q_integral(lambda z: z, 0.0, 0.5, q),
+}
 
-    @pytest.mark.parametrize("q", [1.0, -1.0, 1.2, 1j, 0.8 + 0.7j])
-    def test_rejects_base_off_the_disk(self, q):
-        with pytest.raises(DomainError):
-            QContext(q=q)
 
-    def test_rejects_bad_budgets(self):
-        with pytest.raises(DomainError):
-            QContext(q=0.3, eps_series=0.0)
-        with pytest.raises(DomainError):
-            QContext(q=0.3, max_quad_nodes=8)
-
-    def test_infinity_is_a_tag_not_a_number(self):
-        assert repr(INFINITY) == "INFINITY"
-        assert not isinstance(INFINITY, (int, float))
+class TestBase:
+    @pytest.mark.parametrize("q", [1.0, -1.0, 1.2, 1j, 0.8 + 0.7j, math.nan])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_engine_rejects_base_off_the_disk(self, engine, q):
+        with pytest.raises(DomainError, match=r"\|q\| < 1"):
+            ENGINES[engine](q)
 
 
 class TestFinite:
@@ -88,29 +80,27 @@ class TestFinite:
 
 class TestInfinite:
     def test_zero_argument(self):
-        assert qpoch_infinite(0.0, QContext(q=0.5)) == 1
+        assert qpoch_infinite(0.0, 0.5) == 1
 
     def test_unit_argument_kills_first_factor(self):
-        assert qpoch_infinite(1.0, QContext(q=0.5)) == 0
+        assert qpoch_infinite(1.0, 0.5) == 0
 
     def test_against_long_brute_force_product(self):
-        ctx = QContext(q=0.5)
         brute = 1.0
         for k in range(200):
             brute *= 1 - 0.5 * 0.5**k
-        assert qpoch_infinite(0.5, ctx) == pytest.approx(brute, rel=ctx.eps_product * 10)
+        assert qpoch_infinite(0.5, 0.5) == pytest.approx(brute, rel=EPS_PRODUCT * 10)
 
     def test_brute_force_cloud(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             a = complex(*rng.uniform(-0.9, 0.9, 2))
             q = rng.uniform(-0.8, 0.8)
-            ctx = QContext(q=q)
             brute = 1.0 + 0j
             for k in range(400):
                 brute *= 1 - a * q**k
-            got = qpoch_infinite(a, ctx)
-            assert abs(got - brute) <= 20 * ctx.eps_product * (1 + abs(brute))
+            got = qpoch_infinite(a, q)
+            assert abs(got - brute) <= 20 * EPS_PRODUCT * (1 + abs(brute))
 
     def test_splitting_law(self):
         # (a;q)_inf = (a;q)_n (a q^n; q)_inf
@@ -119,22 +109,20 @@ class TestInfinite:
             a = complex(*rng.uniform(-0.8, 0.8, 2))
             q = rng.uniform(0.05, 0.85) * rng.choice([-1, 1])
             n = int(rng.integers(0, 51))
-            ctx = QContext(q=q)
-            whole = qpoch_infinite(a, ctx)
-            split = qpoch_finite(a, q, n) * qpoch_infinite(a * q**n, ctx)
+            whole = qpoch_infinite(a, q)
+            split = qpoch_finite(a, q, n) * qpoch_infinite(a * q**n, q)
             assert whole == pytest.approx(split, rel=1e-10, abs=1e-12)
 
     def test_array_argument_matches_scalars(self):
-        ctx = QContext(q=0.4)
         values = np.array([0.2 + 0.1j, -0.5, 0.9j])
-        batch = qpoch_infinite(values, ctx)
+        batch = qpoch_infinite(values, 0.4)
         for got, a in zip(batch, values):
-            assert got == pytest.approx(qpoch_infinite(complex(a), ctx), rel=1e-14)
+            assert got == pytest.approx(qpoch_infinite(complex(a), 0.4), rel=1e-14)
 
-    def test_cap_hit_raises(self):
-        ctx = QContext(q=0.999, max_product_terms=16)
+    def test_cap_hit_raises(self, monkeypatch):
+        monkeypatch.setattr("qkernel.pochhammer.MAX_PRODUCT_TERMS", 16)
         with pytest.raises(ConvergenceError):
-            qpoch_infinite(0.5, ctx)
+            qpoch_infinite(0.5, 0.999)
 
     def test_blocked_product_is_the_sequential_product_bit_for_bit(self):
         # the factor blocks keep the order ((1 - a)(1 - q a))(1 - q^2 a)...
@@ -152,8 +140,7 @@ class TestInfinite:
             else:
                 shape = (int(rng.integers(1, 6)), int(rng.integers(1, 200)))
                 a = rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
-            ctx = QContext(q=q)
-            got, want = qpoch_infinite(a, ctx), sequential_product(a, ctx)
+            got, want = qpoch_infinite(a, q), sequential_product(a, q)
             assert type(got) is type(want)
             assert np.array_equal(bits(got), bits(want)), (q, np.shape(a))
 
@@ -166,27 +153,24 @@ class TestInfinite:
         real = rng.uniform(-2, 2, size)
         for a in (real, real + 1j * rng.uniform(-2, 2, size)):
             for q in (0.9, -0.6):
-                ctx = QContext(q=q)
-                got, want = qpoch_infinite(a, ctx), sequential_product(a, ctx)
+                got, want = qpoch_infinite(a, q), sequential_product(a, q)
                 assert np.array_equal(bits(got), bits(want)), (q, a.dtype)
 
 
 class TestMulti:
+    def test_infinity_is_a_tag_not_a_number(self):
+        assert repr(INFINITY) == "INFINITY"
+        assert not isinstance(INFINITY, (int, float))
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             qpoch_multi([], 0.3, 2)
 
     def test_singleton_infinite(self):
-        ctx = QContext(q=0.3)
-        assert qpoch_multi([0.5], 0.3, INFINITY, ctx) == qpoch_infinite(0.5, ctx)
+        assert qpoch_multi([0.5], 0.3, INFINITY) == qpoch_infinite(0.5, 0.3)
 
     def test_pair_finite(self):
         assert qpoch_multi([0.2, 0.4], 0.3, 1) == pytest.approx(0.48, rel=1e-15)
-
-    def test_explicit_q_wins_over_context_base(self):
-        ctx = QContext(q=0.7)
-        assert qpoch_multi([0.5], 0.3, INFINITY, ctx) == pytest.approx(
-            qpoch_infinite(0.5, QContext(q=0.3)), rel=1e-14)
 
 
 class TestAdditionLaw:

@@ -208,15 +208,15 @@ class TestJacksonIdentities:
         qpoch_infinite = verify.qpoch_infinite
         jackson = verify.jackson_q_integral
 
-        def counted_qpoch(a, ctx):
+        def counted_qpoch(a, q):
             products.append(np.size(a))
-            return qpoch_infinite(a, ctx)
+            return qpoch_infinite(a, q)
 
-        def counted_jackson(f, a, b, ctx):
+        def counted_jackson(f, a, b, q):
             def integrand(z):
                 evaluated.append(len(z))
                 return f(z)
-            return jackson(integrand, a, b, ctx)
+            return jackson(integrand, a, b, q)
 
         monkeypatch.setattr(verify, "qpoch_infinite", counted_qpoch)
         monkeypatch.setattr(verify, "jackson_q_integral", counted_jackson)
@@ -337,6 +337,15 @@ class TestSuite:
     ])
     def test_empty_size_arguments_are_recorded_not_raised(self, check_id, entry):
         [report] = run_suite({check_id: [entry]})
+        assert not report.passed
+        assert report.rel_err == math.inf
+
+    # every runner but uniform-bound, whose polynomials are defined for any q
+    @pytest.mark.parametrize("check_id", sorted(set(CHECK_RUNNERS) - {"uniform-bound"}))
+    @pytest.mark.parametrize("q", [1.0, math.nan])
+    def test_base_off_the_disk_is_a_recorded_failure(self, check_id, q):
+        entry = dict(default_suite_config()[check_id][-1], q=q)
+        report = CHECK_RUNNERS[check_id](**entry)
         assert not report.passed
         assert report.rel_err == math.inf
 
