@@ -493,10 +493,14 @@ def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64,
                          tol: float | None = None) -> VerificationReport:
     """|C_n^{(a,b)}(e^{i t}; q)| <= C_n^{(a,b)}(1; q) for real parameters in
     (-1, 1), checked on a uniform theta grid.  lhs is the clamped worst
-    violation, rhs is zero."""
+    violation, rhs is zero.  The polynomials divide by 1 - q^k, k <= n, so
+    any q (|q| >= 1 included) is accepted unless some such q^k is 1."""
     def body():
         if grid_size < 1:
             raise DomainError("uniform-bound needs grid_size >= 1")
+        for k in range(1, n + 1):
+            if q**k == 1:
+                raise DomainError("uniform-bound needs q**k != 1 for 1 <= k <= n")
         grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
         values = np.abs(gasper_c(n, grid, alpha, beta, q))
         bound = complex(gasper_c(n, 0.0, alpha, beta, q)).real

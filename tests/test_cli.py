@@ -407,7 +407,7 @@ GOLDEN = [
     ('eval jackson --a 0 --b 0.8 --q 0.35', 2, ''),
     ('check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3', 0,
      'PASS thm-1.1 [m=3 n=3 beta=0.6 q=0.3] '
-     'lhs=1.5673450639482838+3.458551972555152e-18i rhs=1.5673450639482838 '
+     'lhs=1.5673450639482838+3.4585519725551526e-18i rhs=1.5673450639482838 '
      'rel_err=1.347e-18 tol=1.0e-09 nodes=256 t=*ms\n'),
     ('check thm-1.1 --m 3 --n 2 --beta 0.6 --q 0.3 --format json', 0,
      '{\n'
@@ -419,15 +419,15 @@ GOLDEN = [
      '    "q": 0.3\n'
      '  },\n'
      '  "lhs": [\n'
-     '    -1.5429730757792092e-16,\n'
-     '    -6.16703534281803e-18\n'
+     '    -1.781401586385268e-16,\n'
+     '    -6.167035342818029e-18\n'
      '  ],\n'
      '  "rhs": [\n'
      '    0.0,\n'
      '    0.0\n'
      '  ],\n'
-     '  "abs_err": 1.5442050204139055e-16,\n'
-     '  "rel_err": 1.5442050204139052e-16,\n'
+     '  "abs_err": 1.7824687499274443e-16,\n'
+     '  "rel_err": 1.7824687499274439e-16,\n'
      '  "tol": 1e-09,\n'
      '  "nodes_used": 128,\n'
      '  "pass": true,\n'
@@ -435,20 +435,20 @@ GOLDEN = [
      '}\n'),
     ('check thm-1.2 --m 2 --n 1 --beta 0.25 --gamma 0.5 --q 0.4', 0,
      'PASS thm-1.2 [m=2 n=1 beta=0.25 gamma=0.5 q=0.4] '
-     'lhs=2.5690672017802837e-16-6.5333752070224515e-18i rhs=0.0 rel_err=2.570e-16 '
+     'lhs=1.693693955698039e-16-6.5333752070224515e-18i rhs=0.0 rel_err=1.695e-16 '
      'tol=1.0e-08 nodes=128 t=*ms\n'),
     ('check thm-1.2 --m 4 --n 2 --beta 0.25 --gamma 0.5 --q 0.4', 0,
      'PASS thm-1.2 [m=4 n=2 beta=0.25 gamma=0.5 q=0.4] '
-     'lhs=-2.6849093440671865-1.3372349774781456e-17i rhs=-2.684909344067191 '
+     'lhs=-2.6849093440671865-1.3372349774781455e-17i rhs=-2.684909344067191 '
      'rel_err=1.205e-15 tol=1.0e-08 nodes=128 t=*ms\n'),
     ('check thm-1.3 --m 2 --n 2 --alpha 0.4 --beta -0.3 --q 0.35', 0,
      'PASS thm-1.3 [m=2 n=2 alpha=0.4 beta=-0.3 q=0.35] '
-     'lhs=29.54896999057961-1.7083828550121625e-15i rhs=29.548969990579682 '
-     'rel_err=2.327e-15 tol=1.0e-09 nodes=128 t=*ms\n'),
+     'lhs=29.548969990579618-2.081821509748902e-15i rhs=29.548969990579682 '
+     'rel_err=2.094e-15 tol=1.0e-09 nodes=128 t=*ms\n'),
     ('check thm-1.4 --alpha 0.5 --beta 0.2 --s 0.3 --t 0.25 --q 0.3', 0,
      'PASS thm-1.4 [alpha=0.5 beta=0.2 s=0.3 t=0.25 q=0.3 '
      'series_tail_bound=1.5635846500390748e-14] '
-     'lhs=12.091649623542251-1.307950686753237e-16i rhs=12.091649623542228 '
+     'lhs=12.091649623542251-6.982549239177436e-18i rhs=12.091649623542228 '
      'rel_err=1.764e-15 tol=1.0e-08 nodes=256 t=*ms\n'),
     ('check prop-3.1 --a 0.3 --b 0.2 --c 0.4 --x 0.5 --y 0.7 --q 0.35', 0,
      'PASS prop-3.1 [a=0.3 b=0.2 c=0.4 x=0.5 y=0.7 q=0.35] lhs=0.16432244936149654 '
@@ -468,7 +468,7 @@ GOLDEN = [
      'nodes=5 t=*ms\n'),
     ('check askey-ismail --n 1 --k 2 --beta 0.5 --q 0.3', 0,
      'PASS askey-ismail [n=1 k=2 beta=0.5 q=0.3] '
-     'lhs=-0.32298360546252713+2.3601668128950827e-18i rhs=-0.32298360546252614 '
+     'lhs=-0.32298360546252713+2.360166812895084e-18i rhs=-0.32298360546252614 '
      'rel_err=7.553e-16 tol=1.0e-08 nodes=256 t=*ms\n'),
     ('check gf-4.1 --beta 0.5 --q 0.3 --theta 0.9', 0,
      'PASS gf-4.1 [beta=0.5 q=0.3 theta=0.9 degree=16] lhs=0.2385845562072766 '
@@ -539,7 +539,7 @@ GOLDEN = [
      'rhs=1.0059447399984027 rel_err=7.749e-15 tol=1.0e-11 nodes=0 t=*ms\n'),
     ('check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3 --tol 1e-30', 1,
      'FAIL thm-1.1 [m=3 n=3 beta=0.6 q=0.3] '
-     'lhs=1.5673450639482838+3.458551972555152e-18i rhs=1.5673450639482838 '
+     'lhs=1.5673450639482838+3.4585519725551526e-18i rhs=1.5673450639482838 '
      'rel_err=1.347e-18 tol=1.0e-30 nodes=256 t=*ms\n'),
     ('check rogers-6phi5 --a 0.1 --b 0 --c 0.6 --d 0.8 --q 0.4', 1,
      'FAIL rogers-6phi5 [a=0.1 b=0.0 c=0.6 d=0.8 q=0.4] lhs=0.0 rhs=0.0 rel_err=inf '

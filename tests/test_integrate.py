@@ -9,7 +9,9 @@ import pytest
 from qkernel import (ConvergenceError, DomainError, PoleError,
                      jackson_q_integral, periodic_quadrature, qpoch_infinite,
                      ultraspherical_c, weight_omega_ab, weight_omega_beta)
-from qkernel.integrate import EPS_QUAD, EPS_SERIES, MAX_SERIES_TERMS
+from qkernel import verify
+from qkernel.integrate import EPS_QUAD, EPS_SERIES, MAX_QUAD_NODES, MAX_SERIES_TERMS
+from qkernel.verify import CHECK_RUNNERS, default_suite_config
 
 
 def rung_by_rung(f, endpoint, q):
@@ -31,6 +33,22 @@ def rung_by_rung(f, endpoint, q):
 def plain_trapezoid(f, n):
     theta = 2 * np.pi * np.arange(n) / n
     return 2 * np.pi / n * complex(np.sum(f(theta)))
+
+
+def doubling_without_floor(f):
+    """The doubling rule with no roundoff-floor exit and no reuse of levels:
+    a fresh trapezoid sum at 64, 128, ... nodes until a doubling moves the
+    value by at most EPS_QUAD * (1 + |value|); returns the value and the node
+    count."""
+    nodes = 64
+    previous = plain_trapezoid(f, nodes)
+    while 2 * nodes <= MAX_QUAD_NODES:
+        nodes *= 2
+        current = plain_trapezoid(f, nodes)
+        if abs(current - previous) <= EPS_QUAD * (1 + abs(current)):
+            return current, nodes
+        previous = current
+    raise AssertionError("reference doubling did not stop")
 
 
 class TestJackson:
@@ -182,8 +200,63 @@ class TestPeriodicQuadrature:
         def kinked(theta):
             return np.abs(np.sin(theta / 2))
 
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=(
+                r"node cap of 128 before converging: last difference \S+, "
+                r"tolerance \S+, roundoff floor \S+")):
             periodic_quadrature(kinked)
+
+    def test_each_node_is_evaluated_once(self):
+        # every doubling evaluates only the new midpoints; together the calls
+        # cover the final grid 2 pi j / n exactly once
+        calls = []
+
+        def integrand(theta):
+            calls.append(theta.copy())
+            return weight_omega_beta(theta, 0.5, 0.3)
+
+        result = periodic_quadrature(integrand)
+        theta = np.concatenate(calls)
+        assert len(calls) >= 3
+        assert len(theta) == result.nodes_used
+        grid = np.sort(theta) * result.nodes_used / (2 * np.pi)
+        assert np.array_equal(np.rint(grid), np.arange(result.nodes_used))
+        assert np.max(np.abs(grid - np.rint(grid))) <= 1e-9
+
+    def test_roundoff_floor_stops_a_cancelling_sum(self, monkeypatch):
+        # 1e8 cos(theta) integrates to 0, but every trapezoid sum keeps a
+        # roundoff residue of about 1e-9, above EPS_QUAD * (1 + |value|); the
+        # floor QUAD_NOISE u h sum|f| is about 1.4e-6
+        def wave(theta):
+            return 1e8 * np.cos(theta)
+
+        result = periodic_quadrature(wave)
+        assert result.nodes_used == 128
+        assert abs(result.value) <= 1e-7
+        monkeypatch.setattr("qkernel.integrate.QUAD_NOISE", 0)
+        with pytest.raises(ConvergenceError, match="roundoff floor 0.000e"):
+            periodic_quadrature(wave)
+
+    # the quadrature-backed checks of the default suite
+    @pytest.mark.parametrize("check_id", ["askey-ismail", "thm-1.1", "thm-1.2",
+                                          "thm-1.3", "thm-1.4"])
+    def test_never_stops_later_than_without_the_floor(self, monkeypatch, check_id):
+        stops = []
+        quadrature = verify.periodic_quadrature
+
+        def both(f):
+            result = quadrature(f)
+            stops.append((*doubling_without_floor(f), result))
+            return result
+
+        monkeypatch.setattr(verify, "periodic_quadrature", both)
+        for entry in default_suite_config()[check_id]:
+            assert CHECK_RUNNERS[check_id](**entry).passed
+        assert stops
+        for value, nodes, result in stops:
+            assert nodes >= result.nodes_used
+            # the same nodes summed in another order: at most 8.5e-16 measured
+            if nodes == result.nodes_used:
+                assert abs(value - result.value) <= 1e-14 * (1 + abs(value))
 
 
 class TestWeights:

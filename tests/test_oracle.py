@@ -13,6 +13,9 @@ qpoch_infinite and the Jackson ladder: mp.qp, and a ladder sum in mpmath
 that steps its integrand down by the ratio of consecutive rungs.  The error
 is relative, |got - true| / |true|.
 
+periodic_quadrature: the thm-1.3 closed form of the circle orthogonality,
+from mp.qp at 30 digits, against the quadrature value of the check.
+
 Each bound sits 10-100x above the measured error.
 """
 
@@ -21,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import gf_expand, jackson_q_integral, qpoch_infinite
+from qkernel import gf_expand, jackson_q_integral, qpoch_infinite, verify_thm_1_3
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -131,3 +134,25 @@ def test_jackson_ladders_of_prop_3_1_match_oracle():
         true = oracle_prop_3_1_ladder(a, b, c, x, y, q, endpoint)
         with mpmath.workdps(40):
             assert float(abs(got - true) / abs(true)) <= 3e-13
+
+
+def oracle_thm_1_3_diagonal(n, alpha, beta, q):
+    """2 pi (a, b; q)_inf / (q, ab; q)_inf (1/(1 - a q^n) + 1/(1 - b q^n))
+    (ab; q)_n / (q; q)_n at 30 digits."""
+    with mpmath.workdps(30):
+        a, b, q = (mpmath.mpmathify(v) for v in (alpha, beta, q))
+        return (2 * mpmath.pi * mpmath.qp(a, q) * mpmath.qp(b, q)
+                / (mpmath.qp(q, q) * mpmath.qp(a * b, q))
+                * (1 / (1 - a * q**n) + 1 / (1 - b * q**n))
+                * mpmath.qp(a * b, q, n) / mpmath.qp(q, q, n))
+
+
+def test_circle_orthogonality_at_the_roundoff_floor_matches_oracle():
+    # the stress case stops at 512 nodes on the roundoff floor of its
+    # integrand; the value (about 2.9e10) is within 5.1e-11 of the truth
+    report = verify_thm_1_3(10, 10, 0.4, -0.3, 0.9)
+    assert report.nodes_used == 512
+    true = oracle_thm_1_3_diagonal(10, 0.4, -0.3, 0.9)
+    with mpmath.workdps(30):
+        assert float(abs(report.lhs - true) / abs(true)) <= 5e-10
+        assert float(abs(report.rhs - true) / abs(true)) <= 1e-14

@@ -109,6 +109,21 @@ class TestTwoParameterOrthogonality:
         report = verify_thm_1_3(3, 3, 0.4, -0.3, 0.35)
         assert abs(report.lhs.imag) <= 1e-12
 
+    def test_high_degree_near_q_one_stops_at_the_roundoff_floor(self):
+        # the pinned stress case: from 512 nodes on, each doubling moves the
+        # value (about 2.9e10) by 0.27-1.6, which is roundoff, so the rule
+        # stops there instead of doubling on noise to 16384 nodes
+        report = verify_thm_1_3(10, 10, 0.4, -0.3, 0.9)
+        assert report.nodes_used == 512
+        assert report.passed
+        assert abs(report.lhs - report.rhs) <= 2e-10 * abs(report.rhs)
+
+    def test_roundoff_floor_keeps_a_margin_near_q_one(self):
+        # a floor 4x higher (QUAD_NOISE = 128) stops this case early enough
+        # to fail it with rel_err 2.6e-9
+        report = verify_thm_1_3(5, 5, -0.5, 0.2, 0.95)
+        assert report.passed
+
     def test_equal_parameter_reduction_to_single_weight(self):
         # closed form of the circle orthogonality at alpha = beta is exactly
         # twice the [0, pi] closed form
@@ -341,13 +356,42 @@ class TestSuite:
         assert report.rel_err == math.inf
 
     # every runner but uniform-bound, whose polynomials are defined for any q
-    @pytest.mark.parametrize("check_id", sorted(set(CHECK_RUNNERS) - {"uniform-bound"}))
-    @pytest.mark.parametrize("q", [1.0, math.nan])
+    # with q**k != 1 for 1 <= k <= n: it fails at q = 1 and q = -1 (q**2 = 1)
+    @pytest.mark.parametrize("q,check_id", [
+        (q, check_id) for q in (1.0, math.nan)
+        for check_id in sorted(set(CHECK_RUNNERS) - {"uniform-bound"})
+    ] + [(1.0, "uniform-bound"), (-1.0, "uniform-bound")])
     def test_base_off_the_disk_is_a_recorded_failure(self, check_id, q):
         entry = dict(default_suite_config()[check_id][-1], q=q)
         report = CHECK_RUNNERS[check_id](**entry)
         assert not report.passed
         assert report.rel_err == math.inf
+
+    def test_uniform_bound_accepts_a_base_off_the_disk(self):
+        # q = 1.5 has no q**k == 1, so the check runs and this entry holds
+        entry = dict(default_suite_config()["uniform-bound"][1], q=1.5)
+        report = CHECK_RUNNERS["uniform-bound"](**entry)
+        assert report.passed
+        assert report.nodes_used == 64
+
+    def test_quadrature_work_of_the_default_suite(self, monkeypatch):
+        # each node is evaluated once: a rule that re-evaluates the coarser
+        # levels or stops later changes these counts
+        points = []
+        nodes = []
+        quadrature = verify.periodic_quadrature
+
+        def counted(f):
+            def integrand(theta):
+                points.append(np.size(theta))
+                return f(theta)
+            result = quadrature(integrand)
+            nodes.append(result.nodes_used)
+            return result
+
+        monkeypatch.setattr(verify, "periodic_quadrature", counted)
+        assert all(report.passed for report in run_suite())
+        assert sum(points) == sum(nodes) == 7808
 
     def test_default_config_covers_every_check(self):
         config = default_suite_config()
