@@ -33,11 +33,14 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Converged quadrature value with its last-doubling error estimate."""
+    """Converged quadrature value, its last-doubling error estimate, h sum |f|
+    and which test stopped the rule: "tolerance" or "roundoff floor"."""
 
     value: complex
     nodes_used: int
     error_estimate: float
+    magnitude: float
+    stop_reason: str
 
 
 def periodic_quadrature(f) -> QuadratureResult:
@@ -72,7 +75,8 @@ def periodic_quadrature(f) -> QuadratureResult:
         threshold = EPS_QUAD * (1.0 + abs(current))
         floor = QUAD_NOISE * _UNIT_ROUNDOFF * step * magnitude
         if difference <= max(threshold, floor):
-            return QuadratureResult(current, nodes, difference)
+            reason = "tolerance" if difference <= threshold else "roundoff floor"
+            return QuadratureResult(current, nodes, difference, step * magnitude, reason)
         previous = current
     raise ConvergenceError(
         f"periodic_quadrature hit the node cap of {MAX_QUAD_NODES} before converging: "
@@ -92,8 +96,10 @@ def jackson_q_integral(f, a, b, q) -> complex:
 
     `f` receives a numpy array of ladder points and must return the matching
     array of (possibly complex) values, or a scalar, which is broadcast.
-    Each ladder is evaluated in blocks of 8, 16, 32, ... rungs.  The sum then
-    runs rung by rung and stops once the geometric tail bound
+    Each call of f receives consecutive rungs endpoint q^n, n = n0, ...,
+    n0 + m - 1, in that order, in blocks of m = 8, 16, 32, ... rungs, so an
+    integrand may treat a block as one ladder from its first point.  The sum
+    then runs rung by rung and stops once the geometric tail bound
     max_recent|f| * |q|^{n+1} / (1 - |q|) drops below EPS_SERIES relative,
     where the max runs over the latest rungs (the ladder accumulates at 0).
     The stop and the sum are those of one call per rung; the blocks evaluate
@@ -167,9 +173,19 @@ def weight_omega_ab(theta: float, alpha, beta, q):
     """Two-parameter (generally complex) circle weight
 
         (e^{2i theta}, e^{-2i theta}; q)_inf / (alpha e^{2i theta}, beta e^{-2i theta}; q)_inf.
+
+    For real q, (conj a; q)_inf = conj (a; q)_inf bit for bit, so a conjugate
+    pair shares one product: the numerator's always, the denominator's when
+    beta = conj alpha.
     """
     plus = np.exp(2j * np.asarray(theta))
     minus = np.exp(-2j * np.asarray(theta))
-    value = (qpoch_infinite(plus, q) * qpoch_infinite(minus, q)
-             / (qpoch_infinite(alpha * plus, q) * qpoch_infinite(beta * minus, q)))
+    real_q = complex(q).imag == 0
+
+    def pair(a, b, conjugate):
+        first = qpoch_infinite(a, q)
+        return first * (first.conjugate() if conjugate else qpoch_infinite(b, q))
+
+    value = (pair(plus, minus, real_q)
+             / pair(alpha * plus, beta * minus, real_q and beta == np.conj(alpha)))
     return complex(value) if np.ndim(theta) == 0 else value

@@ -102,24 +102,12 @@ def qpoch_infinite(a, q):
     differently from Python's, so a complex q, or a complex array of one
     point, can differ in the last bits).
     """
-    check_base(q)
-    abs_q = abs(q)
-    a_max = float(np.max(np.abs(a)))
-    n_factors = _truncation_length(a_max, abs_q, EPS_PRODUCT * (1.0 - abs_q))
-    if n_factors > MAX_PRODUCT_TERMS:
-        raise ConvergenceError(
-            f"(a;q)_inf needs {n_factors} factors for the tail bound, "
-            f"cap is {MAX_PRODUCT_TERMS}"
-        )
+    powers = _factor_powers(a, q).reshape(-1, 1)
     points = np.asarray(a, dtype=complex)
     row = points.reshape(1, -1)
-    # q^0, q^1, ... as a running product, the powers a factor loop forms
-    steps = np.full(n_factors, q, dtype=complex)
-    steps[:1] = 1.0
-    powers = np.cumprod(steps).reshape(-1, 1)
     acc = np.ones(row.shape[1], dtype=complex)
     rows = max(1, _BLOCK_ELEMENTS // row.shape[1])
-    for start in range(0, n_factors, rows):
+    for start in range(0, len(powers), rows):
         block = powers[start:start + rows] * row
         np.subtract(1.0, block, out=block)
         first = block[0]
@@ -130,6 +118,38 @@ def qpoch_infinite(a, q):
         # a single row is already the product (the reduction would copy it)
         acc = np.multiply.reduce(block, axis=0) if len(block) > 1 else first
     return complex(acc[0]) if points.ndim == 0 else acc.reshape(points.shape)
+
+
+def qpoch_ladder(values, q, count: int):
+    """Table of (v q^i; q)_inf = prod_{j >= i} (1 - v q^j), rows i < count,
+    columns v in `values`: suffix products of the count - 1 + N factors
+    1 - v q^j, N the truncation length of qpoch_infinite for the largest |v|
+    (same tail bound, base check and cap).  Nothing is divided, so a zero
+    factor at j gives exact zeros on rows i <= j and correct rows below.
+    """
+    values = np.asarray(values, dtype=complex)
+    powers = _factor_powers(values, q, max(count - 1, 0))
+    # a row of ones closes the suffix products when N = 0
+    factors = np.ones((len(powers) + 1,) + values.shape, dtype=complex)
+    np.subtract(1.0, np.multiply.outer(powers, values), out=factors[:-1])
+    return np.cumprod(factors[::-1], axis=0)[::-1][:count]
+
+
+def _factor_powers(a, q, extra: int = 0):
+    """q^0, q^1, ... as a factor loop forms them, for the truncation length of
+    (a;q)_inf at the largest |a| (capped at MAX_PRODUCT_TERMS) plus `extra`."""
+    check_base(q)
+    abs_q = abs(q)
+    a_max = float(np.max(np.abs(a)))
+    n_factors = _truncation_length(a_max, abs_q, EPS_PRODUCT * (1.0 - abs_q))
+    if n_factors > MAX_PRODUCT_TERMS:
+        raise ConvergenceError(
+            f"(a;q)_inf needs {n_factors} factors for the tail bound, "
+            f"cap is {MAX_PRODUCT_TERMS}"
+        )
+    steps = np.full(n_factors + extra, q, dtype=complex)
+    steps[:1] = 1.0
+    return np.cumprod(steps)
 
 
 def _truncation_length(scale: float, abs_q: float, target: float) -> int:

@@ -48,7 +48,7 @@ from .errors import ConvergenceError, DomainError, PoleError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
 from .pochhammer import (INFINITY, check_base, qbinom, qpoch_finite, qpoch_infinite,
-                         qpoch_multi)
+                         qpoch_ladder, qpoch_multi)
 from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
                           phi_poly, ultraspherical_c, ultraspherical_table)
 from .series import (EPS_SERIES, MAX_SERIES_TERMS, HypergeometricSpec, gf_expand,
@@ -316,10 +316,7 @@ def verify_prop_3_1(a, b, c, x, y, q, tol: float | None = None) -> VerificationR
             raise DomainError("prop-3.1 parameter moduli out of range")
 
         def integrand(z):
-            return (qpoch_infinite(q * z / x, q) * qpoch_infinite(q * z / y, q)
-                    * qpoch_infinite(a * b * c * z, q)
-                    / (qpoch_infinite(a * z / y, q) * qpoch_infinite(b * z / x, q)
-                       * qpoch_infinite(c * z, q)))
+            return _ladder_ratio([q / x, q / y, a * b * c], [a / y, b / x, c], z, q)
 
         lhs = jackson_q_integral(integrand, x, y, q)
         rhs = ((1.0 - q) * y
@@ -328,6 +325,13 @@ def verify_prop_3_1(a, b, c, x, y, q, tol: float | None = None) -> VerificationR
         return complex(lhs), rhs, lhs.rungs
 
     return _check("prop-3.1", {"a": a, "b": b, "c": c, "x": x, "y": y, "q": q}, tol, body)
+
+
+def _ladder_ratio(upper, lower, z, q):
+    """(u_1 z, u_2 z, ...; q)_inf / (l_1 z, l_2 z, ...; q)_inf on a block z of
+    consecutive Jackson rungs z[0] q^i, from one qpoch_ladder table."""
+    table = qpoch_ladder(z[0] * np.array(upper + lower, dtype=complex), q, len(z))
+    return np.prod(table[:, :len(upper)], axis=1) / np.prod(table[:, len(upper):], axis=1)
 
 
 def verify_prop_3_2(n: int, a, b, x, y, q, tol: float | None = None) -> VerificationReport:
@@ -343,8 +347,7 @@ def verify_prop_3_2(n: int, a, b, x, y, q, tol: float | None = None) -> Verifica
             raise DomainError("prop-3.2 needs distinct nonzero endpoints")
 
         def integrand(z):
-            return (qpoch_infinite(q * z / x, q) * qpoch_infinite(q * z / y, q) * z**n
-                    / (qpoch_infinite(b * z / x, q) * qpoch_infinite(a * z / y, q)))
+            return _ladder_ratio([q / x, q / y], [b / x, a / y], z, q) * z**n
 
         integral = jackson_q_integral(integrand, x, y, q)
         prefactor = (qpoch_finite(a * b, q, n)

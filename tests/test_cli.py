@@ -451,12 +451,12 @@ GOLDEN = [
      'lhs=12.091649623542251-6.982549239177436e-18i rhs=12.091649623542228 '
      'rel_err=1.764e-15 tol=1.0e-08 nodes=256 t=*ms\n'),
     ('check prop-3.1 --a 0.3 --b 0.2 --c 0.4 --x 0.5 --y 0.7 --q 0.35', 0,
-     'PASS prop-3.1 [a=0.3 b=0.2 c=0.4 x=0.5 y=0.7 q=0.35] lhs=0.16432244936149654 '
-     'rhs=0.16432244936149726 rel_err=6.198e-16 tol=1.0e-09 nodes=62 t=*ms\n'),
+     'PASS prop-3.1 [a=0.3 b=0.2 c=0.4 x=0.5 y=0.7 q=0.35] lhs=0.1643224493614951 '
+     'rhs=0.16432244936149726 rel_err=1.859e-15 tol=1.0e-09 nodes=62 t=*ms\n'),
     ('check prop-3.2 --n 3 --a 0.3 --b 0.2 --x 0.6,0.3 --y 0.6,-0.3 --q 0.3', 0,
      'PASS prop-3.2 [n=3 a=0.3 b=0.2 x=0.6+0.3i y=0.6-0.3i q=0.3] '
      'lhs=0.46215711000000004-0.03839543100000001i '
-     'rhs=0.4621571099999996-0.03839543099999973i rel_err=3.578e-16 tol=1.0e-09 '
+     'rhs=0.4621571099999996-0.038395430999999744i rel_err=3.528e-16 tol=1.0e-09 '
      'nodes=26 t=*ms\n'),
     ('check rogers-connection --n 4 --beta 0.4 --gamma 0.7 --q 0.3', 0,
      'PASS rogers-connection [n=4 beta=0.4 gamma=0.7 q=0.3 grid_size=16] '

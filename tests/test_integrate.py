@@ -128,6 +128,24 @@ class TestJackson:
         # each of the two ladders evaluates at most 2 (rungs summed) + 6 rungs
         assert sum(blocks) <= 2 * value.rungs + 12
 
+    def test_blocks_are_consecutive_rungs(self):
+        # the contract a ladder integrand may rely on: blocks of 8, 16, 32,
+        # ... rungs, each starting one step of q below the last
+        q, endpoint = 0.9, 0.7
+        blocks = []
+
+        def recorded(z):
+            blocks.append(z.copy())
+            return 1.0 / (1.0 + z)
+
+        jackson_q_integral(recorded, 0.0, endpoint, q)
+        assert [len(block) for block in blocks] == [8 * 2**k for k in range(len(blocks))]
+        assert len(blocks) >= 4
+        assert blocks[0][0] == endpoint
+        rungs = np.concatenate(blocks)
+        steps = rungs[1:] / rungs[:-1]
+        assert np.all(np.abs(steps - q) <= 1e-15)
+
     def test_rungs_past_the_stop_are_not_summed(self):
         # the constant ladder at q=0.5 stops after 46 rungs; the third block
         # reaches rung 55, where this integrand is nan
@@ -166,6 +184,9 @@ class TestPeriodicQuadrature:
         result = periodic_quadrature(lambda theta: weight_omega_beta(theta, 0.5, 0.3))
         assert result.error_estimate <= EPS_QUAD * (1 + abs(result.value))
         assert result.nodes_used >= 128
+        assert result.stop_reason == "tolerance"
+        # a nonnegative integrand: h sum |f| is the value itself
+        assert result.magnitude == pytest.approx(abs(result.value), rel=1e-14)
 
     def test_spectral_doubling(self):
         # doubling 128 -> 256 moves the orthogonality integrand below 1e-12
@@ -232,6 +253,8 @@ class TestPeriodicQuadrature:
         result = periodic_quadrature(wave)
         assert result.nodes_used == 128
         assert abs(result.value) <= 1e-7
+        assert result.stop_reason == "roundoff floor"
+        assert result.magnitude == pytest.approx(4e8, rel=1e-3)
         monkeypatch.setattr("qkernel.integrate.QUAD_NOISE", 0)
         with pytest.raises(ConvergenceError, match="roundoff floor 0.000e"):
             periodic_quadrature(wave)
@@ -283,6 +306,26 @@ class TestWeights:
             left = weight_omega_ab(-theta, 0.4, -0.3, 0.35)
             right = weight_omega_ab(theta, -0.3, 0.4, 0.35)
             assert abs(left - right) <= 1e-13 * (1 + abs(right))
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.95, -0.4, 0.5 + 0.2j])
+    def test_conjugate_pairs_are_the_four_products_bit_for_bit(self, q):
+        # real q: (conj a; q)_inf is conj (a; q)_inf bit for bit, so sharing
+        # a product changes no weight; complex q takes the four products
+        def four_products(theta, alpha, beta):
+            plus, minus = np.exp(2j * theta), np.exp(-2j * theta)
+            return (qpoch_infinite(plus, q) * qpoch_infinite(minus, q)
+                    / (qpoch_infinite(alpha * plus, q) * qpoch_infinite(beta * minus, q)))
+
+        n = 4096
+        grid = 2 * np.pi * np.arange(2 * n) / (2 * n)
+        for alpha, beta in [(0.6, 0.6), (0.4, -0.3), (0.3 + 0.2j, 0.3 - 0.2j), (0.2j, 0.1)]:
+            want = four_products(grid, alpha, beta)
+            assert np.array_equal(weight_omega_ab(grid, alpha, beta, q), want)
+            for theta in grid[::257]:
+                assert weight_omega_ab(theta, alpha, beta, q) == complex(
+                    four_products(theta, alpha, beta))
+        assert np.array_equal(weight_omega_beta(grid, 0.6, q), four_products(grid, 0.6, 0.6))
+        assert weight_omega_beta(0.0, 0.6, q) == 0
 
     def test_equal_parameters_match_single_weight(self):
         theta = np.linspace(0.1, 3.0, 5)

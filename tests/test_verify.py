@@ -14,7 +14,8 @@ from qkernel import (CHECK_RUNNERS, INFINITY, h_norm,
                      verify_rogers_connection, verify_thm_1_1,
                      verify_thm_1_2, verify_thm_1_3, verify_thm_1_4,
                      verify_uniform_bound)
-from qkernel import verify
+from qkernel import pochhammer, verify
+from qkernel.pochhammer import EPS_PRODUCT
 from qkernel.verify import default_suite_config, default_tolerance
 
 
@@ -109,14 +110,28 @@ class TestTwoParameterOrthogonality:
         report = verify_thm_1_3(3, 3, 0.4, -0.3, 0.35)
         assert abs(report.lhs.imag) <= 1e-12
 
-    def test_high_degree_near_q_one_stops_at_the_roundoff_floor(self):
+    def test_high_degree_near_q_one_stops_at_the_roundoff_floor(self, monkeypatch):
         # the pinned stress case: from 512 nodes on, each doubling moves the
         # value (about 2.9e10) by 0.27-1.6, which is roundoff, so the rule
         # stops there instead of doubling on noise to 16384 nodes
+        results = []
+        quadrature = verify.periodic_quadrature
+
+        def recorded(f):
+            results.append(quadrature(f))
+            return results[-1]
+
+        monkeypatch.setattr(verify, "periodic_quadrature", recorded)
         report = verify_thm_1_3(10, 10, 0.4, -0.3, 0.9)
         assert report.nodes_used == 512
         assert report.passed
         assert abs(report.lhs - report.rhs) <= 2e-10 * abs(report.rhs)
+        (result,) = results
+        assert result.stop_reason == "roundoff floor"
+        assert result.magnitude >= abs(result.value)
+        # the low-degree suite case of the same check stops on its tolerance
+        assert verify_thm_1_3(3, 3, 0.4, -0.3, 0.35).passed
+        assert results[-1].stop_reason == "tolerance"
 
     def test_roundoff_floor_keeps_a_margin_near_q_one(self):
         # a floor 4x higher (QUAD_NOISE = 128) stops this case early enough
@@ -216,29 +231,51 @@ class TestJacksonIdentities:
         assert report.rel_err == math.inf
 
     def test_ladder_work_near_q_one(self, monkeypatch):
-        # the ladder evaluates its integrand on blocks of rungs: 14 blocks of
-        # six products here, where one call per rung made 8118 products
-        products = []
+        # each block of m rungs takes one qpoch_ladder table of the six
+        # arguments, 6 (m - 1 + N) factors with N the tail length of their
+        # largest product, where one qpoch_infinite per argument took 6 m N
         evaluated = []
-        qpoch_infinite = verify.qpoch_infinite
+        tails = []
+        entries = []
+        inner_products = []
+        inside = []
+        factor_powers = pochhammer._factor_powers
+        qpoch_infinite = pochhammer.qpoch_infinite
         jackson = verify.jackson_q_integral
 
+        def counted_powers(a, q, extra=0):
+            powers = factor_powers(a, q, extra)
+            if inside:
+                tail = math.log(EPS_PRODUCT * (1 - abs(q)) / np.max(np.abs(a)))
+                tails.append(max(0, math.ceil(tail / math.log(abs(q)))) + 1)
+                entries.append(len(powers) * np.size(a))
+            return powers
+
         def counted_qpoch(a, q):
-            products.append(np.size(a))
+            if inside:
+                inner_products.append(np.size(a))
             return qpoch_infinite(a, q)
 
         def counted_jackson(f, a, b, q):
             def integrand(z):
                 evaluated.append(len(z))
-                return f(z)
+                inside.append(True)
+                try:
+                    return f(z)
+                finally:
+                    inside.pop()
             return jackson(integrand, a, b, q)
 
+        monkeypatch.setattr(pochhammer, "_factor_powers", counted_powers)
+        monkeypatch.setattr(pochhammer, "qpoch_infinite", counted_qpoch)
         monkeypatch.setattr(verify, "qpoch_infinite", counted_qpoch)
         monkeypatch.setattr(verify, "jackson_q_integral", counted_jackson)
         report = verify_prop_3_1(0.3, 0.2, 0.4, 0.5, 0.7, 0.95)
         assert report.passed
         assert report.nodes_used == 1353
-        assert len(products) <= 100
+        assert inner_products == []
+        assert len(entries) == len(evaluated)
+        assert sum(entries) <= 6 * (sum(evaluated) + sum(tails))
         assert sum(evaluated) <= 2 * report.nodes_used + 8
 
 
