@@ -12,10 +12,10 @@ from .errors import ConvergenceError, DomainError, PoleError, QKernelError
 from .integrate import (QuadratureResult, jackson_q_integral,
                         periodic_quadrature, weight_omega_ab,
                         weight_omega_beta)
-from .pochhammer import (INFINITY, PochhammerIndex, qbinom, qpoch_finite,
-                         qpoch_infinite, qpoch_ladder, qpoch_multi)
-from .polynomials import (Method, chebyshev_t, connection_coeffs, gasper_c,
-                          h_norm, phi_poly, q_hermite, ultraspherical_c)
+from .pochhammer import (qbinom, qpoch_finite, qpoch_infinite, qpoch_ladder,
+                         qpoch_product)
+from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
+                          phi_poly, q_hermite, ultraspherical_c)
 from .series import (HypergeometricSpec, TruncatedPowerSeries, gf_expand,
                      phi_series, rogers_6w5_rhs, w_series)
 from .verify import (CHECK_RUNNERS, DEFAULT_TOLERANCES, VerificationReport,
@@ -31,11 +31,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QKernelError", "DomainError", "PoleError", "ConvergenceError",
-    "INFINITY", "PochhammerIndex", "qpoch_finite", "qpoch_infinite",
-    "qpoch_ladder", "qpoch_multi", "qbinom",
+    "qpoch_finite", "qpoch_infinite", "qpoch_product", "qpoch_ladder", "qbinom",
     "TruncatedPowerSeries", "gf_expand", "HypergeometricSpec", "phi_series",
     "w_series", "rogers_6w5_rhs",
-    "Method", "ultraspherical_c", "gasper_c", "phi_poly", "q_hermite",
+    "ultraspherical_c", "gasper_c", "phi_poly", "q_hermite",
     "chebyshev_t", "h_norm", "connection_coeffs",
     "QuadratureResult", "jackson_q_integral", "periodic_quadrature",
     "weight_omega_beta", "weight_omega_ab",

@@ -9,13 +9,13 @@ Verbs:
 The flags of `eval` and `check` are the parameter names of the target's
 kernel function and of the check's runner; `suite --config` entries use the
 same names as keys.  One binder converts all three by the parameter
-annotations: `int` takes an integer, `float` a real number, `Method` one of
-explicit, recurrence, genfunc; an unannotated parameter takes a number, and
-a `list` parameter is a repeatable flag (`--upper`, `--lower`, `--b`,
-`--coeff`).  The number rule: "re" and a JSON number stay real, "re,im" and
-[re, im] become complex.  Exit codes: 0 all good, 1 numeric failure (a
-failed check or a pole/convergence error), 2 usage or configuration error.
-Setting QKERNEL_TOL overrides the default tolerance profile of every check.
+annotations: `int` takes an integer, `float` a real number, an unannotated
+parameter a number, and a `list` parameter is a repeatable flag (`--upper`,
+`--lower`, `--b`, `--coeff`).  The number rule: "re" and a JSON number stay
+real, "re,im" and [re, im] become complex.  Exit codes: 0 all good, 1
+numeric failure (a failed check or a pole/convergence error), 2 usage or
+configuration error.  Setting QKERNEL_TOL overrides the default tolerance
+profile of every check.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from . import verify
 from .errors import QKernelError
 from .integrate import jackson_q_integral, weight_omega_ab, weight_omega_beta
 from .pochhammer import qpoch_finite, qpoch_infinite
-from .polynomials import (Method, chebyshev_t, gasper_c, h_norm, phi_poly,
-                          q_hermite, ultraspherical_c)
+from .polynomials import (chebyshev_t, gasper_c, h_norm, phi_poly, q_hermite,
+                          ultraspherical_c)
 from .series import HypergeometricSpec, phi_series, w_series
 
 
@@ -192,18 +192,11 @@ def _integer(name, value) -> int:
         raise UsageError(f"--{name} expects an integer, got {value!r}")
 
 
-def _method(name, value) -> Method:
-    try:
-        return Method(str(value).lower())
-    except ValueError:
-        raise UsageError(f"--{name} must be one of {', '.join(m.value for m in Method)}")
-
-
 def _text(name, value) -> str:
     return str(value)
 
 
-_CONVERTERS = {int: _integer, float: _real, Method: _method, str: _text}
+_CONVERTERS = {int: _integer, float: _real, str: _text}
 
 
 def _convert(name, annotation, value):
@@ -274,12 +267,11 @@ def _wseries(a1, b: list, q, z):
     return w_series(a1, b, q, z)
 
 
-def _big_c(n: int, beta, q, theta: float | None = None, x: float | None = None,
-           method: Method = Method.RECURRENCE):
+def _big_c(n: int, beta, q, theta: float | None = None, x: float | None = None):
     """C_n at x or at x = cos(theta), exactly one of them given."""
     if (theta is None) == (x is None):
         raise UsageError("give exactly one of --theta and --x")
-    return ultraspherical_c(n, math.cos(theta) if x is None else x, beta, q, method)
+    return ultraspherical_c(n, math.cos(theta) if x is None else x, beta, q)
 
 
 def _jackson(coeff: list, a, b, q):

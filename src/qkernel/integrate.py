@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PoleError
-from .pochhammer import check_base, qpoch_infinite
+# qpoch_infinite is not called here; bench/tests/test_spans.py reads it from
+# this module to check that the tracer puts it back.
+from .pochhammer import check_base, qpoch_infinite, qpoch_product  # noqa: F401
 from .series import EPS_SERIES, MAX_SERIES_TERMS
 
 # Budget of periodic_quadrature: doubling tolerance, node cap, and the
@@ -174,18 +176,10 @@ def weight_omega_ab(theta: float, alpha, beta, q):
 
         (e^{2i theta}, e^{-2i theta}; q)_inf / (alpha e^{2i theta}, beta e^{-2i theta}; q)_inf.
 
-    For real q, (conj a; q)_inf = conj (a; q)_inf bit for bit, so a conjugate
-    pair shares one product: the numerator's always, the denominator's when
-    beta = conj alpha.
+    For real q, qpoch_product shares the numerator's conjugate pair, and the
+    denominator's when beta = conj alpha.
     """
     plus = np.exp(2j * np.asarray(theta))
-    minus = np.exp(-2j * np.asarray(theta))
-    real_q = complex(q).imag == 0
-
-    def pair(a, b, conjugate):
-        first = qpoch_infinite(a, q)
-        return first * (first.conjugate() if conjugate else qpoch_infinite(b, q))
-
-    value = (pair(plus, minus, real_q)
-             / pair(alpha * plus, beta * minus, real_q and beta == np.conj(alpha)))
+    minus = plus.conjugate()  # bit for bit np.exp(-2j * theta)
+    value = qpoch_product([plus, minus], q) / qpoch_product([alpha * plus, beta * minus], q)
     return complex(value) if np.ndim(theta) == 0 else value

@@ -12,6 +12,9 @@ the bound is below 1/2 (Gasper & Rahman, *Basic Hypergeometric Series*,
 section 1.3).  The factors 1 - q^k a are formed as a (factors x points)
 block against one table of q^k and reduced down the factor axis, so the
 products come out in the same sequential order as a factor-by-factor loop.
+qpoch_product multiplies several infinite symbols and, for real q, shares a
+conjugate pair of arguments between one product and its conjugate;
+qpoch_ladder tabulates (v q^i; q)_inf down a Jackson ladder.
 """
 
 from __future__ import annotations
@@ -22,19 +25,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 
-
-class _InfinityTag:
-    """Distinct marker for the infinite product index (not a number)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _InfinityTag()
-
-PochhammerIndex = int | _InfinityTag
 
 # Truncation budget of qpoch_infinite: relative tail bound and factor cap.
 EPS_PRODUCT = 1e-15
@@ -126,7 +116,10 @@ def qpoch_ladder(values, q, count: int):
     1 - v q^j, N the truncation length of qpoch_infinite for the largest |v|
     (same tail bound, base check and cap).  Nothing is divided, so a zero
     factor at j gives exact zeros on rows i <= j and correct rows below.
+    DomainError for count < 0; count = 0 gives an empty table.
     """
+    if count < 0:
+        raise DomainError(f"qpoch_ladder needs count >= 0, got {count}")
     values = np.asarray(values, dtype=complex)
     powers = _factor_powers(values, q, max(count - 1, 0))
     # a row of ones closes the suffix products when N = 0
@@ -164,17 +157,44 @@ def _truncation_length(scale: float, abs_q: float, target: float) -> int:
     return n
 
 
-def qpoch_multi(values, q, n: PochhammerIndex):
-    """Product shorthand (a_1, ..., a_k; q)_n over a finite or INFINITY index."""
+def qpoch_product(values, q):
+    """(a_1, ..., a_k; q)_inf: the qpoch_infinite products of `values`
+    (scalars or same-shape arrays) multiplied left to right.  For real q,
+    (conj a; q)_inf = conj (a; q)_inf bit for bit, so an argument whose
+    conjugate equals an earlier one reuses that product's conjugate.
+    """
     values = list(values)
     if not values:
-        raise DomainError("qpoch_multi needs at least one argument")
-    if n is not INFINITY and not isinstance(n, int):
-        raise DomainError(f"index must be an integer or INFINITY, got {n!r}")
-    out = 1.0
-    for a in values:
-        out = out * (qpoch_infinite(a, q) if n is INFINITY else qpoch_finite(a, q, n))
+        raise DomainError("qpoch_product needs at least one argument")
+    share = complex(q).imag == 0
+    products = []
+    for i, a in enumerate(values):
+        product = None
+        if share and i:
+            conjugate = np.conj(a)
+            for j in range(i):
+                if _equal(conjugate, values[j]):
+                    product = products[j].conjugate()
+                    break
+        products.append(qpoch_infinite(a, q) if product is None else product)
+    out = products[0]
+    for product in products[1:]:
+        out = out * product
     return out
+
+
+def _equal(x, y) -> bool:
+    """Exact equality of two scalars or two same-shape arrays (signed zeros
+    compare equal; a scalar never equals an array).  A differing first entry
+    or equal bytes settle most array pairs before the elementwise test, which
+    costs about a tenth of a short product."""
+    if isinstance(x, np.ndarray) != isinstance(y, np.ndarray):
+        return False
+    if not isinstance(x, np.ndarray):
+        return bool(x == y)
+    if x.shape != y.shape or (x.size and x.item(0) != y.item(0)):
+        return False
+    return x.tobytes() == y.tobytes() or bool((x == y).all())
 
 
 def qbinom(n: int, k: int, q):

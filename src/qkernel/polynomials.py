@@ -1,8 +1,10 @@
 """Polynomial families on [-1, 1] and on the unit circle.
 
 ultraspherical_c evaluates the continuous q-ultraspherical polynomials
-C_n(x; beta | q); gasper_c their two-parameter circle extension
-C_n^{(alpha,beta)}(e^{i theta}; q); phi_poly the bivariate homogeneous
+C_n(x; beta | q) by their three-term recurrence; gasper_c their two-parameter
+circle extension C_n^{(alpha,beta)}(e^{i theta}; q) by its explicit sum, which
+at alpha = beta is a second route to C_n (series.gf_expand reads both from
+their generating function); phi_poly the bivariate homogeneous
 polynomials that reduce to (q;q)_n gasper_c on the circle; q_hermite and
 chebyshev_t the classical specializations.  h_norm is the reciprocal of the
 diagonal orthogonality integral and connection_coeffs expands one parameter
@@ -11,62 +13,29 @@ value of C_n in another.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .pochhammer import INFINITY, qpoch_finite, qpoch_multi
-from .series import gf_expand
+from .pochhammer import qpoch_finite, qpoch_product
 
 
-class Method(enum.Enum):
-    EXPLICIT = "explicit"
-    RECURRENCE = "recurrence"
-    GENFUNC = "genfunc"
-
-
-def ultraspherical_c(n: int, x: float, beta, q, method: Method = Method.RECURRENCE):
-    """Continuous q-ultraspherical polynomial C_n(x; beta | q), x = cos(theta).
-
-    EXPLICIT sums
-
-        sum_{k=0}^{n} (beta;q)_k (beta;q)_{n-k} / ((q;q)_k (q;q)_{n-k}) cos((n-2k) theta),
-
-    RECURRENCE iterates
+def ultraspherical_c(n: int, x: float, beta, q):
+    """Continuous q-ultraspherical polynomial C_n(x; beta | q), x = cos(theta),
+    by the upward three-term recurrence
 
         (1 - q^{n+1}) C_{n+1} = 2x (1 - beta q^n) C_n - (1 - beta^2 q^{n-1}) C_{n-1}
 
-    upward from C_0 = 1 and C_1 = 2x (1 - beta)/(1 - q), and GENFUNC reads
-    coefficient n of the expansion of
-
-        (beta r e^{i theta}, beta r e^{-i theta}; q)_inf
-            / (r e^{i theta}, r e^{-i theta}; q)_inf .
-
-    `x` may be an array for EXPLICIT and RECURRENCE; GENFUNC is scalar only,
-    and real for real beta and q.
+    from C_0 = 1 and C_1 = 2x (1 - beta)/(1 - q).  `x` may be an array.
+    gasper_c(n, theta, beta, beta, q) is the explicit sum of the same
+    polynomial.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
     if np.any(np.abs(x) > 1.0):
         raise DomainError("x = cos(theta) must lie in [-1, 1]")
-    if method is Method.RECURRENCE:
-        return ultraspherical_table(n, x, beta, q)[n]
-    if method is Method.EXPLICIT:
-        theta = np.arccos(x)
-        ratios = _poch_over_qfact(beta, q, n)
-        acc = 0.0
-        for k in range(n + 1):
-            acc = acc + ratios[k] * ratios[n - k] * np.cos((n - 2 * k) * theta)
-        return acc
-    if method is Method.GENFUNC:
-        if np.ndim(x) != 0:
-            raise DomainError("GENFUNC evaluates one point at a time")
-        phase = unit_phase(math.acos(x))
-        value = gf_expand([beta * phase, beta / phase], [phase, 1.0 / phase], q, n).coeffs[n]
-        return value if isinstance(beta, complex) or isinstance(q, complex) else value.real
-    raise DomainError(f"unsupported method {method!r}")
+    return ultraspherical_table(n, x, beta, q)[n]
 
 
 def ultraspherical_table(n: int, x, beta, q) -> list:
@@ -93,7 +62,7 @@ def _poch_over_qfact(a, q, n):
     return out
 
 
-def gasper_c(n: int, theta: float, alpha, beta, q, method: Method = Method.EXPLICIT):
+def gasper_c(n: int, theta: float, alpha, beta, q):
     """Two-parameter circle polynomial C_n^{(alpha,beta)}(e^{i theta}; q).
 
     Defined by the generating function
@@ -102,36 +71,23 @@ def gasper_c(n: int, theta: float, alpha, beta, q, method: Method = Method.EXPLI
             / (t e^{i theta}, t e^{-i theta}; q)_inf
         = sum_n C_n^{(alpha,beta)}(e^{i theta}; q) t^n,
 
-    so alpha rides the positive-frequency factor.  EXPLICIT sums the
+    so alpha rides the positive-frequency factor, and evaluated as the
     corresponding convolution
 
         sum_{k=0}^{n} (alpha;q)_k (beta;q)_{n-k} / ((q;q)_k (q;q)_{n-k}) e^{i(2k-n) theta}
 
-    (theta may be an array); GENFUNC reads the coefficient straight from
-    gf_expand at a scalar theta.  At alpha = beta this equals
+    (theta may be an array).  At alpha = beta this equals
     ultraspherical_c(n, cos(theta), beta, q).
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
-    if method is Method.EXPLICIT:
-        alpha_ratios = _poch_over_qfact(alpha, q, n)
-        beta_ratios = _poch_over_qfact(beta, q, n)
-        acc = 0.0
-        for k in range(n + 1):
-            acc = acc + (alpha_ratios[k] * beta_ratios[n - k]
-                         * np.exp(1j * (2 * k - n) * np.asarray(theta)))
-        return complex(acc) if np.ndim(theta) == 0 else acc
-    if method is Method.GENFUNC:
-        if np.ndim(theta) != 0:
-            raise DomainError("GENFUNC evaluates one point at a time")
-        phase = unit_phase(theta)
-        return gf_expand([alpha * phase, beta / phase], [phase, 1.0 / phase], q, n).coeffs[n]
-    raise DomainError(f"unsupported method {method!r} (EXPLICIT or GENFUNC)")
-
-
-def unit_phase(theta) -> complex:
-    """e^{i theta} for real scalar theta."""
-    return complex(math.cos(theta), math.sin(theta))
+    alpha_ratios = _poch_over_qfact(alpha, q, n)
+    beta_ratios = _poch_over_qfact(beta, q, n)
+    acc = 0.0
+    for k in range(n + 1):
+        acc = acc + (alpha_ratios[k] * beta_ratios[n - k]
+                     * np.exp(1j * (2 * k - n) * np.asarray(theta)))
+    return complex(acc) if np.ndim(theta) == 0 else acc
 
 
 def phi_poly(n: int, alpha, beta, x, y, q):
@@ -173,9 +129,9 @@ def h_norm(n: int, beta, q):
     """
     if beta == 1:
         raise PoleError("h_norm has a pole at beta = 1")
-    num = (qpoch_multi([q, beta * beta], q, INFINITY)
+    num = (qpoch_product([q, beta * beta], q)
            * qpoch_finite(q, q, n) * (1.0 - beta * q**n))
-    den = (2.0 * math.pi * qpoch_multi([beta, beta * q], q, INFINITY)
+    den = (2.0 * math.pi * qpoch_product([beta, beta * q], q)
            * qpoch_finite(beta * beta, q, n) * (1.0 - beta))
     value = num / den
     if isinstance(beta, complex) or isinstance(q, complex):

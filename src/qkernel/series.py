@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .pochhammer import INFINITY, check_base, qpoch_multi
+from .pochhammer import check_base, qpoch_product
 
 # Budget of every summed series (phi_series, the Jackson ladder, the q-beta
 # series of thm-1.4): relative tail bound and term cap.
@@ -177,8 +177,8 @@ def rogers_6w5_rhs(a, b, c, d, q) -> complex:
     if b * c * d == 0:
         raise DomainError("6W5 closed form needs nonzero b, c, d")
     aq = a * q
-    num = qpoch_multi([aq, aq / (b * c), aq / (c * d), aq / (b * d)], q, INFINITY)
-    den = qpoch_multi([aq / b, aq / c, aq / d, aq / (b * c * d)], q, INFINITY)
+    num = qpoch_product([aq, aq / (b * c), aq / (c * d), aq / (b * d)], q)
+    den = qpoch_product([aq / b, aq / c, aq / d, aq / (b * c * d)], q)
     if den == 0:
         raise PoleError("vanishing denominator product in the 6W5 closed form")
     return complex(num / den)

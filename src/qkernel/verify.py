@@ -47,8 +47,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PoleError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
-from .pochhammer import (INFINITY, check_base, qbinom, qpoch_finite, qpoch_infinite,
-                         qpoch_ladder, qpoch_multi)
+from .pochhammer import (check_base, qbinom, qpoch_finite, qpoch_infinite,
+                         qpoch_ladder, qpoch_product)
 from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
                           phi_poly, ultraspherical_c, ultraspherical_table)
 from .series import (EPS_SERIES, MAX_SERIES_TERMS, HypergeometricSpec, gf_expand,
@@ -227,8 +227,8 @@ def verify_thm_1_3(m: int, n: int, alpha, beta, q, tol: float | None = None) -> 
 
 
 def _thm_1_3_diagonal(n, alpha, beta, q):
-    prefactor = (2.0 * math.pi * qpoch_multi([alpha, beta], q, INFINITY)
-                 / qpoch_multi([q, alpha * beta], q, INFINITY))
+    prefactor = (2.0 * math.pi * qpoch_product([alpha, beta], q)
+                 / qpoch_product([q, alpha * beta], q))
     bracket = 1.0 / (1.0 - alpha * q**n) + 1.0 / (1.0 - beta * q**n)
     return (prefactor * bracket
             * qpoch_finite(alpha * beta, q, n) / qpoch_finite(q, q, n))
@@ -255,21 +255,19 @@ def verify_thm_1_4(alpha, beta, s, t, q, tol: float | None = None) -> Verificati
 
         def integrand(theta):
             plus = np.exp(1j * theta)
-            minus = np.exp(-1j * theta)
+            minus = plus.conjugate()
             plus2 = plus * plus
             minus2 = minus * minus
-            num = (qpoch_infinite(alpha * t * plus, q) * qpoch_infinite(beta * t * minus, q)
-                   * qpoch_infinite(alpha * s * plus, q) * qpoch_infinite(beta * s * minus, q)
-                   * qpoch_infinite(plus2, q) * qpoch_infinite(minus2, q))
-            den = (qpoch_infinite(t * plus, q) * qpoch_infinite(t * minus, q)
-                   * qpoch_infinite(s * plus, q) * qpoch_infinite(s * minus, q)
-                   * qpoch_infinite(alpha * plus2, q) * qpoch_infinite(beta * minus2, q))
+            num = qpoch_product([alpha * t * plus, beta * t * minus, alpha * s * plus,
+                                 beta * s * minus, plus2, minus2], q)
+            den = qpoch_product([t * plus, t * minus, s * plus, s * minus,
+                                 alpha * plus2, beta * minus2], q)
             return num / den
 
         quad = periodic_quadrature(integrand)
         series_sum, tail_bound = _beta_integral_series(alpha, beta, s * t, q)
-        rhs = (2.0 * math.pi * qpoch_multi([alpha, beta], q, INFINITY)
-               / qpoch_multi([q, alpha * beta], q, INFINITY)) * series_sum
+        rhs = (2.0 * math.pi * qpoch_product([alpha, beta], q)
+               / qpoch_product([q, alpha * beta], q)) * series_sum
         params["series_tail_bound"] = tail_bound
         return quad.value, rhs, quad.nodes_used
 
@@ -320,8 +318,8 @@ def verify_prop_3_1(a, b, c, x, y, q, tol: float | None = None) -> VerificationR
 
         lhs = jackson_q_integral(integrand, x, y, q)
         rhs = ((1.0 - q) * y
-               * qpoch_multi([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q, INFINITY)
-               / qpoch_multi([a * x / y, b * y / x, a, b, c * x, c * y], q, INFINITY))
+               * qpoch_product([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q)
+               / qpoch_product([a * x / y, b * y / x, a, b, c * x, c * y], q))
         return complex(lhs), rhs, lhs.rungs
 
     return _check("prop-3.1", {"a": a, "b": b, "c": c, "x": x, "y": y, "q": q}, tol, body)
@@ -351,9 +349,9 @@ def verify_prop_3_2(n: int, a, b, x, y, q, tol: float | None = None) -> Verifica
 
         integral = jackson_q_integral(integrand, x, y, q)
         prefactor = (qpoch_finite(a * b, q, n)
-                     * qpoch_multi([a, b, b * y / x, a * x / y], q, INFINITY)
+                     * qpoch_product([a, b, b * y / x, a * x / y], q)
                      / ((1.0 - q) * y
-                        * qpoch_multi([q, a * b, x / y, q * y / x], q, INFINITY)))
+                        * qpoch_product([q, a * b, x / y, q * y / x], q)))
         lhs = phi_poly(n, a, b, x, y, q)
         rhs = prefactor * complex(integral)
         return lhs, rhs, integral.rungs
@@ -418,8 +416,8 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q,
             front *= (beta - q**j)
         rhs = (math.pi * qbinom(n + k, k, q)
                * (1.0 - q ** (n + 2 * k)) / (1.0 - q ** (n + k))
-               * qpoch_multi([beta, beta * q ** (n + k + 1)], q, INFINITY)
-               / qpoch_multi([q, beta * beta * q**n], q, INFINITY)
+               * qpoch_product([beta, beta * q ** (n + k + 1)], q)
+               / qpoch_product([q, beta * beta * q**n], q)
                * front)
         return quad.value / 2.0, rhs, quad.nodes_used
 

@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from qkernel import (INFINITY, Method, h_norm, periodic_quadrature,
-                     q_hermite, qpoch_finite, qpoch_infinite, qpoch_multi,
+from qkernel import (gasper_c, gf_expand, h_norm, periodic_quadrature,
+                     q_hermite, qpoch_finite, qpoch_infinite, qpoch_product,
                      rogers_6w5_rhs, ultraspherical_c, verify_askey_ismail_chebyshev,
                      verify_gf_4_1, verify_prop_3_1, verify_prop_3_2,
                      verify_prop_4_2, verify_rogers_connection,
@@ -99,8 +99,8 @@ def test_criterion_04_two_parameter_grid_and_reduction():
     beta_r, q_r = 0.6, 0.3
     worst_red = 0.0
     for n in range(7):
-        circle = (2 * math.pi * qpoch_multi([beta_r, beta_r], q_r, INFINITY)
-                  / qpoch_multi([q_r, beta_r * beta_r], q_r, INFINITY)
+        circle = (2 * math.pi * qpoch_product([beta_r, beta_r], q_r)
+                  / qpoch_product([q_r, beta_r * beta_r], q_r)
                   * (2 / (1 - beta_r * q_r**n))
                   * qpoch_finite(beta_r * beta_r, q_r, n) / qpoch_finite(q_r, q_r, n))
         halfline = 2 / h_norm(n, beta_r, q_r)
@@ -210,16 +210,22 @@ def test_criterion_10_chebyshev_integral():
 
 
 def test_criterion_11_method_equivalence():
+    # C_n(x; beta|q) three ways: the recurrence (ultraspherical_c), the
+    # explicit sum (gasper_c at alpha = beta) and coefficient n of the
+    # generating function (gf_expand)
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(50):
         beta = rng.uniform(0.05, 0.6) * rng.choice([-1, 1])
         q = rng.uniform(0.05, 0.6) * rng.choice([-1, 1])
         x = rng.uniform(-0.99, 0.99)
+        theta = math.acos(x)
+        phase = complex(math.cos(theta), math.sin(theta))
+        series = gf_expand([beta * phase, beta / phase], [phase, 1 / phase], q, 20)
         for n in range(21):
-            explicit = ultraspherical_c(n, x, beta, q, Method.EXPLICIT)
-            recurrence = ultraspherical_c(n, x, beta, q, Method.RECURRENCE)
-            genfunc = ultraspherical_c(n, x, beta, q, Method.GENFUNC)
+            explicit = gasper_c(n, theta, beta, beta, q)
+            recurrence = ultraspherical_c(n, x, beta, q)
+            genfunc = series.coeffs[n]
             scale = 1 + abs(explicit)
             worst = max(worst,
                         abs(explicit - recurrence) / scale,

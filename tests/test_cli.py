@@ -109,15 +109,6 @@ class TestEval:
                    for k, c in enumerate(coeffs))
         assert _parse_printed_value(out.strip()) == pytest.approx(want, rel=1e-13)
 
-    def test_method_selection(self, capsys):
-        args = ["eval", "C", "--n", "4", "--beta", "0.5", "--q", "0.3", "--x", "0.4"]
-        _, base, _ = run_cli(args, capsys)
-        for method in ("explicit", "recurrence", "genfunc"):
-            code, out, _ = run_cli(args + ["--method", method], capsys)
-            assert code == 0
-            got = _parse_printed_value(out.strip())
-            assert got.real == pytest.approx(float(base.strip()), rel=1e-11)
-
     def test_remaining_targets(self, capsys):
         from qkernel import gasper_c, h_norm, phi_poly, q_hermite, weight_omega_beta
         cases = [
@@ -354,17 +345,8 @@ GOLDEN = [
     ('eval wseries --a1 0.2 --b 0.3 --b 0.4 --q 0.5 --z 0.3', 0, '1.7226339251962521\n'),
     ('eval C --n 1 --beta 0.5 --q 0.3 --theta 0', 0, '1.4285714285714286\n'),
     ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4', 0, '-0.28894777333819838\n'),
-    ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method explicit', 0, '-0.28894777333819788\n'),
-    ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method recurrence', 0, '-0.28894777333819838\n'),
-    ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method genfunc', 0, '-0.28894777333819888\n'),
-    ('eval C --n 5 --beta 0.3,0.2 --q -0.5 --x 0.2 --method explicit', 0,
-     '0.90228671864066834-0.15205929668461418i\n'),
-    ('eval C --n 6 --beta 0.6 --q -0.5 --theta 0.7 --method EXPLICIT', 0,
-     '-0.38221024122127978\n'),
     ('eval Cg --n 2 --theta 0.9 --alpha 0.4 --beta -0.3 --q 0.35', 0,
      '1.0683987028038526-1.5716445219783102i\n'),
-    ('eval Cg --n 3 --theta 0.9 --alpha 0.4 --beta -0.3 --q 0.35 --method genfunc', 0,
-     '-0.7091833661294682-1.1855123467081539i\n'),
     ('eval Phi --n 2 --alpha 0.3 --beta 0.2 --x 1 --y 1 --q 0.3', 0, '2.117\n'),
     ('eval Phi --n 3 --alpha 0.3,0.1 --beta 0.2 --x 0.5,0.5 --y 0.5,-0.5 --q 0.4', 0,
      '0.10611199999999998-0.077744000000000008i\n'),
@@ -392,10 +374,9 @@ GOLDEN = [
     ('eval qpoch --a 0.5 --q 0.3 --n x', 2, ''),
     ('eval qpoch --a 1,2,3 --q 0.3 --n 2', 2, ''),
     ('eval C --n 2.5 --beta 0.5 --q 0.3 --x 0.4', 2, ''),
-    ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method bogus', 2, ''),
+    ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4 --method explicit', 2, ''),
     ('eval T --n 3 --x 0.4,0.1', 2, ''),
     ('eval H --n 3 --x 0.4,0.1 --q 0.5', 2, ''),
-    ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4,0.1 --method genfunc', 2, ''),
     ('eval C --n 4 --beta 0.5 --q 0.3 --theta 1,1', 2, ''),
     ('eval Cg --n 2 --theta 1,1 --alpha 0.4 --beta -0.3 --q 0.35', 2, ''),
     ('eval omega_b --theta 1,1 --beta 0.5 --q 0.3', 2, ''),
@@ -731,14 +712,8 @@ def _usage_cases():
         ]
         if "n" in parameters:
             cases.append(pytest.param(_with(base, "n", "2.5"), "--n", id=f"{name}-fractional-n"))
-        if "method" in parameters:
-            cases.append(pytest.param(_with(base, "method", "bogus"), "--method",
-                                      id=f"{name}-bogus-method"))
         cases += [pytest.param(_with(base, p, "0.4,0.1"), f"--{p}", id=f"{name}-complex-{p}")
                   for p in parameters if _annotated(parameters[p], float)]
-    genfunc = ["eval", "C", "--n", "4", "--beta", "0.5", "--q", "0.3", "--method", "genfunc"]
-    cases += [pytest.param(genfunc + ["--x", "0.4,0.1"], "--x", id="C-genfunc-complex-x"),
-              pytest.param(genfunc + ["--theta", "1,1"], "--theta", id="C-genfunc-complex-theta")]
     return cases
 
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import (INFINITY, ConvergenceError, DomainError, HypergeometricSpec,
-                     PoleError, gf_expand, jackson_q_integral, phi_series, qbinom,
-                     qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_multi)
+from qkernel import (ConvergenceError, DomainError, HypergeometricSpec, PoleError,
+                     gf_expand, jackson_q_integral, phi_series, pochhammer, qbinom,
+                     qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product)
 from qkernel.pochhammer import EPS_PRODUCT, _truncation_length
 
 
@@ -189,21 +189,66 @@ class TestLadder:
             want = qpoch_infinite(self.VALUES * q**i, q)
             assert np.all(np.abs(table[i] - want) <= 1e-13 * np.abs(want))
 
+    def test_negative_count_is_refused(self):
+        with pytest.raises(DomainError):
+            qpoch_ladder([0.5], 0.3, -1)
+        assert qpoch_ladder([0.5, 0.2], 0.3, 0).shape == (0, 2)
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """The arguments of every qpoch_infinite call made through the module."""
+    calls = []
+    qpoch_infinite = pochhammer.qpoch_infinite
+
+    def counted(a, q):
+        calls.append(a)
+        return qpoch_infinite(a, q)
+
+    monkeypatch.setattr(pochhammer, "qpoch_infinite", counted)
+    return calls
+
+
+def unshared_product(values, q):
+    """(a_1, ..., a_k; q)_inf as one qpoch_infinite per argument, left to right."""
+    out = qpoch_infinite(values[0], q)
+    for a in values[1:]:
+        out = out * qpoch_infinite(a, q)
+    return out
+
 
 class TestMulti:
-    def test_infinity_is_a_tag_not_a_number(self):
-        assert repr(INFINITY) == "INFINITY"
-        assert not isinstance(INFINITY, (int, float))
+    """qpoch_product, the infinite symbol of several arguments."""
+
+    PLUS = np.exp(1j * np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+    # (values, qpoch_infinite calls for a real base)
+    CASES = [
+        ([0.5, -0.3, 0.5, 0.5], 2),                         # repeated real values
+        ([0.4 + 0.3j, 0.2, 0.4 - 0.3j, 0.4 + 0.3j], 2),     # scalar conjugate pair
+        ([PLUS, PLUS.conjugate(), 0.5 * PLUS, 0.5 * PLUS.conjugate(), PLUS**2], 3),
+        ([0.3 * PLUS, 0.7 * PLUS.conjugate(), 0.3 * PLUS**2], 3),  # nothing shared
+    ]
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
-            qpoch_multi([], 0.3, 2)
+            qpoch_product([], 0.3)
 
     def test_singleton_infinite(self):
-        assert qpoch_multi([0.5], 0.3, INFINITY) == qpoch_infinite(0.5, 0.3)
+        assert qpoch_product([0.5], 0.3) == qpoch_infinite(0.5, 0.3)
 
-    def test_pair_finite(self):
-        assert qpoch_multi([0.2, 0.4], 0.3, 1) == pytest.approx(0.48, rel=1e-15)
+    @pytest.mark.parametrize("q", [0.3, -0.6, 0.9])
+    @pytest.mark.parametrize("values,calls", CASES)
+    def test_real_base_shares_conjugates_bit_for_bit(self, product_calls, values, calls, q):
+        got = qpoch_product(values, q)
+        assert len(product_calls) == calls
+        assert np.array_equal(bits(got), bits(unshared_product(values, q)))
+
+    @pytest.mark.parametrize("values", [values for values, _ in CASES])
+    def test_complex_base_shares_nothing(self, product_calls, values):
+        q = 0.5 + 0.3j
+        got = qpoch_product(values, q)
+        assert len(product_calls) == len(values)
+        assert np.array_equal(bits(got), bits(unshared_product(values, q)))
 
 
 class TestAdditionLaw:

@@ -1,17 +1,26 @@
-"""Polynomial families: fixed values, cross-method agreement, symmetries,
-norms, and connection coefficients."""
+"""Polynomial families: fixed values, agreement of the recurrence, the
+explicit sum and the generating function, symmetries, norms, and connection
+coefficients."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qkernel import (DomainError, Method, PoleError, chebyshev_t,
+from qkernel import (DomainError, PoleError, chebyshev_t,
                      connection_coeffs, gasper_c, gf_expand, h_norm,
                      periodic_quadrature, phi_poly, q_hermite, qbinom,
                      qpoch_finite, qpoch_infinite, ultraspherical_c)
 
-ALL_METHODS = (Method.EXPLICIT, Method.RECURRENCE, Method.GENFUNC)
+
+
+def three_routes(n, theta, beta, q):
+    """C_n(cos theta; beta|q) by the recurrence, by the explicit sum (gasper_c
+    at alpha = beta) and as coefficient n of the generating function."""
+    phase = np.exp(1j * theta)
+    genfunc = gf_expand([beta * phase, beta / phase], [phase, 1 / phase], q, n).coeffs[n]
+    return (ultraspherical_c(n, math.cos(theta), beta, q),
+            gasper_c(n, theta, beta, beta, q), genfunc)
 
 
 class TestUltraspherical:
@@ -19,14 +28,13 @@ class TestUltraspherical:
         assert ultraspherical_c(0, 0.37, 0.5, 0.3) == 1
 
     def test_degree_one(self):
-        x, beta, q = math.cos(1.0), 0.5, 0.3
-        expected = 2 * x * (1 - beta) / (1 - q)
-        for method in ALL_METHODS:
-            assert ultraspherical_c(1, x, beta, q, method) == pytest.approx(expected, rel=1e-12)
+        beta, q = 0.5, 0.3
+        expected = 2 * math.cos(1.0) * (1 - beta) / (1 - q)
+        for value in three_routes(1, 1.0, beta, q):
+            assert value == pytest.approx(expected, rel=1e-12)
 
     def test_methods_agree_degree_two(self):
-        x = math.cos(1.0)
-        values = [ultraspherical_c(2, x, 0.5, 0.3, m) for m in ALL_METHODS]
+        values = three_routes(2, 1.0, 0.5, 0.3)
         assert values[0] == pytest.approx(values[1], rel=1e-12)
         assert values[0] == pytest.approx(values[2], rel=1e-12)
 
@@ -35,12 +43,15 @@ class TestUltraspherical:
             ultraspherical_c(3, 1.2, 0.5, 0.3)
 
     def test_realness_of_genfunc_route(self):
-        # real beta and q give a real value, without a roundoff imaginary part
-        x = math.cos(0.9)
-        value = ultraspherical_c(7, x, 0.6, 0.35, Method.GENFUNC)
-        assert isinstance(value, float)
-        assert value == pytest.approx(ultraspherical_c(7, x, 0.6, 0.35), rel=1e-12)
-        assert isinstance(ultraspherical_c(7, x, 0.6 + 0.1j, 0.35, Method.GENFUNC), complex)
+        # real beta and q: the generating-function coefficients are real up
+        # to roundoff; a complex beta gives a genuinely complex value
+        real = three_routes(7, 0.9, 0.6, 0.35)
+        assert isinstance(real[0], float)
+        assert abs(real[2].imag) <= 1e-15 * (1 + abs(real[0]))
+        assert real[2].real == pytest.approx(real[0], rel=1e-12)
+        complex_beta = three_routes(7, 0.9, 0.6 + 0.1j, 0.35)
+        assert abs(complex_beta[2].imag) >= 1e-3
+        assert complex_beta[2] == pytest.approx(complex_beta[0], rel=1e-12)
 
     def test_parity(self):
         rng = np.random.default_rng(19)
@@ -78,10 +89,12 @@ class TestGasper:
             assert abs(left - right) <= 1e-12 * (1 + abs(right))
 
     def test_genfunc_agrees(self):
+        # coefficient n of the defining generating function
+        phase = np.exp(0.9j)
+        series = gf_expand([0.4 * phase, -0.3 / phase], [phase, 1 / phase], 0.35, 9)
         for n in (0, 1, 4, 9):
-            explicit = gasper_c(n, 0.9, 0.4, -0.3, 0.35, Method.EXPLICIT)
-            genfunc = gasper_c(n, 0.9, 0.4, -0.3, 0.35, Method.GENFUNC)
-            assert abs(explicit - genfunc) <= 1e-12 * (1 + abs(explicit))
+            explicit = gasper_c(n, 0.9, 0.4, -0.3, 0.35)
+            assert abs(explicit - series.coeffs[n]) <= 1e-12 * (1 + abs(explicit))
 
     def test_uniform_bound_on_grid(self):
         rng = np.random.default_rng(29)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import (CHECK_RUNNERS, INFINITY, h_norm,
-                     qpoch_finite, qpoch_multi, run_suite,
+from qkernel import (CHECK_RUNNERS, QuadratureResult, h_norm, periodic_quadrature,
+                     qpoch_finite, qpoch_infinite, qpoch_product, run_suite,
                      verify_askey_ismail_chebyshev, verify_gf_4_1,
                      verify_prop_3_1, verify_prop_3_2, verify_prop_4_2,
                      verify_qbinomial, verify_rogers_6w5,
@@ -23,7 +23,7 @@ class TestOrthogonality:
     def test_hermite_ground_state(self):
         # m = n = 0, beta = 0: both sides are 2 pi / (q;q)_inf
         report = verify_thm_1_1(0, 0, 0.0, 0.3)
-        expected = 2 * math.pi / qpoch_multi([0.3], 0.3, INFINITY).real
+        expected = 2 * math.pi / qpoch_infinite(0.3, 0.3).real
         assert report.passed
         assert report.rel_err <= 1e-10
         assert report.lhs == pytest.approx(expected, rel=1e-10)
@@ -155,8 +155,8 @@ class TestBetaIntegral:
         alpha, beta, q = 0.5, 0.2, 0.3
         report = verify_thm_1_4(alpha, beta, 0.0, 0.25, q)
         assert report.passed
-        first_term = (2 * math.pi * qpoch_multi([alpha, beta], q, INFINITY)
-                      / qpoch_multi([q, alpha * beta], q, INFINITY)
+        first_term = (2 * math.pi * qpoch_product([alpha, beta], q)
+                      / qpoch_product([q, alpha * beta], q)
                       * (1 / (1 - alpha) + 1 / (1 - beta)))
         assert report.rhs == pytest.approx(first_term, rel=1e-12)
         assert report.rel_err <= 1e-9
@@ -178,8 +178,8 @@ class TestBetaIntegral:
         s = t = 0.2
         q = 0.3
         report = verify_thm_1_4(alpha, beta, s, t, q)
-        pref = (2 * math.pi * qpoch_multi([alpha, beta], q, INFINITY)
-                / qpoch_multi([q, alpha * beta], q, INFINITY))
+        pref = (2 * math.pi * qpoch_product([alpha, beta], q)
+                / qpoch_product([q, alpha * beta], q))
         total = sum(
             pref * (1 / (1 - alpha * q**n) + 1 / (1 - beta * q**n))
             * qpoch_finite(alpha * beta, q, n) / qpoch_finite(q, q, n) * (s * t) ** n
@@ -192,6 +192,53 @@ class TestBetaIntegral:
         report = verify_thm_1_4(1.0, 0.2, 0.3, 0.25, 0.3)
         assert not report.passed
         assert report.rel_err == math.inf
+
+    @pytest.mark.parametrize("alpha,beta,q,calls", [
+        (0.5, 0.2, 0.9, 9),         # the pairs in t, in s and in e^{2iu}
+        (0.4, 0.4, 0.9, 6),         # and the alpha and beta pairs
+        (0.5, 0.2, 0.5 + 0.3j, 12),  # a complex base shares nothing
+    ])
+    def test_integrand_shares_conjugate_products(self, monkeypatch, alpha, beta, q, calls):
+        # products per integrand call, at the first quadrature level only
+        products = []
+        per_call = []
+        qpoch = pochhammer.qpoch_infinite
+
+        def counted(a, base):
+            products.append(np.size(a))
+            return qpoch(a, base)
+
+        def one_level(f):
+            products.clear()
+            f(2 * np.pi * np.arange(64) / 64)
+            per_call.append(list(products))
+            return QuadratureResult(0j, 64, 0.0, 0.0, "tolerance")
+
+        monkeypatch.setattr(pochhammer, "qpoch_infinite", counted)
+        monkeypatch.setattr(verify, "periodic_quadrature", one_level)
+        verify_thm_1_4(alpha, beta, 0.3, 0.25, q)
+        assert per_call == [[64] * calls]
+
+    def test_pinned_stress_case_matches_twelve_products(self):
+        # bit for bit against the integrand that forms every product itself
+        alpha, beta, s, t, q = 0.5, 0.2, 0.3, 0.25, 0.9
+
+        def twelve_products(theta):
+            plus, minus = np.exp(1j * theta), np.exp(-1j * theta)
+            plus2, minus2 = plus * plus, minus * minus
+            num = (qpoch_infinite(alpha * t * plus, q) * qpoch_infinite(beta * t * minus, q)
+                   * qpoch_infinite(alpha * s * plus, q) * qpoch_infinite(beta * s * minus, q)
+                   * qpoch_infinite(plus2, q) * qpoch_infinite(minus2, q))
+            den = (qpoch_infinite(t * plus, q) * qpoch_infinite(t * minus, q)
+                   * qpoch_infinite(s * plus, q) * qpoch_infinite(s * minus, q)
+                   * qpoch_infinite(alpha * plus2, q) * qpoch_infinite(beta * minus2, q))
+            return num / den
+
+        report = verify_thm_1_4(alpha, beta, s, t, q)
+        reference = periodic_quadrature(twelve_products)
+        assert report.passed
+        assert (report.lhs, report.nodes_used) == (reference.value, reference.nodes_used)
+        assert repr(report.lhs) == repr(reference.value)
 
 
 class TestJacksonIdentities:
