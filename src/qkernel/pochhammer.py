@@ -2,6 +2,9 @@
 
 The finite symbol is (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k) with (a;q)_0 = 1,
 extended to negative index by the convention (a;q)_{-n} = 1/(a q^{-n}; q)_n.
+qpoch_finite_table returns (a;q)_0, ..., (a;q)_n as the prefixes of the same
+factor loop, so a caller that needs every index up to n pays n factors, not
+O(n^2), and reads the same values bit for bit.
 The infinite symbol (a;q)_inf converges for |q| < 1 and is truncated here
 after N factors, where N is the smallest integer with
 
@@ -20,6 +23,7 @@ qpoch_ladder tabulates (v q^i; q)_inf down a Jackson ladder.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -58,16 +62,28 @@ def qpoch_finite(a, q, n: int):
     an array.
     """
     if n >= 0:
-        return _ascending_product(a, q, n)
+        return _last(_ascending_products(a, q, n))
     if q == 0:
         raise DomainError("(a;q)_n with n < 0 requires q != 0")
-    denominator = _ascending_product(a * q**n, q, -n, check_poles=True)
+    denominator = _last(_ascending_products(a * q**n, q, -n, check_poles=True))
     return 1.0 / denominator
 
 
-def _ascending_product(a, q, n, check_poles=False):
+def qpoch_finite_table(a, q, n: int) -> list:
+    """[(a;q)_0, ..., (a;q)_n] for n >= 0, the prefixes of one factor loop,
+    so entry k equals qpoch_finite(a, q, k) bit for bit; DomainError for
+    n < 0.  `a` may be an array."""
+    if n < 0:
+        raise DomainError(f"qpoch_finite_table needs n >= 0, got {n}")
+    return list(_ascending_products(a, q, n))
+
+
+def _ascending_products(a, q, n, check_poles=False):
+    """Yield 1, (1 - a), (1 - a)(1 - a q), ...: the n + 1 prefixes of the
+    sequential product of the factors 1 - a q^k, k < n."""
     acc = 1.0
     qk = 1.0
+    yield acc
     for _ in range(n):
         w = a * qk
         factor = 1.0 - w
@@ -75,7 +91,12 @@ def _ascending_product(a, q, n, check_poles=False):
             raise PoleError("negative-index q-Pochhammer symbol hit a vanishing factor")
         acc = acc * factor
         qk = qk * q
-    return acc
+        yield acc
+
+
+def _last(products):
+    """The final prefix, without keeping the others."""
+    return deque(products, maxlen=1)[0]
 
 
 def qpoch_infinite(a, q):
@@ -206,4 +227,5 @@ def qbinom(n: int, k: int, q):
         raise DomainError("qbinom needs n >= 0")
     if k < 0 or k > n:
         return 0.0
-    return qpoch_finite(q, q, n) / (qpoch_finite(q, q, k) * qpoch_finite(q, q, n - k))
+    products = qpoch_finite_table(q, q, n)
+    return products[n] / (products[k] * products[n - k])

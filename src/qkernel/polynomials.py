@@ -8,7 +8,10 @@ their generating function); phi_poly the bivariate homogeneous
 polynomials that reduce to (q;q)_n gasper_c on the circle; q_hermite and
 chebyshev_t the classical specializations.  h_norm is the reciprocal of the
 diagonal orthogonality integral and connection_coeffs expands one parameter
-value of C_n in another.
+value of C_n in another.  phi_poly and connection_coeffs read their finite
+products (a;q)_k from one pochhammer.qpoch_finite_table per parameter, and a
+caller that needs C_0, ..., C_n at the same points reads them from one
+ultraspherical_table.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .pochhammer import qpoch_finite, qpoch_product
+from .pochhammer import qpoch_finite, qpoch_finite_table, qpoch_product
 
 
 def ultraspherical_c(n: int, x: float, beta, q):
@@ -100,10 +103,12 @@ def phi_poly(n: int, alpha, beta, x, y, q):
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
+    alpha_products = qpoch_finite_table(alpha, q, n)
+    beta_products = qpoch_finite_table(beta, q, n)
     acc = 0.0
     binom = 1.0
     for k in range(n + 1):
-        acc = acc + (binom * qpoch_finite(alpha, q, k) * qpoch_finite(beta, q, n - k)
+        acc = acc + (binom * alpha_products[k] * beta_products[n - k]
                      * x**k * y ** (n - k))
         binom = binom * (1.0 - q ** (n - k)) / (1.0 - q ** (k + 1))
     return acc
@@ -148,17 +153,24 @@ def connection_coeffs(n: int, beta, gamma, q):
               / ((q;q)_k (beta q; q)_{n-k} (1 - beta)).
 
     The front factor is evaluated as prod_{j<k} (beta - gamma q^j), which is
-    the same rational function of beta but stays finite at beta = 0.
+    the same rational function of beta but stays finite at beta = 0.  A
+    vanishing denominator raises PoleError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
     if beta == 1:
         raise PoleError("connection_coeffs has a pole at beta = 1")
+    gamma_products = qpoch_finite_table(gamma, q, n)
+    q_products = qpoch_finite_table(q, q, n // 2)
+    beta_q_products = qpoch_finite_table(beta * q, q, n)
     coeffs = []
     front = 1.0
     for k in range(n // 2 + 1):
-        value = (front * qpoch_finite(gamma, q, n - k) * (1.0 - beta * q ** (n - 2 * k))
-                 / (qpoch_finite(q, q, k) * qpoch_finite(beta * q, q, n - k) * (1.0 - beta)))
+        denominator = q_products[k] * beta_q_products[n - k] * (1.0 - beta)
+        if denominator == 0:
+            raise PoleError(f"connection_coeffs needs (q;q)_{k} (beta q;q)_{n - k} != 0")
+        value = (front * gamma_products[n - k] * (1.0 - beta * q ** (n - 2 * k))
+                 / denominator)
         coeffs.append(value)
         front = front * (beta - gamma * q**k)
     return coeffs

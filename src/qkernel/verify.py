@@ -47,8 +47,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PoleError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
-from .pochhammer import (check_base, qbinom, qpoch_finite, qpoch_infinite,
-                         qpoch_ladder, qpoch_product)
+from .pochhammer import (check_base, qbinom, qpoch_finite, qpoch_finite_table,
+                         qpoch_infinite, qpoch_ladder, qpoch_product)
 from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
                           phi_poly, ultraspherical_c, ultraspherical_table)
 from .series import (EPS_SERIES, MAX_SERIES_TERMS, HypergeometricSpec, gf_expand,
@@ -142,15 +142,17 @@ def verify_thm_1_1(m: int, n: int, beta, q, tol: float | None = None) -> Verific
         = delta_{mn} / h_n(beta|q).
 
     The integrand is even and 2 pi periodic, so the left side is computed as
-    half of the full-period trapezoid value.
+    half of the full-period trapezoid value.  C_m and C_n come from one
+    recurrence table per node set.
     """
     def body():
+        if min(m, n) < 0:
+            raise DomainError("degree must be >= 0")
         check_base(q)
 
         def integrand(theta):
-            x = np.cos(theta)
-            return (ultraspherical_c(m, x, beta, q) * ultraspherical_c(n, x, beta, q)
-                    * weight_omega_beta(theta, beta, q))
+            table = ultraspherical_table(max(m, n), np.cos(theta), beta, q)
+            return table[m] * table[n] * weight_omega_beta(theta, beta, q)
 
         quad = periodic_quadrature(integrand)
         lhs = quad.value / 2.0
@@ -209,14 +211,15 @@ def verify_thm_1_3(m: int, n: int, alpha, beta, q, tol: float | None = None) -> 
 
     Both polynomial factors are taken at e^{i t} (not one conjugated); the
     full complex integral is compared, so an imaginary residue counts as
-    error.
+    error.  At m = n the polynomial is evaluated once per node set.
     """
     def body():
         check_base(q)
 
         def integrand(theta):
-            return (gasper_c(m, theta, alpha, beta, q) * gasper_c(n, theta, alpha, beta, q)
-                    * weight_omega_ab(theta, alpha, beta, q))
+            c_m = gasper_c(m, theta, alpha, beta, q)
+            c_n = c_m if m == n else gasper_c(n, theta, alpha, beta, q)
+            return c_m * c_n * weight_omega_ab(theta, alpha, beta, q)
 
         quad = periodic_quadrature(integrand)
         rhs = _thm_1_3_diagonal(n, alpha, beta, q) if m == n else 0.0
@@ -339,6 +342,9 @@ def verify_prop_3_2(n: int, a, b, x, y, q, tol: float | None = None) -> Verifica
                                 / ((1-q) y (q, ab, x/y, qy/x; q)_inf)
                                 int_x^y (qz/x, qz/y; q)_inf z^n
                                         / (bz/x, az/y; q)_inf d_q z.
+
+    A vanishing closed-form denominator (q, ab, x/y, qy/x; q)_inf raises
+    PoleError.
     """
     def body():
         if x == 0 or y == 0 or x == y:
@@ -348,10 +354,11 @@ def verify_prop_3_2(n: int, a, b, x, y, q, tol: float | None = None) -> Verifica
             return _ladder_ratio([q / x, q / y], [b / x, a / y], z, q) * z**n
 
         integral = jackson_q_integral(integrand, x, y, q)
+        den = (1.0 - q) * y * qpoch_product([q, a * b, x / y, q * y / x], q)
+        if den == 0:
+            raise PoleError("prop-3.2 needs (q, ab, x/y, qy/x; q)_inf != 0")
         prefactor = (qpoch_finite(a * b, q, n)
-                     * qpoch_product([a, b, b * y / x, a * x / y], q)
-                     / ((1.0 - q) * y
-                        * qpoch_product([q, a * b, x / y, q * y / x], q)))
+                     * qpoch_product([a, b, b * y / x, a * x / y], q) / den)
         lhs = phi_poly(n, a, b, x, y, q)
         rhs = prefactor * complex(integral)
         return lhs, rhs, integral.rungs
@@ -363,7 +370,8 @@ def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = No
                              tol: float | None = None) -> VerificationReport:
     """Pointwise reconstruction C_n(x; gamma) = sum_k c_k C_{n-2k}(x; beta)
     with the connection coefficients, on a theta grid; the report carries the
-    worst grid point."""
+    worst grid point.  Every C_{n-2k}(x; beta) comes from one recurrence
+    table."""
     if theta_grid is None:
         theta_grid = 16
     if np.ndim(theta_grid) == 0:
@@ -378,9 +386,10 @@ def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = No
         x = np.cos(grid)
         coeffs = connection_coeffs(n, beta, gamma, q)
         lhs_values = ultraspherical_c(n, x, gamma, q) + 0j
+        beta_table = ultraspherical_table(n, x, beta, q)
         rhs_values = np.zeros_like(lhs_values)
         for k, ck in enumerate(coeffs):
-            rhs_values = rhs_values + ck * ultraspherical_c(n - 2 * k, x, beta, q)
+            rhs_values = rhs_values + ck * beta_table[n - 2 * k]
         return lhs_values, rhs_values, len(grid)
 
     return _check("rogers-connection",
@@ -469,6 +478,9 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12,
         x = math.cos(theta)
         gamma_table = ultraspherical_table(degree, x, gamma, q)
         beta_table = ultraspherical_table(degree, x, beta, q)
+        q_products = qpoch_finite_table(q, q, degree // 2)
+        beta_products = qpoch_finite_table(beta, q, degree + 1)
+        gamma_products = qpoch_finite_table(gamma, q, degree)
         lhs_coeffs = np.asarray(gamma_table, dtype=complex)
         rhs_coeffs = np.zeros(degree + 1, dtype=complex)
         for p in range(degree + 1):
@@ -476,10 +488,10 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12,
             front = 1.0
             for j in range(p // 2 + 1):
                 m = p - 2 * j
-                denominator = qpoch_finite(q, q, j) * qpoch_finite(beta, q, m + j + 1)
+                denominator = q_products[j] * beta_products[m + j + 1]
                 if denominator == 0:
                     raise PoleError(f"prop-4.2 needs (beta;q)_{m + j + 1} != 0")
-                acc = acc + ((1.0 - beta * q**m) * front * qpoch_finite(gamma, q, j + m)
+                acc = acc + ((1.0 - beta * q**m) * front * gamma_products[j + m]
                              / denominator * beta_table[m])
                 front = front * (beta - gamma * q**j)
             rhs_coeffs[p] = acc

@@ -270,6 +270,18 @@ class TestSuiteCommand:
         assert code == 0
         assert out.strip().endswith("PASS 2/2")
 
+    def test_config_with_vanishing_denominators_runs_to_completion(self, tmp_path, capsys):
+        config = {"rogers-connection": [{"n": 4, "beta": 4, "gamma": 0.7, "q": 0.5},
+                                        {"n": 4, "beta": 0.4, "gamma": 0.7, "q": 0.3}],
+                  "prop-3.2": [{"n": 2, "a": 0.3, "b": 0.2, "x": 0.5, "y": 1.0, "q": 0.5}]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(["suite", "--config", str(path)], capsys)
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert [line.split()[0] for line in lines] == ["FAIL", "PASS", "FAIL", "FAIL"]
+        assert lines[-1] == "FAIL 1/3"
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -525,6 +537,14 @@ GOLDEN = [
     ('check rogers-6phi5 --a 0.1 --b 0 --c 0.6 --d 0.8 --q 0.4', 1,
      'FAIL rogers-6phi5 [a=0.1 b=0.0 c=0.6 d=0.8 q=0.4] lhs=0.0 rhs=0.0 rel_err=inf '
      'tol=1.0e-11 nodes=0 t=*ms\n'),
+    # (beta q; q)_{n-k} = 0 for n - k >= 2, since beta q = 2 and 1 - 2 q = 0
+    ('check rogers-connection --n 4 --beta 4 --gamma 0.7 --q 0.5', 1,
+     'FAIL rogers-connection [n=4 beta=4.0 gamma=0.7 q=0.5 grid_size=16] lhs=0.0 rhs=0.0 '
+     'rel_err=inf tol=1.0e-10 nodes=0 t=*ms\n'),
+    # (q y/x; q)_inf = (1; q)_inf = 0
+    ('check prop-3.2 --n 2 --a 0.3 --b 0.2 --x 0.5 --y 1.0 --q 0.5', 1,
+     'FAIL prop-3.2 [n=2 a=0.3 b=0.2 x=0.5 y=1.0 q=0.5] lhs=0.0 rhs=0.0 rel_err=inf '
+     'tol=1.0e-09 nodes=0 t=*ms\n'),
     ('check thm-1.1 --m 3', 2, ''),
     ('check qbinomial --a 0.4 --z 0.5 --q 0.3 --ctx 1', 2, ''),
     ('check qbinomial --a 0.4 --z 0.5 --q 0.3 --zz 1', 2, ''),

@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkernel import (ConvergenceError, DomainError, HypergeometricSpec, PoleError,
                      gf_expand, jackson_q_integral, phi_series, pochhammer, qbinom,
                      qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product)
-from qkernel.pochhammer import EPS_PRODUCT, _truncation_length
+from qkernel.pochhammer import EPS_PRODUCT, _truncation_length, qpoch_finite_table
+
+# Property tests draw the same examples on every run.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PARAMETER = st.complex_numbers(max_magnitude=3.0)
+BASE = st.one_of(st.floats(-0.99, 0.99), st.complex_numbers(max_magnitude=0.99))
 
 
 def sequential_product(a, q):
@@ -77,6 +84,40 @@ class TestFinite:
             n = int(rng.integers(1, 6))
             product = qpoch_finite(a, q, -n) * qpoch_finite(a * q**-n, q, n)
             assert product == pytest.approx(1.0, rel=1e-11)
+
+
+class TestFiniteTable:
+    @PROPERTY
+    @given(a=PARAMETER, q=BASE, n=st.integers(0, 80))
+    @example(a=0.7 - 0.2j, q=0.99, n=80)
+    @example(a=1.0 + 0j, q=-0.5, n=5)
+    def test_entries_are_qpoch_finite_bit_for_bit(self, a, q, n):
+        table = qpoch_finite_table(a, q, n)
+        assert len(table) == n + 1
+        # the retired per-index factor loop, one call per k
+        for k in range(n + 1):
+            acc, qk = 1.0, 1.0
+            for _ in range(k):
+                acc = acc * (1.0 - a * qk)
+                qk = qk * q
+            assert repr(table[k]) == repr(qpoch_finite(a, q, k)) == repr(acc)
+
+    def test_array_argument(self):
+        a = np.array([0.3, -0.5 + 0.2j, 0.9j])
+        table = qpoch_finite_table(a, 0.45, 12)
+        for k, entry in enumerate(table):
+            np.testing.assert_array_equal(bits(entry), bits(qpoch_finite(a, 0.45, k)))
+
+    def test_vanishing_factor_gives_exact_zeros(self):
+        # 1 - 2 q = 0 at q = 1/2, so every entry from k = 2 on is zero
+        assert qpoch_finite_table(2.0, 0.5, 4) == [1.0, -1.0, 0.0, 0.0, 0.0]
+
+    def test_degree_zero(self):
+        assert qpoch_finite_table(0.7, 0.3, 0) == [1.0]
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(DomainError):
+            qpoch_finite_table(0.7, 0.3, -1)
 
 
 class TestInfinite:

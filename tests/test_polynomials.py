@@ -6,12 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkernel import (DomainError, PoleError, chebyshev_t,
                      connection_coeffs, gasper_c, gf_expand, h_norm,
                      periodic_quadrature, phi_poly, q_hermite, qbinom,
                      qpoch_finite, qpoch_infinite, ultraspherical_c)
 
+# Property tests draw the same examples on every run.
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+BASE = st.one_of(st.floats(-0.99, 0.99), st.complex_numbers(max_magnitude=0.99))
 
 
 def three_routes(n, theta, beta, q):
@@ -135,6 +140,21 @@ class TestPhiPoly:
             expected = phi_poly(n, alpha, beta, 1.0, 1.0, q) / qpoch_finite(q, q, n)
             assert abs(series.coeffs[n] - expected) <= 1e-12 * (1 + abs(expected))
 
+    @PROPERTY
+    @given(n=st.integers(0, 60), alpha=st.complex_numbers(max_magnitude=3.0),
+           beta=st.complex_numbers(max_magnitude=3.0), x=st.complex_numbers(max_magnitude=1.5),
+           y=st.complex_numbers(max_magnitude=1.5), q=BASE)
+    @example(n=60, alpha=0.45, beta=-0.2, x=0.8 + 0.6j, y=0.8 - 0.6j, q=0.9)
+    def test_equals_the_per_index_formula_bit_for_bit(self, n, alpha, beta, x, y, q):
+        # one qpoch_finite call per factor and index, as before the tables
+        acc = 0.0
+        binom = 1.0
+        for k in range(n + 1):
+            acc = acc + (binom * qpoch_finite(alpha, q, k) * qpoch_finite(beta, q, n - k)
+                         * x**k * y ** (n - k))
+            binom = binom * (1.0 - q ** (n - k)) / (1.0 - q ** (k + 1))
+        assert repr(phi_poly(n, alpha, beta, x, y, q)) == repr(acc)
+
     def test_arbitrary_complex_parameters_allowed(self):
         value = phi_poly(3, 2.5 + 1j, -3.0, 0.7, 0.2j, 0.45)
         direct = sum(
@@ -233,6 +253,29 @@ class TestConnectionCoeffs:
         rebuilt = sum(c * ultraspherical_c(n - 2 * k, grid, beta, q)
                       for k, c in enumerate(coeffs))
         assert np.max(np.abs(target - rebuilt)) <= 1e-10 * (1 + np.max(np.abs(target)))
+
+    @PROPERTY
+    @given(n=st.integers(0, 60),
+           beta=st.one_of(st.floats(-0.95, 0.95), st.complex_numbers(max_magnitude=0.95)),
+           gamma=st.complex_numbers(max_magnitude=3.0), q=BASE)
+    @example(n=60, beta=0.4, gamma=0.7, q=0.3)
+    def test_equal_the_per_index_formula_bit_for_bit(self, n, beta, gamma, q):
+        # one qpoch_finite call per factor and index, as before the tables
+        expected = []
+        front = 1.0
+        for k in range(n // 2 + 1):
+            expected.append(front * qpoch_finite(gamma, q, n - k)
+                            * (1.0 - beta * q ** (n - 2 * k))
+                            / (qpoch_finite(q, q, k) * qpoch_finite(beta * q, q, n - k)
+                               * (1.0 - beta)))
+            front = front * (beta - gamma * q**k)
+        assert repr(connection_coeffs(n, beta, gamma, q)) == repr(expected)
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_vanishing_denominator_is_a_pole(self, n):
+        # beta q = 2 at q = 1/2, so (beta q; q)_{n-k} = 0 once n - k >= 2
+        with pytest.raises(PoleError):
+            connection_coeffs(n, 4.0, 0.7, 0.5)
 
     def test_beta_zero_limit_form(self):
         # the product form is finite at beta = 0 and still reconstructs

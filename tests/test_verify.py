@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import (CHECK_RUNNERS, QuadratureResult, h_norm, periodic_quadrature,
-                     qpoch_finite, qpoch_infinite, qpoch_product, run_suite,
+from qkernel import (CHECK_RUNNERS, QuadratureResult, connection_coeffs, gasper_c,
+                     h_norm, periodic_quadrature, qpoch_finite, qpoch_infinite,
+                     qpoch_product, run_suite, ultraspherical_c, weight_omega_ab,
+                     weight_omega_beta,
                      verify_askey_ismail_chebyshev, verify_gf_4_1,
                      verify_prop_3_1, verify_prop_3_2, verify_prop_4_2,
                      verify_qbinomial, verify_rogers_6w5,
@@ -359,6 +361,71 @@ class TestConnectionAndChebyshev:
         assert not report.passed
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its first argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPolynomialReuse:
+    """Each polynomial is evaluated once per node set or grid, and the
+    reports keep the values of one evaluation per factor, bit for bit."""
+
+    @pytest.mark.parametrize("m,n", [(3, 5), (4, 4), (6, 0)])
+    def test_thm_1_1_reads_both_degrees_from_one_table(self, monkeypatch, m, n):
+        beta, q = 0.6, 0.3
+        nodes = []
+
+        def integrand(theta):
+            nodes.append(theta)
+            x = np.cos(theta)
+            return (ultraspherical_c(m, x, beta, q) * ultraspherical_c(n, x, beta, q)
+                    * weight_omega_beta(theta, beta, q))
+
+        expected = periodic_quadrature(integrand).value / 2.0
+        tables = counting(monkeypatch, verify, "ultraspherical_table")
+        report = verify_thm_1_1(m, n, beta, q)
+        assert repr(report.lhs) == repr(complex(expected))
+        assert tables == [max(m, n)] * len(nodes)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (1, 2)])
+    def test_thm_1_3_evaluates_gasper_c_once_at_equal_degrees(self, monkeypatch, m, n):
+        alpha, beta, q = 0.4, -0.3, 0.35
+        nodes = []
+
+        def integrand(theta):
+            nodes.append(theta)
+            return (gasper_c(m, theta, alpha, beta, q) * gasper_c(n, theta, alpha, beta, q)
+                    * weight_omega_ab(theta, alpha, beta, q))
+
+        expected = periodic_quadrature(integrand).value
+        calls = counting(monkeypatch, verify, "gasper_c")
+        report = verify_thm_1_3(m, n, alpha, beta, q)
+        assert repr(report.lhs) == repr(complex(expected))
+        assert len(calls) == (1 if m == n else 2) * len(nodes)
+
+    def test_rogers_connection_reads_every_degree_from_one_table(self, monkeypatch):
+        n, beta, gamma, q = 9, 0.4, 0.7, 0.3
+        x = np.cos((np.arange(16) + 0.5) * math.pi / 16)
+        lhs = ultraspherical_c(n, x, gamma, q) + 0j
+        rhs = np.zeros_like(lhs)
+        for k, ck in enumerate(connection_coeffs(n, beta, gamma, q)):
+            rhs = rhs + ck * ultraspherical_c(n - 2 * k, x, beta, q)
+        worst = int(np.argmax(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))))
+        tables = counting(monkeypatch, verify, "ultraspherical_table")
+        report = verify_rogers_connection(n, beta, gamma, q)
+        assert ((repr(report.lhs), repr(report.rhs))
+                == (repr(complex(lhs[worst])), repr(complex(rhs[worst]))))
+        assert tables == [n]
+
+
 class TestCoefficientwise:
     def test_shifted_generating_function(self):
         report = verify_gf_4_1(0.5, 0.3, 0.9, degree=16)
@@ -433,6 +500,13 @@ class TestSuite:
         ("prop-3.2", {"n": 3, "a": 1.0, "b": 0.2, "x": 0.5, "y": 0.7, "q": 0.3}),
         ("prop-3.2", {"n": 3, "a": 0.3, "b": 1.0, "x": 0.5, "y": 0.7, "q": 0.3}),
         ("prop-4.2", {"beta": 1.0, "gamma": 0.6, "q": 0.4, "theta": 1.1, "degree": 12}),
+        # closed-form poles: (beta q; q)_{n-k} = 0 in the connection
+        # coefficients, (q y/x; q)_inf = 0 in the prop-3.2 prefactor
+        ("rogers-connection", {"n": 4, "beta": 4.0, "gamma": 0.7, "q": 0.5}),
+        ("prop-3.2", {"n": 2, "a": 0.3, "b": 0.2, "x": 0.5, "y": 1.0, "q": 0.5}),
+        # degrees are checked before the shared recurrence table is indexed
+        ("thm-1.1", {"m": -1, "n": 3, "beta": 0.6, "q": 0.3}),
+        ("thm-1.1", {"m": 3, "n": -1, "beta": 0.6, "q": 0.3}),
     ])
     def test_empty_size_arguments_are_recorded_not_raised(self, check_id, entry):
         [report] = run_suite({check_id: [entry]})
