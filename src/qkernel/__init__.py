@@ -16,8 +16,8 @@ from .pochhammer import (qbinom, qpoch_finite, qpoch_infinite, qpoch_ladder,
                          qpoch_product)
 from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
                           phi_poly, q_hermite, ultraspherical_c)
-from .series import (HypergeometricSpec, TruncatedPowerSeries, gf_expand,
-                     phi_series, rogers_6w5_rhs, w_series)
+from .series import (TruncatedPowerSeries, gf_expand, phi_series,
+                     rogers_6w5_rhs, w_series)
 from .verify import (CHECK_RUNNERS, DEFAULT_TOLERANCES, VerificationReport,
                      default_suite_config, default_tolerance, run_suite,
                      verify_askey_ismail_chebyshev, verify_gf_4_1,
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "QKernelError", "DomainError", "PoleError", "ConvergenceError",
     "qpoch_finite", "qpoch_infinite", "qpoch_product", "qpoch_ladder", "qbinom",
-    "TruncatedPowerSeries", "gf_expand", "HypergeometricSpec", "phi_series",
-    "w_series", "rogers_6w5_rhs",
+    "TruncatedPowerSeries", "gf_expand", "phi_series", "w_series",
+    "rogers_6w5_rhs",
     "ultraspherical_c", "gasper_c", "phi_poly", "q_hermite",
     "chebyshev_t", "h_norm", "connection_coeffs",
     "QuadratureResult", "jackson_q_integral", "periodic_quadrature",

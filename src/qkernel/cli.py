@@ -35,7 +35,7 @@ from .integrate import jackson_q_integral, weight_omega_ab, weight_omega_beta
 from .pochhammer import qpoch_finite, qpoch_infinite
 from .polynomials import (chebyshev_t, gasper_c, h_norm, phi_poly, q_hermite,
                           ultraspherical_c)
-from .series import HypergeometricSpec, phi_series, w_series
+from .series import phi_series, w_series
 
 
 class UsageError(Exception):
@@ -259,14 +259,6 @@ def _qpoch(a, q, n: str):
     return qpoch_finite(a, q, _integer("n", n))
 
 
-def _phi(upper: list, z, q, lower: list = ()):
-    return phi_series(HypergeometricSpec(upper, lower, z), q)
-
-
-def _wseries(a1, b: list, q, z):
-    return w_series(a1, b, q, z)
-
-
 def _big_c(n: int, beta, q, theta: float | None = None, x: float | None = None):
     """C_n at x or at x = cos(theta), exactly one of them given."""
     if (theta is None) == (x is None):
@@ -289,8 +281,8 @@ def _jackson(coeff: list, a, b, q):
 
 EVAL_TARGETS = {
     "qpoch": _qpoch,
-    "phi": _phi,
-    "wseries": _wseries,
+    "phi": phi_series,
+    "wseries": w_series,
     "C": _big_c,
     "Cg": gasper_c,
     "Phi": phi_poly,

@@ -13,6 +13,7 @@ spectral rate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -58,8 +59,8 @@ def periodic_quadrature(f) -> QuadratureResult:
         max(EPS_QUAD * (1 + |value|), QUAD_NOISE * u * h * sum |f|),  u = 2**-53.
 
     The second term is the roundoff floor of the sum: past it the doublings
-    only move the value by noise.  ConvergenceError if MAX_QUAD_NODES is hit
-    first.
+    only move the value by noise.  PoleError at the first level whose sum is
+    not finite; ConvergenceError if MAX_QUAD_NODES is hit first.
     """
     nodes = 64
     step = 2.0 * np.pi / nodes
@@ -87,8 +88,14 @@ def periodic_quadrature(f) -> QuadratureResult:
 
 
 def _node_sums(f, theta) -> tuple[complex, float]:
-    values = np.asarray(f(theta))
-    return complex(np.sum(values)), float(np.sum(np.abs(values)))
+    # A non-finite value is refused below, once per level.
+    with np.errstate(all="ignore"):
+        values = np.asarray(f(theta))
+        total = complex(np.sum(values))
+    if not cmath.isfinite(total):
+        raise PoleError(f"periodic_quadrature integrand is not finite on the "
+                        f"{len(theta)} nodes of its latest level")
+    return total, float(np.sum(np.abs(values)))
 
 
 def jackson_q_integral(f, a, b, q) -> complex:

@@ -10,10 +10,11 @@ phi_series sums the one-variable basic hypergeometric series
 
     sum_{n>=0} (a_1, ..., a_{r+1}; q)_n / (q, b_1, ..., b_r; q)_n  z^n
 
-with a running term recurrence and a certified geometric tail bound, within
-the series budget EPS_SERIES / MAX_SERIES_TERMS;
-w_series wraps it with the very-well-poised parameter substitution, and
-rogers_6w5_rhs is the matching closed product form.
+from its parameter lists, with a running term recurrence and a certified
+geometric tail bound, within the series budget EPS_SERIES / MAX_SERIES_TERMS.
+It is the package's one summed hypergeometric series: w_series wraps it with
+the very-well-poised parameter substitution (rogers_6w5_rhs is the matching
+closed product form), and thm-1.4's q-beta series is two 2phi1 calls.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PoleError
 from .pochhammer import check_base, qpoch_product
 
-# Budget of every summed series (phi_series, the Jackson ladder, the q-beta
-# series of thm-1.4): relative tail bound and term cap.
+# Budget of every summed series (phi_series and the Jackson ladder):
+# relative tail bound and term cap.
 EPS_SERIES = 1e-14
 MAX_SERIES_TERMS = 100_000
 
@@ -77,27 +78,9 @@ def gf_expand(numerators, denominators, q, degree_cap: int = 24) -> TruncatedPow
     return TruncatedPowerSeries(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
-    """Upper parameters a_1..a_{r+1}, lower parameters b_1..b_r, argument z."""
-
-    upper: tuple[complex, ...]
-    lower: tuple[complex, ...]
-    argument: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(complex(v) for v in self.upper))
-        object.__setattr__(self, "lower", tuple(complex(v) for v in self.lower))
-        object.__setattr__(self, "argument", complex(self.argument))
-        if len(self.upper) != len(self.lower) + 1:
-            raise DomainError(
-                f"need r+1 upper and r lower parameters, got "
-                f"{len(self.upper)} upper and {len(self.lower)} lower"
-            )
-
-
-def phi_series(spec: HypergeometricSpec, q) -> complex:
-    """Value of the basic hypergeometric series described by `spec`.
+def phi_series(upper: list, z, q, lower: list = ()) -> complex:
+    """Value of the basic hypergeometric series with upper parameters
+    a_1..a_{r+1}, lower parameters b_1..b_r and argument z.
 
     Terms follow the running recurrence term_{n+1} = term_n * ratio(n).
     Summation stops at a terminating zero factor (upper parameter q^{-m}),
@@ -109,9 +92,14 @@ def phi_series(spec: HypergeometricSpec, q) -> complex:
     which decreases with n, so the tail after term_n is at most
     |term_n| rho / (1 - rho) once rho < 1.
     """
+    upper = [complex(a) for a in upper]
+    lower = [complex(b) for b in lower]
+    if len(upper) != len(lower) + 1:
+        raise DomainError(f"need r+1 upper and r lower parameters, got "
+                          f"{len(upper)} upper and {len(lower)} lower")
     check_base(q)
     q = complex(q)
-    z = spec.argument
+    z = complex(z)
     if z == 0:
         return 1.0 + 0j
     abs_q = abs(q)
@@ -120,14 +108,14 @@ def phi_series(spec: HypergeometricSpec, q) -> complex:
     qn = 1.0 + 0j
     for _ in range(MAX_SERIES_TERMS):
         num = 1.0 + 0j
-        for a in spec.upper:
+        for a in upper:
             w = a * qn
             factor = 1.0 - w
             if abs(factor) <= _TERMINATION_SNAP * (1.0 + abs(w)):
                 return total
             num *= factor
         den = 1.0 - q * qn
-        for b in spec.lower:
+        for b in lower:
             w = b * qn
             factor = 1.0 - w
             if abs(factor) <= _TERMINATION_SNAP * (1.0 + abs(w)):
@@ -139,9 +127,9 @@ def phi_series(spec: HypergeometricSpec, q) -> complex:
         abs_qn = abs(qn)
         lower_ok = True
         rho = abs(z) / (1.0 - abs_q * abs_qn)
-        for a in spec.upper:
+        for a in upper:
             rho *= 1.0 + abs(a) * abs_qn
-        for b in spec.lower:
+        for b in lower:
             g = 1.0 - abs(b) * abs_qn
             if g <= 0.0:
                 lower_ok = False
@@ -153,20 +141,20 @@ def phi_series(spec: HypergeometricSpec, q) -> complex:
     raise ConvergenceError("phi_series did not meet its tail bound within MAX_SERIES_TERMS")
 
 
-def w_series(a1, rest, q, z) -> complex:
-    """Very-well-poised series (r+1)_W_r(a1; rest; q, z).
+def w_series(a1, b: list, q, z) -> complex:
+    """Very-well-poised series (r+1)_W_r(a1; b_1, ..., b_{r-2}; q, z).
 
     Uses the defining substitution into phi_series: extra upper parameters
     q sqrt(a1), -q sqrt(a1) and lower parameters sqrt(a1), -sqrt(a1),
-    q a1 / a_i, with the principal square root.
+    q a1 / b_i, with the principal square root.
     """
-    rest = tuple(complex(b) for b in rest)
-    if any(b == 0 for b in rest):
+    b = [complex(v) for v in b]
+    if any(v == 0 for v in b):
         raise DomainError("very-well-poised parameters must be nonzero")
     root = cmath.sqrt(complex(a1))
-    upper = (complex(a1), q * root, -q * root, *rest)
-    lower = (root, -root, *(q * complex(a1) / b for b in rest))
-    return phi_series(HypergeometricSpec(upper, lower, z), q)
+    upper = [complex(a1), q * root, -q * root, *b]
+    lower = [root, -root, *(q * complex(a1) / v for v in b)]
+    return phi_series(upper, z, q, lower)
 
 
 def rogers_6w5_rhs(a, b, c, d, q) -> complex:

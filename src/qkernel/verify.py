@@ -18,8 +18,10 @@ Check catalog (the ids the CLI accepts):
   rogers-6phi5       6W5 summation, series against product
 
 Every check returns a VerificationReport.  Left-hand sides come from the
-quadrature / ladder-sum / series engines, right-hand sides from closed forms,
-and rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
+quadrature / ladder-sum / series engines, right-hand sides from closed forms
+(thm-1.4's from two phi_series sums), and
+rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).  A report's params are
+arguments of its runner, so they re-run the check as a `suite --config` entry.
 
 Each runner hands a body to one scaffold, _check, which times it and
 resolves the default tolerance.  The body returns (lhs, rhs, nodes_used);
@@ -44,15 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError, QKernelError
+from .errors import DomainError, PoleError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
 from .pochhammer import (check_base, qbinom, qpoch_finite, qpoch_finite_table,
                          qpoch_infinite, qpoch_ladder, qpoch_product)
 from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
                           phi_poly, ultraspherical_c, ultraspherical_table)
-from .series import (EPS_SERIES, MAX_SERIES_TERMS, HypergeometricSpec, gf_expand,
-                     phi_series, rogers_6w5_rhs, w_series)
+from .series import gf_expand, phi_series, rogers_6w5_rhs, w_series
 
 # Baseline tolerance profile: quadrature-backed checks settle near the
 # trapezoid noise floor, pure series/product checks near double precision.
@@ -229,11 +230,16 @@ def verify_thm_1_3(m: int, n: int, alpha, beta, q, tol: float | None = None) -> 
                   tol, body)
 
 
+def _circle_prefactor(alpha, beta, q):
+    """2 pi (alpha, beta; q)_inf / (q, alpha beta; q)_inf, shared by thm-1.3
+    and thm-1.4."""
+    return (2.0 * math.pi * qpoch_product([alpha, beta], q)
+            / qpoch_product([q, alpha * beta], q))
+
+
 def _thm_1_3_diagonal(n, alpha, beta, q):
-    prefactor = (2.0 * math.pi * qpoch_product([alpha, beta], q)
-                 / qpoch_product([q, alpha * beta], q))
     bracket = 1.0 / (1.0 - alpha * q**n) + 1.0 / (1.0 - beta * q**n)
-    return (prefactor * bracket
+    return (_circle_prefactor(alpha, beta, q) * bracket
             * qpoch_finite(alpha * beta, q, n) / qpoch_finite(q, q, n))
 
 
@@ -247,11 +253,13 @@ def verify_thm_1_4(alpha, beta, s, t, q, tol: float | None = None) -> Verificati
         = 2 pi (a, b; q)_inf / (q, ab; q)_inf
           sum_n (1/(1 - a q^n) + 1/(1 - b q^n)) (ab;q)_n / (q;q)_n (st)^n.
 
-    The series is truncated under an a priori geometric tail bound; the final
-    bound is recorded in params["series_tail_bound"].
-    """
-    params = {"alpha": alpha, "beta": beta, "s": s, "t": t, "q": q}
+    The right side is the (st)-generating function of the thm-1.3 norms.
+    Since 1/(1 - a q^n) = (a;q)_n / ((1 - a) (aq;q)_n), its series is
 
+        2phi1(ab, a; aq; q, st) / (1 - a) + 2phi1(ab, b; bq; q, st) / (1 - b),
+
+    two phi_series sums.
+    """
     def body():
         if max(abs(alpha), abs(beta), abs(s), abs(t)) >= 1.0:
             raise DomainError("thm-1.4 needs all of |alpha|, |beta|, |s|, |t| < 1")
@@ -268,39 +276,13 @@ def verify_thm_1_4(alpha, beta, s, t, q, tol: float | None = None) -> Verificati
             return num / den
 
         quad = periodic_quadrature(integrand)
-        series_sum, tail_bound = _beta_integral_series(alpha, beta, s * t, q)
-        rhs = (2.0 * math.pi * qpoch_product([alpha, beta], q)
-               / qpoch_product([q, alpha * beta], q)) * series_sum
-        params["series_tail_bound"] = tail_bound
-        return quad.value, rhs, quad.nodes_used
+        w = s * t
+        series = (phi_series([alpha * beta, alpha], w, q, [alpha * q]) / (1.0 - alpha)
+                  + phi_series([alpha * beta, beta], w, q, [beta * q]) / (1.0 - beta))
+        return quad.value, _circle_prefactor(alpha, beta, q) * series, quad.nodes_used
 
-    return _check("thm-1.4", params, tol, body)
-
-
-def _beta_integral_series(alpha, beta, w, q):
-    """sum_n (1/(1-alpha q^n) + 1/(1-beta q^n)) (alpha beta;q)_n/(q;q)_n w^n
-    with a certified tail: the bracket is bounded by B = 1/(1-|alpha|) +
-    1/(1-|beta|), the Pochhammer ratio by P = (-|ab|;|q|)_inf/(|q|;|q|)_inf,
-    so the tail after N terms is at most B P |w|^{N+1}/(1-|w|)."""
-    abs_w = abs(w)
-    if abs_w >= 1.0:
-        raise ConvergenceError("series argument |s t| must be below 1")
-    bracket_bound = 1.0 / (1.0 - abs(alpha)) + 1.0 / (1.0 - abs(beta))
-    ratio_bound = abs(qpoch_infinite(-abs(alpha * beta), abs(q))
-                      / qpoch_infinite(abs(q), abs(q)))
-    total = 0.0 + 0j
-    poch_ratio = 1.0 + 0j
-    wn = 1.0 + 0j
-    qn = 1.0 + 0j
-    for n in range(MAX_SERIES_TERMS):
-        total += (1.0 / (1.0 - alpha * qn) + 1.0 / (1.0 - beta * qn)) * poch_ratio * wn
-        poch_ratio *= (1.0 - alpha * beta * qn) / (1.0 - q * qn)
-        qn *= q
-        wn *= w
-        tail = bracket_bound * ratio_bound * abs_w ** (n + 1) / (1.0 - abs_w) if abs_w > 0 else 0.0
-        if tail <= EPS_SERIES * (1.0 + abs(total)):
-            return total, tail
-    raise ConvergenceError("q-beta series did not meet its tail bound")
+    return _check("thm-1.4", {"alpha": alpha, "beta": beta, "s": s, "t": t, "q": q},
+                  tol, body)
 
 
 def verify_prop_3_1(a, b, c, x, y, q, tol: float | None = None) -> VerificationReport:
@@ -370,8 +352,8 @@ def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = No
                              tol: float | None = None) -> VerificationReport:
     """Pointwise reconstruction C_n(x; gamma) = sum_k c_k C_{n-2k}(x; beta)
     with the connection coefficients, on a theta grid; the report carries the
-    worst grid point.  Every C_{n-2k}(x; beta) comes from one recurrence
-    table."""
+    worst grid point and records the grid length as theta_grid.  Every
+    C_{n-2k}(x; beta) comes from one recurrence table."""
     if theta_grid is None:
         theta_grid = 16
     if np.ndim(theta_grid) == 0:
@@ -393,7 +375,7 @@ def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = No
         return lhs_values, rhs_values, len(grid)
 
     return _check("rogers-connection",
-                  {"n": n, "beta": beta, "gamma": gamma, "q": q, "grid_size": len(grid)},
+                  {"n": n, "beta": beta, "gamma": gamma, "q": q, "theta_grid": len(grid)},
                   tol, body)
 
 
@@ -528,7 +510,7 @@ def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64,
 def verify_qbinomial(a, z, q, tol: float | None = None) -> VerificationReport:
     """q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf / (z;q)_inf for |z| < 1."""
     def body():
-        lhs = phi_series(HypergeometricSpec((a,), (), z), q)
+        lhs = phi_series([a], z, q)
         rhs = qpoch_infinite(a * z, q) / qpoch_infinite(z, q)
         return lhs, rhs, 0
 

@@ -19,7 +19,9 @@ from qkernel import (gasper_c, gf_expand, h_norm, periodic_quadrature,
                      verify_prop_4_2, verify_rogers_connection,
                      verify_thm_1_1, verify_thm_1_2, verify_thm_1_3,
                      verify_thm_1_4, verify_uniform_bound, w_series)
+from qkernel import verify
 from qkernel.cli import report_from_dict, report_to_dict
+from qkernel.series import EPS_SERIES
 
 
 def _gate(number, name, ok, detail=""):
@@ -110,7 +112,7 @@ def test_criterion_04_two_parameter_grid_and_reduction():
           f"diag {worst_diag:.2e}, offdiag {worst_off:.2e}, reduction {worst_red:.2e}")
 
 
-def test_criterion_05_beta_integral():
+def test_criterion_05_beta_integral(q_beta_oracle):
     rng = np.random.default_rng(2024)
     cases = [(0.5, 0.2, 0.3, 0.25, 0.3)]
     while len(cases) < 11:
@@ -119,15 +121,17 @@ def test_criterion_05_beta_integral():
         q = rng.uniform(0.2, 0.5)
         cases.append((alpha, beta, s, t, q))
     worst = 0.0
-    worst_tail = 0.0
+    worst_series = 0.0  # series error over its budget 2 EPS_SERIES (1 + sum |terms|)
     for alpha, beta, s, t, q in cases:
         report = verify_thm_1_4(alpha, beta, s, t, q)
         worst = max(worst, report.rel_err)
-        tail = report.params["series_tail_bound"] / (1 + abs(report.rhs))
-        worst_tail = max(worst_tail, tail)
-    ok = worst <= 1e-8 and worst_tail <= 1e-12
+        series = report.rhs / verify._circle_prefactor(alpha, beta, q)
+        true, magnitude = q_beta_oracle(alpha, beta, s * t, q)
+        worst_series = max(worst_series,
+                           abs(series - true) / (2 * EPS_SERIES * (1 + magnitude)))
+    ok = worst <= 1e-8 and worst_series <= 1.0
     _gate(5, "five-parameter q-beta integral", ok,
-          f"worst rel {worst:.2e}, tail {worst_tail:.2e}")
+          f"worst rel {worst:.2e}, series error {worst_series:.2f} of its budget")
 
 
 def test_criterion_06_rogers_summation():

@@ -9,12 +9,15 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import typing
+import warnings
 from pathlib import Path
 
 import pytest
 
-from qkernel import default_suite_config, verify_thm_1_1, verify_thm_1_4
+import qkernel
+from qkernel import default_suite_config, run_suite, verify_thm_1_1, verify_thm_1_4
 from qkernel.cli import (EVAL_TARGETS, format_complex, main, parse_number,
                          report_from_dict, report_to_dict, render_reports)
 from qkernel.verify import CHECK_RUNNERS
@@ -439,8 +442,7 @@ GOLDEN = [
      'lhs=29.548969990579618-2.081821509748902e-15i rhs=29.548969990579682 '
      'rel_err=2.094e-15 tol=1.0e-09 nodes=128 t=*ms\n'),
     ('check thm-1.4 --alpha 0.5 --beta 0.2 --s 0.3 --t 0.25 --q 0.3', 0,
-     'PASS thm-1.4 [alpha=0.5 beta=0.2 s=0.3 t=0.25 q=0.3 '
-     'series_tail_bound=1.5635846500390748e-14] '
+     'PASS thm-1.4 [alpha=0.5 beta=0.2 s=0.3 t=0.25 q=0.3] '
      'lhs=12.091649623542251-6.982549239177436e-18i rhs=12.091649623542228 '
      'rel_err=1.764e-15 tol=1.0e-08 nodes=256 t=*ms\n'),
     ('check prop-3.1 --a 0.3 --b 0.2 --c 0.4 --x 0.5 --y 0.7 --q 0.35', 0,
@@ -452,11 +454,11 @@ GOLDEN = [
      'rhs=0.4621571099999996-0.038395430999999744i rel_err=3.528e-16 tol=1.0e-09 '
      'nodes=26 t=*ms\n'),
     ('check rogers-connection --n 4 --beta 0.4 --gamma 0.7 --q 0.3', 0,
-     'PASS rogers-connection [n=4 beta=0.4 gamma=0.7 q=0.3 grid_size=16] '
+     'PASS rogers-connection [n=4 beta=0.4 gamma=0.7 q=0.3 theta_grid=16] '
      'lhs=1.0944582106346556 rhs=1.094458210634654 rel_err=7.421e-16 tol=1.0e-10 '
      'nodes=16 t=*ms\n'),
     ('check rogers-connection --n 4 --beta 0.4 --gamma 0.7 --q 0.3 --theta_grid 5', 0,
-     'PASS rogers-connection [n=4 beta=0.4 gamma=0.7 q=0.3 grid_size=5] '
+     'PASS rogers-connection [n=4 beta=0.4 gamma=0.7 q=0.3 theta_grid=5] '
      'lhs=-0.5298895733830092 rhs=-0.5298895733830096 rel_err=2.177e-16 tol=1.0e-10 '
      'nodes=5 t=*ms\n'),
     ('check askey-ismail --n 1 --k 2 --beta 0.5 --q 0.3', 0,
@@ -539,7 +541,7 @@ GOLDEN = [
      'tol=1.0e-11 nodes=0 t=*ms\n'),
     # (beta q; q)_{n-k} = 0 for n - k >= 2, since beta q = 2 and 1 - 2 q = 0
     ('check rogers-connection --n 4 --beta 4 --gamma 0.7 --q 0.5', 1,
-     'FAIL rogers-connection [n=4 beta=4.0 gamma=0.7 q=0.5 grid_size=16] lhs=0.0 rhs=0.0 '
+     'FAIL rogers-connection [n=4 beta=4.0 gamma=0.7 q=0.5 theta_grid=16] lhs=0.0 rhs=0.0 '
      'rel_err=inf tol=1.0e-10 nodes=0 t=*ms\n'),
     # (q y/x; q)_inf = (1; q)_inf = 0
     ('check prop-3.2 --n 2 --a 0.3 --b 0.2 --x 0.5 --y 1.0 --q 0.5', 1,
@@ -789,6 +791,50 @@ def test_check_and_config_give_identical_reports(tmp_path, capsys):
     from_check = json.loads(out)
     for key in ("params", "lhs", "rhs", "abs_err", "rel_err"):
         assert from_check[key] == from_config[key]
+
+
+def test_report_params_rerun_their_check(tmp_path, capsys):
+    # every default-suite report's params, fed back as a suite config, give
+    # the same report
+    reports = [report_to_dict(report) for report in run_suite()]
+    config = {}
+    for report in reports:
+        config.setdefault(report["check_id"], []).append(report["params"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "reports.json"
+    code, _, _ = run_cli(["suite", "--config", str(path), "--format", "json",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    keys = ("check_id", "params", "lhs", "rhs", "rel_err", "nodes_used", "pass")
+    again = json.loads(out.read_text())
+    assert len(again) == len(reports) == 76
+    assert ([{key: r[key] for key in keys} for r in again]
+            == [{key: r[key] for key in keys} for r in reports])
+
+
+# a zero of a weight denominator at a quadrature node
+@pytest.mark.parametrize("line", [
+    "check thm-1.1 --m 2 --n 2 --beta 2 --q 0.5",
+    "check thm-1.2 --m 4 --n 0 --beta 4 --gamma 0.5 --q 0.5",
+    "check thm-1.3 --m 1 --n 1 --alpha 2 --beta 1 --q 0.5",
+    "check askey-ismail --n 1 --k 1 --beta 2 --q 0.5",
+])
+def test_integrand_pole_fails_fast(capsys, line):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        started = time.perf_counter()
+        code, out, err = run_cli(line.split(), capsys)
+        elapsed = time.perf_counter() - started
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL ") and "rel_err=inf" in out
+    assert elapsed < 0.1
+
+
+def test_every_export_resolves():
+    namespace = {}
+    exec("from qkernel import *", namespace)
+    assert sorted(set(qkernel.__all__) - set(namespace)) == []
 
 
 def _readme_blocks(language):

@@ -1,6 +1,7 @@
 """Jackson ladder sums, the doubling trapezoid rule, and the circle weights."""
 
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -225,6 +226,18 @@ class TestPeriodicQuadrature:
                 r"node cap of 128 before converging: last difference \S+, "
                 r"tolerance \S+, roundoff floor \S+")):
             periodic_quadrature(kinked)
+
+    @pytest.mark.parametrize("integrand", [
+        lambda theta: 1.0 / np.sin(theta),            # inf at theta = 0
+        lambda theta: np.sin(theta) / np.sin(theta),  # nan at theta = 0
+    ], ids=["inf", "nan"])
+    def test_non_finite_level_is_a_pole(self, integrand):
+        # the first level holds theta = 0: a PoleError there, with numpy's
+        # division warning silenced, instead of doubling to the node cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError, match="not finite on the 64 nodes"):
+                periodic_quadrature(integrand)
 
     def test_each_node_is_evaluated_once(self):
         # every doubling evaluates only the new midpoints; together the calls

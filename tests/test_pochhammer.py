@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkernel import (ConvergenceError, DomainError, HypergeometricSpec, PoleError,
+from qkernel import (ConvergenceError, DomainError, PoleError,
                      gf_expand, jackson_q_integral, phi_series, pochhammer, qbinom,
                      qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product)
 from qkernel.pochhammer import EPS_PRODUCT, _truncation_length, qpoch_finite_table
@@ -39,7 +39,7 @@ def bits(value):
 ENGINES = {
     "qpoch_infinite": lambda q: qpoch_infinite(0.5, q),
     "qpoch_ladder": lambda q: qpoch_ladder([0.5], q, 4),
-    "phi_series": lambda q: phi_series(HypergeometricSpec((0.4,), (), 0.5), q),
+    "phi_series": lambda q: phi_series([0.4], 0.5, q),
     "gf_expand": lambda q: gf_expand([0.5], [0.2], q, 4),
     "jackson_q_integral": lambda q: jackson_q_integral(lambda z: z, 0.0, 0.5, q),
 }

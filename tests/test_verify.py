@@ -2,9 +2,12 @@
 paths, and suite behavior."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkernel import (CHECK_RUNNERS, QuadratureResult, connection_coeffs, gasper_c,
                      h_norm, periodic_quadrature, qpoch_finite, qpoch_infinite,
@@ -18,6 +21,7 @@ from qkernel import (CHECK_RUNNERS, QuadratureResult, connection_coeffs, gasper_
                      verify_uniform_bound)
 from qkernel import pochhammer, verify
 from qkernel.pochhammer import EPS_PRODUCT
+from qkernel.series import EPS_SERIES
 from qkernel.verify import default_suite_config, default_tolerance
 
 
@@ -168,10 +172,30 @@ class TestBetaIntegral:
         assert report.passed
         assert report.rel_err <= 1e-8
 
-    def test_tail_bound_is_certified(self):
-        report = verify_thm_1_4(0.5, 0.2, 0.3, 0.25, 0.3)
-        tail = report.params["series_tail_bound"]
-        assert tail <= 1e-12 * (1 + abs(report.rhs))
+    def test_series_matches_oracle(self, q_beta_oracle):
+        # the right side over its prefactor is the q-beta series, summed to
+        # the series budget
+        alpha, beta, s, t, q = 0.5, 0.2, 0.3, 0.25, 0.3
+        report = verify_thm_1_4(alpha, beta, s, t, q)
+        series = report.rhs / verify._circle_prefactor(alpha, beta, q)
+        true, magnitude = q_beta_oracle(alpha, beta, s * t, q)
+        assert report.params == {"alpha": alpha, "beta": beta, "s": s, "t": t, "q": q}
+        assert abs(series - true) <= 2 * EPS_SERIES * (1 + magnitude)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(-0.9, 0.9), beta=st.floats(-0.9, 0.9),
+           w=st.floats(-0.8, 0.8), q=st.floats(-0.95, 0.95))
+    @example(alpha=0.0, beta=0.6, w=0.5, q=0.9)
+    @example(alpha=0.0, beta=0.0, w=-0.8, q=-0.95)
+    def test_series_oracle_cloud(self, q_beta_oracle, alpha, beta, w, q):
+        s = math.sqrt(abs(w))
+        t = math.copysign(s, w)
+        stub = QuadratureResult(0j, 0, 0.0, 0.0, "tolerance")
+        with mock.patch.object(verify, "periodic_quadrature", lambda f: stub):
+            rhs = verify_thm_1_4(alpha, beta, s, t, q).rhs
+        series = rhs / verify._circle_prefactor(alpha, beta, q)
+        true, magnitude = q_beta_oracle(alpha, beta, s * t, q)
+        assert abs(series - true) <= 2 * EPS_SERIES * (1 + magnitude)
 
     def test_resummation_of_diagonal_values(self):
         # the left side equals the (st)-weighted sum of the circle
@@ -338,13 +362,13 @@ class TestConnectionAndChebyshev:
         report = verify_rogers_connection(6, 0.4, 0.7, 0.3)
         assert report.passed
         assert report.rel_err <= 1e-10
-        assert report.params["grid_size"] == 16
+        assert report.params["theta_grid"] == 16
 
     def test_explicit_grid_accepted(self):
         grid = np.linspace(0.1, 3.0, 9)
         report = verify_rogers_connection(4, 0.4, 0.7, 0.3, theta_grid=grid)
         assert report.passed
-        assert report.params["grid_size"] == 9
+        assert report.params["theta_grid"] == 9
 
     def test_chebyshev_integral_points(self):
         for n, k, beta, q in [(0, 1, 0.5, 0.3), (2, 2, 0.4, 0.25)]:
