@@ -276,7 +276,7 @@ def _jackson(coeff: list, a, b, q):
             power *= z
         return total
 
-    return jackson_q_integral(poly, a, b, q)
+    return jackson_q_integral(poly, a, b, q).value
 
 
 EVAL_TARGETS = {

@@ -8,7 +8,9 @@ the roundoff floor of its sum (Trefethen & Weideman, SIAM Rev. 56, 2014).
 Each doubling evaluates only the new midpoints, and the rule stops at that
 floor as well as at its tolerance.  Integrals over [0, pi] of even periodic
 integrands are taken as one half of the full-period value, keeping the
-spectral rate.
+spectral rate.  Both engines return a QuadratureResult: the value with the
+work it took (nodes or ladder rungs), its error estimate, the sum of |f|
+it was formed from and why it stopped.
 """
 
 from __future__ import annotations
@@ -36,8 +38,14 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Converged quadrature value, its last-doubling error estimate, h sum |f|
-    and which test stopped the rule: "tolerance" or "roundoff floor"."""
+    """A converged integral from either engine.
+
+    periodic_quadrature: nodes_used nodes, the last doubling's difference as
+    error_estimate, h sum |f| as magnitude, and stop_reason "tolerance" or
+    "roundoff floor".  jackson_q_integral: nodes_used ladder rungs, the
+    final tail bounds as error_estimate, the weighted sum of |q^n f| as
+    magnitude, and stop_reason "tolerance".
+    """
 
     value: complex
     nodes_used: int
@@ -98,7 +106,7 @@ def _node_sums(f, theta) -> tuple[complex, float]:
     return total, float(np.sum(np.abs(values)))
 
 
-def jackson_q_integral(f, a, b, q) -> complex:
+def jackson_q_integral(f, a, b, q) -> QuadratureResult:
     """Jackson q-integral of f from a to b at base q, |q| < 1:
 
         (1-q) b sum_{n>=0} q^n f(b q^n)  -  (1-q) a sum_{n>=0} q^n f(a q^n).
@@ -112,34 +120,32 @@ def jackson_q_integral(f, a, b, q) -> complex:
     max_recent|f| * |q|^{n+1} / (1 - |q|) drops below EPS_SERIES relative,
     where the max runs over the latest rungs (the ladder accumulates at 0).
     The stop and the sum are those of one call per rung; the blocks evaluate
-    at most 2 (rungs summed) + 6 rungs per ladder.  The complex returned
-    carries the number of rungs the two sums used as its `rungs` attribute.
-    PoleError at the first summed rung where f is not finite;
-    ConvergenceError if f grows too fast along the ladder for the bound to
-    be met within MAX_SERIES_TERMS.
+    at most 2 (rungs summed) + 6 rungs per ladder.
+
+    The result's nodes_used is the number of rungs the two sums used,
+    error_estimate |1-q| (|b| tail_b + |a| tail_a) from their final tail
+    bounds, magnitude |1-q| (|b| sum|q^n f(b q^n)| + |a| sum|q^n f(a q^n)|),
+    and stop_reason "tolerance".  PoleError at the first summed rung where f
+    is not finite; ConvergenceError if f grows too fast along the ladder for
+    the bound to be met within MAX_SERIES_TERMS.
     """
     check_base(q)
-    upper, upper_rungs = _ladder_sum(f, b, q)
-    lower, lower_rungs = _ladder_sum(f, a, q)
-    return _LadderValue((1.0 - q) * (b * upper - a * lower), upper_rungs + lower_rungs)
+    upper, upper_rungs, upper_tail, upper_size = _ladder_sum(f, b, q)
+    lower, lower_rungs, lower_tail, lower_size = _ladder_sum(f, a, q)
+    scale = abs(1.0 - q)
+    return QuadratureResult((1.0 - q) * (b * upper - a * lower), upper_rungs + lower_rungs,
+                            scale * (abs(b) * upper_tail + abs(a) * lower_tail),
+                            scale * (abs(b) * upper_size + abs(a) * lower_size), "tolerance")
 
 
-class _LadderValue(complex):
-    """A Jackson integral with the number of ladder rungs it summed."""
-
-    __slots__ = ("rungs",)
-
-    def __new__(cls, value, rungs: int):
-        self = super().__new__(cls, value)
-        self.rungs = rungs
-        return self
-
-
-def _ladder_sum(f, endpoint, q) -> tuple[complex, int]:
+def _ladder_sum(f, endpoint, q) -> tuple[complex, int, float, float]:
+    """sum_n q^n f(endpoint q^n), the rungs summed, the last tail bound and
+    sum_n |q^n f(endpoint q^n)|."""
     if endpoint == 0:
-        return 0.0 + 0j, 0
+        return 0.0 + 0j, 0, 0.0, 0.0
     abs_q = abs(q)
     total = 0.0 + 0j
+    size = 0.0
     qn = 1.0 + 0j
     recent = deque(maxlen=8)
     n = 0
@@ -157,12 +163,14 @@ def _ladder_sum(f, endpoint, q) -> tuple[complex, int]:
         for power, value, ok in zip(powers, values.tolist(), finite):
             if not ok:
                 raise PoleError(f"Jackson integrand is not finite at rung {n}")
-            total += power * value
+            term = power * value
+            total += term
+            size += abs(term)
             recent.append(abs(value))
             n += 1
             tail = max(recent) * abs(power * q) / (1.0 - abs_q)
             if n >= 8 and tail <= EPS_SERIES * (1.0 + abs(total)):
-                return total, n
+                return total, n, tail, size
         block *= 2
     raise ConvergenceError("Jackson ladder sum did not meet its tail bound")
 

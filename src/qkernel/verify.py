@@ -20,16 +20,20 @@ Check catalog (the ids the CLI accepts):
 Every check returns a VerificationReport.  Left-hand sides come from the
 quadrature / ladder-sum / series engines, right-hand sides from closed forms
 (thm-1.4's from two phi_series sums), and
-rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).  A report's params are
-arguments of its runner, so they re-run the check as a `suite --config` entry.
+rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
 
-Each runner hands a body to one scaffold, _check, which times it and
-resolves the default tolerance.  The body returns (lhs, rhs, nodes_used);
-when lhs and rhs are matching arrays (grid points, coefficients) the report
-carries the entry with the largest rel_err.  Any QKernelError the body
-raises, argument validation included, yields a failed report with infinite
-errors instead of raising, so a suite always runs to completion.  A base
-with |q| >= 1 is refused by the first engine a body calls; the bodies that
+Each runner is written as a function of the check's own arguments that
+returns (lhs, rhs, nodes_used), under one decorator, @_check(check_id,
+default_tol).  The decorator registers it in CHECK_RUNNERS and its tolerance
+in DEFAULT_TOLERANCES, adds the keyword `tol` (None: default_tolerance) to
+its signature, times the call and builds the report.  A report's params are
+the call's arguments in signature order, defaults filled in and tol left
+out, so they re-run the check as a `suite --config` entry.  When lhs and
+rhs are matching arrays (grid points, coefficients) the report carries the
+entry with the largest rel_err.  Any QKernelError the runner raises,
+argument validation included, yields a failed report with infinite errors
+instead of raising, so a suite always runs to completion.  A base with
+|q| >= 1 is refused by the first engine a runner calls; the runners that
 evaluate a polynomial first (which divides by 1 - q^k) or call no engine
 check it up front.
 
@@ -39,6 +43,8 @@ rhs is zero, which keeps the pass <=> rel_err <= tol convention.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import os
 import time
@@ -61,21 +67,10 @@ from .series import gf_expand, phi_series, rogers_6w5_rhs, w_series
 _QUAD_TOL = 1e-9
 _SERIES_TOL = 1e-11
 
-DEFAULT_TOLERANCES = {
-    "thm-1.1": _QUAD_TOL,
-    "thm-1.2": 1e-8,
-    "thm-1.3": _QUAD_TOL,
-    "thm-1.4": 1e-8,
-    "prop-3.1": _QUAD_TOL,
-    "prop-3.2": _QUAD_TOL,
-    "rogers-connection": 1e-10,
-    "askey-ismail": 1e-8,
-    "gf-4.1": _QUAD_TOL,
-    "prop-4.2": _QUAD_TOL,
-    "uniform-bound": 1e-12,
-    "qbinomial": _SERIES_TOL,
-    "rogers-6phi5": _SERIES_TOL,
-}
+# Check id -> runner and check id -> default tolerance, filled by @_check in
+# the order the runners are defined below.
+CHECK_RUNNERS: dict = {}
+DEFAULT_TOLERANCES: dict = {}
 
 
 def default_tolerance(check_id: str) -> float:
@@ -102,41 +97,69 @@ class VerificationReport:
     runtime_ms: float
 
 
-def _check(check_id, params, tol, body) -> VerificationReport:
-    """Run one check: `body()` returns (lhs, rhs, nodes_used).
+def _check(check_id: str, default_tol: float):
+    """Make `body`, a function of the check's arguments returning (lhs, rhs,
+    nodes_used), the runner of check `check_id` (see the module docstring).
+    The body's signature is read once, here; a call only merges its keywords
+    into the argument defaults."""
+    def register(body):
+        signature = inspect.signature(body, eval_str=True)
+        arguments = {name: p.default for name, p in signature.parameters.items()}
+        required = {name for name, p in signature.parameters.items() if p.default is p.empty}
+        tol_parameter = inspect.Parameter("tol", inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                                          default=None, annotation=float | None)
+        published = signature.replace(
+            parameters=[*signature.parameters.values(), tol_parameter],
+            return_annotation=VerificationReport)
 
-    Matching lhs and rhs arrays report their entry with the largest rel_err.
-    A QKernelError raised by `body` becomes a failed report.
-    """
-    started = time.perf_counter()
-    tol = default_tolerance(check_id) if tol is None else tol
-    try:
-        lhs, rhs, nodes = body()
-    except QKernelError:
-        return _failed(check_id, params, tol, started)
-    if np.ndim(lhs) != 0:
-        worst = int(np.argmax(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))))
-        lhs, rhs = lhs[worst], rhs[worst]
-    lhs = complex(lhs)
-    rhs = complex(rhs)
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / (1.0 + max(abs(lhs), abs(rhs)))
-    return VerificationReport(
-        check_id=check_id, params=dict(params), lhs=lhs, rhs=rhs,
-        abs_err=abs_err, rel_err=rel_err, tol=tol, nodes_used=int(nodes),
-        passed=rel_err <= tol, runtime_ms=(time.perf_counter() - started) * 1e3,
-    )
+        @functools.wraps(body)
+        def runner(*args, **kwargs) -> VerificationReport:
+            started = time.perf_counter()
+            if args:
+                kwargs = published.bind(*args, **kwargs).arguments
+            tol = kwargs.pop("tol", None)
+            params = {**arguments, **kwargs}
+            if len(params) != len(arguments) or not kwargs.keys() >= required:
+                published.bind(**kwargs)  # raises the TypeError naming the argument
+            tol = default_tolerance(check_id) if tol is None else tol
+            try:
+                lhs, rhs, nodes = body(**params)
+            except QKernelError:
+                return _failed(check_id, params, tol, started)
+            if np.ndim(lhs) != 0:
+                worst = int(np.argmax(np.abs(lhs - rhs)
+                                      / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))))
+                lhs, rhs = lhs[worst], rhs[worst]
+            lhs = complex(lhs)
+            rhs = complex(rhs)
+            abs_err = abs(lhs - rhs)
+            rel_err = abs_err / (1.0 + max(abs(lhs), abs(rhs)))
+            return VerificationReport(
+                check_id=check_id, params=params, lhs=lhs, rhs=rhs,
+                abs_err=abs_err, rel_err=rel_err, tol=tol, nodes_used=int(nodes),
+                passed=rel_err <= tol, runtime_ms=(time.perf_counter() - started) * 1e3,
+            )
+
+        runner.__signature__ = published
+        CHECK_RUNNERS[check_id] = runner
+        DEFAULT_TOLERANCES[check_id] = default_tol
+        return runner
+
+    return register
 
 
+# Called inside the runner's `except` as a module global, so a wrapper sees the
+# exception behind each failed report (bench/tests/test_workloads.py has one).
 def _failed(check_id, params, tol, started) -> VerificationReport:
     return VerificationReport(
-        check_id=check_id, params=dict(params), lhs=0j, rhs=0j,
+        check_id=check_id, params=params, lhs=0j, rhs=0j,
         abs_err=math.inf, rel_err=math.inf, tol=tol, nodes_used=0,
         passed=False, runtime_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
-def verify_thm_1_1(m: int, n: int, beta, q, tol: float | None = None) -> VerificationReport:
+@_check("thm-1.1", _QUAD_TOL)
+def verify_thm_1_1(m: int, n: int, beta, q):
     """Orthogonality on [0, pi]:
 
         int_0^pi C_m(cos t; beta|q) C_n(cos t; beta|q) omega_beta(cos t|q) dt
@@ -146,24 +169,22 @@ def verify_thm_1_1(m: int, n: int, beta, q, tol: float | None = None) -> Verific
     half of the full-period trapezoid value.  C_m and C_n come from one
     recurrence table per node set.
     """
-    def body():
-        if min(m, n) < 0:
-            raise DomainError("degree must be >= 0")
-        check_base(q)
+    if min(m, n) < 0:
+        raise DomainError("degree must be >= 0")
+    check_base(q)
 
-        def integrand(theta):
-            table = ultraspherical_table(max(m, n), np.cos(theta), beta, q)
-            return table[m] * table[n] * weight_omega_beta(theta, beta, q)
+    def integrand(theta):
+        table = ultraspherical_table(max(m, n), np.cos(theta), beta, q)
+        return table[m] * table[n] * weight_omega_beta(theta, beta, q)
 
-        quad = periodic_quadrature(integrand)
-        lhs = quad.value / 2.0
-        rhs = 1.0 / h_norm(n, beta, q) if m == n else 0.0
-        return lhs, rhs, quad.nodes_used
-
-    return _check("thm-1.1", {"m": m, "n": n, "beta": beta, "q": q}, tol, body)
+    quad = periodic_quadrature(integrand)
+    lhs = quad.value / 2.0
+    rhs = 1.0 / h_norm(n, beta, q) if m == n else 0.0
+    return lhs, rhs, quad.nodes_used
 
 
-def verify_thm_1_2(m: int, n: int, beta, gamma, q, tol: float | None = None) -> VerificationReport:
+@_check("thm-1.2", 1e-8)
+def verify_thm_1_2(m: int, n: int, beta, gamma, q):
     """Mixed-parameter integral on [0, pi]:
 
         int_0^pi C_m(cos t; gamma|q) C_n(cos t; beta|q) omega_beta(cos t|q) dt
@@ -177,33 +198,30 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q, tol: float | None = None) -> 
     1/(q;q)_{-j}, which vanishes under the negative-index convention, so the
     right side is taken as zero there (the degree argument gives the same).
     """
-    def body():
-        if beta == 0:
-            raise DomainError("thm-1.2 closed form needs beta != 0")
-        check_base(q)
+    if beta == 0:
+        raise DomainError("thm-1.2 closed form needs beta != 0")
+    check_base(q)
 
-        def integrand(theta):
-            x = np.cos(theta)
-            return (ultraspherical_c(m, x, gamma, q) * ultraspherical_c(n, x, beta, q)
-                    * weight_omega_beta(theta, beta, q))
+    def integrand(theta):
+        x = np.cos(theta)
+        return (ultraspherical_c(m, x, gamma, q) * ultraspherical_c(n, x, beta, q)
+                * weight_omega_beta(theta, beta, q))
 
-        quad = periodic_quadrature(integrand)
-        if (m - n) % 2 != 0 or m < n:
-            rhs = 0.0
-        else:
-            j = (m - n) // 2
-            half_sum = (m + n) // 2
-            rhs = ((1.0 - beta * q**n) * beta**j * qpoch_finite(gamma / beta, q, j)
-                   * qpoch_finite(gamma, q, half_sum)
-                   / ((1.0 - beta) * h_norm(n, beta, q) * qpoch_finite(q, q, j)
-                      * qpoch_finite(q * beta, q, half_sum)))
-        return quad.value / 2.0, rhs, quad.nodes_used
-
-    return _check("thm-1.2", {"m": m, "n": n, "beta": beta, "gamma": gamma, "q": q},
-                  tol, body)
+    quad = periodic_quadrature(integrand)
+    if (m - n) % 2 != 0 or m < n:
+        rhs = 0.0
+    else:
+        j = (m - n) // 2
+        half_sum = (m + n) // 2
+        rhs = ((1.0 - beta * q**n) * beta**j * qpoch_finite(gamma / beta, q, j)
+               * qpoch_finite(gamma, q, half_sum)
+               / ((1.0 - beta) * h_norm(n, beta, q) * qpoch_finite(q, q, j)
+                  * qpoch_finite(q * beta, q, half_sum)))
+    return quad.value / 2.0, rhs, quad.nodes_used
 
 
-def verify_thm_1_3(m: int, n: int, alpha, beta, q, tol: float | None = None) -> VerificationReport:
+@_check("thm-1.3", _QUAD_TOL)
+def verify_thm_1_3(m: int, n: int, alpha, beta, q):
     """Orthogonality of the two-parameter circle functions:
 
         int_0^{2 pi} C_m^{(a,b)}(e^{it};q) C_n^{(a,b)}(e^{it};q) omega^{(a,b)}(cos t|q) dt
@@ -214,20 +232,16 @@ def verify_thm_1_3(m: int, n: int, alpha, beta, q, tol: float | None = None) -> 
     full complex integral is compared, so an imaginary residue counts as
     error.  At m = n the polynomial is evaluated once per node set.
     """
-    def body():
-        check_base(q)
+    check_base(q)
 
-        def integrand(theta):
-            c_m = gasper_c(m, theta, alpha, beta, q)
-            c_n = c_m if m == n else gasper_c(n, theta, alpha, beta, q)
-            return c_m * c_n * weight_omega_ab(theta, alpha, beta, q)
+    def integrand(theta):
+        c_m = gasper_c(m, theta, alpha, beta, q)
+        c_n = c_m if m == n else gasper_c(n, theta, alpha, beta, q)
+        return c_m * c_n * weight_omega_ab(theta, alpha, beta, q)
 
-        quad = periodic_quadrature(integrand)
-        rhs = _thm_1_3_diagonal(n, alpha, beta, q) if m == n else 0.0
-        return quad.value, rhs, quad.nodes_used
-
-    return _check("thm-1.3", {"m": m, "n": n, "alpha": alpha, "beta": beta, "q": q},
-                  tol, body)
+    quad = periodic_quadrature(integrand)
+    rhs = _thm_1_3_diagonal(n, alpha, beta, q) if m == n else 0.0
+    return quad.value, rhs, quad.nodes_used
 
 
 def _circle_prefactor(alpha, beta, q):
@@ -243,7 +257,8 @@ def _thm_1_3_diagonal(n, alpha, beta, q):
             * qpoch_finite(alpha * beta, q, n) / qpoch_finite(q, q, n))
 
 
-def verify_thm_1_4(alpha, beta, s, t, q, tol: float | None = None) -> VerificationReport:
+@_check("thm-1.4", 1e-8)
+def verify_thm_1_4(alpha, beta, s, t, q):
     """Five-parameter q-beta integral:
 
         int_0^{2 pi} (a t e^{iu}, b t e^{-iu}, a s e^{iu}, b s e^{-iu},
@@ -260,54 +275,48 @@ def verify_thm_1_4(alpha, beta, s, t, q, tol: float | None = None) -> Verificati
 
     two phi_series sums.
     """
-    def body():
-        if max(abs(alpha), abs(beta), abs(s), abs(t)) >= 1.0:
-            raise DomainError("thm-1.4 needs all of |alpha|, |beta|, |s|, |t| < 1")
+    if max(abs(alpha), abs(beta), abs(s), abs(t)) >= 1.0:
+        raise DomainError("thm-1.4 needs all of |alpha|, |beta|, |s|, |t| < 1")
 
-        def integrand(theta):
-            plus = np.exp(1j * theta)
-            minus = plus.conjugate()
-            plus2 = plus * plus
-            minus2 = minus * minus
-            num = qpoch_product([alpha * t * plus, beta * t * minus, alpha * s * plus,
-                                 beta * s * minus, plus2, minus2], q)
-            den = qpoch_product([t * plus, t * minus, s * plus, s * minus,
-                                 alpha * plus2, beta * minus2], q)
-            return num / den
+    def integrand(theta):
+        plus = np.exp(1j * theta)
+        minus = plus.conjugate()
+        plus2 = plus * plus
+        minus2 = minus * minus
+        num = qpoch_product([alpha * t * plus, beta * t * minus, alpha * s * plus,
+                             beta * s * minus, plus2, minus2], q)
+        den = qpoch_product([t * plus, t * minus, s * plus, s * minus,
+                             alpha * plus2, beta * minus2], q)
+        return num / den
 
-        quad = periodic_quadrature(integrand)
-        w = s * t
-        series = (phi_series([alpha * beta, alpha], w, q, [alpha * q]) / (1.0 - alpha)
-                  + phi_series([alpha * beta, beta], w, q, [beta * q]) / (1.0 - beta))
-        return quad.value, _circle_prefactor(alpha, beta, q) * series, quad.nodes_used
-
-    return _check("thm-1.4", {"alpha": alpha, "beta": beta, "s": s, "t": t, "q": q},
-                  tol, body)
+    quad = periodic_quadrature(integrand)
+    w = s * t
+    series = (phi_series([alpha * beta, alpha], w, q, [alpha * q]) / (1.0 - alpha)
+              + phi_series([alpha * beta, beta], w, q, [beta * q]) / (1.0 - beta))
+    return quad.value, _circle_prefactor(alpha, beta, q) * series, quad.nodes_used
 
 
-def verify_prop_3_1(a, b, c, x, y, q, tol: float | None = None) -> VerificationReport:
+@_check("prop-3.1", _QUAD_TOL)
+def verify_prop_3_1(a, b, c, x, y, q):
     """Al-Salam--Verma evaluation of a Jackson q-integral:
 
         int_x^y (qz/x, qz/y, abcz; q)_inf / (az/y, bz/x, cz; q)_inf d_q z
         = (1-q) y (q, x/y, qy/x, ab, acx, bcy; q)_inf
           / (ax/y, by/x, a, b, cx, cy; q)_inf.
     """
-    def body():
-        if x == 0 or y == 0:
-            raise DomainError("prop-3.1 needs nonzero endpoints")
-        if max(abs(a), abs(b), abs(c * x), abs(c * y), abs(a * x / y), abs(b * y / x)) >= 1.0:
-            raise DomainError("prop-3.1 parameter moduli out of range")
+    if x == 0 or y == 0:
+        raise DomainError("prop-3.1 needs nonzero endpoints")
+    if max(abs(a), abs(b), abs(c * x), abs(c * y), abs(a * x / y), abs(b * y / x)) >= 1.0:
+        raise DomainError("prop-3.1 parameter moduli out of range")
 
-        def integrand(z):
-            return _ladder_ratio([q / x, q / y, a * b * c], [a / y, b / x, c], z, q)
+    def integrand(z):
+        return _ladder_ratio([q / x, q / y, a * b * c], [a / y, b / x, c], z, q)
 
-        lhs = jackson_q_integral(integrand, x, y, q)
-        rhs = ((1.0 - q) * y
-               * qpoch_product([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q)
-               / qpoch_product([a * x / y, b * y / x, a, b, c * x, c * y], q))
-        return complex(lhs), rhs, lhs.rungs
-
-    return _check("prop-3.1", {"a": a, "b": b, "c": c, "x": x, "y": y, "q": q}, tol, body)
+    ladder = jackson_q_integral(integrand, x, y, q)
+    rhs = ((1.0 - q) * y
+           * qpoch_product([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q)
+           / qpoch_product([a * x / y, b * y / x, a, b, c * x, c * y], q))
+    return ladder.value, rhs, ladder.nodes_used
 
 
 def _ladder_ratio(upper, lower, z, q):
@@ -317,7 +326,8 @@ def _ladder_ratio(upper, lower, z, q):
     return np.prod(table[:, :len(upper)], axis=1) / np.prod(table[:, len(upper):], axis=1)
 
 
-def verify_prop_3_2(n: int, a, b, x, y, q, tol: float | None = None) -> VerificationReport:
+@_check("prop-3.2", _QUAD_TOL)
+def verify_prop_3_2(n: int, a, b, x, y, q):
     """Jackson q-integral representation of the homogeneous polynomials:
 
         Phi_n^{(a,b)}(x, y|q) = (ab;q)_n (a, b, by/x, ax/y; q)_inf
@@ -328,59 +338,44 @@ def verify_prop_3_2(n: int, a, b, x, y, q, tol: float | None = None) -> Verifica
     A vanishing closed-form denominator (q, ab, x/y, qy/x; q)_inf raises
     PoleError.
     """
-    def body():
-        if x == 0 or y == 0 or x == y:
-            raise DomainError("prop-3.2 needs distinct nonzero endpoints")
+    if x == 0 or y == 0 or x == y:
+        raise DomainError("prop-3.2 needs distinct nonzero endpoints")
 
-        def integrand(z):
-            return _ladder_ratio([q / x, q / y], [b / x, a / y], z, q) * z**n
+    def integrand(z):
+        return _ladder_ratio([q / x, q / y], [b / x, a / y], z, q) * z**n
 
-        integral = jackson_q_integral(integrand, x, y, q)
-        den = (1.0 - q) * y * qpoch_product([q, a * b, x / y, q * y / x], q)
-        if den == 0:
-            raise PoleError("prop-3.2 needs (q, ab, x/y, qy/x; q)_inf != 0")
-        prefactor = (qpoch_finite(a * b, q, n)
-                     * qpoch_product([a, b, b * y / x, a * x / y], q) / den)
-        lhs = phi_poly(n, a, b, x, y, q)
-        rhs = prefactor * complex(integral)
-        return lhs, rhs, integral.rungs
-
-    return _check("prop-3.2", {"n": n, "a": a, "b": b, "x": x, "y": y, "q": q}, tol, body)
+    ladder = jackson_q_integral(integrand, x, y, q)
+    den = (1.0 - q) * y * qpoch_product([q, a * b, x / y, q * y / x], q)
+    if den == 0:
+        raise PoleError("prop-3.2 needs (q, ab, x/y, qy/x; q)_inf != 0")
+    prefactor = (qpoch_finite(a * b, q, n)
+                 * qpoch_product([a, b, b * y / x, a * x / y], q) / den)
+    lhs = phi_poly(n, a, b, x, y, q)
+    rhs = prefactor * ladder.value
+    return lhs, rhs, ladder.nodes_used
 
 
-def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int | None = None,
-                             tol: float | None = None) -> VerificationReport:
+@_check("rogers-connection", 1e-10)
+def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int = 16):
     """Pointwise reconstruction C_n(x; gamma) = sum_k c_k C_{n-2k}(x; beta)
-    with the connection coefficients, on a theta grid; the report carries the
-    worst grid point and records the grid length as theta_grid.  Every
-    C_{n-2k}(x; beta) comes from one recurrence table."""
-    if theta_grid is None:
-        theta_grid = 16
-    if np.ndim(theta_grid) == 0:
-        grid = (np.arange(int(theta_grid)) + 0.5) * math.pi / int(theta_grid)
-    else:
-        grid = np.asarray(theta_grid, dtype=float)
-
-    def body():
-        if len(grid) == 0:
-            raise DomainError("rogers-connection needs at least one grid point")
-        check_base(q)
-        x = np.cos(grid)
-        coeffs = connection_coeffs(n, beta, gamma, q)
-        lhs_values = ultraspherical_c(n, x, gamma, q) + 0j
-        beta_table = ultraspherical_table(n, x, beta, q)
-        rhs_values = np.zeros_like(lhs_values)
-        for k, ck in enumerate(coeffs):
-            rhs_values = rhs_values + ck * beta_table[n - 2 * k]
-        return lhs_values, rhs_values, len(grid)
-
-    return _check("rogers-connection",
-                  {"n": n, "beta": beta, "gamma": gamma, "q": q, "theta_grid": len(grid)},
-                  tol, body)
+    with the connection coefficients, on the theta_grid midpoints
+    (j + 1/2) pi / theta_grid; the report carries the worst grid point.
+    Every C_{n-2k}(x; beta) comes from one recurrence table."""
+    if theta_grid < 1:
+        raise DomainError("rogers-connection needs at least one grid point")
+    check_base(q)
+    x = np.cos((np.arange(theta_grid) + 0.5) * math.pi / theta_grid)
+    coeffs = connection_coeffs(n, beta, gamma, q)
+    lhs_values = ultraspherical_c(n, x, gamma, q) + 0j
+    beta_table = ultraspherical_table(n, x, beta, q)
+    rhs_values = np.zeros_like(lhs_values)
+    for k, ck in enumerate(coeffs):
+        rhs_values = rhs_values + ck * beta_table[n - 2 * k]
+    return lhs_values, rhs_values, theta_grid
 
 
-def verify_askey_ismail_chebyshev(n: int, k: int, beta, q,
-                                  tol: float | None = None) -> VerificationReport:
+@_check("askey-ismail", 1e-8)
+def verify_askey_ismail_chebyshev(n: int, k: int, beta, q):
     """Integral of C_n against a Chebyshev polynomial, k >= 1:
 
         int_0^pi C_n(cos t; beta|q) T_{n+2k}(cos t) omega_beta(cos t|q) dt
@@ -391,32 +386,29 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q,
     The trailing factor is evaluated as prod_{j<k} (beta - q^j), defined for
     every nonzero beta (and continuously at beta = 0).
     """
-    def body():
-        if k < 1:
-            raise DomainError("askey-ismail needs k >= 1")
-        check_base(q)
+    if k < 1:
+        raise DomainError("askey-ismail needs k >= 1")
+    check_base(q)
 
-        def integrand(theta):
-            x = np.cos(theta)
-            return (ultraspherical_c(n, x, beta, q) * chebyshev_t(n + 2 * k, x)
-                    * weight_omega_beta(theta, beta, q))
+    def integrand(theta):
+        x = np.cos(theta)
+        return (ultraspherical_c(n, x, beta, q) * chebyshev_t(n + 2 * k, x)
+                * weight_omega_beta(theta, beta, q))
 
-        quad = periodic_quadrature(integrand)
-        front = 1.0
-        for j in range(k):
-            front *= (beta - q**j)
-        rhs = (math.pi * qbinom(n + k, k, q)
-               * (1.0 - q ** (n + 2 * k)) / (1.0 - q ** (n + k))
-               * qpoch_product([beta, beta * q ** (n + k + 1)], q)
-               / qpoch_product([q, beta * beta * q**n], q)
-               * front)
-        return quad.value / 2.0, rhs, quad.nodes_used
-
-    return _check("askey-ismail", {"n": n, "k": k, "beta": beta, "q": q}, tol, body)
+    quad = periodic_quadrature(integrand)
+    front = 1.0
+    for j in range(k):
+        front *= (beta - q**j)
+    rhs = (math.pi * qbinom(n + k, k, q)
+           * (1.0 - q ** (n + 2 * k)) / (1.0 - q ** (n + k))
+           * qpoch_product([beta, beta * q ** (n + k + 1)], q)
+           / qpoch_product([q, beta * beta * q**n], q)
+           * front)
+    return quad.value / 2.0, rhs, quad.nodes_used
 
 
-def verify_gf_4_1(beta, q, theta: float, degree: int = 16,
-                  tol: float | None = None) -> VerificationReport:
+@_check("gf-4.1", _QUAD_TOL)
+def verify_gf_4_1(beta, q, theta: float, degree: int = 16):
     """Shifted generating function, coefficientwise in t up to `degree`:
 
         sum_n (1 - beta q^n) C_n(cos u; beta|q) t^n
@@ -425,27 +417,23 @@ def verify_gf_4_1(beta, q, theta: float, degree: int = 16,
 
     The report carries the worst coefficient.
     """
-    def body():
-        check_base(q)
-        x = math.cos(theta)
-        table = ultraspherical_table(degree, x, beta, q)
-        lhs_coeffs = np.array([(1.0 - beta * q**n) * table[n] for n in range(degree + 1)],
-                              dtype=complex)
-        phase = complex(math.cos(theta), math.sin(theta))
-        expansion = gf_expand([beta * q * phase, beta * q / phase],
-                              [phase, 1.0 / phase], q, degree)
-        g = np.asarray(expansion.coeffs)
-        rhs_coeffs = np.empty(degree + 1, dtype=complex)
-        for p in range(degree + 1):
-            rhs_coeffs[p] = (1.0 - beta) * (g[p] - (beta * g[p - 2] if p >= 2 else 0.0))
-        return lhs_coeffs, rhs_coeffs, degree + 1
-
-    return _check("gf-4.1", {"beta": beta, "q": q, "theta": theta, "degree": degree},
-                  tol, body)
+    check_base(q)
+    x = math.cos(theta)
+    table = ultraspherical_table(degree, x, beta, q)
+    lhs_coeffs = np.array([(1.0 - beta * q**n) * table[n] for n in range(degree + 1)],
+                          dtype=complex)
+    phase = complex(math.cos(theta), math.sin(theta))
+    expansion = gf_expand([beta * q * phase, beta * q / phase],
+                          [phase, 1.0 / phase], q, degree)
+    g = np.asarray(expansion.coeffs)
+    rhs_coeffs = np.empty(degree + 1, dtype=complex)
+    for p in range(degree + 1):
+        rhs_coeffs[p] = (1.0 - beta) * (g[p] - (beta * g[p - 2] if p >= 2 else 0.0))
+    return lhs_coeffs, rhs_coeffs, degree + 1
 
 
-def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12,
-                    tol: float | None = None) -> VerificationReport:
+@_check("prop-4.2", _QUAD_TOL)
+def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12):
     """Double-sum re-expansion, coefficientwise in t up to `degree`:
 
         sum_n C_n(cos u; gamma|q) t^n
@@ -453,98 +441,67 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12,
                     / ((q;q)_j (beta;q)_{m+j+1})
           C_m(cos u; beta|q) t^{m+2j}.
     """
-    def body():
-        if beta == 0:
-            raise DomainError("prop-4.2 needs beta != 0")
-        check_base(q)
-        x = math.cos(theta)
-        gamma_table = ultraspherical_table(degree, x, gamma, q)
-        beta_table = ultraspherical_table(degree, x, beta, q)
-        q_products = qpoch_finite_table(q, q, degree // 2)
-        beta_products = qpoch_finite_table(beta, q, degree + 1)
-        gamma_products = qpoch_finite_table(gamma, q, degree)
-        lhs_coeffs = np.asarray(gamma_table, dtype=complex)
-        rhs_coeffs = np.zeros(degree + 1, dtype=complex)
-        for p in range(degree + 1):
-            acc = 0.0
-            front = 1.0
-            for j in range(p // 2 + 1):
-                m = p - 2 * j
-                denominator = q_products[j] * beta_products[m + j + 1]
-                if denominator == 0:
-                    raise PoleError(f"prop-4.2 needs (beta;q)_{m + j + 1} != 0")
-                acc = acc + ((1.0 - beta * q**m) * front * gamma_products[j + m]
-                             / denominator * beta_table[m])
-                front = front * (beta - gamma * q**j)
-            rhs_coeffs[p] = acc
-        return lhs_coeffs, rhs_coeffs, degree + 1
-
-    return _check("prop-4.2",
-                  {"beta": beta, "gamma": gamma, "q": q, "theta": theta, "degree": degree},
-                  tol, body)
+    if beta == 0:
+        raise DomainError("prop-4.2 needs beta != 0")
+    check_base(q)
+    x = math.cos(theta)
+    gamma_table = ultraspherical_table(degree, x, gamma, q)
+    beta_table = ultraspherical_table(degree, x, beta, q)
+    q_products = qpoch_finite_table(q, q, degree // 2)
+    beta_products = qpoch_finite_table(beta, q, degree + 1)
+    gamma_products = qpoch_finite_table(gamma, q, degree)
+    lhs_coeffs = np.asarray(gamma_table, dtype=complex)
+    rhs_coeffs = np.zeros(degree + 1, dtype=complex)
+    for p in range(degree + 1):
+        acc = 0.0
+        front = 1.0
+        for j in range(p // 2 + 1):
+            m = p - 2 * j
+            denominator = q_products[j] * beta_products[m + j + 1]
+            if denominator == 0:
+                raise PoleError(f"prop-4.2 needs (beta;q)_{m + j + 1} != 0")
+            acc = acc + ((1.0 - beta * q**m) * front * gamma_products[j + m]
+                         / denominator * beta_table[m])
+            front = front * (beta - gamma * q**j)
+        rhs_coeffs[p] = acc
+    return lhs_coeffs, rhs_coeffs, degree + 1
 
 
-def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64,
-                         tol: float | None = None) -> VerificationReport:
+@_check("uniform-bound", 1e-12)
+def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64):
     """|C_n^{(a,b)}(e^{i t}; q)| <= C_n^{(a,b)}(1; q) for real parameters in
     (-1, 1), checked on a uniform theta grid.  lhs is the clamped worst
     violation, rhs is zero.  The polynomials divide by 1 - q^k, k <= n, so
     any q (|q| >= 1 included) is accepted unless some such q^k is 1."""
-    def body():
-        if grid_size < 1:
-            raise DomainError("uniform-bound needs grid_size >= 1")
-        for k in range(1, n + 1):
-            if q**k == 1:
-                raise DomainError("uniform-bound needs q**k != 1 for 1 <= k <= n")
-        grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
-        values = np.abs(gasper_c(n, grid, alpha, beta, q))
-        bound = complex(gasper_c(n, 0.0, alpha, beta, q)).real
-        violation = max(0.0, float(np.max(values)) - bound)
-        return violation, 0.0, grid_size
-
-    return _check("uniform-bound",
-                  {"n": n, "alpha": alpha, "beta": beta, "q": q, "grid_size": grid_size},
-                  tol, body)
+    if grid_size < 1:
+        raise DomainError("uniform-bound needs grid_size >= 1")
+    for k in range(1, n + 1):
+        if q**k == 1:
+            raise DomainError("uniform-bound needs q**k != 1 for 1 <= k <= n")
+    grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    values = np.abs(gasper_c(n, grid, alpha, beta, q))
+    bound = complex(gasper_c(n, 0.0, alpha, beta, q)).real
+    violation = max(0.0, float(np.max(values)) - bound)
+    return violation, 0.0, grid_size
 
 
-def verify_qbinomial(a, z, q, tol: float | None = None) -> VerificationReport:
+@_check("qbinomial", _SERIES_TOL)
+def verify_qbinomial(a, z, q):
     """q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf / (z;q)_inf for |z| < 1."""
-    def body():
-        lhs = phi_series([a], z, q)
-        rhs = qpoch_infinite(a * z, q) / qpoch_infinite(z, q)
-        return lhs, rhs, 0
-
-    return _check("qbinomial", {"a": a, "z": z, "q": q}, tol, body)
+    lhs = phi_series([a], z, q)
+    rhs = qpoch_infinite(a * z, q) / qpoch_infinite(z, q)
+    return lhs, rhs, 0
 
 
-def verify_rogers_6w5(a, b, c, d, q, tol: float | None = None) -> VerificationReport:
+@_check("rogers-6phi5", _SERIES_TOL)
+def verify_rogers_6w5(a, b, c, d, q):
     """Rogers summation: 6W5(a; b, c, d; q, aq/(bcd)) equals its product form."""
-    def body():
-        if b * c * d == 0:
-            raise DomainError("rogers-6phi5 needs nonzero b, c, d")
-        z = a * q / (b * c * d)
-        lhs = w_series(a, [b, c, d], q, z)
-        rhs = rogers_6w5_rhs(a, b, c, d, q)
-        return lhs, rhs, 0
-
-    return _check("rogers-6phi5", {"a": a, "b": b, "c": c, "d": d, "q": q}, tol, body)
-
-
-CHECK_RUNNERS = {
-    "thm-1.1": verify_thm_1_1,
-    "thm-1.2": verify_thm_1_2,
-    "thm-1.3": verify_thm_1_3,
-    "thm-1.4": verify_thm_1_4,
-    "prop-3.1": verify_prop_3_1,
-    "prop-3.2": verify_prop_3_2,
-    "rogers-connection": verify_rogers_connection,
-    "askey-ismail": verify_askey_ismail_chebyshev,
-    "gf-4.1": verify_gf_4_1,
-    "prop-4.2": verify_prop_4_2,
-    "uniform-bound": verify_uniform_bound,
-    "qbinomial": verify_qbinomial,
-    "rogers-6phi5": verify_rogers_6w5,
-}
+    if b * c * d == 0:
+        raise DomainError("rogers-6phi5 needs nonzero b, c, d")
+    z = a * q / (b * c * d)
+    lhs = w_series(a, [b, c, d], q, z)
+    rhs = rogers_6w5_rhs(a, b, c, d, q)
+    return lhs, rhs, 0
 
 
 def default_suite_config() -> dict:

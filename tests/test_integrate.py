@@ -17,17 +17,21 @@ from qkernel.verify import CHECK_RUNNERS, default_suite_config
 
 def rung_by_rung(f, endpoint, q):
     """sum_n q^n f(endpoint q^n) one scalar call per rung, with the ladder's
-    stopping rule; returns the sum and the number of rungs summed."""
+    stopping rule; returns the sum, the number of rungs summed, the last tail
+    bound and sum_n |q^n f(endpoint q^n)|."""
     total = 0j
+    size = 0.0
     qn = 1.0 + 0j
     recent = deque(maxlen=8)
     for n in range(MAX_SERIES_TERMS):
         value = complex(f(endpoint * qn))
         total += qn * value
+        size += abs(qn * value)
         recent.append(abs(value))
         qn *= q
-        if n >= 7 and max(recent) * abs(qn) / (1 - abs(q)) <= EPS_SERIES * (1 + abs(total)):
-            return total, n + 1
+        tail = max(recent) * abs(qn) / (1 - abs(q))
+        if n >= 7 and tail <= EPS_SERIES * (1 + abs(total)):
+            return total, n + 1, tail, size
     raise AssertionError("reference ladder did not stop")
 
 
@@ -55,13 +59,13 @@ def doubling_without_floor(f):
 class TestJackson:
     def test_constant_integrand_from_zero(self):
         # b (1-q) sum q^n = b
-        got = jackson_q_integral(lambda z: 1.0, 0.0, 0.7, 0.4)
+        got = jackson_q_integral(lambda z: 1.0, 0.0, 0.7, 0.4).value
         assert got == pytest.approx(0.7, rel=1e-13)
 
     def test_linear_integrand_from_zero(self):
         # (1-q) sum q^{2n} = 1/(1+q)
         q, b = 0.35, 0.8
-        got = jackson_q_integral(lambda z: z, 0.0, b, q)
+        got = jackson_q_integral(lambda z: z, 0.0, b, q).value
         assert got == pytest.approx(b * b / (1 + q), rel=1e-13)
 
     def test_additivity_in_the_endpoints(self):
@@ -75,9 +79,9 @@ class TestJackson:
         for _ in range(5):
             a = complex(*rng.uniform(-0.9, 0.9, 2))
             b = complex(*rng.uniform(-0.9, 0.9, 2))
-            whole = jackson_q_integral(f, a, b, q)
-            split = (jackson_q_integral(f, 0.0, b, q)
-                     - jackson_q_integral(f, 0.0, a, q))
+            whole = jackson_q_integral(f, a, b, q).value
+            split = (jackson_q_integral(f, 0.0, b, q).value
+                     - jackson_q_integral(f, 0.0, a, q).value)
             assert whole == pytest.approx(split, rel=1e-12, abs=1e-12)
 
     def test_polynomial_closed_form(self):
@@ -99,7 +103,7 @@ class TestJackson:
                 c * (b ** (j + 1) - a ** (j + 1)) * (1 - q) / (1 - q ** (j + 1))
                 for j, c in enumerate(coeffs)
             )
-            assert jackson_q_integral(f, a, b, q) == pytest.approx(expected, rel=1e-12)
+            assert jackson_q_integral(f, a, b, q).value == pytest.approx(expected, rel=1e-12)
 
     def test_growing_integrand_raises(self, monkeypatch):
         monkeypatch.setattr("qkernel.integrate.MAX_SERIES_TERMS", 500)
@@ -120,14 +124,17 @@ class TestJackson:
             return f(z)
 
         a, b = -0.6, 0.9
-        value = jackson_q_integral(counted, a, b, q)
-        upper, upper_rungs = rung_by_rung(f, b, q)
-        lower, lower_rungs = rung_by_rung(f, a, q)
-        assert value == (1.0 - q) * (b * upper - a * lower)
-        assert value.rungs == upper_rungs + lower_rungs
+        result = jackson_q_integral(counted, a, b, q)
+        upper, upper_rungs, upper_tail, upper_size = rung_by_rung(f, b, q)
+        lower, lower_rungs, lower_tail, lower_size = rung_by_rung(f, a, q)
+        assert result.value == (1.0 - q) * (b * upper - a * lower)
+        assert result.nodes_used == upper_rungs + lower_rungs
+        assert result.error_estimate == abs(1.0 - q) * (abs(b) * upper_tail + abs(a) * lower_tail)
+        assert result.magnitude == abs(1.0 - q) * (abs(b) * upper_size + abs(a) * lower_size)
+        assert result.stop_reason == "tolerance"
         assert blocks[:3] == [8, 16, 32]
         # each of the two ladders evaluates at most 2 (rungs summed) + 6 rungs
-        assert sum(blocks) <= 2 * value.rungs + 12
+        assert sum(blocks) <= 2 * result.nodes_used + 12
 
     def test_blocks_are_consecutive_rungs(self):
         # the contract a ladder integrand may rely on: blocks of 8, 16, 32,
@@ -154,9 +161,9 @@ class TestJackson:
         def f(z):
             return np.where(np.abs(z) < 1e-15, np.nan, 1.0)
 
-        value = jackson_q_integral(f, 0.0, 1.0, 0.5)
-        assert value.rungs == 46
-        assert value == pytest.approx(1.0, rel=1e-13)
+        result = jackson_q_integral(f, 0.0, 1.0, 0.5)
+        assert result.nodes_used == 46
+        assert result.value == pytest.approx(1.0, rel=1e-13)
 
     def test_non_finite_integrand_is_a_pole(self):
         with pytest.raises(PoleError, match="rung 0"):

@@ -1,6 +1,7 @@
 """Identity checks: spec'd example points, reduction identities, failure
 paths, and suite behavior."""
 
+import inspect
 import math
 from unittest import mock
 
@@ -364,11 +365,12 @@ class TestConnectionAndChebyshev:
         assert report.rel_err <= 1e-10
         assert report.params["theta_grid"] == 16
 
-    def test_explicit_grid_accepted(self):
-        grid = np.linspace(0.1, 3.0, 9)
-        report = verify_rogers_connection(4, 0.4, 0.7, 0.3, theta_grid=grid)
+    def test_params_rerun_the_same_grid(self):
+        report = verify_rogers_connection(4, 0.4, 0.7, 0.3, theta_grid=9)
         assert report.passed
-        assert report.params["theta_grid"] == 9
+        assert report.params == {"n": 4, "beta": 0.4, "gamma": 0.7, "q": 0.3, "theta_grid": 9}
+        again = verify_rogers_connection(**report.params)
+        assert (again.lhs, again.rhs, again.nodes_used) == (report.lhs, report.rhs, 9)
 
     def test_chebyshev_integral_points(self):
         for n, k, beta, q in [(0, 1, 0.5, 0.3), (2, 2, 0.4, 0.25)]:
@@ -536,6 +538,14 @@ class TestSuite:
         [report] = run_suite({check_id: [entry]})
         assert not report.passed
         assert report.rel_err == math.inf
+        # the runner's full arguments in signature order, defaults included
+        # (theta_grid=16 for the rogers-connection pole entry), tol left out
+        parameters = inspect.signature(CHECK_RUNNERS[check_id]).parameters
+        names = [name for name in parameters if name != "tol"]
+        assert list(report.params) == names
+        assert report.params == {name: entry.get(name, parameters[name].default)
+                                 for name in names}
+        assert list(verify.DEFAULT_TOLERANCES) == list(CHECK_RUNNERS)
 
     # every runner but uniform-bound, whose polynomials are defined for any q
     # with q**k != 1 for 1 <= k <= n: it fails at q = 1 and q = -1 (q**2 = 1)
