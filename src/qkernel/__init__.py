@@ -18,9 +18,8 @@ from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
                           phi_poly, q_hermite, ultraspherical_c)
 from .series import (TruncatedPowerSeries, gf_expand, phi_series,
                      rogers_6w5_rhs, w_series)
-from .verify import (CHECK_RUNNERS, DEFAULT_TOLERANCES, VerificationReport,
-                     default_suite_config, default_tolerance, run_suite,
-                     verify_askey_ismail_chebyshev, verify_gf_4_1,
+from .verify import (CHECK_RUNNERS, VerificationReport, default_suite_config,
+                     run_suite, verify_askey_ismail_chebyshev, verify_gf_4_1,
                      verify_prop_3_1, verify_prop_3_2, verify_prop_4_2,
                      verify_qbinomial, verify_rogers_6w5,
                      verify_rogers_connection, verify_thm_1_1,
@@ -38,8 +37,7 @@ __all__ = [
     "chebyshev_t", "h_norm", "connection_coeffs",
     "QuadratureResult", "jackson_q_integral", "periodic_quadrature",
     "weight_omega_beta", "weight_omega_ab",
-    "VerificationReport", "CHECK_RUNNERS", "DEFAULT_TOLERANCES",
-    "default_tolerance", "default_suite_config", "run_suite",
+    "VerificationReport", "CHECK_RUNNERS", "default_suite_config", "run_suite",
     "verify_thm_1_1", "verify_thm_1_2", "verify_thm_1_3", "verify_thm_1_4",
     "verify_prop_3_1", "verify_prop_3_2", "verify_rogers_connection",
     "verify_askey_ismail_chebyshev", "verify_gf_4_1", "verify_prop_4_2",

@@ -14,8 +14,8 @@ parameter a number, and a `list` parameter is a repeatable flag (`--upper`,
 `--lower`, `--b`, `--coeff`).  The number rule: "re" and a JSON number stay
 real, "re,im" and [re, im] become complex.  Exit codes: 0 all good, 1
 numeric failure (a failed check or a pole/convergence error), 2 usage or
-configuration error.  Setting QKERNEL_TOL overrides the default tolerance
-profile of every check.
+configuration error.  A check's default tolerance is its runner's `tol`
+default; `check --tol` or a config entry's "tol" overrides it.
 """
 
 from __future__ import annotations

@@ -123,6 +123,8 @@ def chebyshev_t(n: int, x: float):
     """Chebyshev polynomial of the first kind, T_n(cos theta) = cos(n theta)."""
     if n < 0:
         raise DomainError("degree must be >= 0")
+    if np.any(np.abs(x) > 1.0):
+        raise DomainError("x = cos(theta) must lie in [-1, 1]")
     return np.cos(n * np.arccos(x))
 
 
@@ -132,6 +134,8 @@ def h_norm(n: int, beta, q):
         h_n(beta|q) = (q, beta^2; q)_inf (q;q)_n (1 - beta q^n)
                       / (2 pi (beta, beta q; q)_inf (beta^2; q)_n (1 - beta))
     """
+    if n < 0:
+        raise DomainError("degree must be >= 0")
     if beta == 1:
         raise PoleError("h_norm has a pole at beta = 1")
     num = (qpoch_product([q, beta * beta], q)

@@ -24,11 +24,14 @@ rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
 
 Each runner is written as a function of the check's own arguments that
 returns (lhs, rhs, nodes_used), under one decorator, @_check(check_id,
-default_tol).  The decorator registers it in CHECK_RUNNERS and its tolerance
-in DEFAULT_TOLERANCES, adds the keyword `tol` (None: default_tolerance) to
-its signature, times the call and builds the report.  A report's params are
-the call's arguments in signature order, defaults filled in and tol left
-out, so they re-run the check as a `suite --config` entry.  When lhs and
+default_tol).  The decorator registers it in CHECK_RUNNERS, adds the keyword
+`tol: float = default_tol` to its signature, times the call and builds the
+report.  A check's default tolerance is thus its runner's `tol` default,
+inspect.signature(runner).parameters["tol"].default; a `tol` argument
+(`check --tol`, a `suite --config` entry's "tol") overrides it for that
+call.  A report's params are the call's arguments in signature order,
+defaults filled in and tol left out, so they re-run the check as a
+`suite --config` entry.  When lhs and
 rhs are matching arrays (grid points, coefficients) the report carries the
 entry with the largest rel_err.  Any QKernelError the runner raises,
 argument validation included, yields a failed report with infinite errors
@@ -46,7 +49,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -67,18 +69,9 @@ from .series import gf_expand, phi_series, rogers_6w5_rhs, w_series
 _QUAD_TOL = 1e-9
 _SERIES_TOL = 1e-11
 
-# Check id -> runner and check id -> default tolerance, filled by @_check in
-# the order the runners are defined below.
+# Check id -> runner, filled by @_check in the order the runners are defined
+# below.
 CHECK_RUNNERS: dict = {}
-DEFAULT_TOLERANCES: dict = {}
-
-
-def default_tolerance(check_id: str) -> float:
-    """Default relative tolerance for a check; QKERNEL_TOL overrides all."""
-    env = os.environ.get("QKERNEL_TOL")
-    if env is not None and env != "":
-        return float(env)
-    return DEFAULT_TOLERANCES[check_id]
 
 
 @dataclass(frozen=True)
@@ -99,15 +92,16 @@ class VerificationReport:
 
 def _check(check_id: str, default_tol: float):
     """Make `body`, a function of the check's arguments returning (lhs, rhs,
-    nodes_used), the runner of check `check_id` (see the module docstring).
-    The body's signature is read once, here; a call only merges its keywords
-    into the argument defaults."""
+    nodes_used), the runner of check `check_id`, whose keyword `tol` defaults
+    to `default_tol` (see the module docstring).  The body's signature is
+    read once, here; a call only merges its keywords into the argument
+    defaults."""
     def register(body):
         signature = inspect.signature(body, eval_str=True)
         arguments = {name: p.default for name, p in signature.parameters.items()}
         required = {name for name, p in signature.parameters.items() if p.default is p.empty}
         tol_parameter = inspect.Parameter("tol", inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                                          default=None, annotation=float | None)
+                                          default=default_tol, annotation=float)
         published = signature.replace(
             parameters=[*signature.parameters.values(), tol_parameter],
             return_annotation=VerificationReport)
@@ -117,11 +111,10 @@ def _check(check_id: str, default_tol: float):
             started = time.perf_counter()
             if args:
                 kwargs = published.bind(*args, **kwargs).arguments
-            tol = kwargs.pop("tol", None)
+            tol = float(kwargs.pop("tol", default_tol))  # TypeError for tol=None
             params = {**arguments, **kwargs}
             if len(params) != len(arguments) or not kwargs.keys() >= required:
                 published.bind(**kwargs)  # raises the TypeError naming the argument
-            tol = default_tolerance(check_id) if tol is None else tol
             try:
                 lhs, rhs, nodes = body(**params)
             except QKernelError:
@@ -142,7 +135,6 @@ def _check(check_id: str, default_tol: float):
 
         runner.__signature__ = published
         CHECK_RUNNERS[check_id] = runner
-        DEFAULT_TOLERANCES[check_id] = default_tol
         return runner
 
     return register

@@ -3,10 +3,10 @@
     PYTHONPATH=src python tests/report_dump.py > reports.txt
 
 One line per report: workload, seed, check id, then the repr of lhs, rhs,
-rel_err, abs_err, params, nodes_used and pass.  The reports are those of the
-`suite`, `stress` and `expand` workloads at seeds 0-2 and of `run_suite()`
-(385 in all).  Running it at two versions and diffing the outputs shows
-every report value a change moves, params key order included.
+rel_err, abs_err, params, nodes_used, pass and tol.  The reports are those
+of the `suite`, `stress` and `expand` workloads at seeds 0-2 and of
+`run_suite()` (385 in all).  Running it at two versions and diffing the
+outputs shows every report value a change moves, params key order included.
 
 bench/workloads.py is loaded read-only from the source checkout.  The file
 name keeps pytest from collecting it.
@@ -34,7 +34,7 @@ def load_workloads():
 
 def dump_line(label, report) -> str:
     fields = (report.lhs, report.rhs, report.rel_err, report.abs_err, report.params,
-              report.nodes_used, report.passed)
+              report.nodes_used, report.passed, report.tol)
     return " ".join([label, report.check_id] + [repr(field) for field in fields])
 
 

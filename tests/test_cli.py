@@ -320,16 +320,22 @@ class TestSuiteCommand:
         code, _, _ = run_cli(["suite", "--only", "nope"], capsys)
         assert code == 2
 
-    def test_forced_failure_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QKERNEL_TOL", "1e-30")
-        code, out, _ = run_cli(["suite", "--only", "qbinomial"], capsys)
+    def test_forced_failure_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"qbinomial": [{"a": 0.4, "z": 0.5, "q": 0.3,
+                                                   "tol": 1e-30}]}))
+        code, out, _ = run_cli(["suite", "--config", str(path)], capsys)
         assert code == 1
         assert "FAIL" in out.strip().splitlines()[-1]
 
-    def test_malformed_env_tolerance_is_usage(self, capsys, monkeypatch):
-        monkeypatch.setenv("QKERNEL_TOL", "not-a-number")
+    def test_environment_does_not_set_tolerances(self, capsys, monkeypatch):
+        # the tolerance of a check is its runner's `tol` default or a `tol`
+        # argument, never an environment variable
+        monkeypatch.setenv("QKERNEL_TOL", "1e-30")
+        reports = run_suite()
+        assert (len(reports), all(report.passed for report in reports)) == (76, True)
         code, _, _ = run_cli(["suite", "--only", "qbinomial"], capsys)
-        assert code == 2
+        assert code == 0
 
 
 class TestModuleEntryPoint:
@@ -379,6 +385,8 @@ GOLDEN = [
     ('eval qpoch --a 0.3 --q 0.3 --n -1', 1, ''),
     ('eval qpoch --a 0.5 --q 1.5 --n inf', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
+    ('eval T --n 3 --x 2', 1, ''),
+    ('eval h --n -1 --beta 0.5 --q 0.3', 1, ''),
     ('eval C --n 1', 2, ''),
     ('eval C --n 1 --beta 0.5 --q 0.3', 2, ''),
     ('eval C --n 1 --beta 0.5 --q 0.3 --theta 0 --x 1', 2, ''),

@@ -199,6 +199,14 @@ class TestChebyshev:
         for n in range(1, 21):
             assert values[n + 1] == pytest.approx(2 * x * values[n] - values[n - 1], abs=1e-13)
 
+    def test_rejects_points_off_the_interval(self):
+        # arccos would return NaN there, with a RuntimeWarning
+        with pytest.raises(DomainError, match=r"must lie in \[-1, 1\]"):
+            chebyshev_t(3, 2.0)
+        with pytest.raises(DomainError):
+            chebyshev_t(3, np.array([0.5, -1.5]))
+        assert chebyshev_t(3, np.array([-1.0, 1.0])).tolist() == [-1.0, 1.0]
+
 
 class TestHNorm:
     def test_beta_zero_closed_form(self):
@@ -228,6 +236,11 @@ class TestHNorm:
     def test_pole_at_beta_one(self):
         with pytest.raises(PoleError):
             h_norm(2, 1.0, 0.3)
+
+    def test_rejects_negative_degree(self):
+        # checked before (q;q)_n, whose negative-index form raises PoleError
+        with pytest.raises(DomainError, match="degree must be >= 0"):
+            h_norm(-1, 0.5, 0.3)
 
 
 class TestConnectionCoeffs:

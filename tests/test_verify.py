@@ -23,7 +23,7 @@ from qkernel import (CHECK_RUNNERS, QuadratureResult, connection_coeffs, gasper_
 from qkernel import pochhammer, verify
 from qkernel.pochhammer import EPS_PRODUCT
 from qkernel.series import EPS_SERIES
-from qkernel.verify import default_suite_config, default_tolerance
+from qkernel.verify import default_suite_config
 
 
 class TestOrthogonality:
@@ -545,7 +545,6 @@ class TestSuite:
         assert list(report.params) == names
         assert report.params == {name: entry.get(name, parameters[name].default)
                                  for name in names}
-        assert list(verify.DEFAULT_TOLERANCES) == list(CHECK_RUNNERS)
 
     # every runner but uniform-bound, whose polynomials are defined for any q
     # with q**k != 1 for 1 <= k <= n: it fails at q = 1 and q = -1 (q**2 = 1)
@@ -590,8 +589,23 @@ class TestSuite:
         assert set(config) == set(CHECK_RUNNERS)
         assert sum(len(v) for v in config.values()) >= 60
 
-    def test_env_override_of_tolerances(self, monkeypatch):
-        monkeypatch.setenv("QKERNEL_TOL", "1e-3")
-        assert default_tolerance("thm-1.1") == 1e-3
-        monkeypatch.delenv("QKERNEL_TOL")
-        assert default_tolerance("thm-1.1") == 1e-9
+    def test_default_tolerance_is_the_runner_tol_default(self):
+        table = {
+            "thm-1.1": 1e-9, "thm-1.3": 1e-9, "prop-3.1": 1e-9,
+            "prop-3.2": 1e-9, "gf-4.1": 1e-9, "prop-4.2": 1e-9,
+            "thm-1.2": 1e-8, "thm-1.4": 1e-8, "askey-ismail": 1e-8,
+            "rogers-connection": 1e-10,
+            "uniform-bound": 1e-12,
+            "qbinomial": 1e-11, "rogers-6phi5": 1e-11,
+        }
+        parameters = {check_id: inspect.signature(runner, eval_str=True).parameters["tol"]
+                      for check_id, runner in CHECK_RUNNERS.items()}
+        assert {check_id: p.default for check_id, p in parameters.items()} == table
+        assert all(p.annotation is float for p in parameters.values())
+        config = default_suite_config()
+        assert {check_id: runner(**config[check_id][0]).tol
+                for check_id, runner in CHECK_RUNNERS.items()} == table
+
+    def test_tol_none_is_refused(self):
+        with pytest.raises(TypeError):
+            verify_qbinomial(0.4, 0.5, 0.3, tol=None)
