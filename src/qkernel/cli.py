@@ -15,7 +15,8 @@ parameter a number, and a `list` parameter is a repeatable flag (`--upper`,
 real, "re,im" and [re, im] become complex.  Exit codes: 0 all good, 1
 numeric failure (a failed check or a pole/convergence error), 2 usage or
 configuration error.  A check's default tolerance is its runner's `tol`
-default; `check --tol` or a config entry's "tol" overrides it.
+default; `check --tol` or a config entry's "tol" overrides it, and a tol
+that is not finite and positive is a usage error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 import types
 
 from . import verify
-from .errors import QKernelError
+from .errors import DomainError, QKernelError
 from .integrate import jackson_q_integral, weight_omega_ab, weight_omega_beta
 from .pochhammer import qpoch_finite, qpoch_infinite
 from .polynomials import (chebyshev_t, gasper_c, h_norm, phi_poly, q_hermite,
@@ -228,6 +229,18 @@ def _bind(func, raw: dict, name: str) -> dict:
     return kwargs
 
 
+def _bind_check(check_id: str, raw: dict) -> dict:
+    """_bind for the runner of `check_id`; a tol that is not finite and
+    positive is a UsageError too."""
+    kwargs = _bind(verify.CHECK_RUNNERS[check_id], raw, check_id)
+    if "tol" in kwargs:
+        try:
+            verify.check_tol(kwargs["tol"])
+        except DomainError as exc:
+            raise UsageError(str(exc))
+    return kwargs
+
+
 def _parse_pairs(tokens) -> dict:
     """--name value pairs; the values of a repeated name collect in a tuple."""
     out: dict = {}
@@ -310,8 +323,7 @@ def _cmd_check(ns) -> int:
     out = _convert("out", str, pairs.pop("out")) if "out" in pairs else None
     if fmt not in _FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
-    runner = verify.CHECK_RUNNERS[ns.check_id]
-    report = runner(**_bind(runner, pairs, ns.check_id))
+    report = verify.CHECK_RUNNERS[ns.check_id](**_bind_check(ns.check_id, pairs))
     _emit(render_reports([report], fmt, single=True), out)
     return 0 if report.passed else 1
 
@@ -353,7 +365,7 @@ def _convert_config(raw) -> dict:
         for entry in entries:
             if not isinstance(entry, dict):
                 raise UsageError(f"parameters for {check_id!r} must be objects")
-            converted.append(_bind(verify.CHECK_RUNNERS[check_id], entry, check_id))
+            converted.append(_bind_check(check_id, entry))
         config[check_id] = converted
     return config
 

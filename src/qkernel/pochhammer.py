@@ -5,8 +5,8 @@ extended to negative index by the convention (a;q)_{-n} = 1/(a q^{-n}; q)_n.
 qpoch_finite_table returns (a;q)_0, ..., (a;q)_n as the prefixes of the same
 factor loop, so a caller that needs every index up to n pays n factors, not
 O(n^2), and reads the same values bit for bit.
-The infinite symbol (a;q)_inf converges for |q| < 1 and is truncated here
-after N factors, where N is the smallest integer with
+The infinite symbol (a;q)_inf converges for |q| < 1.  Its factor form is
+truncated after N factors, where N is the smallest integer with
 
     |a| |q|^N / (1 - |q|)  <  EPS_PRODUCT,
 
@@ -15,6 +15,23 @@ the bound is below 1/2 (Gasper & Rahman, *Basic Hypergeometric Series*,
 section 1.3).  The factors 1 - q^k a are formed as a (factors x points)
 block against one table of q^k and reduced down the factor axis, so the
 products come out in the same sequential order as a factor-by-factor loop.
+Near |q| = 1 that is many factors (N = 350 at q = 0.9 and |a| = 1, 3895 at
+0.99), so qpoch_infinite keeps only the first K factors, K the first index
+with |a q^K| < 1/8, and sums the rest as the log series (same section)
+
+    log (b;q)_inf = -sum_{n >= 1} b^n / (n (1 - q^n)),   b = a q^K,
+
+cut after M terms, the first M with
+
+    |b|^(M+1) / ((1 - |q|) (1 - |b|))  <  EPS_PRODUCT,
+
+which bounds the dropped terms (|1 - q^n| >= 1 - |q| and 1/n <= 1), so the
+relative error of the tail is about that bound.  At |a| = 1 this is
+K + M = 20 + 17 rows at q = 0.9, 207 + 18 at 0.99 and 2079 + 19 at 0.999,
+where N = 41426 would pass the MAX_PRODUCT_TERMS cap.  The series form is
+taken only where it saves at least _SERIES_SAVING rows, a choice made from
+q and the largest |a| alone; below about |q| = 0.78 every product keeps the
+factor form and its bits.
 qpoch_product multiplies several infinite symbols and, for real q, shares a
 conjugate pair of arguments between one product and its conjugate;
 qpoch_ladder tabulates (v q^i; q)_inf down a Jackson ladder.
@@ -30,7 +47,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PoleError
 
 
-# Truncation budget of qpoch_infinite: relative tail bound and factor cap.
+# Truncation budget of qpoch_infinite: relative tail bound, and the cap on
+# its factors plus series terms.
 EPS_PRODUCT = 1e-15
 MAX_PRODUCT_TERMS = 10_000
 
@@ -45,6 +63,11 @@ _BLOCK_ELEMENTS = 2**13
 # place in the temporary factor, as (1 - a q^k) * acc; its complex multiply
 # rounds the two operand orders differently.
 _IN_PLACE_BYTES = 256 * 1024
+
+# qpoch_infinite sums a log series after K factors, K the first index with
+# max |a q^K| below _SERIES_RADIUS, where that saves _SERIES_SAVING rows.
+_SERIES_RADIUS = 1.0 / 8.0
+_SERIES_SAVING = 128
 
 
 def check_base(q) -> None:
@@ -102,24 +125,33 @@ def _last(products):
 def qpoch_infinite(a, q):
     """Infinite q-Pochhammer symbol (a;q)_inf, for |q| < 1.
 
-    `a` may be an array; one shared truncation length is chosen from its
-    largest modulus, so the certified tail bound holds elementwise.  The
-    factors 1 - q^k a form blocks of rows k and columns a, at most
-    _BLOCK_ELEMENTS entries each; the running product is multiplied into the
-    first row, in the operand order numpy gives a factor loop's multiply at
-    that size, and each block is reduced over its rows.  For real q the
-    result equals the sequential product ((1 - a)(1 - q a))(1 - q^2 a)...
+    `a` may be an array; the form (module docstring) and its truncation are
+    chosen from q and the largest |a| alone, never from the number of
+    points, so the certified tail bound holds elementwise.  The factors
+    1 - q^k a form blocks of rows k and columns a, at most _BLOCK_ELEMENTS
+    entries each; the running product is multiplied into the first row, in
+    the operand order numpy gives a factor loop's multiply at that size,
+    and each block is reduced over its rows.  In the factor form, for real
+    q, the result equals the sequential product ((1 - a)(1 - q a))(1 - q^2 a)...
     bit for bit at every size (numpy's complex multiply may round
     differently from Python's, so a complex q, or a complex array of one
-    point, can differ in the last bits).
+    point, can differ in the last bits).  The series form multiplies its K
+    factors by exp of one (M x points) cumulative product of b = a q^K
+    times the coefficients -1/(n (1 - q^n)); it is accurate, not bit for
+    bit with the factor loop.  Its coefficients are real for real q, as
+    the conjugate sharing of qpoch_product needs.
     """
-    powers = _factor_powers(a, q).reshape(-1, 1)
+    check_base(q)
     points = np.asarray(a, dtype=complex)
+    n_factors, n_terms = _split(float(np.abs(points).max()), abs(q))
+    _check_cap(n_factors + n_terms)
+    powers = _powers(q, max(n_factors, n_terms) + 1)
+    head = powers[:n_factors, None]
     row = points.reshape(1, -1)
     acc = np.ones(row.shape[1], dtype=complex)
     rows = max(1, _BLOCK_ELEMENTS // row.shape[1])
-    for start in range(0, len(powers), rows):
-        block = powers[start:start + rows] * row
+    for start in range(0, n_factors, rows):
+        block = head[start:start + rows] * row
         np.subtract(1.0, block, out=block)
         first = block[0]
         if first.nbytes < _IN_PLACE_BYTES:
@@ -128,7 +160,27 @@ def qpoch_infinite(a, q):
             np.multiply(first, acc, out=first)
         # a single row is already the product (the reduction would copy it)
         acc = np.multiply.reduce(block, axis=0) if len(block) > 1 else first
+    if n_terms:
+        # rows b^1 ... b^M, b = a q^K, against the coefficients -1/(n (1 - q^n))
+        terms = np.multiply.accumulate(np.repeat(powers[n_factors] * row, n_terms, axis=0))
+        coeffs = 1.0 / (np.arange(-1.0, -1.0 - n_terms, -1.0) * (1.0 - powers[1:n_terms + 1]))
+        acc = acc * np.exp(coeffs @ terms)
     return complex(acc[0]) if points.ndim == 0 else acc.reshape(points.shape)
+
+
+def _split(a_max: float, abs_q: float) -> tuple:
+    """(K, M): the factors and the log-series terms of (a;q)_inf for the
+    largest modulus a_max; (N, 0) is the factor form."""
+    n_factors = _truncation_length(a_max, abs_q, EPS_PRODUCT * (1.0 - abs_q))
+    if n_factors < _SERIES_SAVING:
+        return n_factors, 0
+    n_head = _truncation_length(a_max, abs_q, _SERIES_RADIUS)
+    b_max = a_max * abs_q**n_head
+    # b_max^(M+1) / ((1 - |q|) (1 - b_max)) < EPS_PRODUCT
+    n_terms = _truncation_length(b_max, b_max, EPS_PRODUCT * (1.0 - abs_q) * (1.0 - b_max))
+    if n_factors - n_head - n_terms < _SERIES_SAVING:
+        return n_factors, 0
+    return n_head, n_terms
 
 
 def qpoch_ladder(values, q, count: int):
@@ -150,20 +202,32 @@ def qpoch_ladder(values, q, count: int):
 
 
 def _factor_powers(a, q, extra: int = 0):
-    """q^0, q^1, ... as a factor loop forms them, for the truncation length of
-    (a;q)_inf at the largest |a| (capped at MAX_PRODUCT_TERMS) plus `extra`."""
+    """q^0, q^1, ... as a factor loop forms them, for the N factors of
+    (a;q)_inf's factor form at the largest |a| (capped at MAX_PRODUCT_TERMS)
+    plus `extra`."""
     check_base(q)
     abs_q = abs(q)
     a_max = float(np.max(np.abs(a)))
     n_factors = _truncation_length(a_max, abs_q, EPS_PRODUCT * (1.0 - abs_q))
-    if n_factors > MAX_PRODUCT_TERMS:
+    _check_cap(n_factors)
+    return _powers(q, n_factors + extra)
+
+
+def _check_cap(rows: int) -> None:
+    """ConvergenceError if the tail bound needs more than MAX_PRODUCT_TERMS
+    factors and series terms."""
+    if rows > MAX_PRODUCT_TERMS:
         raise ConvergenceError(
-            f"(a;q)_inf needs {n_factors} factors for the tail bound, "
+            f"(a;q)_inf needs {rows} factors and series terms for the tail bound, "
             f"cap is {MAX_PRODUCT_TERMS}"
         )
-    steps = np.full(n_factors + extra, q, dtype=complex)
+
+
+def _powers(q, count: int):
+    """q^0, ..., q^(count - 1), each the previous one times q."""
+    steps = np.full(count, q, dtype=complex)
     steps[:1] = 1.0
-    return np.cumprod(steps)
+    return np.multiply.accumulate(steps)
 
 
 def _truncation_length(scale: float, abs_q: float, target: float) -> int:

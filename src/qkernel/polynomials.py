@@ -36,7 +36,7 @@ def ultraspherical_c(n: int, x: float, beta, q):
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):  # NaN too
         raise DomainError("x = cos(theta) must lie in [-1, 1]")
     return ultraspherical_table(n, x, beta, q)[n]
 
@@ -123,7 +123,7 @@ def chebyshev_t(n: int, x: float):
     """Chebyshev polynomial of the first kind, T_n(cos theta) = cos(n theta)."""
     if n < 0:
         raise DomainError("degree must be >= 0")
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):  # NaN too
         raise DomainError("x = cos(theta) must lie in [-1, 1]")
     return np.cos(n * np.arccos(x))
 

@@ -35,7 +35,9 @@ defaults filled in and tol left out, so they re-run the check as a
 rhs are matching arrays (grid points, coefficients) the report carries the
 entry with the largest rel_err.  Any QKernelError the runner raises,
 argument validation included, yields a failed report with infinite errors
-instead of raising, so a suite always runs to completion.  A base with
+instead of raising, so a suite always runs to completion.  Only a tol that
+is not finite and positive, which no report could meaningfully pass, raises
+DomainError before the check runs.  A base with
 |q| >= 1 is refused by the first engine a runner calls; the runners that
 evaluate a polynomial first (which divides by 1 - q^k) or call no engine
 check it up front.
@@ -112,6 +114,7 @@ def _check(check_id: str, default_tol: float):
             if args:
                 kwargs = published.bind(*args, **kwargs).arguments
             tol = float(kwargs.pop("tol", default_tol))  # TypeError for tol=None
+            check_tol(tol)
             params = {**arguments, **kwargs}
             if len(params) != len(arguments) or not kwargs.keys() >= required:
                 published.bind(**kwargs)  # raises the TypeError naming the argument
@@ -138,6 +141,14 @@ def _check(check_id: str, default_tol: float):
         return runner
 
     return register
+
+
+def check_tol(tol: float) -> None:
+    """DomainError unless tol is finite and positive: a NaN or negative tol
+    fails every report, and an infinite one passes a failed report too
+    (rel_err = inf)."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
 
 
 # Called inside the runner's `except` as a module global, so a wrapper sees the
@@ -479,9 +490,16 @@ def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64):
 
 @_check("qbinomial", _SERIES_TOL)
 def verify_qbinomial(a, z, q):
-    """q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf / (z;q)_inf for |z| < 1."""
+    """q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf / (z;q)_inf for |z| < 1.
+
+    A denominator (z;q)_inf that is zero, or underflows to zero, raises
+    PoleError.
+    """
     lhs = phi_series([a], z, q)
-    rhs = qpoch_infinite(a * z, q) / qpoch_infinite(z, q)
+    den = qpoch_infinite(z, q)
+    if den == 0:
+        raise PoleError("qbinomial needs (z;q)_inf != 0")
+    rhs = qpoch_infinite(a * z, q) / den
     return lhs, rhs, 0
 
 

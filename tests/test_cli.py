@@ -5,6 +5,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -307,8 +308,11 @@ class TestSuiteCommand:
         ("thm-1.1", {"m": True, "n": 2, "beta": 0.6, "q": 0.3}),
         ("qbinomial", {"a": True, "z": 0.5, "q": 0.3}),
         ("qbinomial", {"a": [0.4, 0.1, 0.2], "z": 0.5, "q": 0.3}),
+        ("qbinomial", {"a": 0.4, "z": 0.5, "q": 0.3, "tol": -1}),
+        ("thm-1.1", {"m": 1, "n": 1, "beta": 0.6, "q": 0.3, "tol": math.nan}),
     ], ids=["unknown-key", "missing-parameter", "null-tol", "ctx-key",
-            "fractional-integer", "boolean-integer", "boolean-number", "three-part-number"])
+            "fractional-integer", "boolean-integer", "boolean-number", "three-part-number",
+            "negative-tol", "nan-tol"])
     def test_malformed_config_entry_exits_two(self, tmp_path, capsys, check_id, entry):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({check_id: [entry]}))
@@ -359,6 +363,8 @@ GOLDEN = [
     ('eval qpoch --a 0.4,0.2 --q 0.6 --n inf', 0, '0.26147335186344867-0.20993470708075404i\n'),
     ('eval qpoch --a 0.5 --q 0.3 --n -2', 0, '0.32926829268292679\n'),
     ('eval qpoch --a 0.7 --q -0.45 --n 7', 0, '0.35229722371826322\n'),
+    # 20 head factors and a 19-term log series; 1.294356816186238e-253 by mp.qp
+    ('eval qpoch --a 0.5 --q 0.999 --n inf', 0, '1.2943568161858496e-253\n'),
     ('eval phi --upper 0.4 --z 0.5 --q 0.3', 0, '1.8407690827383283\n'),
     ('eval phi --upper 0.2 --upper 0.3,0.1 --lower 0.5 --z 0.4 --q 0.6', 0,
      '3.4890184211904072-0.49641286840505416i\n'),
@@ -386,6 +392,8 @@ GOLDEN = [
     ('eval qpoch --a 0.5 --q 1.5 --n inf', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
     ('eval T --n 3 --x 2', 1, ''),
+    ('eval T --n 3 --x nan', 1, ''),
+    ('eval C --n 2 --beta 0.5 --q 0.3 --x nan', 1, ''),
     ('eval h --n -1 --beta 0.5 --q 0.3', 1, ''),
     ('eval C --n 1', 2, ''),
     ('eval C --n 1 --beta 0.5 --q 0.3', 2, ''),
@@ -562,6 +570,9 @@ GOLDEN = [
     ('check thm-1.1 --m 3.7 --n 2 --beta 0.6 --q 0.3', 2, ''),
     ('check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3 --format xml', 2, ''),
     ('check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3 --tol abc', 2, ''),
+    ('check thm-1.1 --m 1 --n 1 --beta 0.6 --q 0.3 --tol nan', 2, ''),
+    ('check qbinomial --a 0.4 --z 0.5 --q 0.3 --tol -1', 2, ''),
+    ('check qbinomial --a 0.4 --z 0.5 --q 0.3 --tol 0', 2, ''),
     ('check gf-4.1 --beta 0.5 --q 0.3 --theta 0.9,0.1', 2, ''),
     ('check gf-4.1 --beta 0.5 --q 0.3 --theta 0.9 --degree 2.5', 2, ''),
     ('check thm-9.9', 2, ''),

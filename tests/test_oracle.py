@@ -69,29 +69,43 @@ def test_complex_parameters_match_oracle():
     assert worst_error([0.3, 0.5j], [0.8, 0.2 - 0.1j], 0.4, 20) <= 1e-14
 
 
-def oracle_qp(a, q):
-    """(a;q)_inf to 40 digits."""
-    with mpmath.workdps(40):
-        return mpmath.qp(mpmath.mpmathify(a), mpmath.mpmathify(q), maxterms=20000)
+def oracle_qp(a, q, digits=40):
+    """(a;q)_inf to `digits` digits."""
+    with mpmath.workdps(digits):
+        return mpmath.qp(mpmath.mpmathify(a), mpmath.mpmathify(q), maxterms=10**6)
 
 
 PRODUCT_ARGUMENTS = [0.5, -0.9, 0.7 - 0.4j, 1.8j, 0.0, 0.95 + 0.2j]
+# at q = 0.999 the products of the others are below the smallest double;
+# 20 digits keep mp.qp, which multiplies about 46000 factors there, near 1 s
+# per argument
+NORMAL_AT_0999 = [0.5, -0.3, 0.2 + 0.3j, 0.0]
 
 
-@pytest.mark.parametrize("q,bound", [
-    (0.3, 2e-14), (-0.6, 2e-14), (0.9, 1e-13), (0.99, 1e-12), (0.5 + 0.3j, 1e-13),
-])
-def test_qpoch_infinite_matches_oracle(q, bound):
-    # scalars one at a time, all of them as one 2 x 3 array, which shares
-    # the truncation length of its largest modulus, and repeated over 16386
+PRODUCT_CASES = [  # q, arguments, oracle digits, bound
+    (0.3, PRODUCT_ARGUMENTS, 40, 2e-14),
+    (-0.6, PRODUCT_ARGUMENTS, 40, 2e-14),
+    (0.9, PRODUCT_ARGUMENTS, 40, 1e-13),
+    (0.95, PRODUCT_ARGUMENTS, 40, 1e-13),       # 4.5e-15 measured
+    (0.99, PRODUCT_ARGUMENTS, 40, 1e-12),
+    (0.999, NORMAL_AT_0999, 20, 1e-11),         # 3.0e-13 measured
+    (0.5 + 0.3j, PRODUCT_ARGUMENTS, 40, 1e-13),
+]
+
+
+@pytest.mark.parametrize("q,arguments,digits,bound", PRODUCT_CASES,
+                         ids=[f"{q}-{bound}" for q, _, _, bound in PRODUCT_CASES])
+def test_qpoch_infinite_matches_oracle(q, arguments, digits, bound):
+    # scalars one at a time, all of them as one 2-row array, which shares
+    # the split of its largest modulus, and repeated over at least 16386
     # points (256 KiB), which takes one factor per block in the swapped
-    # operand order
-    arguments = np.array(PRODUCT_ARGUMENTS)
-    batch = qpoch_infinite(arguments.reshape(2, 3), q).ravel()
-    wide = qpoch_infinite(np.tile(arguments, 2731), q).reshape(-1, len(arguments))
-    with mpmath.workdps(40):
-        for i, a in enumerate(PRODUCT_ARGUMENTS):
-            true = oracle_qp(a, q)
+    # operand order; from q = 0.9 on every product sums the log series
+    batch = qpoch_infinite(np.reshape(arguments, (2, -1)), q).ravel()
+    wide = qpoch_infinite(np.tile(arguments, 16386 // len(arguments) + 1), q)
+    wide = wide.reshape(-1, len(arguments))
+    with mpmath.workdps(digits):
+        for i, a in enumerate(arguments):
+            true = oracle_qp(a, q, digits)
             for got in (qpoch_infinite(a, q), batch[i], *set(wide[:, i])):
                 assert float(abs(got - true) / abs(true)) <= bound
 

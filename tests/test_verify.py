@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkernel import (CHECK_RUNNERS, QuadratureResult, connection_coeffs, gasper_c,
-                     h_norm, periodic_quadrature, qpoch_finite, qpoch_infinite,
+from qkernel import (CHECK_RUNNERS, DomainError, PoleError, QuadratureResult,
+                     connection_coeffs, gasper_c, h_norm, periodic_quadrature,
+                     qpoch_finite, qpoch_infinite,
                      qpoch_product, run_suite, ultraspherical_c, weight_omega_ab,
                      weight_omega_beta,
                      verify_askey_ismail_chebyshev, verify_gf_4_1,
@@ -488,6 +489,16 @@ class TestBoundsAndSummations:
         assert report.passed
         assert report.rel_err <= 1e-11
 
+    def test_q_binomial_denominator_underflow_is_a_pole(self):
+        # the complex expand case at q = 0.999: (z;q)_inf is below the
+        # smallest double, so the right side would divide by zero
+        a, z = 0.7020660495122982 + 0.3835404308833624j, 0.6687355423879241 - 0.20686414466293768j
+        assert qpoch_infinite(z, 0.999) == 0
+        with pytest.raises(PoleError, match=r"\(z;q\)_inf != 0"):
+            verify_qbinomial.__wrapped__(a, z, 0.999)
+        report = verify_qbinomial(a, z, 0.999)
+        assert (report.passed, report.rel_err) == (False, math.inf)
+
     def test_rogers_summation(self):
         report = verify_rogers_6w5(0.1, 0.7, 0.6, 0.8, 0.4)
         assert report.passed
@@ -609,3 +620,11 @@ class TestSuite:
     def test_tol_none_is_refused(self):
         with pytest.raises(TypeError):
             verify_qbinomial(0.4, 0.5, 0.3, tol=None)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_tol_no_report_could_pass_is_refused(self, tol):
+        # rel_err <= tol is false for every rel_err at NaN or a negative tol
+        with pytest.raises(DomainError, match="finite and positive"):
+            verify_qbinomial(0.4, 0.5, 0.3, tol=tol)
+        with pytest.raises(DomainError):
+            run_suite({"thm-1.1": [{"m": 1, "n": 1, "beta": 0.6, "q": 0.3, "tol": tol}]})
