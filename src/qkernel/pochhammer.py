@@ -12,9 +12,13 @@ truncated after N factors, where N is the smallest integer with
 
 which certifies a relative truncation error of at most twice that bound once
 the bound is below 1/2 (Gasper & Rahman, *Basic Hypergeometric Series*,
-section 1.3).  The factors 1 - q^k a are formed as a (factors x points)
-block against one table of q^k and reduced down the factor axis, so the
-products come out in the same sequential order as a factor-by-factor loop.
+section 1.3).  A scalar takes its N factors in a loop of Python complex
+products; an array forms (factors x points) blocks against one table of q^k,
+kept for the last base, and reduces them down the factor axis.  Both keep
+the sequential order of a factor-by-factor loop, but a scalar rounds as
+Python's complex multiply does and an array as numpy's, which differ at a
+complex q; and an array entry takes the N of the array's largest |a|, so it
+is not the scalar value bit for bit even at real q.
 Near |q| = 1 that is many factors (N = 350 at q = 0.9 and |a| = 1, 3895 at
 0.99), so qpoch_infinite keeps only the first K factors, K the first index
 with |a q^K| < 1/8, and sums the rest as the log series (same section)
@@ -68,6 +72,13 @@ _IN_PLACE_BYTES = 256 * 1024
 # max |a q^K| below _SERIES_RADIUS, where that saves _SERIES_SAVING rows.
 _SERIES_RADIUS = 1.0 / 8.0
 _SERIES_SAVING = 128
+
+# Arguments qpoch_infinite and qpoch_product treat as one complex number.
+_SCALARS = (int, float, complex, np.generic)
+
+# (repr of the base, read-only q^0, q^1, ...) for the last base _powers was
+# asked about; the repr tells a signed zero apart, where == does not.
+_power_table = ("", np.ones(0, dtype=complex))
 
 
 def check_base(q) -> None:
@@ -127,36 +138,50 @@ def qpoch_infinite(a, q):
 
     `a` may be an array; the form (module docstring) and its truncation are
     chosen from q and the largest |a| alone, never from the number of
-    points, so the certified tail bound holds elementwise.  The factors
-    1 - q^k a form blocks of rows k and columns a, at most _BLOCK_ELEMENTS
-    entries each; the running product is multiplied into the first row, in
-    the operand order numpy gives a factor loop's multiply at that size,
-    and each block is reduced over its rows.  In the factor form, for real
-    q, the result equals the sequential product ((1 - a)(1 - q a))(1 - q^2 a)...
-    bit for bit at every size (numpy's complex multiply may round
-    differently from Python's, so a complex q, or a complex array of one
-    point, can differ in the last bits).  The series form multiplies its K
-    factors by exp of one (M x points) cumulative product of b = a q^K
-    times the coefficients -1/(n (1 - q^n)); it is accurate, not bit for
-    bit with the factor loop.  Its coefficients are real for real q, as
-    the conjugate sharing of qpoch_product needs.
+    points, so the certified tail bound holds elementwise.  A NaN or
+    infinite argument is a DomainError.  A scalar in the factor form is
+    the sequential product ((1 - a)(1 - q a))(1 - q^2 a)... of Python
+    complex numbers, with q^k = q^(k-1) q, and rounds as Python's complex
+    multiply does.  An array, or a scalar in the series form, is formed in
+    blocks of rows k and columns a, at most _BLOCK_ELEMENTS entries each:
+    the running product starts from the first block, is multiplied into
+    the first row of each later one, in the operand order numpy gives a
+    factor loop's multiply at that size, and each block is reduced over its
+    rows.  In the factor form, for real q, the result equals that
+    sequential product bit for bit at every size; at a complex q numpy's
+    complex multiply rounds differently from Python's, so an array entry
+    can differ from the scalar value in the last bits.  The series form
+    multiplies its K factors by exp of one (M x points) cumulative product
+    of b = a q^K times the coefficients -1/(n (1 - q^n)); it is accurate,
+    not bit for bit with the factor loop.  Its coefficients are real for
+    real q, as the conjugate sharing of qpoch_product needs.
     """
     check_base(q)
-    points = np.asarray(a, dtype=complex)
-    n_factors, n_terms = _split(float(np.abs(points).max()), abs(q))
+    scalar = isinstance(a, _SCALARS)
+    points = complex(a) if scalar else np.asarray(a, dtype=complex)
+    n_factors, n_terms = _split(abs(points) if scalar else float(np.abs(points).max()), abs(q))
     _check_cap(n_factors + n_terms)
+    if scalar and not n_terms:
+        # a few dozen factors: Python's complex arithmetic, no numpy set-up
+        acc = qk = 1.0 + 0j
+        q = complex(q)
+        for _ in range(n_factors):
+            acc = acc * (1.0 - qk * points)
+            qk = qk * q
+        return acc
+    points = np.asarray(points)
     powers = _powers(q, max(n_factors, n_terms) + 1)
     head = powers[:n_factors, None]
     row = points.reshape(1, -1)
-    acc = np.ones(row.shape[1], dtype=complex)
+    acc = None
     rows = max(1, _BLOCK_ELEMENTS // row.shape[1])
     for start in range(0, n_factors, rows):
         block = head[start:start + rows] * row
         np.subtract(1.0, block, out=block)
         first = block[0]
-        if first.nbytes < _IN_PLACE_BYTES:
+        if acc is not None and first.nbytes < _IN_PLACE_BYTES:
             np.multiply(acc, first, out=first)
-        else:
+        elif acc is not None:
             np.multiply(first, acc, out=first)
         # a single row is already the product (the reduction would copy it)
         acc = np.multiply.reduce(block, axis=0) if len(block) > 1 else first
@@ -164,7 +189,10 @@ def qpoch_infinite(a, q):
         # rows b^1 ... b^M, b = a q^K, against the coefficients -1/(n (1 - q^n))
         terms = np.multiply.accumulate(np.repeat(powers[n_factors] * row, n_terms, axis=0))
         coeffs = 1.0 / (np.arange(-1.0, -1.0 - n_terms, -1.0) * (1.0 - powers[1:n_terms + 1]))
-        acc = acc * np.exp(coeffs @ terms)
+        tail = np.exp(coeffs @ terms)
+        acc = tail if acc is None else acc * tail
+    elif acc is None:
+        acc = np.ones(row.shape[1], dtype=complex)
     return complex(acc[0]) if points.ndim == 0 else acc.reshape(points.shape)
 
 
@@ -224,14 +252,28 @@ def _check_cap(rows: int) -> None:
 
 
 def _powers(q, count: int):
-    """q^0, ..., q^(count - 1), each the previous one times q."""
-    steps = np.full(count, q, dtype=complex)
-    steps[:1] = 1.0
-    return np.multiply.accumulate(steps)
+    """q^0, ..., q^(count - 1), each the previous one times q: a read-only
+    view of the one table kept for the last base asked about, rebuilt when
+    the base changes or a longer one is needed.  Each entry is a sequential
+    product, so it does not depend on the table's length or on the order
+    of calls."""
+    global _power_table
+    key = repr(complex(q))
+    cached, table = _power_table
+    if cached != key or len(table) < count:
+        steps = np.full(count, q, dtype=complex)
+        steps[:1] = 1.0
+        table = np.multiply.accumulate(steps)
+        table.flags.writeable = False
+        _power_table = (key, table)
+    return table[:count]
 
 
 def _truncation_length(scale: float, abs_q: float, target: float) -> int:
-    """Smallest K >= 0 with scale * abs_q**K < target."""
+    """Smallest K >= 0 with scale * abs_q**K < target; DomainError for a
+    NaN or infinite scale (the modulus of a product's argument)."""
+    if not math.isfinite(scale):
+        raise DomainError(f"(a;q)_inf needs a finite argument, got |a| = {scale}")
     if scale < target:
         return 0
     if abs_q == 0.0:
@@ -245,8 +287,10 @@ def _truncation_length(scale: float, abs_q: float, target: float) -> int:
 def qpoch_product(values, q):
     """(a_1, ..., a_k; q)_inf: the qpoch_infinite products of `values`
     (scalars or same-shape arrays) multiplied left to right.  For real q,
-    (conj a; q)_inf = conj (a; q)_inf bit for bit, so an argument whose
-    conjugate equals an earlier one reuses that product's conjugate.
+    (conj a; q)_inf = conj (a; q)_inf up to the sign of a zero imaginary
+    part, so an argument whose conjugate equals an earlier one (signed
+    zeros compare equal; a scalar never equals an array) reuses that
+    product's conjugate.
     """
     values = list(values)
     if not values:
@@ -254,30 +298,32 @@ def qpoch_product(values, q):
     share = complex(q).imag == 0
     products = []
     for i, a in enumerate(values):
-        product = None
-        if share and i:
-            conjugate = np.conj(a)
-            for j in range(i):
-                if _equal(conjugate, values[j]):
-                    product = products[j].conjugate()
-                    break
-        products.append(qpoch_infinite(a, q) if product is None else product)
+        j = _conjugate_index(values, i) if share and i else None
+        products.append(qpoch_infinite(a, q) if j is None else products[j].conjugate())
     out = products[0]
     for product in products[1:]:
         out = out * product
     return out
 
 
+def _conjugate_index(values, i: int):
+    """The first j < i with values[j] == conj values[i], or None.  A scalar
+    is compared as a Python complex, an array through _equal."""
+    scalar = isinstance(values[i], _SCALARS)
+    conjugate = complex(values[i]).conjugate() if scalar else np.conj(values[i])
+    for j in range(i):
+        b = values[j]
+        if (isinstance(b, _SCALARS) and conjugate == b) if scalar else _equal(conjugate, b):
+            return j
+    return None
+
+
 def _equal(x, y) -> bool:
-    """Exact equality of two scalars or two same-shape arrays (signed zeros
-    compare equal; a scalar never equals an array).  A differing first entry
-    or equal bytes settle most array pairs before the elementwise test, which
-    costs about a tenth of a short product."""
-    if isinstance(x, np.ndarray) != isinstance(y, np.ndarray):
-        return False
-    if not isinstance(x, np.ndarray):
-        return bool(x == y)
-    if x.shape != y.shape or (x.size and x.item(0) != y.item(0)):
+    """Exact equality of array x with y; False unless y is an array of the
+    same shape.  A differing first entry or equal bytes settle most pairs
+    before the elementwise test, which costs about a tenth of a short
+    product."""
+    if not isinstance(y, np.ndarray) or x.shape != y.shape or (x.size and x.item(0) != y.item(0)):
         return False
     return x.tobytes() == y.tobytes() or bool((x == y).all())
 

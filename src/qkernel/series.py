@@ -82,7 +82,9 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
     """Value of the basic hypergeometric series with upper parameters
     a_1..a_{r+1}, lower parameters b_1..b_r and argument z.
 
-    Terms follow the running recurrence term_{n+1} = term_n * ratio(n).
+    A NaN or infinite parameter or argument is a DomainError.  Terms
+    follow the running recurrence term_{n+1} = term_n * ratio(n), and a
+    sum that stops being finite is a ConvergenceError at once.
     Summation stops at a terminating zero factor (upper parameter q^{-m}),
     or once the remaining tail is certifiably below EPS_SERIES relative:
     past index n every term ratio is bounded by
@@ -100,6 +102,8 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
     check_base(q)
     q = complex(q)
     z = complex(z)
+    if not all(map(cmath.isfinite, [z, *upper, *lower])):
+        raise DomainError("phi_series needs finite parameters and argument")
     if z == 0:
         return 1.0 + 0j
     abs_q = abs(q)
@@ -123,6 +127,8 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
             den *= factor
         term = term * (num / den) * z
         total += term
+        if not cmath.isfinite(total):
+            raise ConvergenceError("phi_series reached a non-finite term before its tail bound")
         qn *= q
         abs_qn = abs(qn)
         lower_ok = True

@@ -5,19 +5,26 @@
 One line per report: workload, seed, check id, then the repr of lhs, rhs,
 rel_err, abs_err, params, nodes_used, pass and tol.  The reports are those
 of the `suite`, `stress` and `expand` workloads at seeds 0-2 and of
-`run_suite()` (385 in all).  Running it at two versions and diffing the
-outputs shows every report value a change moves, params key order included.
+`run_suite()` (385 in all).  Then one line per kernel value on a fixed grid
+that no report prints: scalar qpoch_infinite and qpoch_product at real and
+complex bases, in the factor form (|q| <= 0.6) and the series form
+(|q| >= 0.9), for |a| in {0.3, 1, 2}.  Running it at two versions and
+diffing the outputs shows every report and kernel value a change moves,
+params key order included.
 
 bench/workloads.py is loaded read-only from the source checkout.  The file
 name keeps pytest from collecting it.
 """
 
+import cmath
 import importlib.util
 import sys
 from pathlib import Path
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 SEEDS = (0, 1, 2)
+KERNEL_BASES = (0.3, -0.6, 0.9, 0.99, 0.5 + 0.3j, -0.2 + 0.55j, 0.6 + 0.7j)
+KERNEL_MODULI = (0.3, 1.0, 2.0)
 
 
 def load_workloads():
@@ -38,6 +45,18 @@ def dump_line(label, report) -> str:
     return " ".join([label, report.check_id] + [repr(field) for field in fields])
 
 
+def kernel_lines():
+    from qkernel import qpoch_infinite, qpoch_product
+
+    for q in KERNEL_BASES:
+        for r in KERNEL_MODULI:
+            for a in (r, cmath.rect(r, 2.0)):
+                yield f"kernel qpoch_infinite {q!r} {a!r} {qpoch_infinite(a, q)!r}"
+            # a conjugate pair, which a real base shares, and a real argument
+            values = [cmath.rect(r, 2.0), cmath.rect(r, -2.0), -r]
+            yield f"kernel qpoch_product {q!r} {values!r} {qpoch_product(values, q)!r}"
+
+
 def main() -> None:
     from qkernel import CHECK_RUNNERS, run_suite
 
@@ -49,6 +68,8 @@ def main() -> None:
                 print(dump_line(f"{name}:{seed}", report))
     for report in run_suite():
         print(dump_line("run_suite", report))
+    for line in kernel_lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -390,6 +390,7 @@ GOLDEN = [
      '0.18443877551020443+1.302359693877535i\n'),
     ('eval qpoch --a 0.3 --q 0.3 --n -1', 1, ''),
     ('eval qpoch --a 0.5 --q 1.5 --n inf', 1, ''),
+    ('eval qpoch --a nan --q 0.5 --n inf', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
     ('eval T --n 3 --x 2', 1, ''),
     ('eval T --n 3 --x nan', 1, ''),

@@ -19,6 +19,8 @@ from mp.qp at 30 digits, against the quadrature value of the check.
 Each bound sits 10-100x above the measured error.
 """
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -108,6 +110,19 @@ def test_qpoch_infinite_matches_oracle(q, arguments, digits, bound):
             true = oracle_qp(a, q, digits)
             for got in (qpoch_infinite(a, q), batch[i], *set(wide[:, i])):
                 assert float(abs(got - true) / abs(true)) <= bound
+
+
+# a complex base on a polar grid, q = rho e^{i psi}, against 30-digit mp.qp:
+# a scalar in the factor form (rho <= 0.75) is a loop of Python complex
+# products, which round differently from numpy's; 2.0e-15 measured there,
+# 3.3e-15 in the series form (rho = 0.9)
+@pytest.mark.parametrize("rho", [0.3, 0.6, 0.75, 0.9])
+def test_scalars_at_a_complex_base_match_oracle(rho):
+    for r, phi, psi in itertools.product((0.3, 1.0, 2.0), (0.5, 2.0, 3.0), (0.7, 2.2, -1.3)):
+        a, q = cmath.rect(r, phi), cmath.rect(rho, psi)
+        true = oracle_qp(a, q, 30)
+        with mpmath.workdps(30):
+            assert float(abs(qpoch_infinite(a, q) - true) / abs(true)) <= 1e-13, (a, q)
 
 
 def oracle_ladder(v, q, count):

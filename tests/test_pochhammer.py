@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkernel import (ConvergenceError, DomainError, PoleError,
@@ -209,6 +209,46 @@ class TestInfinite:
             assert np.array_equal(bits(got), bits(want)), (q, np.shape(a))
             compared += 1
         assert compared >= 200
+
+    @PROPERTY
+    @given(a=st.one_of(st.floats(-3.0, 3.0), PARAMETER), q=st.floats(-0.78, 0.78))
+    def test_scalar_is_the_python_factor_loop_bit_for_bit(self, a, q):
+        # a scalar in the factor form never reaches numpy; complex q is
+        # checked against mp.qp (test_oracle), as it rounds differently
+        assume(not _split(abs(a), abs(q))[1])
+        got = qpoch_infinite(a, q)
+        assert type(got) is complex
+        assert np.array_equal(bits(got), bits(sequential_product(complex(a), q)))
+
+    @pytest.mark.parametrize("argument", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+    def test_non_finite_argument_is_refused(self, argument):
+        for a in (argument, np.array([0.5, argument])):
+            for q in (0.5, 0.95):  # the factor and the series form
+                with pytest.raises(DomainError, match="finite argument"):
+                    qpoch_infinite(a, q)
+            with pytest.raises(DomainError, match="finite argument"):
+                qpoch_ladder(np.atleast_1d(a), 0.5, 3)
+
+    def test_power_table_is_read_only_and_order_free(self, monkeypatch):
+        # one table is kept for the last base: results must not depend on
+        # which base came before, or on how long its table was
+        values = np.array([0.5, -0.9, 0.7 - 0.4j, 1.8j])
+        calls = [(0.3, 1), (0.3, 200), (0.6, 1), (0.3, 1), (0.5 + 0.3j, 40), (0.3, 1)]
+
+        def run(q, count):
+            return qpoch_infinite(values, q), qpoch_ladder(values, q, count)
+
+        fresh = []
+        for q, count in calls:
+            monkeypatch.setattr(pochhammer, "_power_table", ("", np.ones(0, dtype=complex)))
+            fresh.append(run(q, count))
+        for (q, count), want in zip(calls, fresh):
+            for got, expected in zip(run(q, count), want):
+                assert np.array_equal(bits(got), bits(expected)), (q, count)
+        table = pochhammer._powers(0.3, 8)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 2.0
 
     @pytest.mark.parametrize("size", [4096, 4097, 16383, 16384, 20000])
     def test_wide_arrays_are_the_sequential_product_bit_for_bit(self, size):

@@ -1,6 +1,9 @@
 """Truncated power series, generating-function expansion, and the basic
 hypergeometric summation engine."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,24 @@ class TestPhiSeries:
         monkeypatch.setattr("qkernel.series.MAX_SERIES_TERMS", 200)
         with pytest.raises(ConvergenceError):
             phi_series([0.3], 1.5, 0.4)
+
+    @pytest.mark.parametrize("upper,z,lower", [
+        ([math.nan], 0.5, []),
+        ([0.3], complex(0.5, math.inf), []),
+        ([0.3, 0.2], 0.5, [math.nan]),
+        ([math.nan], 0.0, []),
+    ])
+    def test_non_finite_input_is_refused(self, upper, z, lower):
+        with pytest.raises(DomainError, match="finite"):
+            phi_series(upper, z, 0.3, lower)
+
+    def test_overflowing_terms_fail_fast(self):
+        # the second term is near 1e600: no tail bound can hold, so the sum
+        # stops there instead of after MAX_SERIES_TERMS terms
+        started = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            phi_series([0.3], 1e300, 0.4)
+        assert time.perf_counter() - started < 0.1
 
     def test_two_one_matches_per_term_summation(self):
         rng = np.random.default_rng(71)

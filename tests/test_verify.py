@@ -569,6 +569,21 @@ class TestSuite:
         assert not report.passed
         assert report.rel_err == math.inf
 
+    # a NaN or infinite argument of a product or a series is refused before
+    # any work, so the report fails within 100 ms (the series ran to its
+    # term cap, 150-700 ms, and the products raised a bare ValueError)
+    @pytest.mark.parametrize("check_id,params", [
+        ("prop-3.2", dict(n=2, a=math.nan, b=0.2, x=0.5, y=0.7, q=0.3)),
+        ("thm-1.4", dict(alpha=0.5, beta=0.2, s=math.nan, t=0.25, q=0.3)),
+        ("qbinomial", dict(a=math.nan, z=0.5, q=0.3)),
+        ("rogers-6phi5", dict(a=math.nan, b=0.7, c=0.6, d=0.8, q=0.4)),
+    ])
+    def test_non_finite_argument_is_a_quick_recorded_failure(self, check_id, params):
+        report = CHECK_RUNNERS[check_id](**params)
+        assert not report.passed
+        assert report.rel_err == math.inf
+        assert report.runtime_ms < 100
+
     def test_uniform_bound_accepts_a_base_off_the_disk(self):
         # q = 1.5 has no q**k == 1, so the check runs and this entry holds
         entry = dict(default_suite_config()["uniform-bound"][1], q=1.5)
