@@ -13,12 +13,12 @@ truncated after N factors, where N is the smallest integer with
 which certifies a relative truncation error of at most twice that bound once
 the bound is below 1/2 (Gasper & Rahman, *Basic Hypergeometric Series*,
 section 1.3).  A scalar takes its N factors in a loop of Python complex
-products; an array forms (factors x points) blocks against one table of q^k,
-kept for the last base, and reduces them down the factor axis.  Both keep
-the sequential order of a factor-by-factor loop, but a scalar rounds as
-Python's complex multiply does and an array as numpy's, which differ at a
-complex q; and an array entry takes the N of the array's largest |a|, so it
-is not the scalar value bit for bit even at real q.
+products; an array forms (factors x points) blocks against one table of q^k
+and reduces them down the factor axis.  Both keep the sequential order of a
+factor-by-factor loop, but a scalar rounds as Python's complex multiply does
+and an array as numpy's, which differ at a complex q; and an array entry
+takes the N of the array's largest |a|, so it is not the scalar value bit
+for bit even at real q.
 Near |q| = 1 that is many factors (N = 350 at q = 0.9 and |a| = 1, 3895 at
 0.99), so qpoch_infinite keeps only the first K factors, K the first index
 with |a q^K| < 1/8, and sums the rest as the log series (same section)
@@ -75,10 +75,6 @@ _SERIES_SAVING = 128
 
 # Arguments qpoch_infinite and qpoch_product treat as one complex number.
 _SCALARS = (int, float, complex, np.generic)
-
-# (repr of the base, read-only q^0, q^1, ...) for the last base _powers was
-# asked about; the repr tells a signed zero apart, where == does not.
-_power_table = ("", np.ones(0, dtype=complex))
 
 
 def check_base(q) -> None:
@@ -141,16 +137,16 @@ def qpoch_infinite(a, q):
     points, so the certified tail bound holds elementwise.  A NaN or
     infinite argument is a DomainError.  A scalar in the factor form is
     the sequential product ((1 - a)(1 - q a))(1 - q^2 a)... of Python
-    complex numbers, with q^k = q^(k-1) q, and rounds as Python's complex
-    multiply does.  An array, or a scalar in the series form, is formed in
-    blocks of rows k and columns a, at most _BLOCK_ELEMENTS entries each:
-    the running product starts from the first block, is multiplied into
-    the first row of each later one, in the operand order numpy gives a
-    factor loop's multiply at that size, and each block is reduced over its
-    rows.  In the factor form, for real q, the result equals that
-    sequential product bit for bit at every size; at a complex q numpy's
-    complex multiply rounds differently from Python's, so an array entry
-    can differ from the scalar value in the last bits.  The series form
+    complex numbers, with q^k = q^(k-1) q, as qpoch_finite forms it, and
+    rounds as Python's complex multiply does.  An array, or a scalar in the
+    series form, is formed in blocks of rows k and columns a, at most
+    _BLOCK_ELEMENTS entries each: the running product is multiplied into
+    the first row of each block, in the operand order numpy gives a factor
+    loop's multiply at that size, and each block is reduced over its rows.
+    In the factor form, for real q, the result equals that sequential
+    product bit for bit at every size; at a complex q numpy's complex
+    multiply rounds differently from Python's, so an array entry can differ
+    from the scalar value in the last bits.  The series form
     multiplies its K factors by exp of one (M x points) cumulative product
     of b = a q^K times the coefficients -1/(n (1 - q^n)); it is accurate,
     not bit for bit with the factor loop.  Its coefficients are real for
@@ -163,25 +159,20 @@ def qpoch_infinite(a, q):
     _check_cap(n_factors + n_terms)
     if scalar and not n_terms:
         # a few dozen factors: Python's complex arithmetic, no numpy set-up
-        acc = qk = 1.0 + 0j
-        q = complex(q)
-        for _ in range(n_factors):
-            acc = acc * (1.0 - qk * points)
-            qk = qk * q
-        return acc
+        return complex(_last(_ascending_products(points, complex(q), n_factors)))
     points = np.asarray(points)
     powers = _powers(q, max(n_factors, n_terms) + 1)
     head = powers[:n_factors, None]
     row = points.reshape(1, -1)
-    acc = None
+    acc = np.ones(row.shape[1], dtype=complex)
     rows = max(1, _BLOCK_ELEMENTS // row.shape[1])
     for start in range(0, n_factors, rows):
         block = head[start:start + rows] * row
         np.subtract(1.0, block, out=block)
         first = block[0]
-        if acc is not None and first.nbytes < _IN_PLACE_BYTES:
+        if first.nbytes < _IN_PLACE_BYTES:
             np.multiply(acc, first, out=first)
-        elif acc is not None:
+        else:
             np.multiply(first, acc, out=first)
         # a single row is already the product (the reduction would copy it)
         acc = np.multiply.reduce(block, axis=0) if len(block) > 1 else first
@@ -189,10 +180,7 @@ def qpoch_infinite(a, q):
         # rows b^1 ... b^M, b = a q^K, against the coefficients -1/(n (1 - q^n))
         terms = np.multiply.accumulate(np.repeat(powers[n_factors] * row, n_terms, axis=0))
         coeffs = 1.0 / (np.arange(-1.0, -1.0 - n_terms, -1.0) * (1.0 - powers[1:n_terms + 1]))
-        tail = np.exp(coeffs @ terms)
-        acc = tail if acc is None else acc * tail
-    elif acc is None:
-        acc = np.ones(row.shape[1], dtype=complex)
+        acc = acc * np.exp(coeffs @ terms)
     return complex(acc[0]) if points.ndim == 0 else acc.reshape(points.shape)
 
 
@@ -252,21 +240,10 @@ def _check_cap(rows: int) -> None:
 
 
 def _powers(q, count: int):
-    """q^0, ..., q^(count - 1), each the previous one times q: a read-only
-    view of the one table kept for the last base asked about, rebuilt when
-    the base changes or a longer one is needed.  Each entry is a sequential
-    product, so it does not depend on the table's length or on the order
-    of calls."""
-    global _power_table
-    key = repr(complex(q))
-    cached, table = _power_table
-    if cached != key or len(table) < count:
-        steps = np.full(count, q, dtype=complex)
-        steps[:1] = 1.0
-        table = np.multiply.accumulate(steps)
-        table.flags.writeable = False
-        _power_table = (key, table)
-    return table[:count]
+    """q^0, ..., q^(count - 1), each the previous one times q."""
+    steps = np.full(count, q, dtype=complex)
+    steps[:1] = 1.0
+    return np.multiply.accumulate(steps)
 
 
 def _truncation_length(scale: float, abs_q: float, target: float) -> int:

@@ -229,27 +229,6 @@ class TestInfinite:
             with pytest.raises(DomainError, match="finite argument"):
                 qpoch_ladder(np.atleast_1d(a), 0.5, 3)
 
-    def test_power_table_is_read_only_and_order_free(self, monkeypatch):
-        # one table is kept for the last base: results must not depend on
-        # which base came before, or on how long its table was
-        values = np.array([0.5, -0.9, 0.7 - 0.4j, 1.8j])
-        calls = [(0.3, 1), (0.3, 200), (0.6, 1), (0.3, 1), (0.5 + 0.3j, 40), (0.3, 1)]
-
-        def run(q, count):
-            return qpoch_infinite(values, q), qpoch_ladder(values, q, count)
-
-        fresh = []
-        for q, count in calls:
-            monkeypatch.setattr(pochhammer, "_power_table", ("", np.ones(0, dtype=complex)))
-            fresh.append(run(q, count))
-        for (q, count), want in zip(calls, fresh):
-            for got, expected in zip(run(q, count), want):
-                assert np.array_equal(bits(got), bits(expected)), (q, count)
-        table = pochhammer._powers(0.3, 8)
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 2.0
-
     @pytest.mark.parametrize("size", [4096, 4097, 16383, 16384, 20000])
     def test_wide_arrays_are_the_sequential_product_bit_for_bit(self, size):
         # from 4097 points a block holds one row; from 16384 points (256 KiB)
