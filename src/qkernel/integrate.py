@@ -5,12 +5,14 @@ the Riemann integral in q-calculus; periodic_quadrature is a node-doubling
 uniform trapezoid rule, which converges geometrically for the smooth
 2 pi periodic integrands the identity checks integrate, until it reaches
 the roundoff floor of its sum (Trefethen & Weideman, SIAM Rev. 56, 2014).
-Each doubling evaluates only the new midpoints, and the rule stops at that
-floor as well as at its tolerance.  Integrals over [0, pi] of even periodic
-integrands are taken as one half of the full-period value, keeping the
-spectral rate.  Both engines return a QuadratureResult: the value with the
-work it took (nodes or ladder rungs), its error estimate, the sum of |f|
-it was formed from and why it stopped.
+Its first call of the integrand takes the first two levels, the 64
+starting nodes and their midpoints; each later doubling evaluates only the
+new midpoints, and the rule stops at that floor as well as at its
+tolerance.  Integrals over [0, pi] of even periodic integrands are taken
+as one half of the full-period value, keeping the spectral rate.  Both
+engines return a QuadratureResult: the value with the work it took (nodes
+or ladder rungs), its error estimate, the sum of |f| it was formed from and
+why it stopped.
 """
 
 from __future__ import annotations
@@ -58,10 +60,13 @@ def periodic_quadrature(f) -> QuadratureResult:
     """Integrate f over [0, 2 pi] with the uniform trapezoid rule.
 
     `f` receives a numpy array of angles and must return the matching array
-    of (possibly complex) values.  The rule starts at 64 nodes and doubles;
-    each doubling calls `f` only on the n new midpoints (j + 1/2) 2 pi / n
-    and adds them to running sums of f and |f|, so every node is evaluated
-    exactly once.  With h = 2 pi / n the value is h sum f, and the rule stops
+    of (possibly complex) values.  The rule starts at 64 nodes and doubles.
+    The first call of `f` holds 128 angles, the 64 nodes 2 pi j / 64 followed
+    by their midpoints (j + 1/2) 2 pi / 64, and the levels of 64 and 128
+    nodes are summed from the two halves of its values.  Each later doubling
+    calls `f` only on the n new midpoints (j + 1/2) 2 pi / n.  Every level is
+    added to running sums of f and |f|, so every node is evaluated exactly
+    once.  With h = 2 pi / n the value is h sum f, and the rule stops
     once the last doubling moves it by at most
 
         max(EPS_QUAD * (1 + |value|), QUAD_NOISE * u * h * sum |f|),  u = 2**-53.
@@ -72,11 +77,15 @@ def periodic_quadrature(f) -> QuadratureResult:
     """
     nodes = 64
     step = 2.0 * np.pi / nodes
-    total, magnitude = _node_sums(f, step * np.arange(nodes))
+    start = np.arange(nodes)
+    levels = _level_sums(f, step * np.concatenate((start, start + 0.5)), nodes)
+    total, magnitude = levels.pop(0)
     previous = step * total
     difference = threshold = floor = math.inf
     while 2 * nodes <= MAX_QUAD_NODES:
-        new_total, new_magnitude = _node_sums(f, step * (np.arange(nodes) + 0.5))
+        if not levels:
+            levels = _level_sums(f, step * (np.arange(nodes) + 0.5), nodes)
+        new_total, new_magnitude = levels.pop()
         total += new_total
         magnitude += new_magnitude
         nodes *= 2
@@ -95,15 +104,22 @@ def periodic_quadrature(f) -> QuadratureResult:
         f"roundoff floor {floor:.3e}")
 
 
-def _node_sums(f, theta) -> tuple[complex, float]:
+def _level_sums(f, theta, size) -> list[tuple[complex, float]]:
+    """Sums of f and of |f| over each run of `size` consecutive angles of
+    theta, in order, from one call of f."""
     # A non-finite value is refused below, once per level.
     with np.errstate(all="ignore"):
         values = np.asarray(f(theta))
-        total = complex(np.sum(values))
-    if not cmath.isfinite(total):
-        raise PoleError(f"periodic_quadrature integrand is not finite on the "
-                        f"{len(theta)} nodes of its latest level")
-    return total, float(np.sum(np.abs(values)))
+    sums = []
+    for low in range(0, len(values), size):
+        level = values[low:low + size]
+        with np.errstate(all="ignore"):
+            total = complex(np.sum(level))
+        if not cmath.isfinite(total):
+            raise PoleError(f"periodic_quadrature integrand is not finite on the "
+                            f"{size} nodes of its latest level")
+        sums.append((total, float(np.sum(np.abs(level)))))
+    return sums
 
 
 def jackson_q_integral(f, a, b, q) -> QuadratureResult:

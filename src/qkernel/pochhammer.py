@@ -43,6 +43,7 @@ qpoch_ladder tabulates (v q^i; q)_inf down a Jackson ladder.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 
@@ -84,13 +85,24 @@ def check_base(q) -> None:
         raise DomainError(f"base q must satisfy |q| < 1, got |q| = {abs(q)}")
 
 
+def _check_finite(name: str, *values) -> None:
+    """DomainError unless every value, a scalar or an array, is finite.
+    Callers check once per call, outside _ascending_products, whose factor
+    loop the scalar qpoch_infinite also runs."""
+    for value in values:
+        if not (cmath.isfinite(value) if isinstance(value, _SCALARS)
+                else np.isfinite(value).all()):
+            raise DomainError(f"{name} needs finite arguments")
+
+
 def qpoch_finite(a, q, n: int):
     """Finite q-Pochhammer symbol (a;q)_n for any integer n.
 
     For n < 0 the value is 1/(a q^n; q)_{-n}; a vanishing factor in that
     denominator raises PoleError, and q = 0 raises DomainError.  `a` may be
-    an array.
+    an array.  A NaN or infinite a or q is a DomainError.
     """
+    _check_finite("qpoch_finite", a, q)
     if n >= 0:
         return _last(_ascending_products(a, q, n))
     if q == 0:
@@ -102,9 +114,10 @@ def qpoch_finite(a, q, n: int):
 def qpoch_finite_table(a, q, n: int) -> list:
     """[(a;q)_0, ..., (a;q)_n] for n >= 0, the prefixes of one factor loop,
     so entry k equals qpoch_finite(a, q, k) bit for bit; DomainError for
-    n < 0.  `a` may be an array."""
+    n < 0 and for a NaN or infinite a or q.  `a` may be an array."""
     if n < 0:
         raise DomainError(f"qpoch_finite_table needs n >= 0, got {n}")
+    _check_finite("qpoch_finite_table", a, q)
     return list(_ascending_products(a, q, n))
 
 

@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .pochhammer import qpoch_finite, qpoch_finite_table, qpoch_product
+from .pochhammer import (_check_finite, qpoch_finite, qpoch_finite_table,
+                         qpoch_product)
 
 
 def ultraspherical_c(n: int, x: float, beta, q):
@@ -80,10 +81,12 @@ def gasper_c(n: int, theta: float, alpha, beta, q):
         sum_{k=0}^{n} (alpha;q)_k (beta;q)_{n-k} / ((q;q)_k (q;q)_{n-k}) e^{i(2k-n) theta}
 
     (theta may be an array).  At alpha = beta this equals
-    ultraspherical_c(n, cos(theta), beta, q).
+    ultraspherical_c(n, cos(theta), beta, q).  A NaN or infinite alpha,
+    beta, q or theta is a DomainError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
+    _check_finite("gasper_c", alpha, beta, q, theta)
     alpha_ratios = _poch_over_qfact(alpha, q, n)
     beta_ratios = _poch_over_qfact(beta, q, n)
     acc = 0.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .pochhammer import check_base, qpoch_product
+from .pochhammer import _check_finite, check_base, qpoch_product
 
 # Budget of every summed series (phi_series and the Jackson ladder):
 # relative tail bound and term cap.
@@ -61,11 +61,13 @@ def gf_expand(numerators, denominators, q, degree_cap: int = 24) -> TruncatedPow
     give each factor up to t^degree_cap by its term ratio; the factors are
     multiplied by Cauchy products truncated to the cap.  No product is
     truncated, so the product budget does not apply.  The default cap of 24
-    covers every identity check here with margin.
+    covers every identity check here with margin.  A NaN or infinite
+    numerator or denominator is a DomainError.
     """
     if degree_cap < 0:
         raise DomainError("degree_cap must be >= 0")
     check_base(q)
+    _check_finite("gf_expand", *numerators, *denominators)
     k = np.arange(degree_cap)
     qk = q**k
     qfact = 1.0 - q * qk

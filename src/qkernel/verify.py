@@ -484,7 +484,8 @@ def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64):
     grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
     values = np.abs(gasper_c(n, grid, alpha, beta, q))
     bound = complex(gasper_c(n, 0.0, alpha, beta, q)).real
-    violation = max(0.0, float(np.max(values)) - bound)
+    # np.maximum keeps a NaN excess (max(0.0, nan) would be 0.0)
+    violation = np.maximum(0.0, np.max(values) - bound)
     return violation, 0.0, grid_size
 
 

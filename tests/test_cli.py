@@ -391,6 +391,8 @@ GOLDEN = [
     ('eval qpoch --a 0.3 --q 0.3 --n -1', 1, ''),
     ('eval qpoch --a 0.5 --q 1.5 --n inf', 1, ''),
     ('eval qpoch --a nan --q 0.5 --n inf', 1, ''),
+    ('eval qpoch --a nan --q 0.5 --n 2', 1, ''),
+    ('eval Cg --n 3 --theta nan --alpha 0.4 --beta -0.3 --q 0.35', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
     ('eval T --n 3 --x 2', 1, ''),
     ('eval T --n 3 --x nan', 1, ''),
@@ -564,6 +566,13 @@ GOLDEN = [
     ('check prop-3.2 --n 2 --a 0.3 --b 0.2 --x 0.5 --y 1.0 --q 0.5', 1,
      'FAIL prop-3.2 [n=2 a=0.3 b=0.2 x=0.5 y=1.0 q=0.5] lhs=0.0 rhs=0.0 rel_err=inf '
      'tol=1.0e-09 nodes=0 t=*ms\n'),
+    # a NaN parameter is refused by the finite products and circle polynomials
+    ('check gf-4.1 --beta nan --q 0.3 --theta 0.5', 1,
+     'FAIL gf-4.1 [beta=nan q=0.3 theta=0.5 degree=16] lhs=0.0 rhs=0.0 rel_err=inf '
+     'tol=1.0e-09 nodes=0 t=*ms\n'),
+    ('check uniform-bound --n 3 --alpha nan --beta 0.2 --q 0.3', 1,
+     'FAIL uniform-bound [n=3 alpha=nan beta=0.2 q=0.3 grid_size=64] lhs=0.0 rhs=0.0 '
+     'rel_err=inf tol=1.0e-12 nodes=0 t=*ms\n'),
     ('check thm-1.1 --m 3', 2, ''),
     ('check qbinomial --a 0.4 --z 0.5 --q 0.3 --ctx 1', 2, ''),
     ('check qbinomial --a 0.4 --z 0.5 --q 0.3 --zz 1', 2, ''),

@@ -1,17 +1,21 @@
 """Jackson ladder sums, the doubling trapezoid rule, and the circle weights."""
 
+import cmath
 import math
 import warnings
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qkernel import (ConvergenceError, DomainError, PoleError,
+from qkernel import (ConvergenceError, DomainError, PoleError, QuadratureResult,
                      jackson_q_integral, periodic_quadrature, qpoch_infinite,
                      ultraspherical_c, weight_omega_ab, weight_omega_beta)
 from qkernel import verify
-from qkernel.integrate import EPS_QUAD, EPS_SERIES, MAX_QUAD_NODES, MAX_SERIES_TERMS
+from qkernel.integrate import (EPS_QUAD, EPS_SERIES, MAX_QUAD_NODES, MAX_SERIES_TERMS,
+                               QUAD_NOISE)
 from qkernel.verify import CHECK_RUNNERS, default_suite_config
 
 
@@ -54,6 +58,56 @@ def doubling_without_floor(f):
             return current, nodes
         previous = current
     raise AssertionError("reference doubling did not stop")
+
+
+def one_level_per_call(f):
+    """The doubling rule with one call of f per level: f on the 64 nodes,
+    then on the new midpoints of each doubling, with the same running sums,
+    stop rule and PoleError message as periodic_quadrature."""
+    def level_sums(theta):
+        with np.errstate(all="ignore"):
+            values = np.asarray(f(theta))
+            total = complex(np.sum(values))
+        if not cmath.isfinite(total):
+            raise PoleError(f"periodic_quadrature integrand is not finite on the "
+                            f"{len(theta)} nodes of its latest level")
+        return total, float(np.sum(np.abs(values)))
+
+    nodes = 64
+    step = 2.0 * np.pi / nodes
+    total, magnitude = level_sums(step * np.arange(nodes))
+    previous = step * total
+    while 2 * nodes <= MAX_QUAD_NODES:
+        new_total, new_magnitude = level_sums(step * (np.arange(nodes) + 0.5))
+        total += new_total
+        magnitude += new_magnitude
+        nodes *= 2
+        step = 2.0 * np.pi / nodes
+        current = step * total
+        difference = abs(current - previous)
+        threshold = EPS_QUAD * (1.0 + abs(current))
+        floor = QUAD_NOISE * 2.0**-53 * step * magnitude
+        if difference <= max(threshold, floor):
+            reason = "tolerance" if difference <= threshold else "roundoff floor"
+            return QuadratureResult(current, nodes, difference, step * magnitude, reason)
+        previous = current
+    raise AssertionError("reference doubling did not stop")
+
+
+def trigonometric_polynomial(seed, degree, wave):
+    """sum_{|k| <= degree} c_k e^{i k theta} with random complex c_k of size
+    about 1/(1 + |k|), plus `wave` cos(theta), term by term elementwise."""
+    rng = np.random.default_rng(seed)
+    coeffs = ((rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1))
+              / (1.0 + np.abs(np.arange(-degree, degree + 1))))
+
+    def f(theta):
+        values = wave * np.cos(theta) + 0j
+        for k, c in zip(range(-degree, degree + 1), coeffs):
+            values = values + c * np.exp(1j * k * theta)
+        return values
+
+    return f
 
 
 class TestJackson:
@@ -247,8 +301,10 @@ class TestPeriodicQuadrature:
                 periodic_quadrature(integrand)
 
     def test_each_node_is_evaluated_once(self):
-        # every doubling evaluates only the new midpoints; together the calls
-        # cover the final grid 2 pi j / n exactly once
+        # the first call holds the 128 angles of levels 64 and 128 (the 64
+        # nodes, then their midpoints), every further doubling evaluates only
+        # its new midpoints; together the calls cover the final grid
+        # 2 pi j / n exactly once
         calls = []
 
         def integrand(theta):
@@ -256,8 +312,12 @@ class TestPeriodicQuadrature:
             return weight_omega_beta(theta, 0.5, 0.3)
 
         result = periodic_quadrature(integrand)
+        first = calls[0] * 64 / (2 * np.pi)
+        assert len(first) == 128
+        assert np.max(np.abs(first - np.concatenate((np.arange(64), np.arange(64) + 0.5)))) <= 1e-9
+        assert [len(theta) for theta in calls[1:]] == [64 * 2**k for k in range(1, len(calls))]
+        assert result.nodes_used == 64 * 2 ** len(calls)
         theta = np.concatenate(calls)
-        assert len(calls) >= 3
         assert len(theta) == result.nodes_used
         grid = np.sort(theta) * result.nodes_used / (2 * np.pi)
         assert np.array_equal(np.rint(grid), np.arange(result.nodes_used))
@@ -278,6 +338,45 @@ class TestPeriodicQuadrature:
         monkeypatch.setattr("qkernel.integrate.QUAD_NOISE", 0)
         with pytest.raises(ConvergenceError, match="roundoff floor 0.000e"):
             periodic_quadrature(wave)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 300),
+           wave=st.sampled_from([0.0, 1e8]),
+           poison=st.sampled_from([None, (0, math.nan), (0, math.inf), (1, math.nan),
+                                   (1, -math.inf)]),
+           index=st.integers(0, 63))
+    @example(seed=1, degree=3, wave=1e8, poison=None, index=0)
+    @example(seed=2, degree=300, wave=0.0, poison=None, index=0)
+    def test_two_levels_in_one_call_match_one_level_per_call(self, seed, degree, wave,
+                                                             poison, index):
+        # the same sums of the same values, so every field bit for bit; a
+        # non-finite value in level 0 (node j) or level 1 (midpoint j + 1/2)
+        # raises the same PoleError
+        f = trigonometric_polynomial(seed, degree, wave)
+        if poison is not None:
+            level, bad = poison
+            target = 2.0 * np.pi / 64 * (index + 0.5 * level)
+
+            def integrand(theta):
+                return np.where(theta == target, bad, f(theta))
+        else:
+            integrand = f
+        try:
+            want = one_level_per_call(integrand)
+        except PoleError as error:
+            assert poison is not None
+            with pytest.raises(PoleError) as got:
+                periodic_quadrature(integrand)
+            assert str(got.value) == str(error)
+            assert "not finite on the 64 nodes" in str(error)
+            return
+        assert poison is None
+        got = periodic_quadrature(integrand)
+        assert repr(got.value) == repr(want.value)
+        assert got.nodes_used == want.nodes_used
+        assert repr(got.error_estimate) == repr(want.error_estimate)
+        assert repr(got.magnitude) == repr(want.magnitude)
+        assert got.stop_reason == want.stop_reason
 
     # the quadrature-backed checks of the default suite
     @pytest.mark.parametrize("check_id", ["askey-ismail", "thm-1.1", "thm-1.2",

@@ -77,6 +77,16 @@ class TestFinite:
         with pytest.raises(DomainError):
             qpoch_finite(0.5, 0.0, -1)
 
+    # refused once per call, before the factor loop, for every index sign
+    @pytest.mark.parametrize("a,q,n", [
+        (math.nan, 0.3, 3), (math.inf, 0.3, 2), (complex(0.5, math.nan), 0.3, 0),
+        (np.array([0.2, math.nan]), 0.3, 2), (0.5, math.nan, 2), (0.5, -math.inf, 1),
+        (math.nan, 0.3, -2),
+    ])
+    def test_non_finite_argument_is_refused(self, a, q, n):
+        with pytest.raises(DomainError, match="qpoch_finite needs finite arguments"):
+            qpoch_finite(a, q, n)
+
     def test_negative_index_inverse_law(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -119,6 +129,13 @@ class TestFiniteTable:
     def test_negative_degree_is_refused(self):
         with pytest.raises(DomainError):
             qpoch_finite_table(0.7, 0.3, -1)
+
+    @pytest.mark.parametrize("a,q", [(math.inf, 0.3), (math.nan, 0.3), (0.7, math.nan),
+                                     (np.array([0.3, -math.inf]), 0.45)])
+    def test_non_finite_argument_is_refused(self, a, q):
+        # the table was [1, -inf, inf] at a = inf
+        with pytest.raises(DomainError, match="qpoch_finite_table needs finite arguments"):
+            qpoch_finite_table(a, q, 2)
 
 
 class TestInfinite:

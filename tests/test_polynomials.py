@@ -111,6 +111,15 @@ class TestGasper:
             bound = complex(gasper_c(n, 0.0, alpha, beta, q)).real
             assert values.max() <= bound + 1e-12
 
+    @pytest.mark.parametrize("theta,alpha,beta,q", [
+        (math.nan, 0.4, -0.3, 0.35), (np.array([0.1, math.nan]), 0.4, -0.3, 0.35),
+        (0.9, math.nan, -0.3, 0.35), (0.9, 0.4, math.inf, 0.35), (0.9, 0.4, -0.3, math.nan),
+    ])
+    def test_non_finite_argument_is_refused(self, theta, alpha, beta, q):
+        # a NaN theta gave nan+nanj, and a NaN alpha a NaN on the whole grid
+        with pytest.raises(DomainError, match="gasper_c needs finite arguments"):
+            gasper_c(3, theta, alpha, beta, q)
+
     def test_root_growth_stays_near_one(self):
         # finite-degree proxy for unit radius of convergence at the point 1
         rng = np.random.default_rng(37)

@@ -52,6 +52,14 @@ class TestGfExpand:
         with pytest.raises(DomainError):
             gf_expand([0.5], [0.2], 0.3, -1)
 
+    @pytest.mark.parametrize("numerators,denominators", [
+        ([math.nan], [0.2]), ([0.5], [math.inf]), ([0.5, complex(0.1, math.nan)], []),
+    ])
+    def test_non_finite_parameter_is_refused(self, numerators, denominators):
+        # the coefficients were (1, nan, nan, nan) for a NaN numerator
+        with pytest.raises(DomainError, match="gf_expand needs finite arguments"):
+            gf_expand(numerators, denominators, 0.3, 3)
+
 
 class TestPhiSeries:
     def test_needs_one_more_upper(self):

@@ -577,12 +577,29 @@ class TestSuite:
         ("thm-1.4", dict(alpha=0.5, beta=0.2, s=math.nan, t=0.25, q=0.3)),
         ("qbinomial", dict(a=math.nan, z=0.5, q=0.3)),
         ("rogers-6phi5", dict(a=math.nan, b=0.7, c=0.6, d=0.8, q=0.4)),
+        # finite products, generating functions and circle polynomials: these
+        # reported rel_err=nan, or passed (uniform-bound)
+        ("gf-4.1", dict(beta=math.nan, q=0.3, theta=0.5)),
+        ("gf-4.1", dict(beta=0.5, q=0.3, theta=math.nan)),
+        ("prop-4.2", dict(beta=0.3, gamma=math.nan, q=0.4, theta=1.1)),
+        ("rogers-connection", dict(n=3, beta=math.nan, gamma=0.7, q=0.3)),
+        ("rogers-connection", dict(n=3, beta=0.4, gamma=math.inf, q=0.3)),
+        ("uniform-bound", dict(n=3, alpha=math.nan, beta=0.2, q=0.3)),
+        ("uniform-bound", dict(n=3, alpha=0.5, beta=0.2, q=math.nan)),
     ])
     def test_non_finite_argument_is_a_quick_recorded_failure(self, check_id, params):
         report = CHECK_RUNNERS[check_id](**params)
         assert not report.passed
         assert report.rel_err == math.inf
         assert report.runtime_ms < 100
+
+    def test_uniform_bound_does_not_pass_a_nan_violation(self):
+        # |alpha| = 1e300 overflows the polynomials to NaN on the grid and at
+        # 1; max(0.0, nan) read that as no violation and passed
+        with np.errstate(all="ignore"):
+            report = CHECK_RUNNERS["uniform-bound"](n=3, alpha=1e300, beta=0.2, q=0.3)
+        assert not report.passed
+        assert math.isnan(report.rel_err)
 
     def test_uniform_bound_accepts_a_base_off_the_disk(self):
         # q = 1.5 has no q**k == 1, so the check runs and this entry holds
@@ -609,6 +626,33 @@ class TestSuite:
         monkeypatch.setattr(verify, "periodic_quadrature", counted)
         assert all(report.passed for report in run_suite())
         assert sum(points) == sum(nodes) == 7808
+
+    def test_integrand_calls_of_the_default_suite(self, monkeypatch):
+        # the first call takes the levels of 64 and 128 nodes, each further
+        # doubling one more: log2(nodes_used / 64) calls per report
+        runs = []
+        quadrature = verify.periodic_quadrature
+
+        def counted(f):
+            sizes = []
+
+            def integrand(theta):
+                sizes.append(np.size(theta))
+                return f(theta)
+            result = quadrature(integrand)
+            runs.append((check_id, sizes, result.nodes_used))
+            return result
+
+        monkeypatch.setattr(verify, "periodic_quadrature", counted)
+        for check_id in ("askey-ismail", "thm-1.1", "thm-1.2", "thm-1.3", "thm-1.4"):
+            for entry in default_suite_config()[check_id]:
+                assert CHECK_RUNNERS[check_id](**entry).passed
+        assert len(runs) == 43
+        for _, sizes, nodes in runs:
+            assert 2 ** len(sizes) == nodes // 64
+            assert sizes == [128] + [64 * 2**k for k in range(1, len(sizes))]
+        assert ("thm-1.2", [128], 128) in runs
+        assert sum(len(sizes) for _, sizes, _ in runs) == 61
 
     def test_default_config_covers_every_check(self):
         config = default_suite_config()
