@@ -2,16 +2,15 @@
 
 ultraspherical_c evaluates the continuous q-ultraspherical polynomials
 C_n(x; beta | q) by their three-term recurrence; gasper_c their two-parameter
-circle extension C_n^{(alpha,beta)}(e^{i theta}; q) by its explicit sum, which
-at alpha = beta is a second route to C_n (series.gf_expand reads both from
-their generating function); phi_poly the bivariate homogeneous
-polynomials that reduce to (q;q)_n gasper_c on the circle; q_hermite and
-chebyshev_t the classical specializations.  h_norm is the reciprocal of the
-diagonal orthogonality integral and connection_coeffs expands one parameter
-value of C_n in another.  phi_poly and connection_coeffs read their finite
-products (a;q)_k from one pochhammer.qpoch_finite_table per parameter, and a
-caller that needs C_0, ..., C_n at the same points reads them from one
-ultraspherical_table.
+circle extension C_n^{(alpha,beta)}(e^{i theta}; q) by the q-difference
+recurrence of its generating function, which gf_expand runs too; phi_poly the
+bivariate homogeneous polynomials, whose explicit sum on the circle is
+(q;q)_n gasper_c; q_hermite and chebyshev_t the classical specializations.
+h_norm is the reciprocal of the diagonal orthogonality integral and
+connection_coeffs expands one parameter value of C_n in another.  phi_poly
+and connection_coeffs read their finite products (a;q)_k from one
+pochhammer.qpoch_finite_table per parameter, and a caller that needs C_0,
+..., C_n at the same points reads them from one ultraspherical_table.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 from .errors import DomainError, PoleError
 from .pochhammer import (_check_finite, qpoch_finite, qpoch_finite_table,
                          qpoch_product)
+from .series import _qdifference_coeffs
 
 
 def ultraspherical_c(n: int, x: float, beta, q):
@@ -32,11 +32,8 @@ def ultraspherical_c(n: int, x: float, beta, q):
         (1 - q^{n+1}) C_{n+1} = 2x (1 - beta q^n) C_n - (1 - beta^2 q^{n-1}) C_{n-1}
 
     from C_0 = 1 and C_1 = 2x (1 - beta)/(1 - q).  `x` may be an array.
-    gasper_c(n, theta, beta, beta, q) is the explicit sum of the same
-    polynomial.
+    gasper_c(n, theta, beta, beta, q) runs it in complex arithmetic.
     """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
     if not np.all(np.abs(x) <= 1.0):  # NaN too
         raise DomainError("x = cos(theta) must lie in [-1, 1]")
     return ultraspherical_table(n, x, beta, q)[n]
@@ -58,14 +55,6 @@ def ultraspherical_table(n: int, x, beta, q) -> list:
     return table
 
 
-def _poch_over_qfact(a, q, n):
-    """Table of (a;q)_k / (q;q)_k for k = 0..n, built by the term ratio."""
-    out = [1.0]
-    for k in range(1, n + 1):
-        out.append(out[-1] * (1.0 - a * q ** (k - 1)) / (1.0 - q**k))
-    return out
-
-
 def gasper_c(n: int, theta: float, alpha, beta, q):
     """Two-parameter circle polynomial C_n^{(alpha,beta)}(e^{i theta}; q).
 
@@ -75,25 +64,25 @@ def gasper_c(n: int, theta: float, alpha, beta, q):
             / (t e^{i theta}, t e^{-i theta}; q)_inf
         = sum_n C_n^{(alpha,beta)}(e^{i theta}; q) t^n,
 
-    so alpha rides the positive-frequency factor, and evaluated as the
-    corresponding convolution
+    so alpha rides the positive-frequency factor, and evaluated by that
+    ratio's q-difference recurrence (series._qdifference_coeffs, which
+    gf_expand runs too), here
 
-        sum_{k=0}^{n} (alpha;q)_k (beta;q)_{n-k} / ((q;q)_k (q;q)_{n-k}) e^{i(2k-n) theta}
+        (1 - q^n) C_n = (2 cos theta - (alpha e^{i theta} + beta e^{-i theta}) q^{n-1}) C_{n-1}
+                        - (1 - alpha beta q^{n-2}) C_{n-2}
 
-    (theta may be an array).  At alpha = beta this equals
-    ultraspherical_c(n, cos(theta), beta, q).  A NaN or infinite alpha,
-    beta, q or theta is a DomainError.
+    from C_0 = 1 (theta may be an array).  At alpha = beta it is the
+    recurrence of ultraspherical_c(n, cos(theta), beta, q); phi_poly on the
+    circle over (q;q)_n is the explicit sum.  A NaN or infinite alpha, beta,
+    q or theta is a DomainError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
     _check_finite("gasper_c", alpha, beta, q, theta)
-    alpha_ratios = _poch_over_qfact(alpha, q, n)
-    beta_ratios = _poch_over_qfact(beta, q, n)
-    acc = 0.0
-    for k in range(n + 1):
-        acc = acc + (alpha_ratios[k] * beta_ratios[n - k]
-                     * np.exp(1j * (2 * k - n) * np.asarray(theta)))
-    return complex(acc) if np.ndim(theta) == 0 else acc
+    phase = np.exp(1j * np.asarray(theta))
+    value = _qdifference_coeffs([-(alpha * phase + beta * np.conj(phase)), alpha * beta],
+                                [-2.0 * phase.real, 1.0], q, n)[n]
+    return complex(value) if np.ndim(theta) == 0 else np.full_like(phase, value)
 
 
 def phi_poly(n: int, alpha, beta, x, y, q):

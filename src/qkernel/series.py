@@ -1,10 +1,9 @@
 """Generating-function expansion and basic hypergeometric summation.
 
-TruncatedPowerSeries is the generating-function oracle: gf_expand writes a
-ratio of infinite products (c t; q)_inf as a power series in t from Euler's
-closed-form coefficients of (c t; q)_inf and 1/(c t; q)_inf, and single
-coefficients are read off `.coeffs`.  It truncates no product, so the
-product budget EPS_PRODUCT / MAX_PRODUCT_TERMS does not apply to it.
+gf_expand writes a ratio of infinite products (c t; q)_inf as a power series
+in t, TruncatedPowerSeries, by _qdifference_coeffs, the q-difference
+recurrence that polynomials.gasper_c runs too.  It truncates no product, so
+the product budget EPS_PRODUCT / MAX_PRODUCT_TERMS does not apply to it.
 
 phi_series sums the one-variable basic hypergeometric series
 
@@ -20,6 +19,7 @@ closed product form), and thm-1.4's q-beta series is two 2phi1 calls.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,35 +49,46 @@ class TruncatedPowerSeries:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
 
+def _qdifference_coeffs(c, d, q, degree: int) -> list:
+    """[f_0, ..., f_degree] of F(t) = prod_i (a_i t; q)_inf / prod_j (b_j t; q)_inf
+    from C_k = c[k-1] and D_k = d[k-1], scalars or same-shape arrays, the
+    coefficients of C(t) = prod_i (1 - a_i t) and D(t) = prod_j (1 - b_j t).
+    D(t) F(t) = C(t) F(qt) gives f_0 = 1 and, K the larger degree,
+
+        (1 - q^n) f_n = sum_{k=1}^{K} (C_k q^{n-k} - D_k) f_{n-k}.
+
+    A q^k, 1 <= k <= degree, that overflows or equals 1 is a DomainError."""
+    steps = list(itertools.zip_longest(c, d, fillvalue=0.0))
+    q_powers = [1.0]
+    for _ in range(degree):
+        q_powers.append(q_powers[-1] * q)
+    if not cmath.isfinite(q_powers[-1]) or 1.0 in q_powers[1:]:
+        raise DomainError(f"q**k overflows or equals 1 for some 1 <= k <= {degree}")
+    f = [1.0]
+    for n in range(1, degree + 1):
+        acc = 0.0
+        for k, (c_k, d_k) in enumerate(steps[:n], 1):
+            acc = acc + (c_k * q_powers[n - k] - d_k) * f[n - k]
+        f.append(acc / (1.0 - q_powers[n]))
+    return f
+
+
 def gf_expand(numerators, denominators, q, degree_cap: int = 24) -> TruncatedPowerSeries:
     """Expand prod_c (c t; q)_inf over `numerators` divided by the same
-    product over `denominators` as a power series in t.
-
-    Euler's closed forms (Gasper & Rahman (1.3.15)-(1.3.16))
-
-        (c t; q)_inf = sum_k (-c)^k q^{k(k-1)/2} t^k / (q;q)_k,
-        1 / (c t; q)_inf = sum_k c^k t^k / (q;q)_k
-
-    give each factor up to t^degree_cap by its term ratio; the factors are
-    multiplied by Cauchy products truncated to the cap.  No product is
-    truncated, so the product budget does not apply.  The default cap of 24
-    covers every identity check here with margin.  A NaN or infinite
-    numerator or denominator is a DomainError.
+    product over `denominators` as a power series in t up to t^degree_cap,
+    by _qdifference_coeffs: K steps a coefficient for K factors on the
+    larger side.  No product is truncated, so the product budget does not
+    apply.  A NaN or infinite numerator or denominator is a DomainError.
     """
     if degree_cap < 0:
         raise DomainError("degree_cap must be >= 0")
     check_base(q)
     _check_finite("gf_expand", *numerators, *denominators)
-    k = np.arange(degree_cap)
-    qk = q**k
-    qfact = 1.0 - q * qk
-    coeffs = np.zeros(degree_cap + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for ratios in ([-complex(c) * qk / qfact for c in numerators]
-                   + [complex(c) / qfact for c in denominators]):
-        euler = np.concatenate(([1.0], np.cumprod(ratios)))
-        coeffs = np.convolve(coeffs, euler)[: degree_cap + 1]
-    return TruncatedPowerSeries(tuple(coeffs))
+    c, d = [1.0], [1.0]  # C(t) = prod_c (1 - c t) and D(t), factor by factor
+    for poly, roots in ((c, numerators), (d, denominators)):
+        for r in roots:
+            poly[:] = [a - r * b for a, b in zip([*poly, 0.0], [0.0, *poly])]
+    return TruncatedPowerSeries(tuple(_qdifference_coeffs(c[1:], d[1:], q, degree_cap)))
 
 
 def phi_series(upper: list, z, q, lower: list = ()) -> complex:

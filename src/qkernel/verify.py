@@ -59,8 +59,9 @@ import numpy as np
 from .errors import DomainError, PoleError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
-from .pochhammer import (check_base, qbinom, qpoch_finite, qpoch_finite_table,
-                         qpoch_infinite, qpoch_ladder, qpoch_product)
+from .pochhammer import (_check_finite, check_base, qbinom, qpoch_finite,
+                         qpoch_finite_table, qpoch_infinite, qpoch_ladder,
+                         qpoch_product)
 from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
                           phi_poly, ultraspherical_c, ultraspherical_table)
 from .series import gf_expand, phi_series, rogers_6w5_rhs, w_series
@@ -418,17 +419,17 @@ def verify_gf_4_1(beta, q, theta: float, degree: int = 16):
         = (beta t q e^{iu}, beta t q e^{-iu}; q)_inf
           / (t e^{iu}, t e^{-iu}; q)_inf  (1 - beta)(1 - beta t^2).
 
-    The report carries the worst coefficient.
+    The report carries the worst coefficient.  The sides are different
+    recurrences: ultraspherical_table's and gf_expand's q-difference one.
     """
+    _check_finite("gf-4.1", theta)
     check_base(q)
     x = math.cos(theta)
     table = ultraspherical_table(degree, x, beta, q)
     lhs_coeffs = np.array([(1.0 - beta * q**n) * table[n] for n in range(degree + 1)],
                           dtype=complex)
     phase = complex(math.cos(theta), math.sin(theta))
-    expansion = gf_expand([beta * q * phase, beta * q / phase],
-                          [phase, 1.0 / phase], q, degree)
-    g = np.asarray(expansion.coeffs)
+    g = gf_expand([beta * q * phase, beta * q / phase], [phase, 1.0 / phase], q, degree).coeffs
     rhs_coeffs = np.empty(degree + 1, dtype=complex)
     for p in range(degree + 1):
         rhs_coeffs[p] = (1.0 - beta) * (g[p] - (beta * g[p - 2] if p >= 2 else 0.0))
@@ -446,6 +447,7 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12):
     """
     if beta == 0:
         raise DomainError("prop-4.2 needs beta != 0")
+    _check_finite("prop-4.2", theta)
     check_base(q)
     x = math.cos(theta)
     gamma_table = ultraspherical_table(degree, x, gamma, q)
@@ -475,17 +477,14 @@ def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64):
     """|C_n^{(a,b)}(e^{i t}; q)| <= C_n^{(a,b)}(1; q) for real parameters in
     (-1, 1), checked on a uniform theta grid.  lhs is the clamped worst
     violation, rhs is zero.  The polynomials divide by 1 - q^k, k <= n, so
-    any q (|q| >= 1 included) is accepted unless some such q^k is 1."""
+    any q (|q| >= 1 included) is accepted unless gasper_c finds some such
+    q^k equal to 1 or past the largest double."""
     if grid_size < 1:
         raise DomainError("uniform-bound needs grid_size >= 1")
-    for k in range(1, n + 1):
-        if q**k == 1:
-            raise DomainError("uniform-bound needs q**k != 1 for 1 <= k <= n")
     grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    values = np.abs(gasper_c(n, grid, alpha, beta, q))
-    bound = complex(gasper_c(n, 0.0, alpha, beta, q)).real
+    circle = gasper_c(n, grid, alpha, beta, q)  # grid point 0 is theta = 0
     # np.maximum keeps a NaN excess (max(0.0, nan) would be 0.0)
-    violation = np.maximum(0.0, np.max(values) - bound)
+    violation = np.maximum(0.0, np.max(np.abs(circle)) - circle[0].real)
     return violation, 0.0, grid_size
 
 

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from qkernel import (gasper_c, gf_expand, h_norm, periodic_quadrature,
+from qkernel import (gf_expand, h_norm, periodic_quadrature, phi_poly,
                      q_hermite, qpoch_finite, qpoch_infinite, qpoch_product,
                      rogers_6w5_rhs, ultraspherical_c, verify_askey_ismail_chebyshev,
                      verify_gf_4_1, verify_prop_3_1, verify_prop_3_2,
@@ -214,9 +214,10 @@ def test_criterion_10_chebyshev_integral():
 
 
 def test_criterion_11_method_equivalence():
-    # C_n(x; beta|q) three ways: the recurrence (ultraspherical_c), the
-    # explicit sum (gasper_c at alpha = beta) and coefficient n of the
-    # generating function (gf_expand)
+    # C_n(x; beta|q) three ways: the three-term recurrence
+    # (ultraspherical_c), the explicit sum (phi_poly on the circle over
+    # (q;q)_n) and coefficient n of the generating function (gf_expand, whose
+    # q-difference recurrence gasper_c runs too)
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(50):
@@ -227,7 +228,8 @@ def test_criterion_11_method_equivalence():
         phase = complex(math.cos(theta), math.sin(theta))
         series = gf_expand([beta * phase, beta / phase], [phase, 1 / phase], q, 20)
         for n in range(21):
-            explicit = gasper_c(n, theta, beta, beta, q)
+            explicit = (phi_poly(n, beta, beta, phase, phase.conjugate(), q)
+                        / qpoch_finite(q, q, n))
             recurrence = ultraspherical_c(n, x, beta, q)
             genfunc = series.coeffs[n]
             scale = 1 + abs(explicit)

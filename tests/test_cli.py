@@ -372,8 +372,11 @@ GOLDEN = [
     ('eval wseries --a1 0.2 --b 0.3 --b 0.4 --q 0.5 --z 0.3', 0, '1.7226339251962521\n'),
     ('eval C --n 1 --beta 0.5 --q 0.3 --theta 0', 0, '1.4285714285714286\n'),
     ('eval C --n 4 --beta 0.5 --q 0.3 --x 0.4', 0, '-0.28894777333819838\n'),
+    # 1.068398702803852771-1.571644521978310181i by a 40-digit mpmath sum:
+    # off by 3.6e-16, under two units in the last place (the explicit sum's
+    # ...526 was off by 1.4e-16)
     ('eval Cg --n 2 --theta 0.9 --alpha 0.4 --beta -0.3 --q 0.35', 0,
-     '1.0683987028038526-1.5716445219783102i\n'),
+     '1.0683987028038524-1.5716445219783102i\n'),
     ('eval Phi --n 2 --alpha 0.3 --beta 0.2 --x 1 --y 1 --q 0.3', 0, '2.117\n'),
     ('eval Phi --n 3 --alpha 0.3,0.1 --beta 0.2 --x 0.5,0.5 --y 0.5,-0.5 --q 0.4', 0,
      '0.10611199999999998-0.077744000000000008i\n'),
@@ -393,6 +396,10 @@ GOLDEN = [
     ('eval qpoch --a nan --q 0.5 --n inf', 1, ''),
     ('eval qpoch --a nan --q 0.5 --n 2', 1, ''),
     ('eval Cg --n 3 --theta nan --alpha 0.4 --beta -0.3 --q 0.35', 1, ''),
+    # 1 - q^k = 0 and q^3 past the largest double: refused, where the
+    # explicit sum raised ZeroDivisionError and OverflowError
+    ('eval Cg --n 3 --theta 0.5 --alpha 0.4 --beta -0.3 --q 1', 1, ''),
+    ('eval Cg --n 3 --theta 0.5 --alpha 0.4 --beta -0.3 --q 1e200', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
     ('eval T --n 3 --x 2', 1, ''),
     ('eval T --n 3 --x nan', 1, ''),
@@ -456,10 +463,12 @@ GOLDEN = [
      'PASS thm-1.2 [m=4 n=2 beta=0.25 gamma=0.5 q=0.4] '
      'lhs=-2.6849093440671865-1.3372349774781455e-17i rhs=-2.684909344067191 '
      'rel_err=1.205e-15 tol=1.0e-08 nodes=128 t=*ms\n'),
+    # the closed form is 29.548969990579642820 at 40 digits: lhs is off by
+    # 7.0e-16 relative, rhs by 1.3e-15
     ('check thm-1.3 --m 2 --n 2 --alpha 0.4 --beta -0.3 --q 0.35', 0,
      'PASS thm-1.3 [m=2 n=2 alpha=0.4 beta=-0.3 q=0.35] '
-     'lhs=29.548969990579618-2.081821509748902e-15i rhs=29.548969990579682 '
-     'rel_err=2.094e-15 tol=1.0e-09 nodes=128 t=*ms\n'),
+     'lhs=29.54896999057962+3.814856169696941e-16i rhs=29.548969990579682 '
+     'rel_err=1.977e-15 tol=1.0e-09 nodes=128 t=*ms\n'),
     ('check thm-1.4 --alpha 0.5 --beta 0.2 --s 0.3 --t 0.25 --q 0.3', 0,
      'PASS thm-1.4 [alpha=0.5 beta=0.2 s=0.3 t=0.25 q=0.3] '
      'lhs=12.091649623542251-6.982549239177436e-18i rhs=12.091649623542228 '
@@ -484,9 +493,12 @@ GOLDEN = [
      'PASS askey-ismail [n=1 k=2 beta=0.5 q=0.3] '
      'lhs=-0.32298360546252713+2.360166812895084e-18i rhs=-0.32298360546252614 '
      'rel_err=7.553e-16 tol=1.0e-08 nodes=256 t=*ms\n'),
+    # the two gf-4.1 rows carry their worst coefficient; against the 40-digit
+    # explicit sum of (1 - beta q^p) C_p, no rhs coefficient is off by more
+    # than 1.7e-15 (first row) and 9.8e-16 (second row)
     ('check gf-4.1 --beta 0.5 --q 0.3 --theta 0.9', 0,
-     'PASS gf-4.1 [beta=0.5 q=0.3 theta=0.9 degree=16] lhs=0.2385845562072766 '
-     'rhs=0.23858455620727792+1.3322676295501878e-15i rel_err=1.521e-15 tol=1.0e-09 '
+     'PASS gf-4.1 [beta=0.5 q=0.3 theta=0.9 degree=16] lhs=0.17037953449163057 '
+     'rhs=0.17037953449162974-1.0949893317034339e-15i rel_err=1.175e-15 tol=1.0e-09 '
      'nodes=17 t=*ms\n'),
     ('check gf-4.1 --beta 0.3 --q 0.4 --theta 1.1 --degree 12 --format json', 0,
      '{\n'
@@ -498,15 +510,15 @@ GOLDEN = [
      '    "degree": 12\n'
      '  },\n'
      '  "lhs": [\n'
-     '    0.64721871595588,\n'
+     '    -0.6840468565414953,\n'
      '    0.0\n'
      '  ],\n'
      '  "rhs": [\n'
-     '    0.6472187159558831,\n'
-     '    -2.4868995751603504e-16\n'
+     '    -0.6840468565414952,\n'
+     '    -7.92651596260538e-16\n'
      '  ],\n'
-     '  "abs_err": 3.1185562018226835e-15,\n'
-     '  "rel_err": 1.8932253328684295e-15,\n'
+     '  "abs_err": 8.003889708750722e-16,\n'
+     '  "rel_err": 4.752771383801164e-16,\n'
      '  "tol": 1e-09,\n'
      '  "nodes_used": 13,\n'
      '  "pass": true,\n'
@@ -569,6 +581,10 @@ GOLDEN = [
     # a NaN parameter is refused by the finite products and circle polynomials
     ('check gf-4.1 --beta nan --q 0.3 --theta 0.5', 1,
      'FAIL gf-4.1 [beta=nan q=0.3 theta=0.5 degree=16] lhs=0.0 rhs=0.0 rel_err=inf '
+     'tol=1.0e-09 nodes=0 t=*ms\n'),
+    # an infinite angle is refused before math.cos sees it
+    ('check gf-4.1 --beta 0.3 --q 0.4 --theta inf', 1,
+     'FAIL gf-4.1 [beta=0.3 q=0.4 theta=inf degree=16] lhs=0.0 rhs=0.0 rel_err=inf '
      'tol=1.0e-09 nodes=0 t=*ms\n'),
     ('check uniform-bound --n 3 --alpha nan --beta 0.2 --q 0.3', 1,
      'FAIL uniform-bound [n=3 alpha=nan beta=0.2 q=0.3 grid_size=64] lhs=0.0 rhs=0.0 '

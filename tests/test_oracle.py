@@ -6,8 +6,10 @@ numerator/denominator pair,
     (a t; q)_inf / (b t; q)_inf = sum_k (a/b; q)_k b^k t^k / (q; q)_k,
 
 and convolves the pair series in mpmath, so it shares nothing with the
-per-factor Euler expansions inside gf_expand.  The error of a coefficient is
-|got - true| / (1 + |true|).
+q-difference recurrence inside gf_expand.  The error of a coefficient is
+|got - true| / (1 + |true|).  gasper_c: the explicit sum over k of
+(alpha;q)_k (beta;q)_{n-k} / ((q;q)_k (q;q)_{n-k}) e^{i(2k-n) theta}, and
+the error is relative, |got - true| / |true|.
 
 qpoch_infinite, qpoch_ladder and the Jackson ladder: mp.qp, and ladders in
 mpmath that step down by the ratio of consecutive rungs, (v q^{i+1}; q)_inf
@@ -26,8 +28,8 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import (gf_expand, jackson_q_integral, qpoch_infinite, qpoch_ladder,
-                     verify, verify_prop_3_1, verify_thm_1_3)
+from qkernel import (gasper_c, gf_expand, jackson_q_integral, qpoch_infinite,
+                     qpoch_ladder, verify, verify_prop_3_1, verify_thm_1_3)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -58,6 +60,8 @@ def worst_error(numerators, denominators, q, cap):
     (0.4 + 0.2j, 0.7, 0.5, 30, 1e-12),
     (0.5, 0.99, 0.9, 10, 1e-9),
     (0.5, 0.999, 0.9, 8, 1e-10),
+    (0.5, 0.9, 0.9, 40, 1e-13),     # 9.8e-15 measured
+    (0.5, 0.95, 0.9, 60, 1e-10),    # 2.7e-12 measured
 ])
 def test_gf_4_1_factors_match_oracle(beta, q, theta, cap, bound):
     # the factors of the shifted generating function that gf-4.1 checks
@@ -69,6 +73,20 @@ def test_gf_4_1_factors_match_oracle(beta, q, theta, cap, bound):
 
 def test_complex_parameters_match_oracle():
     assert worst_error([0.3, 0.5j], [0.8, 0.2 - 0.1j], 0.4, 20) <= 1e-14
+
+
+def test_circle_function_at_the_weight_peak_matches_oracle():
+    # thm-1.3's m = n = 30 integrand near theta = pi/2, where the weight is
+    # about 8.4e6: |C_30| is about 9.8e4 and is off by 1.4e-10 (1.5e-15
+    # relative), which keeps the integrand error near 1e-3
+    n, theta, alpha, beta, q = 30, 1.5707, 0.4, -0.3, 0.9
+    with mpmath.workdps(40):
+        a, b, base = (mpmath.mpf(v) for v in (alpha, beta, q))
+        true = mpmath.fsum(
+            mpmath.qp(a, base, k) * mpmath.qp(b, base, n - k)
+            / (mpmath.qp(base, base, k) * mpmath.qp(base, base, n - k))
+            * mpmath.expj((2 * k - n) * mpmath.mpf(theta)) for k in range(n + 1))
+        assert float(abs(gasper_c(n, theta, alpha, beta, q) - true) / abs(true)) <= 1e-13
 
 
 def oracle_qp(a, q, digits=40):
@@ -231,11 +249,13 @@ def oracle_thm_1_3_diagonal(n, alpha, beta, q):
 
 
 def test_circle_orthogonality_at_the_roundoff_floor_matches_oracle():
-    # the stress case stops at 512 nodes on the roundoff floor of its
-    # integrand; the value (about 2.9e10) is within 5.1e-11 of the truth
-    report = verify_thm_1_3(10, 10, 0.4, -0.3, 0.9)
-    assert report.nodes_used == 512
-    true = oracle_thm_1_3_diagonal(10, 0.4, -0.3, 0.9)
-    with mpmath.workdps(30):
-        assert float(abs(report.lhs - true) / abs(true)) <= 5e-10
-        assert float(abs(report.rhs - true) / abs(true)) <= 1e-14
+    # the stress case, n = 10, meets its tolerance at 256 nodes and is within
+    # 1.4e-11 of the truth (about 2.9e10); n = 30 stops at 512 nodes on the
+    # roundoff floor of its integrand, within 1.0e-10 of the truth (8.7e11)
+    for n, nodes, bound in ((10, 256, 5e-10), (30, 512, 1e-9)):
+        report = verify_thm_1_3(n, n, 0.4, -0.3, 0.9)
+        assert report.nodes_used == nodes
+        true = oracle_thm_1_3_diagonal(n, 0.4, -0.3, 0.9)
+        with mpmath.workdps(30):
+            assert float(abs(report.lhs - true) / abs(true)) <= bound
+            assert float(abs(report.rhs - true) / abs(true)) <= 1e-14

@@ -20,12 +20,15 @@ BASE = st.one_of(st.floats(-0.99, 0.99), st.complex_numbers(max_magnitude=0.99))
 
 
 def three_routes(n, theta, beta, q):
-    """C_n(cos theta; beta|q) by the recurrence, by the explicit sum (gasper_c
-    at alpha = beta) and as coefficient n of the generating function."""
+    """C_n(cos theta; beta|q) by the three-term recurrence, by the explicit
+    sum (phi_poly on the circle over (q;q)_n) and as coefficient n of the
+    generating function (gf_expand's q-difference recurrence, which gasper_c
+    runs too)."""
     phase = np.exp(1j * theta)
     genfunc = gf_expand([beta * phase, beta / phase], [phase, 1 / phase], q, n).coeffs[n]
     return (ultraspherical_c(n, math.cos(theta), beta, q),
-            gasper_c(n, theta, beta, beta, q), genfunc)
+            phi_poly(n, beta, beta, phase, np.conj(phase), q) / qpoch_finite(q, q, n),
+            genfunc)
 
 
 class TestUltraspherical:

@@ -3,6 +3,7 @@ paths, and suite behavior."""
 
 import inspect
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -119,9 +120,11 @@ class TestTwoParameterOrthogonality:
         assert abs(report.lhs.imag) <= 1e-12
 
     def test_high_degree_near_q_one_stops_at_the_roundoff_floor(self, monkeypatch):
-        # the pinned stress case: from 512 nodes on, each doubling moves the
-        # value (about 2.9e10) by 0.27-1.6, which is roundoff, so the rule
-        # stops there instead of doubling on noise to 16384 nodes
+        # m = n = 30 at q = 0.9: from 512 nodes on, each doubling moves the
+        # value (about 8.7e11) by roundoff only, so the rule stops there; with
+        # the explicit circle sum this case doubled on noise to the 2^20-node
+        # cap (11 s).  The pinned stress case, m = n = 10, meets its
+        # tolerance at 256 nodes.
         results = []
         quadrature = verify.periodic_quadrature
 
@@ -130,11 +133,14 @@ class TestTwoParameterOrthogonality:
             return results[-1]
 
         monkeypatch.setattr(verify, "periodic_quadrature", recorded)
-        report = verify_thm_1_3(10, 10, 0.4, -0.3, 0.9)
+        started = time.perf_counter()
+        report = verify_thm_1_3(30, 30, 0.4, -0.3, 0.9)
+        assert time.perf_counter() - started <= 1.0  # 3 ms measured
         assert report.nodes_used == 512
         assert report.passed
-        assert abs(report.lhs - report.rhs) <= 2e-10 * abs(report.rhs)
-        (result,) = results
+        assert abs(report.lhs - report.rhs) <= 1e-9 * abs(report.rhs)  # 1.0e-10 measured
+        assert verify_thm_1_3(10, 10, 0.4, -0.3, 0.9).nodes_used == 256
+        result = results[0]
         assert result.stop_reason == "roundoff floor"
         assert result.magnitude >= abs(result.value)
         # the low-degree suite case of the same check stops on its tolerance
@@ -558,11 +564,13 @@ class TestSuite:
                                  for name in names}
 
     # every runner but uniform-bound, whose polynomials are defined for any q
-    # with q**k != 1 for 1 <= k <= n: it fails at q = 1 and q = -1 (q**2 = 1)
+    # with q**k != 1 for 1 <= k <= n: it fails at q = 1 and q = -1 (q**2 = 1),
+    # and at q = 1e200, whose q**2 is past the largest double (its guard
+    # raised OverflowError there)
     @pytest.mark.parametrize("q,check_id", [
         (q, check_id) for q in (1.0, math.nan)
         for check_id in sorted(set(CHECK_RUNNERS) - {"uniform-bound"})
-    ] + [(1.0, "uniform-bound"), (-1.0, "uniform-bound")])
+    ] + [(1.0, "uniform-bound"), (-1.0, "uniform-bound"), (1e200, "uniform-bound")])
     def test_base_off_the_disk_is_a_recorded_failure(self, check_id, q):
         entry = dict(default_suite_config()[check_id][-1], q=q)
         report = CHECK_RUNNERS[check_id](**entry)
@@ -582,6 +590,11 @@ class TestSuite:
         ("gf-4.1", dict(beta=math.nan, q=0.3, theta=0.5)),
         ("gf-4.1", dict(beta=0.5, q=0.3, theta=math.nan)),
         ("prop-4.2", dict(beta=0.3, gamma=math.nan, q=0.4, theta=1.1)),
+        # an infinite theta raised a bare ValueError from math.cos out of
+        # the runner, and a NaN theta gave prop-4.2 rel_err=nan
+        ("gf-4.1", dict(beta=0.3, q=0.4, theta=math.inf)),
+        ("prop-4.2", dict(beta=0.3, gamma=0.6, q=0.4, theta=math.inf)),
+        ("prop-4.2", dict(beta=0.3, gamma=0.6, q=0.4, theta=math.nan)),
         ("rogers-connection", dict(n=3, beta=math.nan, gamma=0.7, q=0.3)),
         ("rogers-connection", dict(n=3, beta=0.4, gamma=math.inf, q=0.3)),
         ("uniform-bound", dict(n=3, alpha=math.nan, beta=0.2, q=0.3)),
