@@ -12,16 +12,10 @@ truncated after N factors, where N is the smallest integer with
 
 which certifies a relative truncation error of at most twice that bound once
 the bound is below 1/2 (Gasper & Rahman, *Basic Hypergeometric Series*,
-section 1.3).  A scalar takes its N factors in a loop of Python complex
-products; an array forms (factors x points) blocks against one table of q^k
-and reduces them down the factor axis.  Both keep the sequential order of a
-factor-by-factor loop, but a scalar rounds as Python's complex multiply does
-and an array as numpy's, which differ at a complex q; and an array entry
-takes the N of the array's largest |a|, so it is not the scalar value bit
-for bit even at real q.
-Near |q| = 1 that is many factors (N = 350 at q = 0.9 and |a| = 1, 3895 at
-0.99), so qpoch_infinite keeps only the first K factors, K the first index
-with |a q^K| < 1/8, and sums the rest as the log series (same section)
+section 1.3).  Near |q| = 1 that is many factors (N = 350 at q = 0.9 and
+|a| = 1, 3895 at 0.99), so the product keeps only the first K factors, K
+the first index with |a q^K| < 1/8, and sums the rest as the log series
+(same section)
 
     log (b;q)_inf = -sum_{n >= 1} b^n / (n (1 - q^n)),   b = a q^K,
 
@@ -33,12 +27,12 @@ which bounds the dropped terms (|1 - q^n| >= 1 - |q| and 1/n <= 1), so the
 relative error of the tail is about that bound.  At |a| = 1 this is
 K + M = 20 + 17 rows at q = 0.9, 207 + 18 at 0.99 and 2079 + 19 at 0.999,
 where N = 41426 would pass the MAX_PRODUCT_TERMS cap.  The series form is
-taken only where it saves at least _SERIES_SAVING rows, a choice made from
-q and the largest |a| alone; below about |q| = 0.78 every product keeps the
-factor form and its bits.
-qpoch_product multiplies several infinite symbols and, for real q, shares a
-conjugate pair of arguments between one product and its conjugate;
-qpoch_ladder tabulates (v q^i; q)_inf down a Jackson ladder.
+taken only where it saves at least _SERIES_SAVING rows; below about
+|q| = 0.78 every product keeps the factor form.  _split makes this choice,
+from q and the largest |a| alone, for qpoch_infinite and for qpoch_ladder,
+which tabulates (v q^i; q)_inf down a Jackson ladder.  qpoch_product
+multiplies several infinite symbols and, for real q, shares a conjugate
+pair of arguments between one product and its conjugate.
 """
 
 from __future__ import annotations
@@ -63,11 +57,6 @@ _POLE_SNAP = 1e-12
 # Elements per factor block of qpoch_infinite; keeps the temporaries of one
 # block near the size of the arrays a factor-by-factor loop allocates.
 _BLOCK_ELEMENTS = 2**13
-
-# From this size up numpy evaluates a factor loop's acc * (1 - a q^k) in
-# place in the temporary factor, as (1 - a q^k) * acc; its complex multiply
-# rounds the two operand orders differently.
-_IN_PLACE_BYTES = 256 * 1024
 
 # qpoch_infinite sums a log series after K factors, K the first index with
 # max |a q^K| below _SERIES_RADIUS, where that saves _SERIES_SAVING rows.
@@ -150,26 +139,19 @@ def qpoch_infinite(a, q):
     points, so the certified tail bound holds elementwise.  A NaN or
     infinite argument is a DomainError.  A scalar in the factor form is
     the sequential product ((1 - a)(1 - q a))(1 - q^2 a)... of Python
-    complex numbers, with q^k = q^(k-1) q, as qpoch_finite forms it, and
-    rounds as Python's complex multiply does.  An array, or a scalar in the
-    series form, is formed in blocks of rows k and columns a, at most
-    _BLOCK_ELEMENTS entries each: the running product is multiplied into
-    the first row of each block, in the operand order numpy gives a factor
-    loop's multiply at that size, and each block is reduced over its rows.
-    In the factor form, for real q, the result equals that sequential
-    product bit for bit at every size; at a complex q numpy's complex
-    multiply rounds differently from Python's, so an array entry can differ
-    from the scalar value in the last bits.  The series form
-    multiplies its K factors by exp of one (M x points) cumulative product
-    of b = a q^K times the coefficients -1/(n (1 - q^n)); it is accurate,
-    not bit for bit with the factor loop.  Its coefficients are real for
-    real q, as the conjugate sharing of qpoch_product needs.
+    complex numbers, with q^k = q^(k-1) q, as qpoch_finite forms it.  An
+    array, or a scalar in the series form, takes the same factors in blocks
+    of rows k and columns a, at most _BLOCK_ELEMENTS entries each, each
+    block reduced over its rows after the running product is multiplied
+    into its first row; in the factor form this is numpy's sequential
+    product np.multiply(acc, 1 - a q^k) bit for bit.  The series form
+    multiplies its K factors by the log series of (a q^K; q)_inf; it is
+    accurate, not bit for bit with the factor loop.
     """
     check_base(q)
     scalar = isinstance(a, _SCALARS)
     points = complex(a) if scalar else np.asarray(a, dtype=complex)
     n_factors, n_terms = _split(abs(points) if scalar else float(np.abs(points).max()), abs(q))
-    _check_cap(n_factors + n_terms)
     if scalar and not n_terms:
         # a few dozen factors: Python's complex arithmetic, no numpy set-up
         return complex(_last(_ascending_products(points, complex(q), n_factors)))
@@ -182,74 +164,68 @@ def qpoch_infinite(a, q):
     for start in range(0, n_factors, rows):
         block = head[start:start + rows] * row
         np.subtract(1.0, block, out=block)
-        first = block[0]
-        if first.nbytes < _IN_PLACE_BYTES:
-            np.multiply(acc, first, out=first)
-        else:
-            np.multiply(first, acc, out=first)
-        # a single row is already the product (the reduction would copy it)
-        acc = np.multiply.reduce(block, axis=0) if len(block) > 1 else first
+        np.multiply(acc, block[0], out=block[0])
+        acc = np.multiply.reduce(block, axis=0)
     if n_terms:
-        # rows b^1 ... b^M, b = a q^K, against the coefficients -1/(n (1 - q^n))
-        terms = np.multiply.accumulate(np.repeat(powers[n_factors] * row, n_terms, axis=0))
-        coeffs = 1.0 / (np.arange(-1.0, -1.0 - n_terms, -1.0) * (1.0 - powers[1:n_terms + 1]))
-        acc = acc * np.exp(coeffs @ terms)
+        acc = acc * _log_series(powers[n_factors] * row, powers, n_terms)
     return complex(acc[0]) if points.ndim == 0 else acc.reshape(points.shape)
 
 
 def _split(a_max: float, abs_q: float) -> tuple:
     """(K, M): the factors and the log-series terms of (a;q)_inf for the
-    largest modulus a_max; (N, 0) is the factor form."""
+    largest modulus a_max; (N, 0) is the factor form.  ConvergenceError if
+    K + M passes MAX_PRODUCT_TERMS."""
     n_factors = _truncation_length(a_max, abs_q, EPS_PRODUCT * (1.0 - abs_q))
-    if n_factors < _SERIES_SAVING:
-        return n_factors, 0
-    n_head = _truncation_length(a_max, abs_q, _SERIES_RADIUS)
-    b_max = a_max * abs_q**n_head
-    # b_max^(M+1) / ((1 - |q|) (1 - b_max)) < EPS_PRODUCT
-    n_terms = _truncation_length(b_max, b_max, EPS_PRODUCT * (1.0 - abs_q) * (1.0 - b_max))
-    if n_factors - n_head - n_terms < _SERIES_SAVING:
-        return n_factors, 0
-    return n_head, n_terms
+    split = (n_factors, 0)
+    if n_factors >= _SERIES_SAVING:
+        n_head = _truncation_length(a_max, abs_q, _SERIES_RADIUS)
+        b_max = a_max * abs_q**n_head
+        # b_max^(M+1) / ((1 - |q|) (1 - b_max)) < EPS_PRODUCT
+        n_terms = _truncation_length(b_max, b_max, EPS_PRODUCT * (1.0 - abs_q) * (1.0 - b_max))
+        if n_factors - n_head - n_terms >= _SERIES_SAVING:
+            split = (n_head, n_terms)
+    if sum(split) > MAX_PRODUCT_TERMS:
+        raise ConvergenceError(
+            f"(a;q)_inf needs {sum(split)} factors and series terms for the tail bound, "
+            f"cap is {MAX_PRODUCT_TERMS}"
+        )
+    return split
+
+
+def _log_series(b, powers, n_terms: int):
+    """(b;q)_inf for each entry of the row b (shape (1, points)), all
+    |b| < _SERIES_RADIUS, as exp(-sum_{n=1}^{M} b^n / (n (1 - q^n))) with
+    M = n_terms and q^n = powers[n]: one (M x points) cumulative product of
+    b against the coefficients, real for real q."""
+    terms = np.multiply.accumulate(np.repeat(b, n_terms, axis=0))
+    coeffs = 1.0 / (np.arange(-1.0, -1.0 - n_terms, -1.0) * (1.0 - powers[1:n_terms + 1]))
+    return np.exp(coeffs @ terms)
 
 
 def qpoch_ladder(values, q, count: int):
     """Table of (v q^i; q)_inf = prod_{j >= i} (1 - v q^j), rows i < count,
-    columns v in `values`: suffix products of the count - 1 + N factors
-    1 - v q^j, N the truncation length of qpoch_infinite for the largest |v|
-    (same tail bound, base check and cap).  Nothing is divided, so a zero
-    factor at j gives exact zeros on rows i <= j and correct rows below.
-    DomainError for count < 0; count = 0 gives an empty table.
+    columns v in `values`: suffix products of the count - 1 + K factors
+    1 - v q^j, closed by the log series of (v q^{count-1+K}; q)_inf, with
+    (K, M) qpoch_infinite's split for the largest |v| (same tail bound, base
+    check and cap on K + M).  Nothing is divided, so a zero factor at j
+    gives exact zeros on rows i <= j and correct rows below.  DomainError
+    for count < 0; count = 0 gives an empty table.
     """
     if count < 0:
         raise DomainError(f"qpoch_ladder needs count >= 0, got {count}")
-    values = np.asarray(values, dtype=complex)
-    powers = _factor_powers(values, q, max(count - 1, 0))
-    # a row of ones closes the suffix products when N = 0
-    factors = np.ones((len(powers) + 1,) + values.shape, dtype=complex)
-    np.subtract(1.0, np.multiply.outer(powers, values), out=factors[:-1])
-    return np.cumprod(factors[::-1], axis=0)[::-1][:count]
-
-
-def _factor_powers(a, q, extra: int = 0):
-    """q^0, q^1, ... as a factor loop forms them, for the N factors of
-    (a;q)_inf's factor form at the largest |a| (capped at MAX_PRODUCT_TERMS)
-    plus `extra`."""
     check_base(q)
-    abs_q = abs(q)
-    a_max = float(np.max(np.abs(a)))
-    n_factors = _truncation_length(a_max, abs_q, EPS_PRODUCT * (1.0 - abs_q))
-    _check_cap(n_factors)
-    return _powers(q, n_factors + extra)
-
-
-def _check_cap(rows: int) -> None:
-    """ConvergenceError if the tail bound needs more than MAX_PRODUCT_TERMS
-    factors and series terms."""
-    if rows > MAX_PRODUCT_TERMS:
-        raise ConvergenceError(
-            f"(a;q)_inf needs {rows} factors and series terms for the tail bound, "
-            f"cap is {MAX_PRODUCT_TERMS}"
-        )
+    values = np.asarray(values, dtype=complex)
+    n_factors, n_terms = _split(float(np.abs(values).max()), abs(q))
+    steps = max(count - 1, 0) + n_factors
+    powers = _powers(q, max(steps, n_terms) + 1)
+    # a row of ones closes the suffix products in the factor form (M = 0)
+    factors = np.ones((steps + 1,) + values.shape, dtype=complex)
+    np.subtract(1.0, np.multiply.outer(powers[:steps], values), out=factors[:-1])
+    if n_terms:
+        # |v q^steps| <= max|v| |q|^K < 1/8, inside the log series' radius
+        tail = _log_series(powers[steps] * values.reshape(1, -1), powers, n_terms)
+        factors[-1] = tail.reshape(values.shape)
+    return np.cumprod(factors[::-1], axis=0)[::-1][:count]
 
 
 def _powers(q, count: int):
@@ -321,11 +297,15 @@ def _equal(x, y) -> bool:
 def qbinom(n: int, k: int, q):
     """Gaussian binomial coefficient [n choose k]_q = (q;q)_n / ((q;q)_k (q;q)_{n-k}).
 
-    Zero outside 0 <= k <= n.
+    Zero outside 0 <= k <= n.  DomainError where a q^j = 1 makes the
+    denominator zero.
     """
     if n < 0:
         raise DomainError("qbinom needs n >= 0")
     if k < 0 or k > n:
         return 0.0
     products = qpoch_finite_table(q, q, n)
-    return products[n] / (products[k] * products[n - k])
+    denominator = products[k] * products[n - k]
+    if denominator == 0:
+        raise DomainError(f"a q**j = 1 makes the denominator (q;q)_{k} (q;q)_{n - k} zero")
+    return products[n] / denominator

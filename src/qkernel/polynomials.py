@@ -47,12 +47,20 @@ def ultraspherical_table(n: int, x, beta, q) -> list:
     table = [1.0 + 0.0 * x]
     if n == 0:
         return table
-    table.append(2.0 * x * (1.0 - beta) / (1.0 - q))
+    table.append(2.0 * x * (1.0 - beta) / _denominator(q, 1))
     for m in range(1, n):
         table.append((2.0 * x * (1.0 - beta * q**m) * table[m]
                       - (1.0 - beta * beta * q ** (m - 1)) * table[m - 1])
-                     / (1.0 - q ** (m + 1)))
+                     / _denominator(q, m + 1))
     return table
+
+
+def _denominator(q, k: int):
+    """1 - q^k for a scalar q; DomainError where q^k = 1 makes it 0."""
+    denominator = 1.0 - q**k
+    if denominator == 0:
+        raise DomainError(f"q**{k} = 1 makes the denominator 1 - q**{k} zero")
+    return denominator
 
 
 def gasper_c(n: int, theta: float, alpha, beta, q):
@@ -100,9 +108,10 @@ def phi_poly(n: int, alpha, beta, x, y, q):
     acc = 0.0
     binom = 1.0
     for k in range(n + 1):
+        if k:
+            binom = binom * (1.0 - q ** (n - k + 1)) / _denominator(q, k)
         acc = acc + (binom * alpha_products[k] * beta_products[n - k]
                      * x**k * y ** (n - k))
-        binom = binom * (1.0 - q ** (n - k)) / (1.0 - q ** (k + 1))
     return acc
 
 

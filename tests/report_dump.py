@@ -8,7 +8,8 @@ of the `suite`, `stress` and `expand` workloads at seeds 0-2 and of
 `run_suite()` (385 in all).  Then one line per kernel value on a fixed grid
 that no report prints: scalar qpoch_infinite and qpoch_product at real and
 complex bases, in the factor form (|q| <= 0.6) and the series form
-(|q| >= 0.9), for |a| in {0.3, 1, 2}.  Running it at two versions and
+(|q| >= 0.9), for |a| in {0.3, 1, 2}, and 4 rows of a qpoch_ladder table
+of the same arguments at each base.  Running it at two versions and
 diffing the outputs shows every report and kernel value a change moves,
 params key order included.
 
@@ -46,7 +47,7 @@ def dump_line(label, report) -> str:
 
 
 def kernel_lines():
-    from qkernel import qpoch_infinite, qpoch_product
+    from qkernel import qpoch_infinite, qpoch_ladder, qpoch_product
 
     for q in KERNEL_BASES:
         for r in KERNEL_MODULI:
@@ -55,6 +56,8 @@ def kernel_lines():
             # a conjugate pair, which a real base shares, and a real argument
             values = [cmath.rect(r, 2.0), cmath.rect(r, -2.0), -r]
             yield f"kernel qpoch_product {q!r} {values!r} {qpoch_product(values, q)!r}"
+            for i, row in enumerate(qpoch_ladder(values, q, 4)):
+                yield f"kernel qpoch_ladder {q!r} {values!r} {i} {list(row)!r}"
 
 
 def main() -> None:

@@ -400,6 +400,10 @@ GOLDEN = [
     # explicit sum raised ZeroDivisionError and OverflowError
     ('eval Cg --n 3 --theta 0.5 --alpha 0.4 --beta -0.3 --q 1', 1, ''),
     ('eval Cg --n 3 --theta 0.5 --alpha 0.4 --beta -0.3 --q 1e200', 1, ''),
+    # 1 - q^k = 0: refused, where the recurrences raised ZeroDivisionError
+    ('eval C --n 3 --beta 0.5 --q 1 --x 0.3', 1, ''),
+    ('eval Phi --n 2 --alpha 0.3 --beta 0.2 --x 1 --y 1 --q 1', 1, ''),
+    ('eval H --n 3 --x 0.3 --q -1', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
     ('eval T --n 3 --x 2', 1, ''),
     ('eval T --n 3 --x nan', 1, ''),

@@ -118,8 +118,8 @@ PRODUCT_CASES = [  # q, arguments, oracle digits, bound
 def test_qpoch_infinite_matches_oracle(q, arguments, digits, bound):
     # scalars one at a time, all of them as one 2-row array, which shares
     # the split of its largest modulus, and repeated over at least 16386
-    # points (256 KiB), which takes one factor per block in the swapped
-    # operand order; from q = 0.9 on every product sums the log series
+    # points (256 KiB), which takes one factor per block; from q = 0.9 on
+    # every product sums the log series
     batch = qpoch_infinite(np.reshape(arguments, (2, -1)), q).ravel()
     wide = qpoch_infinite(np.tile(arguments, 16386 // len(arguments) + 1), q)
     wide = wide.reshape(-1, len(arguments))
@@ -143,11 +143,11 @@ def test_scalars_at_a_complex_base_match_oracle(rho):
             assert float(abs(qpoch_infinite(a, q) - true) / abs(true)) <= 1e-13, (a, q)
 
 
-def oracle_ladder(v, q, count):
-    """(v q^i; q)_inf for i < count at 40 digits, stepped down from mp.qp."""
-    with mpmath.workdps(40):
+def oracle_ladder(v, q, count, digits=40):
+    """(v q^i; q)_inf for i < count at `digits` digits, stepped down from mp.qp."""
+    with mpmath.workdps(digits):
         v, q = mpmath.mpmathify(v), mpmath.mpmathify(q)
-        value, rungs = oracle_qp(v, q), []
+        value, rungs = oracle_qp(v, q, digits), []
         for i in range(count):
             rungs.append(value)
             value /= 1 - v * q**i
@@ -162,6 +162,26 @@ def test_qpoch_ladder_matches_oracle(q):
         for column, a in enumerate(PRODUCT_ARGUMENTS):
             for got, true in zip(table[:, column], oracle_ladder(a, q, 512)):
                 assert float(abs(got - true) / abs(true)) <= 1e-13
+
+
+LADDER_NEAR_ONE = [  # q, arguments, oracle digits, bound
+    (0.99, PRODUCT_ARGUMENTS, 40, 1e-12),       # 1.6e-14 measured
+    # a ConvergenceError while the ladder took the whole factor form
+    # (40734 factors against the 10000 cap); 1.4e-13 measured
+    (0.999, [0.5], 20, 1e-11),
+    (0.999, [0.2 + 0.3j, 0.0], 20, 5e-12),      # 8.2e-14 measured
+]
+
+
+@pytest.mark.parametrize("q,arguments,digits,bound", LADDER_NEAR_ONE,
+                         ids=[f"{q}-{arguments[0]}" for q, arguments, _, _ in LADDER_NEAR_ONE])
+def test_qpoch_ladder_near_q_one_matches_oracle(q, arguments, digits, bound):
+    # each column closes its K head factors with qpoch_infinite's log series
+    table = qpoch_ladder(arguments, q, 512)
+    with mpmath.workdps(digits):
+        for column, a in enumerate(arguments):
+            for got, true in zip(table[:, column], oracle_ladder(a, q, 512, digits)):
+                assert float(abs(got - true) / abs(true)) <= bound
 
 
 def test_qpoch_ladder_below_an_exact_zero_matches_oracle():

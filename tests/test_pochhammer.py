@@ -26,7 +26,10 @@ def sequential_product(a, q):
     acc = 1.0 + 0j if scalar else np.ones(np.shape(a), dtype=complex)
     qk = 1.0
     for _ in range(n):
-        acc = acc * (1.0 - a * qk)
+        # an array takes np.multiply(acc, factor) explicitly: from 256 KiB up
+        # numpy evaluates acc * factor in place in the temporary factor, with
+        # the operands of its complex multiply swapped
+        acc = acc * (1.0 - a * qk) if scalar else np.multiply(acc, 1.0 - a * qk)
         qk = qk * q
     return complex(acc) if scalar else acc
 
@@ -249,8 +252,8 @@ class TestInfinite:
     @pytest.mark.parametrize("size", [4096, 4097, 16383, 16384, 20000])
     def test_wide_arrays_are_the_sequential_product_bit_for_bit(self, size):
         # from 4097 points a block holds one row; from 16384 points (256 KiB)
-        # numpy evaluates the loop's acc * (1 - a q^k) in place in the
-        # factor, with the operands of its complex multiply swapped
+        # numpy would swap the operands of acc * (1 - a q^k) (see
+        # sequential_product)
         rng = np.random.default_rng(size)
         real = rng.uniform(-2, 2, size)
         for a in (real, real + 1j * rng.uniform(-2, 2, size)):
@@ -376,6 +379,13 @@ class TestQBinom:
     def test_out_of_range_is_zero(self):
         assert qbinom(4, -1, 0.2) == 0
         assert qbinom(4, 5, 0.2) == 0
+
+    def test_root_of_unity_base_is_refused(self):
+        for n, k, q in [(4, 2, 1.0), (4, 2, -1.0), (5, 4, 1j)]:
+            with pytest.raises(DomainError, match="denominator"):
+                qbinom(n, k, q)
+        # a zero only in the numerator (q;q)_n is a value: [4 2]_i = 0
+        assert qbinom(4, 2, 1j) == 0
 
     def test_pascal_recurrence(self):
         # [n k] = [n-1 k-1] + q^k [n-1 k]

@@ -13,6 +13,7 @@ from qkernel import (DomainError, PoleError, chebyshev_t,
                      connection_coeffs, gasper_c, gf_expand, h_norm,
                      periodic_quadrature, phi_poly, q_hermite, qbinom,
                      qpoch_finite, qpoch_infinite, ultraspherical_c)
+from qkernel.polynomials import ultraspherical_table
 
 # Property tests draw the same examples on every run.
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -49,6 +50,13 @@ class TestUltraspherical:
     def test_rejects_points_off_the_interval(self):
         with pytest.raises(DomainError):
             ultraspherical_c(3, 1.2, 0.5, 0.3)
+
+    @pytest.mark.parametrize("q,k", [(1.0, 1), (-1.0, 2), (1j, 4)])
+    def test_root_of_unity_base_is_refused(self, q, k):
+        # the recurrence divides by 1 - q^k, a scalar, for arrays of x too
+        for x in (0.3, np.linspace(-1.0, 1.0, 5)):
+            with pytest.raises(DomainError, match=rf"q\*\*{k} = 1"):
+                ultraspherical_table(4, x, 0.5, q)
 
     def test_realness_of_genfunc_route(self):
         # real beta and q: the generating-function coefficients are real up
@@ -166,6 +174,14 @@ class TestPhiPoly:
                          * x**k * y ** (n - k))
             binom = binom * (1.0 - q ** (n - k)) / (1.0 - q ** (k + 1))
         assert repr(phi_poly(n, alpha, beta, x, y, q)) == repr(acc)
+
+    def test_root_of_unity_base_is_refused(self):
+        with pytest.raises(DomainError, match=r"q\*\*1 = 1"):
+            phi_poly(2, 0.3, 0.2, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match=r"q\*\*2 = 1"):
+            phi_poly(2, 0.3, 0.2, 1.0, 1.0, -1.0)
+        # degree 1 at q = -1 divides by 1 - q only
+        assert phi_poly(1, 0.3, 0.2, 1.0, 1.0, -1.0) == 1.5
 
     def test_arbitrary_complex_parameters_allowed(self):
         value = phi_poly(3, 2.5 + 1j, -3.0, 0.7, 0.2j, 0.45)

@@ -23,7 +23,6 @@ from qkernel import (CHECK_RUNNERS, DomainError, PoleError, QuadratureResult,
                      verify_thm_1_2, verify_thm_1_3, verify_thm_1_4,
                      verify_uniform_bound)
 from qkernel import pochhammer, verify
-from qkernel.pochhammer import EPS_PRODUCT
 from qkernel.series import EPS_SERIES
 from qkernel.verify import default_suite_config
 
@@ -313,24 +312,25 @@ class TestJacksonIdentities:
 
     def test_ladder_work_near_q_one(self, monkeypatch):
         # each block of m rungs takes one qpoch_ladder table of the six
-        # arguments, 6 (m - 1 + N) factors with N the tail length of their
-        # largest product, where one qpoch_infinite per argument took 6 m N
+        # arguments: per column m - 1 + K factors and M log-series terms,
+        # (K, M) the split of their largest product, where one qpoch_infinite
+        # per argument took 6 m (K + M) and the factor form 6 (m - 1 + N)
         evaluated = []
-        tails = []
+        splits = []
         entries = []
         inner_products = []
         inside = []
-        factor_powers = pochhammer._factor_powers
+        ladder = verify.qpoch_ladder
         qpoch_infinite = pochhammer.qpoch_infinite
         jackson = verify.jackson_q_integral
 
-        def counted_powers(a, q, extra=0):
-            powers = factor_powers(a, q, extra)
+        def counted_ladder(values, q, count):
+            table = ladder(values, q, count)
             if inside:
-                tail = math.log(EPS_PRODUCT * (1 - abs(q)) / np.max(np.abs(a)))
-                tails.append(max(0, math.ceil(tail / math.log(abs(q)))) + 1)
-                entries.append(len(powers) * np.size(a))
-            return powers
+                rows = sum(pochhammer._split(float(np.max(np.abs(values))), abs(q)))
+                splits.append(rows)
+                entries.append((count - 1 + rows) * np.size(values))
+            return table
 
         def counted_qpoch(a, q):
             if inside:
@@ -347,7 +347,7 @@ class TestJacksonIdentities:
                     inside.pop()
             return jackson(integrand, a, b, q)
 
-        monkeypatch.setattr(pochhammer, "_factor_powers", counted_powers)
+        monkeypatch.setattr(verify, "qpoch_ladder", counted_ladder)
         monkeypatch.setattr(pochhammer, "qpoch_infinite", counted_qpoch)
         monkeypatch.setattr(verify, "qpoch_infinite", counted_qpoch)
         monkeypatch.setattr(verify, "jackson_q_integral", counted_jackson)
@@ -356,8 +356,12 @@ class TestJacksonIdentities:
         assert report.nodes_used == 1353
         assert inner_products == []
         assert len(entries) == len(evaluated)
-        assert sum(entries) <= 6 * (sum(evaluated) + sum(tails))
+        assert sum(entries) <= 6 * (sum(evaluated) + sum(splits))
         assert sum(evaluated) <= 2 * report.nodes_used + 8
+        # the first block's largest |v| is 1.33: K + M = 64 against N = 738,
+        # and 14172 entries in all against the factor form's 62286
+        assert max(splits) <= 64
+        assert sum(entries) < 15000
 
 
 class TestConnectionAndChebyshev:
