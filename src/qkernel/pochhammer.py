@@ -151,7 +151,8 @@ def qpoch_infinite(a, q):
     check_base(q)
     scalar = isinstance(a, _SCALARS)
     points = complex(a) if scalar else np.asarray(a, dtype=complex)
-    n_factors, n_terms = _split(abs(points) if scalar else float(np.abs(points).max()), abs(q))
+    a_max = abs(points) if scalar else float(np.abs(points).max(initial=0.0))
+    n_factors, n_terms = _split(a_max, abs(q))
     if scalar and not n_terms:
         # a few dozen factors: Python's complex arithmetic, no numpy set-up
         return complex(_last(_ascending_products(points, complex(q), n_factors)))
@@ -160,7 +161,7 @@ def qpoch_infinite(a, q):
     head = powers[:n_factors, None]
     row = points.reshape(1, -1)
     acc = np.ones(row.shape[1], dtype=complex)
-    rows = max(1, _BLOCK_ELEMENTS // row.shape[1])
+    rows = max(1, _BLOCK_ELEMENTS // max(1, row.shape[1]))
     for start in range(0, n_factors, rows):
         block = head[start:start + rows] * row
         np.subtract(1.0, block, out=block)
@@ -215,7 +216,7 @@ def qpoch_ladder(values, q, count: int):
         raise DomainError(f"qpoch_ladder needs count >= 0, got {count}")
     check_base(q)
     values = np.asarray(values, dtype=complex)
-    n_factors, n_terms = _split(float(np.abs(values).max()), abs(q))
+    n_factors, n_terms = _split(float(np.abs(values).max(initial=0.0)), abs(q))
     steps = max(count - 1, 0) + n_factors
     powers = _powers(q, max(steps, n_terms) + 1)
     # a row of ones closes the suffix products in the factor form (M = 0)

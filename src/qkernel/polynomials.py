@@ -1,11 +1,11 @@
 """Polynomial families on [-1, 1] and on the unit circle.
 
-ultraspherical_c evaluates the continuous q-ultraspherical polynomials
-C_n(x; beta | q) by their three-term recurrence; gasper_c their two-parameter
-circle extension C_n^{(alpha,beta)}(e^{i theta}; q) by the q-difference
-recurrence of its generating function, which gf_expand runs too; phi_poly the
-bivariate homogeneous polynomials, whose explicit sum on the circle is
-(q;q)_n gasper_c; q_hermite and chebyshev_t the classical specializations.
+ultraspherical_table evaluates the continuous q-ultraspherical polynomials
+C_n(x; beta | q) and gasper_c their two-parameter circle extension
+C_n^{(alpha,beta)}(e^{i theta}; q), both by the q-difference recurrence of
+their generating functions that gf_expand runs too; phi_poly the bivariate
+homogeneous polynomials, whose explicit sum on the circle, (q;q)_n gasper_c,
+is the independent route; q_hermite and chebyshev_t special cases.
 h_norm is the reciprocal of the diagonal orthogonality integral and
 connection_coeffs expands one parameter value of C_n in another.  phi_poly
 and connection_coeffs read their finite products (a;q)_k from one
@@ -27,31 +27,23 @@ from .series import _qdifference_coeffs
 
 def ultraspherical_c(n: int, x: float, beta, q):
     """Continuous q-ultraspherical polynomial C_n(x; beta | q), x = cos(theta),
-    by the upward three-term recurrence
-
-        (1 - q^{n+1}) C_{n+1} = 2x (1 - beta q^n) C_n - (1 - beta^2 q^{n-1}) C_{n-1}
-
-    from C_0 = 1 and C_1 = 2x (1 - beta)/(1 - q).  `x` may be an array.
-    gasper_c(n, theta, beta, beta, q) runs it in complex arithmetic.
+    read from ultraspherical_table; `x` may be an array.  A NaN or infinite
+    beta or q is a DomainError.
     """
     if not np.all(np.abs(x) <= 1.0):  # NaN too
         raise DomainError("x = cos(theta) must lie in [-1, 1]")
+    _check_finite("ultraspherical_c", beta, q)
     return ultraspherical_table(n, x, beta, q)[n]
 
 
 def ultraspherical_table(n: int, x, beta, q) -> list:
-    """[C_0(x; beta|q), ..., C_n(x; beta|q)] by the upward three-term
-    recurrence of ultraspherical_c; `x` may be an array."""
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    table = [1.0 + 0.0 * x]
-    if n == 0:
-        return table
-    table.append(2.0 * x * (1.0 - beta) / _denominator(q, 1))
-    for m in range(1, n):
-        table.append((2.0 * x * (1.0 - beta * q**m) * table[m]
-                      - (1.0 - beta * beta * q ** (m - 1)) * table[m - 1])
-                     / _denominator(q, m + 1))
+    """[C_0(x; beta|q), ..., C_n(x; beta|q)], `x` a scalar or an array, from
+    C_0 = 1 (shaped like x) by the q-difference recurrence of the generating
+    function (beta t e^{i theta}, beta t e^{-i theta}; q)_inf / (t e^{i theta},
+    t e^{-i theta}; q)_inf, x = cos(theta), which gasper_c and gf_expand run
+    too: (1 - q^n) C_n = 2x (1 - beta q^{n-1}) C_{n-1} - (1 - beta^2 q^{n-2}) C_{n-2}."""
+    table = _qdifference_coeffs([-2.0 * beta * x, beta * beta], [-2.0 * x, 1.0], q, n)
+    table[0] = 1.0 + 0.0 * x
     return table
 
 
@@ -79,13 +71,11 @@ def gasper_c(n: int, theta: float, alpha, beta, q):
         (1 - q^n) C_n = (2 cos theta - (alpha e^{i theta} + beta e^{-i theta}) q^{n-1}) C_{n-1}
                         - (1 - alpha beta q^{n-2}) C_{n-2}
 
-    from C_0 = 1 (theta may be an array).  At alpha = beta it is the
-    recurrence of ultraspherical_c(n, cos(theta), beta, q); phi_poly on the
+    from C_0 = 1 (theta may be an array).  At alpha = beta it is
+    ultraspherical_table's recurrence in complex arithmetic; phi_poly on the
     circle over (q;q)_n is the explicit sum.  A NaN or infinite alpha, beta,
     q or theta is a DomainError.
     """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
     _check_finite("gasper_c", alpha, beta, q, theta)
     phase = np.exp(1j * np.asarray(theta))
     value = _qdifference_coeffs([-(alpha * phase + beta * np.conj(phase)), alpha * beta],
@@ -100,9 +90,11 @@ def phi_poly(n: int, alpha, beta, x, y, q):
 
     defined for arbitrary complex alpha, beta.  At (x, y) = (e^{i theta},
     e^{-i theta}) it equals (q;q)_n gasper_c(n, theta, alpha, beta, q).
+    A NaN or infinite parameter, x or y is a DomainError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
+    _check_finite("phi_poly", x, y)
     alpha_products = qpoch_finite_table(alpha, q, n)
     beta_products = qpoch_finite_table(beta, q, n)
     acc = 0.0

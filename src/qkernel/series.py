@@ -2,8 +2,9 @@
 
 gf_expand writes a ratio of infinite products (c t; q)_inf as a power series
 in t, TruncatedPowerSeries, by _qdifference_coeffs, the q-difference
-recurrence that polynomials.gasper_c runs too.  It truncates no product, so
-the product budget EPS_PRODUCT / MAX_PRODUCT_TERMS does not apply to it.
+recurrence that polynomials.gasper_c and ultraspherical_table run too.  It
+truncates no product, so the product budget EPS_PRODUCT / MAX_PRODUCT_TERMS
+does not apply to it.
 
 phi_series sums the one-variable basic hypergeometric series
 
@@ -57,13 +58,19 @@ def _qdifference_coeffs(c, d, q, degree: int) -> list:
 
         (1 - q^n) f_n = sum_{k=1}^{K} (C_k q^{n-k} - D_k) f_{n-k}.
 
-    A q^k, 1 <= k <= degree, that overflows or equals 1 is a DomainError."""
+    A negative degree is a DomainError, and so is a q^k (a running product
+    of q), 1 <= k <= degree, that equals 1 or is not finite."""
+    if degree < 0:
+        raise DomainError("degree must be >= 0")
     steps = list(itertools.zip_longest(c, d, fillvalue=0.0))
     q_powers = [1.0]
     for _ in range(degree):
         q_powers.append(q_powers[-1] * q)
     if not cmath.isfinite(q_powers[-1]) or 1.0 in q_powers[1:]:
-        raise DomainError(f"q**k overflows or equals 1 for some 1 <= k <= {degree}")
+        k, power = next((k, p) for k, p in enumerate(q_powers[1:], 1)
+                        if p == 1.0 or not cmath.isfinite(p))
+        raise DomainError(f"q**{k} = 1 makes the denominator 1 - q**{k} zero" if power == 1.0
+                          else f"q**{k} = {power} is not finite")
     f = [1.0]
     for n in range(1, degree + 1):
         acc = 0.0
@@ -80,8 +87,6 @@ def gf_expand(numerators, denominators, q, degree_cap: int = 24) -> TruncatedPow
     larger side.  No product is truncated, so the product budget does not
     apply.  A NaN or infinite numerator or denominator is a DomainError.
     """
-    if degree_cap < 0:
-        raise DomainError("degree_cap must be >= 0")
     check_base(q)
     _check_finite("gf_expand", *numerators, *denominators)
     c, d = [1.0], [1.0]  # C(t) = prod_c (1 - c t) and D(t), factor by factor

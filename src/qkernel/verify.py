@@ -419,8 +419,9 @@ def verify_gf_4_1(beta, q, theta: float, degree: int = 16):
         = (beta t q e^{iu}, beta t q e^{-iu}; q)_inf
           / (t e^{iu}, t e^{-iu}; q)_inf  (1 - beta)(1 - beta t^2).
 
-    The report carries the worst coefficient.  The sides are different
-    recurrences: ultraspherical_table's and gf_expand's q-difference one.
+    The report carries the worst coefficient.  Both sides run one
+    q-difference recurrence (ultraspherical_table's and gf_expand's) on two
+    different generating functions.
     """
     _check_finite("gf-4.1", theta)
     check_base(q)

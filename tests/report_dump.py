@@ -8,10 +8,11 @@ of the `suite`, `stress` and `expand` workloads at seeds 0-2 and of
 `run_suite()` (385 in all).  Then one line per kernel value on a fixed grid
 that no report prints: scalar qpoch_infinite and qpoch_product at real and
 complex bases, in the factor form (|q| <= 0.6) and the series form
-(|q| >= 0.9), for |a| in {0.3, 1, 2}, and 4 rows of a qpoch_ladder table
-of the same arguments at each base.  Running it at two versions and
-diffing the outputs shows every report and kernel value a change moves,
-params key order included.
+(|q| >= 0.9), for |a| in {0.3, 1, 2}, 4 rows of a qpoch_ladder table of
+the same arguments at each base, and C_0, ..., C_12 of ultraspherical_table
+at beta = 0.6 and x in {-0.9, 0.3, 1} at each real base.  Running it at two
+versions and diffing the outputs shows every report and kernel value a
+change moves, params key order included.
 
 bench/workloads.py is loaded read-only from the source checkout.  The file
 name keeps pytest from collecting it.
@@ -26,6 +27,7 @@ WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 SEEDS = (0, 1, 2)
 KERNEL_BASES = (0.3, -0.6, 0.9, 0.99, 0.5 + 0.3j, -0.2 + 0.55j, 0.6 + 0.7j)
 KERNEL_MODULI = (0.3, 1.0, 2.0)
+TABLE_POINTS = (-0.9, 0.3, 1.0)
 
 
 def load_workloads():
@@ -48,6 +50,7 @@ def dump_line(label, report) -> str:
 
 def kernel_lines():
     from qkernel import qpoch_infinite, qpoch_ladder, qpoch_product
+    from qkernel.polynomials import ultraspherical_table
 
     for q in KERNEL_BASES:
         for r in KERNEL_MODULI:
@@ -58,6 +61,10 @@ def kernel_lines():
             yield f"kernel qpoch_product {q!r} {values!r} {qpoch_product(values, q)!r}"
             for i, row in enumerate(qpoch_ladder(values, q, 4)):
                 yield f"kernel qpoch_ladder {q!r} {values!r} {i} {list(row)!r}"
+        if isinstance(q, float):
+            for x in TABLE_POINTS:
+                table = ultraspherical_table(12, x, 0.6, q)
+                yield f"kernel ultraspherical_table {q!r} 0.6 {x!r} {table!r}"
 
 
 def main() -> None:

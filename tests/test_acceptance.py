@@ -214,10 +214,10 @@ def test_criterion_10_chebyshev_integral():
 
 
 def test_criterion_11_method_equivalence():
-    # C_n(x; beta|q) three ways: the three-term recurrence
-    # (ultraspherical_c), the explicit sum (phi_poly on the circle over
-    # (q;q)_n) and coefficient n of the generating function (gf_expand, whose
-    # q-difference recurrence gasper_c runs too)
+    # C_n(x; beta|q) three ways: ultraspherical_c, the explicit sum (phi_poly
+    # on the circle over (q;q)_n) and coefficient n of the generating
+    # function (gf_expand); ultraspherical_c and gf_expand run one
+    # q-difference recurrence, so the explicit sum is the independent route
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(50):

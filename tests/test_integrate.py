@@ -446,6 +446,11 @@ class TestWeights:
         assert np.array_equal(weight_omega_beta(grid, 0.6, q), four_products(grid, 0.6, 0.6))
         assert weight_omega_beta(0.0, 0.6, q) == 0
 
+    def test_no_angles_give_an_empty_weight(self):
+        for q in (0.3, 0.95):
+            assert weight_omega_beta(np.array([]), 0.5, q).shape == (0,)
+            assert weight_omega_ab(np.zeros((0, 2)), 0.4, -0.3, q).shape == (0, 2)
+
     def test_equal_parameters_match_single_weight(self):
         theta = np.linspace(0.1, 3.0, 5)
         assert np.allclose(weight_omega_ab(theta, 0.5, 0.5, 0.3),

@@ -9,7 +9,9 @@ and convolves the pair series in mpmath, so it shares nothing with the
 q-difference recurrence inside gf_expand.  The error of a coefficient is
 |got - true| / (1 + |true|).  gasper_c: the explicit sum over k of
 (alpha;q)_k (beta;q)_{n-k} / ((q;q)_k (q;q)_{n-k}) e^{i(2k-n) theta}, and
-the error is relative, |got - true| / |true|.
+the error is relative, |got - true| / |true|.  ultraspherical_table: the
+same explicit sum at alpha = beta for every degree up to n, and the error
+is |got - true| / (1 + |true|).
 
 qpoch_infinite, qpoch_ladder and the Jackson ladder: mp.qp, and ladders in
 mpmath that step down by the ratio of consecutive rungs, (v q^{i+1}; q)_inf
@@ -30,6 +32,7 @@ import pytest
 
 from qkernel import (gasper_c, gf_expand, jackson_q_integral, qpoch_infinite,
                      qpoch_ladder, verify, verify_prop_3_1, verify_thm_1_3)
+from qkernel.polynomials import ultraspherical_table
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -87,6 +90,40 @@ def test_circle_function_at_the_weight_peak_matches_oracle():
             / (mpmath.qp(base, base, k) * mpmath.qp(base, base, n - k))
             * mpmath.expj((2 * k - n) * mpmath.mpf(theta)) for k in range(n + 1))
         assert float(abs(gasper_c(n, theta, alpha, beta, q) - true) / abs(true)) <= 1e-13
+
+
+def oracle_ultraspherical(n, x, beta, q, digits):
+    """C_0, ..., C_n at x = cos(theta) by the explicit sum over k of
+    (beta;q)_k (beta;q)_{m-k} / ((q;q)_k (q;q)_{m-k}) e^{i(m-2k) theta},
+    whose imaginary parts cancel in pairs."""
+    with mpmath.workdps(digits):
+        beta, q = mpmath.mpmathify(beta), mpmath.mpmathify(q)
+        theta = mpmath.acos(mpmath.mpf(x))
+        ratios = [mpmath.qp(beta, q, k) / mpmath.qp(q, q, k) for k in range(n + 1)]
+        return [mpmath.fsum(ratios[k] * ratios[m - k] * mpmath.cos((m - 2 * k) * theta)
+                            for k in range(m + 1)) for m in range(n + 1)]
+
+
+@pytest.mark.parametrize("beta,q,n,digits,bound", [
+    (0.6, 0.3, 20, 40, 5e-14),      # 1.3e-15 measured
+    (0.6, 0.9, 40, 40, 1e-12),      # 6.2e-14 measured
+    (0.5, 0.95, 40, 40, 1e-12),     # 5.4e-14 measured
+    # the explicit sum cancels about 34 digits here: at 40 digits it is off
+    # by 5e-6, at 60 and 120 digits it gives the same error
+    (0.4, 0.99, 40, 60, 1e-10),     # 4.1e-12 measured
+    (-0.7, -0.8, 30, 40, 1e-13),    # 4.6e-15 measured
+])
+def test_ultraspherical_table_matches_oracle(beta, q, n, digits, bound):
+    # every degree up to n at 9 angles from 0 to pi, both ends included
+    points = np.cos(np.linspace(0.0, math.pi, 9))
+    table = ultraspherical_table(n, points, beta, q)
+    worst = 0.0
+    for j, x in enumerate(points):
+        true = oracle_ultraspherical(n, float(x), beta, q, digits)
+        with mpmath.workdps(digits):
+            worst = max(worst, *(float(abs(float(table[m][j]) - t) / (1 + abs(t)))
+                                 for m, t in enumerate(true)))
+    assert worst <= bound
 
 
 def oracle_qp(a, q, digits=40):

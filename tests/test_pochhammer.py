@@ -249,6 +249,13 @@ class TestInfinite:
             with pytest.raises(DomainError, match="finite argument"):
                 qpoch_ladder(np.atleast_1d(a), 0.5, 3)
 
+    @pytest.mark.parametrize("q", [0.3, 0.95])  # the factor and the series form
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array_gives_an_empty_result(self, q, shape):
+        # the largest |a| of no points is 0, which takes no factor
+        got = qpoch_infinite(np.zeros(shape), q)
+        assert got.shape == shape and got.dtype == complex
+
     @pytest.mark.parametrize("size", [4096, 4097, 16383, 16384, 20000])
     def test_wide_arrays_are_the_sequential_product_bit_for_bit(self, size):
         # from 4097 points a block holds one row; from 16384 points (256 KiB)
@@ -293,6 +300,11 @@ class TestLadder:
         with pytest.raises(DomainError):
             qpoch_ladder([0.5], 0.3, -1)
         assert qpoch_ladder([0.5, 0.2], 0.3, 0).shape == (0, 2)
+
+    @pytest.mark.parametrize("q", [0.3, 0.95])
+    def test_no_values_give_empty_rows(self, q):
+        table = qpoch_ladder([], q, 4)
+        assert table.shape == (4, 0) and table.dtype == complex
 
 
 @pytest.fixture

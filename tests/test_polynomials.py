@@ -21,10 +21,12 @@ BASE = st.one_of(st.floats(-0.99, 0.99), st.complex_numbers(max_magnitude=0.99))
 
 
 def three_routes(n, theta, beta, q):
-    """C_n(cos theta; beta|q) by the three-term recurrence, by the explicit
-    sum (phi_poly on the circle over (q;q)_n) and as coefficient n of the
-    generating function (gf_expand's q-difference recurrence, which gasper_c
-    runs too)."""
+    """C_n(cos theta; beta|q) by ultraspherical_c, by the explicit sum
+    (phi_poly on the circle over (q;q)_n) and as coefficient n of the
+    generating function by gf_expand.  ultraspherical_c and gf_expand run
+    one q-difference recurrence (which gasper_c runs too) on the same
+    generating function, in real and complex arithmetic; the explicit sum is
+    the independent route."""
     phase = np.exp(1j * theta)
     genfunc = gf_expand([beta * phase, beta / phase], [phase, 1 / phase], q, n).coeffs[n]
     return (ultraspherical_c(n, math.cos(theta), beta, q),
@@ -57,6 +59,24 @@ class TestUltraspherical:
         for x in (0.3, np.linspace(-1.0, 1.0, 5)):
             with pytest.raises(DomainError, match=rf"q\*\*{k} = 1"):
                 ultraspherical_table(4, x, 0.5, q)
+
+    @pytest.mark.parametrize("q,k,power", [(1e200, 2, "inf"), (math.nan, 1, "nan")])
+    def test_non_finite_power_is_refused(self, q, k, power):
+        # the message names the first q^k that is not finite
+        with pytest.raises(DomainError, match=rf"q\*\*{k} = {power} is not finite"):
+            ultraspherical_table(4, np.linspace(-1.0, 1.0, 5), 0.5, q)
+
+    def test_negative_degree_is_refused_by_the_recurrence(self):
+        for call in (lambda: ultraspherical_table(-1, 0.3, 0.5, 0.3),
+                     lambda: gasper_c(-1, 0.3, 0.4, -0.3, 0.35),
+                     lambda: gf_expand([0.5], [0.2], 0.3, -1)):
+            with pytest.raises(DomainError, match="degree must be >= 0"):
+                call()
+
+    @pytest.mark.parametrize("beta,q", [(math.nan, 0.3), (0.5, math.nan), (math.inf, 0.3)])
+    def test_non_finite_parameter_is_refused(self, beta, q):
+        with pytest.raises(DomainError, match="ultraspherical_c needs finite arguments"):
+            ultraspherical_c(3, 0.3, beta, q)
 
     def test_realness_of_genfunc_route(self):
         # real beta and q: the generating-function coefficients are real up
@@ -182,6 +202,13 @@ class TestPhiPoly:
             phi_poly(2, 0.3, 0.2, 1.0, 1.0, -1.0)
         # degree 1 at q = -1 divides by 1 - q only
         assert phi_poly(1, 0.3, 0.2, 1.0, 1.0, -1.0) == 1.5
+
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (0.5, complex(1.0, math.inf)),
+                                     (np.array([0.5, math.nan]), np.ones(2))])
+    def test_non_finite_point_is_refused(self, x, y):
+        # the sum was nan
+        with pytest.raises(DomainError, match="phi_poly needs finite arguments"):
+            phi_poly(2, 0.3, 0.2, x, y, 0.3)
 
     def test_arbitrary_complex_parameters_allowed(self):
         value = phi_poly(3, 2.5 + 1j, -3.0, 0.7, 0.2j, 0.45)
