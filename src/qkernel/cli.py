@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import inspect
 import io
 import json
@@ -30,13 +31,7 @@ import math
 import sys
 import types
 
-from . import verify
 from .errors import DomainError, QKernelError
-from .integrate import jackson_q_integral, weight_omega_ab, weight_omega_beta
-from .pochhammer import qpoch_finite, qpoch_infinite
-from .polynomials import (chebyshev_t, gasper_c, h_norm, phi_poly, q_hermite,
-                          ultraspherical_c)
-from .series import phi_series, w_series
 
 
 class UsageError(Exception):
@@ -69,7 +64,7 @@ _CSV_COLUMNS = ["check_id", "params", "lhs", "rhs", "abs_err", "rel_err",
                 "tol", "nodes_used", "pass", "runtime_ms"]
 
 
-def report_to_dict(report: verify.VerificationReport) -> dict:
+def report_to_dict(report) -> dict:
     return {
         "check_id": report.check_id,
         "params": {k: _param_to_json(v) for k, v in report.params.items()},
@@ -93,10 +88,11 @@ def _param_to_json(value):
     return [z.real, z.imag]
 
 
-def report_from_dict(data: dict) -> verify.VerificationReport:
+def report_from_dict(data: dict):
+    from .verify import VerificationReport
     params = {k: (complex(v[0], v[1]) if isinstance(v, list) else v)
               for k, v in data["params"].items()}
-    return verify.VerificationReport(
+    return VerificationReport(
         check_id=data["check_id"],
         params=params,
         lhs=complex(data["lhs"][0], data["lhs"][1]),
@@ -120,7 +116,7 @@ def _shortest(value) -> str:
     return f"{z.real!r}{z.imag:+}i"
 
 
-def _report_row(report: verify.VerificationReport) -> list[str]:
+def _report_row(report) -> list[str]:
     params = ";".join(f"{k}={_shortest(v)}" for k, v in report.params.items())
     return [report.check_id, params, _shortest(report.lhs), _shortest(report.rhs),
             repr(report.abs_err), repr(report.rel_err), repr(report.tol),
@@ -128,7 +124,7 @@ def _report_row(report: verify.VerificationReport) -> list[str]:
             repr(report.runtime_ms)]
 
 
-def _report_line(report: verify.VerificationReport) -> str:
+def _report_line(report) -> str:
     tag = "PASS" if report.passed else "FAIL"
     params = " ".join(f"{k}={_shortest(v)}" for k, v in report.params.items())
     return (f"{tag} {report.check_id} [{params}] lhs={_shortest(report.lhs)} "
@@ -232,6 +228,7 @@ def _bind(func, raw: dict, name: str) -> dict:
 def _bind_check(check_id: str, raw: dict) -> dict:
     """_bind for the runner of `check_id`; a tol that is not finite and
     positive is a UsageError too."""
+    from . import verify
     kwargs = _bind(verify.CHECK_RUNNERS[check_id], raw, check_id)
     if "tol" in kwargs:
         try:
@@ -267,6 +264,7 @@ def _parse_pairs(tokens) -> dict:
 
 def _qpoch(a, q, n: str):
     """(a;q)_n; `--n inf` is the infinite product."""
+    from .pochhammer import qpoch_finite, qpoch_infinite
     if n == "inf":
         return qpoch_infinite(a, q)
     return qpoch_finite(a, q, _integer("n", n))
@@ -276,11 +274,13 @@ def _big_c(n: int, beta, q, theta: float | None = None, x: float | None = None):
     """C_n at x or at x = cos(theta), exactly one of them given."""
     if (theta is None) == (x is None):
         raise UsageError("give exactly one of --theta and --x")
+    from .polynomials import ultraspherical_c
     return ultraspherical_c(n, math.cos(theta) if x is None else x, beta, q)
 
 
 def _jackson(coeff: list, a, b, q):
     """Jackson q-integral of the polynomial sum_k coeff[k] z^k from a to b."""
+    from .integrate import jackson_q_integral
     def poly(z):
         total = 0j
         power = 1.0 + 0j
@@ -292,32 +292,41 @@ def _jackson(coeff: list, a, b, q):
     return jackson_q_integral(poly, a, b, q).value
 
 
+# target -> (module, function); a module is imported only when its target
+# runs, so the scalar targets qpoch, phi and wseries start without numpy
 EVAL_TARGETS = {
-    "qpoch": _qpoch,
-    "phi": phi_series,
-    "wseries": w_series,
-    "C": _big_c,
-    "Cg": gasper_c,
-    "Phi": phi_poly,
-    "H": q_hermite,
-    "T": chebyshev_t,
-    "h": h_norm,
-    "omega_b": weight_omega_beta,
-    "omega_ab": weight_omega_ab,
-    "jackson": _jackson,
+    "qpoch": ("cli", "_qpoch"),
+    "phi": ("series", "phi_series"),
+    "wseries": ("series", "w_series"),
+    "C": ("cli", "_big_c"),
+    "Cg": ("polynomials", "gasper_c"),
+    "Phi": ("polynomials", "phi_poly"),
+    "H": ("polynomials", "q_hermite"),
+    "T": ("polynomials", "chebyshev_t"),
+    "h": ("polynomials", "h_norm"),
+    "omega_b": ("integrate", "weight_omega_beta"),
+    "omega_ab": ("integrate", "weight_omega_ab"),
+    "jackson": ("cli", "_jackson"),
 }
+
+
+def eval_target(name: str):
+    """The function behind eval target `name`, importing its module."""
+    module, function = EVAL_TARGETS[name]
+    return getattr(importlib.import_module(f"{__package__}.{module}"), function)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_eval(ns) -> int:
-    func = EVAL_TARGETS[ns.target]
+    func = eval_target(ns.target)
     print(format_complex(func(**_bind(func, _parse_pairs(ns.args), ns.target))))
     return 0
 
 
 def _cmd_check(ns) -> int:
+    from . import verify
     pairs = _parse_pairs(ns.args)
     fmt = _convert("format", str, pairs.pop("format", "text"))
     out = _convert("out", str, pairs.pop("out")) if "out" in pairs else None
@@ -329,6 +338,7 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_suite(ns) -> int:
+    from . import verify
     if ns.config:
         try:
             with open(ns.config, encoding="utf-8") as handle:
@@ -353,6 +363,7 @@ def _cmd_suite(ns) -> int:
 
 
 def _convert_config(raw) -> dict:
+    from . import verify
     if not isinstance(raw, dict):
         raise UsageError("config must be an object mapping check ids to parameter lists")
     config = {}
@@ -368,6 +379,16 @@ def _convert_config(raw) -> dict:
             converted.append(_bind_check(check_id, entry))
         config[check_id] = converted
     return config
+
+
+def _check_id(text: str) -> str:
+    """`text` if it names a check; argparse refuses any other id (exit code 2)
+    and lists the valid ones."""
+    from . import verify
+    if text not in verify.CHECK_RUNNERS:
+        valid = ", ".join(map(repr, sorted(verify.CHECK_RUNNERS)))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {valid})")
+    return text
 
 
 def _emit(payload: str, out_path) -> None:
@@ -391,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(command=_cmd_eval)
 
     p_check = sub.add_parser("check", help="run one identity check")
-    p_check.add_argument("check_id", choices=sorted(verify.CHECK_RUNNERS))
+    p_check.add_argument("check_id", type=_check_id, help="an unknown id lists the valid ones")
     p_check.add_argument("args", nargs=argparse.REMAINDER)
     p_check.set_defaults(command=_cmd_check)
 

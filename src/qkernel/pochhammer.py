@@ -41,8 +41,6 @@ import cmath
 import math
 from collections import deque
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, PoleError
 
 
@@ -63,8 +61,9 @@ _BLOCK_ELEMENTS = 2**13
 _SERIES_RADIUS = 1.0 / 8.0
 _SERIES_SAVING = 128
 
-# Arguments qpoch_infinite and qpoch_product treat as one complex number.
-_SCALARS = (int, float, complex, np.generic)
+# Arguments qpoch_infinite and qpoch_product treat as one complex number; the
+# rest, numpy scalars too, take the array paths, which alone import numpy.
+_SCALARS = (int, float, complex)
 
 
 def check_base(q) -> None:
@@ -79,8 +78,10 @@ def _check_finite(name: str, *values) -> None:
     Callers check once per call, outside _ascending_products, whose factor
     loop the scalar qpoch_infinite also runs."""
     for value in values:
-        if not (cmath.isfinite(value) if isinstance(value, _SCALARS)
-                else np.isfinite(value).all()):
+        scalar = isinstance(value, _SCALARS)
+        if not scalar:
+            import numpy as np
+        if not (cmath.isfinite(value) if scalar else np.isfinite(value).all()):
             raise DomainError(f"{name} needs finite arguments")
 
 
@@ -119,8 +120,10 @@ def _ascending_products(a, q, n, check_poles=False):
     for _ in range(n):
         w = a * qk
         factor = 1.0 - w
-        if check_poles and np.any(np.abs(factor) <= _POLE_SNAP * (1.0 + np.abs(w))):
-            raise PoleError("negative-index q-Pochhammer symbol hit a vanishing factor")
+        if check_poles:
+            small = abs(factor) <= _POLE_SNAP * (1.0 + abs(w))  # a bool, or a numpy array
+            if small if isinstance(small, bool) else small.any():
+                raise PoleError("negative-index q-Pochhammer symbol hit a vanishing factor")
         acc = acc * factor
         qk = qk * q
         yield acc
@@ -150,13 +153,16 @@ def qpoch_infinite(a, q):
     """
     check_base(q)
     scalar = isinstance(a, _SCALARS)
-    points = complex(a) if scalar else np.asarray(a, dtype=complex)
-    a_max = abs(points) if scalar else float(np.abs(points).max(initial=0.0))
-    n_factors, n_terms = _split(a_max, abs(q))
-    if scalar and not n_terms:
-        # a few dozen factors: Python's complex arithmetic, no numpy set-up
-        return complex(_last(_ascending_products(points, complex(q), n_factors)))
-    points = np.asarray(points)
+    if scalar:
+        points = complex(a)
+        n_factors, n_terms = _split(abs(points), abs(q))
+        if not n_terms:
+            # a few dozen factors: Python's complex arithmetic, no numpy set-up
+            return complex(_last(_ascending_products(points, complex(q), n_factors)))
+    import numpy as np
+    points = np.asarray(a, dtype=complex)
+    if not scalar:
+        n_factors, n_terms = _split(float(np.abs(points).max(initial=0.0)), abs(q))
     powers = _powers(q, max(n_factors, n_terms) + 1)
     head = powers[:n_factors, None]
     row = points.reshape(1, -1)
@@ -198,6 +204,7 @@ def _log_series(b, powers, n_terms: int):
     |b| < _SERIES_RADIUS, as exp(-sum_{n=1}^{M} b^n / (n (1 - q^n))) with
     M = n_terms and q^n = powers[n]: one (M x points) cumulative product of
     b against the coefficients, real for real q."""
+    import numpy as np
     terms = np.multiply.accumulate(np.repeat(b, n_terms, axis=0))
     coeffs = 1.0 / (np.arange(-1.0, -1.0 - n_terms, -1.0) * (1.0 - powers[1:n_terms + 1]))
     return np.exp(coeffs @ terms)
@@ -212,6 +219,7 @@ def qpoch_ladder(values, q, count: int):
     gives exact zeros on rows i <= j and correct rows below.  DomainError
     for count < 0; count = 0 gives an empty table.
     """
+    import numpy as np
     if count < 0:
         raise DomainError(f"qpoch_ladder needs count >= 0, got {count}")
     check_base(q)
@@ -231,6 +239,7 @@ def qpoch_ladder(values, q, count: int):
 
 def _powers(q, count: int):
     """q^0, ..., q^(count - 1), each the previous one times q."""
+    import numpy as np
     steps = np.full(count, q, dtype=complex)
     steps[:1] = 1.0
     return np.multiply.accumulate(steps)
@@ -277,6 +286,8 @@ def _conjugate_index(values, i: int):
     """The first j < i with values[j] == conj values[i], or None.  A scalar
     is compared as a Python complex, an array through _equal."""
     scalar = isinstance(values[i], _SCALARS)
+    if not scalar:
+        import numpy as np
     conjugate = complex(values[i]).conjugate() if scalar else np.conj(values[i])
     for j in range(i):
         b = values[j]
@@ -290,6 +301,7 @@ def _equal(x, y) -> bool:
     same shape.  A differing first entry or equal bytes settle most pairs
     before the elementwise test, which costs about a tenth of a short
     product."""
+    import numpy as np
     if not isinstance(y, np.ndarray) or x.shape != y.shape or (x.size and x.item(0) != y.item(0)):
         return False
     return x.tobytes() == y.tobytes() or bool((x == y).all())
@@ -299,14 +311,25 @@ def qbinom(n: int, k: int, q):
     """Gaussian binomial coefficient [n choose k]_q = (q;q)_n / ((q;q)_k (q;q)_{n-k}).
 
     Zero outside 0 <= k <= n.  DomainError where a q^j = 1 makes the
-    denominator zero.
+    denominator zero, and where (q;q)_n is not finite (_q_products).
     """
     if n < 0:
         raise DomainError("qbinom needs n >= 0")
     if k < 0 or k > n:
         return 0.0
-    products = qpoch_finite_table(q, q, n)
+    products = _q_products("qbinom", q, n)
     denominator = products[k] * products[n - k]
     if denominator == 0:
         raise DomainError(f"a q**j = 1 makes the denominator (q;q)_{k} (q;q)_{n - k} zero")
     return products[n] / denominator
+
+
+def _q_products(name: str, q, n: int) -> list:
+    """[(q;q)_0, ..., (q;q)_n]; DomainError naming the first k at which a
+    power q^k or the product (q;q)_k is not finite (a large |q| overflows).
+    Once one entry is not finite, every later one is not either."""
+    products = qpoch_finite_table(q, q, n)
+    if not cmath.isfinite(products[-1]):
+        k = next(k for k, p in enumerate(products) if not cmath.isfinite(p))
+        raise DomainError(f"{name} needs finite powers of q, but (q;q)_{k} = {products[k]}")
+    return products

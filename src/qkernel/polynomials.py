@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .pochhammer import (_check_finite, qpoch_finite, qpoch_finite_table,
-                         qpoch_product)
+from .pochhammer import (_check_finite, _q_products, qpoch_finite,
+                         qpoch_finite_table, qpoch_product)
 from .series import _qdifference_coeffs
 
 
@@ -90,13 +90,15 @@ def phi_poly(n: int, alpha, beta, x, y, q):
 
     defined for arbitrary complex alpha, beta.  At (x, y) = (e^{i theta},
     e^{-i theta}) it equals (q;q)_n gasper_c(n, theta, alpha, beta, q).
-    A NaN or infinite parameter, x or y is a DomainError.
+    A NaN or infinite parameter, x or y is a DomainError, and so is a q
+    whose (q;q)_n is not finite.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
     _check_finite("phi_poly", x, y)
     alpha_products = qpoch_finite_table(alpha, q, n)
     beta_products = qpoch_finite_table(beta, q, n)
+    _q_products("phi_poly", q, n)
     acc = 0.0
     binom = 1.0
     for k in range(n + 1):
@@ -151,14 +153,15 @@ def connection_coeffs(n: int, beta, gamma, q):
 
     The front factor is evaluated as prod_{j<k} (beta - gamma q^j), which is
     the same rational function of beta but stays finite at beta = 0.  A
-    vanishing denominator raises PoleError.
+    vanishing denominator raises PoleError, and a q whose (q;q)_n is not
+    finite DomainError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
     if beta == 1:
         raise PoleError("connection_coeffs has a pole at beta = 1")
     gamma_products = qpoch_finite_table(gamma, q, n)
-    q_products = qpoch_finite_table(q, q, n // 2)
+    q_products = _q_products("connection_coeffs", q, n)
     beta_q_products = qpoch_finite_table(beta * q, q, n)
     coeffs = []
     front = 1.0

@@ -23,8 +23,6 @@ import cmath
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, PoleError
 from .pochhammer import _check_finite, check_base, qpoch_product
 

@@ -19,7 +19,7 @@ import pytest
 
 import qkernel
 from qkernel import default_suite_config, run_suite, verify_thm_1_1, verify_thm_1_4
-from qkernel.cli import (EVAL_TARGETS, format_complex, main, parse_number,
+from qkernel.cli import (EVAL_TARGETS, eval_target, format_complex, main, parse_number,
                          report_from_dict, report_to_dict, render_reports)
 from qkernel.verify import CHECK_RUNNERS
 
@@ -181,6 +181,12 @@ class TestCheck:
         with pytest.raises(SystemExit) as info:
             main(["check", "thm-9.9"])
         assert info.value.code == 2
+
+    def test_unknown_check_lists_the_valid_ids(self, capsys):
+        code, out, err = run_cli(["check", "thm-9.9"], capsys)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'thm-9.9'" in err
+        assert all(check_id in err for check_id in CHECK_RUNNERS)
 
     def test_missing_parameters_are_usage(self, capsys):
         code, _, err = run_cli(["check", "thm-1.1", "--m", "3"], capsys)
@@ -407,6 +413,7 @@ GOLDEN = [
     # q^2 past the largest double: refused, where q**m raised OverflowError
     ('eval C --n 3 --beta 0.5 --q 1e200 --x 0.3', 1, ''),
     ('eval H --n 3 --x 0.3 --q 1e200', 1, ''),
+    ('eval Phi --n 2 --alpha 0.3 --beta 0.2 --x 1 --y 1 --q 1e200', 1, ''),
     # a NaN parameter or point: refused, where it printed nan and exited 0
     ('eval C --n 3 --beta nan --q 0.3 --x 0.3', 1, ''),
     ('eval C --n 3 --beta 0.5 --q nan --x 0.3', 1, ''),
@@ -762,7 +769,7 @@ def _valid_invocation(verb, name):
 
 
 def _parameters(verb, name):
-    func = EVAL_TARGETS[name] if verb == "eval" else CHECK_RUNNERS[name]
+    func = eval_target(name) if verb == "eval" else CHECK_RUNNERS[name]
     return inspect.signature(func, eval_str=True).parameters
 
 
@@ -893,10 +900,56 @@ def test_integrand_pole_fails_fast(capsys, line):
     assert elapsed < 0.1
 
 
-def test_every_export_resolves():
+_ATTRIBUTE_ACCESS = """
+import qkernel
+for name in qkernel.__all__:
+    getattr(qkernel, name)
+try:
+    qkernel.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_every_export_resolves(child_env):
     namespace = {}
     exec("from qkernel import *", namespace)
     assert sorted(set(qkernel.__all__) - set(namespace)) == []
+    # attribute access after a bare `import qkernel`, which loads no submodule
+    proc = subprocess.run([sys.executable, "-c", _ATTRIBUTE_ACCESS], capture_output=True,
+                          text=True, timeout=120, env=child_env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "module 'qkernel' has no attribute 'no_such_name'\n"
+
+
+# The scalar targets run in plain Python arithmetic and never import numpy;
+# their values are the golden rows'.
+_NUMPY_FREE = [
+    ("eval qpoch --a 0.5 --q 0.3 --n 2", "0.42499999999999999"),
+    ("eval qpoch --a 0.5 --q 0.3 --n -2", "0.32926829268292679"),
+    ("eval qpoch --a 0.5 --q 0.3 --n inf", "0.39808220430187774"),
+    ("eval phi --upper 0.4 --z 0.5 --q 0.3", "1.8407690827383283"),
+    ("eval wseries --a1 0.2 --b 0.3 --b 0.4 --q 0.5 --z 0.3", "1.7226339251962521"),
+]
+_RUN_MAIN = ("import sys; from qkernel.cli import main; code = main(sys.argv[1:]); "
+             "print(code, 'numpy' in sys.modules)")
+
+
+@pytest.mark.parametrize("line,value", _NUMPY_FREE, ids=[row[0] for row in _NUMPY_FREE])
+def test_scalar_target_runs_without_numpy(child_env, line, value):
+    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *line.split()],
+                          capture_output=True, text=True, timeout=120, env=child_env)
+    assert (proc.stdout.splitlines(), proc.stderr) == ([value, "0 False"], "")
+
+
+def test_bare_import_loads_no_numpy(child_env):
+    script = "import json, sys, qkernel; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=child_env)
+    assert proc.returncode == 0
+    loaded = json.loads(proc.stdout)
+    assert "numpy" not in loaded
+    assert [name for name in loaded if name.startswith("qkernel.")] == []
 
 
 def _readme_blocks(language):

@@ -399,6 +399,13 @@ class TestQBinom:
         # a zero only in the numerator (q;q)_n is a value: [4 2]_i = 0
         assert qbinom(4, 2, 1j) == 0
 
+    @pytest.mark.parametrize("q,k", [(1e200, 2), (1e60, 3), (-1e200j, 2)])
+    def test_huge_base_is_refused(self, q, k):
+        # (q;q)_k overflows at the k named, at 1e60 while q^k is still
+        # finite; the quotient was nan
+        with pytest.raises(DomainError, match=rf"finite powers of q, but \(q;q\)_{k} ="):
+            qbinom(8, 4, q)
+
     def test_pascal_recurrence(self):
         # [n k] = [n-1 k-1] + q^k [n-1 k]
         rng = np.random.default_rng(5)

@@ -203,6 +203,14 @@ class TestPhiPoly:
         # degree 1 at q = -1 divides by 1 - q only
         assert phi_poly(1, 0.3, 0.2, 1.0, 1.0, -1.0) == 1.5
 
+    def test_huge_base_is_refused(self):
+        # q**2 overflowed: the sum raised OverflowError
+        with pytest.raises(DomainError, match=r"phi_poly needs finite powers of q, but \(q;q\)_2"):
+            phi_poly(2, 0.3, 0.2, 1.0, 1.0, 1e200)
+        # every q^k, k <= 4, is finite, their product (q;q)_3 is not
+        with pytest.raises(DomainError, match=r"\(q;q\)_3 = -inf"):
+            phi_poly(4, 0.3, 0.2, 1.0, 1.0, 1e60)
+
     @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (0.5, complex(1.0, math.inf)),
                                      (np.array([0.5, math.nan]), np.ones(2))])
     def test_non_finite_point_is_refused(self, x, y):
@@ -338,6 +346,12 @@ class TestConnectionCoeffs:
                                * (1.0 - beta)))
             front = front * (beta - gamma * q**k)
         assert repr(connection_coeffs(n, beta, gamma, q)) == repr(expected)
+
+    def test_huge_base_is_refused(self):
+        # q**4 overflowed: a bare OverflowError
+        with pytest.raises(DomainError,
+                           match=r"connection_coeffs needs finite powers of q, but \(q;q\)_2"):
+            connection_coeffs(4, 0.4, 0.7, 1e200)
 
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_vanishing_denominator_is_a_pole(self, n):
