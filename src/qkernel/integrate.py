@@ -37,6 +37,13 @@ MAX_QUAD_NODES = 2**20
 QUAD_NOISE = 32
 _UNIT_ROUNDOFF = 2.0**-53
 
+# Jackson ladder blocks of at least this many rungs find their stop in
+# numpy, unless the tail bound, falling by |q| a rung, would meet the stop
+# rule within _NEAR_STOP rungs: numpy's set-up costs about as much as that
+# many rungs of the loop.
+_LONG_BLOCK = 64
+_NEAR_STOP = 40
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -134,9 +141,12 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
     integrand may treat a block as one ladder from its first point.  The sum
     then runs rung by rung and stops once the geometric tail bound
     max_recent|f| * |q|^{n+1} / (1 - |q|) drops below EPS_SERIES relative,
-    where the max runs over the latest rungs (the ladder accumulates at 0).
-    The stop and the sum are those of one call per rung; the blocks evaluate
-    at most 2 (rungs summed) + 6 rungs per ladder.
+    where the max runs over the latest 8 rungs (the ladder accumulates at
+    0).  A block of _LONG_BLOCK rungs or more whose stop the last tail
+    bound puts more than _NEAR_STOP rungs away, as on ladders near |q| = 1,
+    finds that rung with array operations instead, to the same stop and
+    sums bit for bit.  The stop and the sum are those of one call per rung;
+    the blocks evaluate at most 2 (rungs summed) + 6 rungs per ladder.
 
     The result's nodes_used is the number of rungs the two sums used,
     error_estimate |1-q| (|b| tail_b + |a| tail_a) from their final tail
@@ -156,39 +166,108 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
 
 def _ladder_sum(f, endpoint, q) -> tuple[complex, int, float, float]:
     """sum_n q^n f(endpoint q^n), the rungs summed, the last tail bound and
-    sum_n |q^n f(endpoint q^n)|."""
+    sum_n |q^n f(endpoint q^n)|.  A block is summed by _rung_block, one
+    rung at a time, or by _long_block, to the same stop and sums bit for
+    bit: _long_block takes the blocks of _LONG_BLOCK rungs or more whose
+    stop lies more than _NEAR_STOP rungs away by the last tail bound."""
     if endpoint == 0:
         return 0.0 + 0j, 0, 0.0, 0.0
-    abs_q = abs(q)
     total = 0.0 + 0j
     size = 0.0
     qn = 1.0 + 0j
     recent = deque(maxlen=8)
     n = 0
     block = 8
+    tail = math.inf
+    reach = abs(q) ** _NEAR_STOP
     while n < MAX_SERIES_TERMS:
-        powers = []
-        for _ in range(min(block, MAX_SERIES_TERMS - n)):
-            powers.append(qn)
-            qn *= q
-        # Non-finite values are refused below, rung by rung, as they are summed.
-        with np.errstate(all="ignore"):
-            values = f(np.array([endpoint * power for power in powers]))
-        values = np.broadcast_to(np.asarray(values, dtype=complex), (len(powers),))
-        finite = np.isfinite(values).tolist()
-        for power, value, ok in zip(powers, values.tolist(), finite):
-            if not ok:
-                raise PoleError(f"Jackson integrand is not finite at rung {n}")
-            term = power * value
-            total += term
-            size += abs(term)
-            recent.append(abs(value))
-            n += 1
-            tail = max(recent) * abs(power * q) / (1.0 - abs_q)
-            if n >= 8 and tail <= EPS_SERIES * (1.0 + abs(total)):
-                return total, n, tail, size
+        count = min(block, MAX_SERIES_TERMS - n)
+        far = count >= _LONG_BLOCK and tail * reach > EPS_SERIES * (1.0 + abs(total))
+        sum_block = _long_block if far else _rung_block
+        stopped, total, n, tail, size, qn = sum_block(f, endpoint, q, count, n, total, size,
+                                                      qn, recent)
+        if stopped:
+            return total, n, tail, size
         block *= 2
     raise ConvergenceError("Jackson ladder sum did not meet its tail bound")
+
+
+def _rung_block(f, endpoint, q, count, n, total, size, qn, recent):
+    """Rungs n, ..., n + count - 1 of _ladder_sum, given the running sum
+    `total`, the running sum of moduli `size`, qn = q^n and `recent`, the
+    last 8 |f|, which it moves on.  One call of f on the block's points,
+    then a Python loop that sums rung by rung and stops at the first rung
+    whose tail bound is met.  Returns (stopped, total, rungs, tail, size,
+    q^(n + count)), the sums and bound after that rung, or after the block
+    if none meets it; PoleError at the first non-finite value it would sum."""
+    powers = []
+    for _ in range(count):
+        powers.append(qn)
+        qn *= q
+    # Non-finite values are refused below, rung by rung, as they are summed.
+    with np.errstate(all="ignore"):
+        values = f(np.array([endpoint * power for power in powers]))
+    values = np.broadcast_to(np.asarray(values, dtype=complex), (count,))
+    finite = np.isfinite(values).tolist()
+    abs_q = abs(q)
+    for power, value, ok in zip(powers, values.tolist(), finite):
+        if not ok:
+            raise PoleError(f"Jackson integrand is not finite at rung {n}")
+        term = power * value
+        total += term
+        size += abs(term)
+        recent.append(abs(value))
+        n += 1
+        tail = max(recent) * abs(power * q) / (1.0 - abs_q)
+        if n >= 8 and tail <= EPS_SERIES * (1.0 + abs(total)):
+            return True, total, n, tail, size, qn
+    return False, total, n, tail, size, qn
+
+
+def _long_block(f, endpoint, q, count, n, total, size, qn, recent):
+    """_rung_block in array operations, with the rung loop's arithmetic in
+    its order, so that every value it returns is the loop's bit for bit.
+    The blocks of _LONG_BLOCK rungs or more come after the first 56 rungs,
+    so `recent` holds 8 values.
+
+    q^n is np.multiply.accumulate, the loop's sequential product; complex
+    products are formed from real and imaginary parts as Python forms them,
+    because numpy's vectorised complex multiply may fuse them; moduli are
+    np.hypot, which is Python's abs (np.abs may differ in the last bit).
+    """
+    steps = np.full(count + 1, q, dtype=complex)
+    steps[0] = qn
+    powers = np.multiply.accumulate(steps)  # q^n, ..., q^(n + count)
+    p_re, p_im = powers.real[:-1], powers.imag[:-1]
+    e = complex(endpoint)
+    points = np.empty(count, dtype=complex)
+    points.real = e.real * p_re - e.imag * p_im
+    points.imag = e.real * p_im + e.imag * p_re
+    # Non-finite values are refused below, at the first one before the stop.
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(np.asarray(f(points), dtype=complex), (count,))
+        v_re, v_im = values.real, values.imag
+        term_re = p_re * v_re - p_im * v_im
+        term_im = p_re * v_im + p_im * v_re
+        # running sums seeded with the carried ones: entry i + 1 is after rung n + i
+        sum_re = np.add.accumulate(np.concatenate(([total.real], term_re)))
+        sum_im = np.add.accumulate(np.concatenate(([total.imag], term_im)))
+        sizes = np.add.accumulate(np.concatenate(([size], np.hypot(term_re, term_im))))
+        moduli = np.hypot(v_re, v_im)
+        # max |f| over the 8 rungs up to each rung, in three doublings of the window
+        window = np.concatenate((list(recent), moduli))
+        for width in (1, 2, 4):
+            window = np.maximum(window[width:], window[:-width])
+        tails = window[1:] * np.hypot(powers.real[1:], powers.imag[1:]) / (1.0 - abs(q))
+        met = tails <= EPS_SERIES * (1.0 + np.hypot(sum_re[1:], sum_im[1:]))
+    bad = np.flatnonzero(~np.isfinite(values))
+    stops = np.flatnonzero(met[:bad[0]] if bad.size else met)
+    if not stops.size and bad.size:
+        raise PoleError(f"Jackson integrand is not finite at rung {n + int(bad[0])}")
+    i = int(stops[0]) if stops.size else count - 1
+    recent.extend(moduli[:i + 1][-8:].tolist())
+    return (bool(stops.size), complex(sum_re[i + 1], sum_im[i + 1]), n + i + 1,
+            float(tails[i]), float(sizes[i + 1]), complex(powers[-1]))
 
 
 def weight_omega_beta(theta: float, beta, q):

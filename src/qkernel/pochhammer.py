@@ -30,7 +30,10 @@ where N = 41426 would pass the MAX_PRODUCT_TERMS cap.  The series form is
 taken only where it saves at least _SERIES_SAVING rows; below about
 |q| = 0.78 every product keeps the factor form.  _split makes this choice,
 from q and the largest |a| alone, for qpoch_infinite and for qpoch_ladder,
-which tabulates (v q^i; q)_inf down a Jackson ladder.  qpoch_product
+which tabulates (v q^i; q)_inf down a Jackson ladder.  A scalar product
+runs in Python's complex arithmetic, without numpy, in the factor form and
+in a series form of at most _SCALAR_SERIES_ROWS rows K + M (q = 0.9 and
+0.99 at |a| = 1); arrays and longer splits run numpy blocks.  qpoch_product
 multiplies several infinite symbols and, for real q, shares a conjugate
 pair of arguments between one product and its conjugate.
 """
@@ -60,6 +63,10 @@ _BLOCK_ELEMENTS = 2**13
 # max |a q^K| below _SERIES_RADIUS, where that saves _SERIES_SAVING rows.
 _SERIES_RADIUS = 1.0 / 8.0
 _SERIES_SAVING = 128
+
+# A scalar whose series form has at most this many rows K + M is summed in
+# Python complex arithmetic; numpy's set-up costs more than such a loop.
+_SCALAR_SERIES_ROWS = 256
 
 # Arguments qpoch_infinite and qpoch_product treat as one complex number; the
 # rest, numpy scalars too, take the array paths, which alone import numpy.
@@ -142,14 +149,17 @@ def qpoch_infinite(a, q):
     points, so the certified tail bound holds elementwise.  A NaN or
     infinite argument is a DomainError.  A scalar in the factor form is
     the sequential product ((1 - a)(1 - q a))(1 - q^2 a)... of Python
-    complex numbers, with q^k = q^(k-1) q, as qpoch_finite forms it.  An
-    array, or a scalar in the series form, takes the same factors in blocks
-    of rows k and columns a, at most _BLOCK_ELEMENTS entries each, each
-    block reduced over its rows after the running product is multiplied
-    into its first row; in the factor form this is numpy's sequential
-    product np.multiply(acc, 1 - a q^k) bit for bit.  The series form
-    multiplies its K factors by the log series of (a q^K; q)_inf; it is
-    accurate, not bit for bit with the factor loop.
+    complex numbers, with q^k = q^(k-1) q, as qpoch_finite forms it.  A
+    scalar in the series form with at most _SCALAR_SERIES_ROWS rows K + M
+    is the same loop over its K head factors times the exponential of its
+    log series, summed term by term in Python complex arithmetic
+    (_scalar_series).  An array, or a scalar with a longer split, takes the
+    same factors in blocks of rows k and columns a, at most _BLOCK_ELEMENTS
+    entries each, each block reduced over its rows after the running
+    product is multiplied into its first row; in the factor form this is
+    numpy's sequential product np.multiply(acc, 1 - a q^k) bit for bit.
+    The series forms are accurate, not bit for bit with the factor loop or
+    with each other.
     """
     check_base(q)
     scalar = isinstance(a, _SCALARS)
@@ -159,11 +169,16 @@ def qpoch_infinite(a, q):
         if not n_terms:
             # a few dozen factors: Python's complex arithmetic, no numpy set-up
             return complex(_last(_ascending_products(points, complex(q), n_factors)))
+        if n_factors + n_terms <= _SCALAR_SERIES_ROWS:
+            return _scalar_series(points, complex(q), n_factors, n_terms)
     import numpy as np
     points = np.asarray(a, dtype=complex)
     if not scalar:
         n_factors, n_terms = _split(float(np.abs(points).max(initial=0.0)), abs(q))
-    powers = _powers(q, max(n_factors, n_terms) + 1)
+    # q^0, ..., q^max(K, M), each the previous one times q
+    powers = np.full(max(n_factors, n_terms) + 1, q, dtype=complex)
+    powers[0] = 1.0
+    powers = np.multiply.accumulate(powers)
     head = powers[:n_factors, None]
     row = points.reshape(1, -1)
     acc = np.ones(row.shape[1], dtype=complex)
@@ -174,8 +189,31 @@ def qpoch_infinite(a, q):
         np.multiply(acc, block[0], out=block[0])
         acc = np.multiply.reduce(block, axis=0)
     if n_terms:
-        acc = acc * _log_series(powers[n_factors] * row, powers, n_terms)
+        acc = acc * _log_series(np, powers[n_factors] * row, powers, n_terms)
     return complex(acc[0]) if points.ndim == 0 else acc.reshape(points.shape)
+
+
+def _scalar_series(a: complex, q: complex, n_factors: int, n_terms: int) -> complex:
+    """(a;q)_inf in the series form (K, M) = (n_factors, n_terms), in Python
+    complex arithmetic: the K head factors as _ascending_products forms
+    them, times exp(-sum_{n=1}^{M} b^n / (n (1 - q^n))) with b = a q^K,
+    b^n and q^n running products, summed from the smallest term."""
+    head = 1.0
+    qk = 1.0
+    for _ in range(n_factors):
+        head = head * (1.0 - a * qk)
+        qk = qk * q
+    b = a * qk
+    terms = []
+    bn = qn = 1.0
+    for n in range(1, n_terms + 1):
+        bn = bn * b
+        qn = qn * q
+        terms.append(bn / (n * (1.0 - qn)))
+    exponent = 0j
+    for term in reversed(terms):  # smallest first
+        exponent -= term
+    return complex(head * cmath.exp(exponent))
 
 
 def _split(a_max: float, abs_q: float) -> tuple:
@@ -199,12 +237,12 @@ def _split(a_max: float, abs_q: float) -> tuple:
     return split
 
 
-def _log_series(b, powers, n_terms: int):
+def _log_series(np, b, powers, n_terms: int):
     """(b;q)_inf for each entry of the row b (shape (1, points)), all
     |b| < _SERIES_RADIUS, as exp(-sum_{n=1}^{M} b^n / (n (1 - q^n))) with
     M = n_terms and q^n = powers[n]: one (M x points) cumulative product of
-    b against the coefficients, real for real q."""
-    import numpy as np
+    b against the coefficients, real for real q.  `np` is the numpy module
+    its callers have imported already."""
     terms = np.multiply.accumulate(np.repeat(b, n_terms, axis=0))
     coeffs = 1.0 / (np.arange(-1.0, -1.0 - n_terms, -1.0) * (1.0 - powers[1:n_terms + 1]))
     return np.exp(coeffs @ terms)
@@ -226,23 +264,18 @@ def qpoch_ladder(values, q, count: int):
     values = np.asarray(values, dtype=complex)
     n_factors, n_terms = _split(float(np.abs(values).max(initial=0.0)), abs(q))
     steps = max(count - 1, 0) + n_factors
-    powers = _powers(q, max(steps, n_terms) + 1)
+    # q^0, ..., q^max(steps, M), each the previous one times q
+    powers = np.full(max(steps, n_terms) + 1, q, dtype=complex)
+    powers[0] = 1.0
+    powers = np.multiply.accumulate(powers)
     # a row of ones closes the suffix products in the factor form (M = 0)
     factors = np.ones((steps + 1,) + values.shape, dtype=complex)
     np.subtract(1.0, np.multiply.outer(powers[:steps], values), out=factors[:-1])
     if n_terms:
         # |v q^steps| <= max|v| |q|^K < 1/8, inside the log series' radius
-        tail = _log_series(powers[steps] * values.reshape(1, -1), powers, n_terms)
+        tail = _log_series(np, powers[steps] * values.reshape(1, -1), powers, n_terms)
         factors[-1] = tail.reshape(values.shape)
     return np.cumprod(factors[::-1], axis=0)[::-1][:count]
-
-
-def _powers(q, count: int):
-    """q^0, ..., q^(count - 1), each the previous one times q."""
-    import numpy as np
-    steps = np.full(count, q, dtype=complex)
-    steps[:1] = 1.0
-    return np.multiply.accumulate(steps)
 
 
 def _truncation_length(scale: float, abs_q: float, target: float) -> int:
@@ -284,27 +317,25 @@ def qpoch_product(values, q):
 
 def _conjugate_index(values, i: int):
     """The first j < i with values[j] == conj values[i], or None.  A scalar
-    is compared as a Python complex, an array through _equal."""
-    scalar = isinstance(values[i], _SCALARS)
-    if not scalar:
-        import numpy as np
-    conjugate = complex(values[i]).conjugate() if scalar else np.conj(values[i])
+    is compared as a Python complex with the earlier scalars, an array with
+    the earlier arrays of its shape: a differing first entry or equal bytes
+    settle most pairs before the elementwise test, which costs about a
+    tenth of a short product."""
+    if isinstance(values[i], _SCALARS):
+        conjugate = complex(values[i]).conjugate()
+        for j in range(i):
+            if isinstance(values[j], _SCALARS) and conjugate == values[j]:
+                return j
+        return None
+    import numpy as np
+    x = np.conj(values[i])
     for j in range(i):
-        b = values[j]
-        if (isinstance(b, _SCALARS) and conjugate == b) if scalar else _equal(conjugate, b):
+        y = values[j]
+        if (isinstance(y, np.ndarray) and x.shape == y.shape
+                and not (x.size and x.item(0) != y.item(0))
+                and (x.tobytes() == y.tobytes() or bool((x == y).all()))):
             return j
     return None
-
-
-def _equal(x, y) -> bool:
-    """Exact equality of array x with y; False unless y is an array of the
-    same shape.  A differing first entry or equal bytes settle most pairs
-    before the elementwise test, which costs about a tenth of a short
-    product."""
-    import numpy as np
-    if not isinstance(y, np.ndarray) or x.shape != y.shape or (x.size and x.item(0) != y.item(0)):
-        return False
-    return x.tobytes() == y.tobytes() or bool((x == y).all())
 
 
 def qbinom(n: int, k: int, q):

@@ -9,10 +9,12 @@ of the `suite`, `stress` and `expand` workloads at seeds 0-2 and of
 that no report prints: scalar qpoch_infinite and qpoch_product at real and
 complex bases, in the factor form (|q| <= 0.6) and the series form
 (|q| >= 0.9), for |a| in {0.3, 1, 2}, 4 rows of a qpoch_ladder table of
-the same arguments at each base, and C_0, ..., C_12 of ultraspherical_table
-at beta = 0.6 and x in {-0.9, 0.3, 1} at each real base.  Running it at two
-versions and diffing the outputs shows every report and kernel value a
-change moves, params key order included.
+the same arguments at each base, C_0, ..., C_12 of ultraspherical_table
+at beta = 0.6 and x in {-0.9, 0.3, 1} at each real base, and the value,
+nodes_used, error_estimate and magnitude of one jackson_q_integral at each
+of the bases in JACKSON_BASES, whose ladders stop in blocks of 32 to 1024
+rungs.  Running it at two versions and diffing the outputs shows every
+report and kernel value a change moves, params key order included.
 
 bench/workloads.py is loaded read-only from the source checkout.  The file
 name keeps pytest from collecting it.
@@ -28,6 +30,7 @@ SEEDS = (0, 1, 2)
 KERNEL_BASES = (0.3, -0.6, 0.9, 0.99, 0.5 + 0.3j, -0.2 + 0.55j, 0.6 + 0.7j)
 KERNEL_MODULI = (0.3, 1.0, 2.0)
 TABLE_POINTS = (-0.9, 0.3, 1.0)
+JACKSON_BASES = (0.3, -0.6, 0.9, 0.97, cmath.rect(0.95, 0.2))
 
 
 def load_workloads():
@@ -49,7 +52,7 @@ def dump_line(label, report) -> str:
 
 
 def kernel_lines():
-    from qkernel import qpoch_infinite, qpoch_ladder, qpoch_product
+    from qkernel import jackson_q_integral, qpoch_infinite, qpoch_ladder, qpoch_product
     from qkernel.polynomials import ultraspherical_table
 
     for q in KERNEL_BASES:
@@ -65,6 +68,12 @@ def kernel_lines():
             for x in TABLE_POINTS:
                 table = ultraspherical_table(12, x, 0.6, q)
                 yield f"kernel ultraspherical_table {q!r} 0.6 {x!r} {table!r}"
+    for q in JACKSON_BASES:
+        # a rational integrand in numpy's arithmetic, from a real to a complex endpoint
+        result = jackson_q_integral(lambda z: (0.3 - 1.2j * z) / (1.0 + 0.5 * z * z),
+                                    -0.6, 0.5 + 0.7j, q)
+        yield (f"kernel jackson_q_integral {q!r} {result.value!r} {result.nodes_used!r} "
+               f"{result.error_estimate!r} {result.magnitude!r}")
 
 
 def main() -> None:

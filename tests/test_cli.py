@@ -923,11 +923,14 @@ def test_every_export_resolves(child_env):
 
 
 # The scalar targets run in plain Python arithmetic and never import numpy;
-# their values are the golden rows'.
+# their values are the golden rows', where a golden row exists.
 _NUMPY_FREE = [
     ("eval qpoch --a 0.5 --q 0.3 --n 2", "0.42499999999999999"),
     ("eval qpoch --a 0.5 --q 0.3 --n -2", "0.32926829268292679"),
     ("eval qpoch --a 0.5 --q 0.3 --n inf", "0.39808220430187774"),
+    # series form, K + M = 14 + 17 rows; 0.0027905465671710931865 by mp.qp,
+    # 3.1e-16 away (the array path read ...0932, 5e-19 away)
+    ("eval qpoch --a 0.5 --q 0.9 --n inf", "0.0027905465671710923"),
     ("eval phi --upper 0.4 --z 0.5 --q 0.3", "1.8407690827383283"),
     ("eval wseries --a1 0.2 --b 0.3 --b 0.4 --q 0.5 --z 0.3", "1.7226339251962521"),
 ]

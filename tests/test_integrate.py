@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qkernel import (ConvergenceError, DomainError, PoleError, QuadratureResult,
                      jackson_q_integral, periodic_quadrature, qpoch_infinite,
                      ultraspherical_c, weight_omega_ab, weight_omega_beta)
-from qkernel import verify
+from qkernel import integrate, verify
 from qkernel.integrate import (EPS_QUAD, EPS_SERIES, MAX_QUAD_NODES, MAX_SERIES_TERMS,
                                QUAD_NOISE)
 from qkernel.verify import CHECK_RUNNERS, default_suite_config
@@ -164,31 +164,109 @@ class TestJackson:
         with pytest.raises(ConvergenceError):
             jackson_q_integral(lambda z: 1.0 / (z * z), 0.0, 1.0, 0.5)
 
-    @pytest.mark.parametrize("q", [0.3, -0.6, 0.9, 0.97])
-    def test_blocks_stop_and_sum_as_rung_by_rung(self, q):
-        # real endpoints and coefficients: numpy and Python round alike, so
-        # the blocked ladder must give the rung-by-rung sum and stop exactly
-        blocks = []
+    # from |q| = 0.9 on, the stops lie far into blocks of 64 rungs or more
+    @pytest.mark.parametrize("q", [0.3, -0.6, 0.9, 0.97, 0.95, 0.99,
+                                   pytest.param(cmath.rect(0.95, 0.2), id="0.95e^0.2i"),
+                                   pytest.param(cmath.rect(0.95, 2.5), id="0.95e^2.5i")])
+    def test_blocks_stop_and_sum_as_rung_by_rung(self, monkeypatch, q):
+        # the blocked ladder must give the rung-by-rung sum and stop exactly,
+        # whether a block is summed rung by rung or with array operations
+        long_blocks = []
 
-        def f(z):
-            return 0.3 + z * (-1.2 + z * (0.7 + z * 2.1))
+        def spied(f, endpoint, q, count, *state):
+            long_blocks.append(count)
+            return long_block(f, endpoint, q, count, *state)
 
-        def counted(z):
-            blocks.append(len(z))
-            return f(z)
+        long_block = integrate._long_block
+        monkeypatch.setattr(integrate, "_long_block", spied)
+        # a cubic, and z^-0.8, whose terms fall slowly, so that every rung
+        # moves the sums; each in Python's complex arithmetic at every point,
+        # so that a block and one call per rung see the same values
+        for point_value in (lambda z: 0.3 + z * (-1.2 + z * (0.7 + z * 2.1)),
+                            lambda z: complex(z) ** -0.8):
+            for a, b in ((-0.6, 0.9), (-0.6, 0.5 + 0.7j)):
+                blocks = []
+                long_blocks.clear()
 
-        a, b = -0.6, 0.9
-        result = jackson_q_integral(counted, a, b, q)
-        upper, upper_rungs, upper_tail, upper_size = rung_by_rung(f, b, q)
-        lower, lower_rungs, lower_tail, lower_size = rung_by_rung(f, a, q)
-        assert result.value == (1.0 - q) * (b * upper - a * lower)
-        assert result.nodes_used == upper_rungs + lower_rungs
-        assert result.error_estimate == abs(1.0 - q) * (abs(b) * upper_tail + abs(a) * lower_tail)
-        assert result.magnitude == abs(1.0 - q) * (abs(b) * upper_size + abs(a) * lower_size)
-        assert result.stop_reason == "tolerance"
-        assert blocks[:3] == [8, 16, 32]
-        # each of the two ladders evaluates at most 2 (rungs summed) + 6 rungs
-        assert sum(blocks) <= 2 * result.nodes_used + 12
+                def counted(z):
+                    blocks.append(len(z))
+                    return np.array([point_value(point) for point in z.tolist()])
+
+                result = jackson_q_integral(counted, a, b, q)
+                upper, upper_rungs, upper_tail, upper_size = rung_by_rung(point_value, b, q)
+                lower, lower_rungs, lower_tail, lower_size = rung_by_rung(point_value, a, q)
+                assert result.value == (1.0 - q) * (b * upper - a * lower)
+                assert result.nodes_used == upper_rungs + lower_rungs
+                assert result.error_estimate == abs(1.0 - q) * (abs(b) * upper_tail
+                                                                + abs(a) * lower_tail)
+                assert result.magnitude == abs(1.0 - q) * (abs(b) * upper_size
+                                                           + abs(a) * lower_size)
+                assert result.stop_reason == "tolerance"
+                assert blocks[:3] == [8, 16, 32]
+                assert all(m >= 64 for m in long_blocks)
+                assert long_blocks or abs(q) < 0.9
+                # each of the two ladders evaluates at most 2 (rungs summed) + 6 rungs
+                assert sum(blocks) <= 2 * result.nodes_used + 12
+                # the sums themselves, whose last bits the value may round
+                # away, and the points, which are Python's products endpoint * q^n
+                for endpoint, want in ((b, (upper, upper_rungs, upper_tail, upper_size)),
+                                       (a, (lower, lower_rungs, lower_tail, lower_size))):
+                    points = []
+
+                    def recorded(z):
+                        points.extend(z.tolist())
+                        return counted(z)
+
+                    assert integrate._ladder_sum(recorded, endpoint, q) == want
+                    qn = 1.0 + 0j
+                    for point in points:
+                        assert point == endpoint * qn
+                        qn *= q
+
+    def test_long_block_sums_as_the_rung_loop(self):
+        # from the state after the first 56 rungs, the array summer and the
+        # rung loop give the same stop, sums, tail bound and power, and leave
+        # the same window of |f|, on every block of 64 rungs or more up to the
+        # stop, wherever in its block the stop falls
+        stops = []
+        for q in [*np.linspace(0.55, 0.9, 36).tolist(), -0.8, cmath.rect(0.8, 1.0)]:
+            for f in (lambda z: z, lambda z: (0.3 - 1.2j * z) / (1.0 + 0.5 * z * z)):
+                n, total, size, qn = 0, 0j, 0.0, 1.0 + 0j
+                recent = deque(maxlen=8)
+                for count in (8, 16, 32, 64, 128, 256):
+                    state = (f, 0.9, q, count, n, total, size, qn)
+                    if count < 64:
+                        got = integrate._rung_block(*state, recent)
+                    else:
+                        window = deque(recent, maxlen=8)
+                        got = integrate._long_block(*state, window)
+                        assert got == integrate._rung_block(*state, recent)
+                        assert list(window) == list(recent)
+                    stopped, total, rungs, _, size, qn = got
+                    if stopped:
+                        if count >= 64:
+                            stops.append(rungs - n)
+                        break
+                    n = rungs
+        # stops at the first rungs of a block read the window carried into it
+        assert min(stops) == 1 and max(stops) > 64
+
+    @pytest.mark.parametrize("q,rungs,long_blocks", [(0.6, 63, []), (0.75, 112, [64])])
+    def test_only_a_distant_stop_takes_a_long_block_to_numpy(self, monkeypatch, q, rungs,
+                                                             long_blocks):
+        # the constant ladder stops 7 rungs into the 64-rung block from rung 56
+        # at q=0.6, within _NEAR_STOP of its last tail bound, and 56 rungs in
+        # at q=0.75
+        spied = []
+
+        def spy(f, endpoint, q, count, *state):
+            spied.append(count)
+            return long_block(f, endpoint, q, count, *state)
+
+        long_block = integrate._long_block
+        monkeypatch.setattr(integrate, "_long_block", spy)
+        assert jackson_q_integral(lambda z: 1.0, 0.0, 1.0, q).nodes_used == rungs
+        assert spied == long_blocks
 
     def test_blocks_are_consecutive_rungs(self):
         # the contract a ladder integrand may rely on: blocks of 8, 16, 32,
@@ -209,15 +287,29 @@ class TestJackson:
         assert np.all(np.abs(steps - q) <= 1e-15)
 
     def test_rungs_past_the_stop_are_not_summed(self):
-        # the constant ladder at q=0.5 stops after 46 rungs; the third block
-        # reaches rung 55, where this integrand is nan
+        # the constant ladder stops after 46 rungs at q=0.5, in the 32-rung
+        # block that ends at rung 55, and after 306 at q=0.9, in the 256-rung
+        # block that ends at rung 503; this integrand is nan from rung
+        # `rungs` on, in the same block
+        for q, rungs in ((0.5, 46), (0.9, 306)):
+
+            def f(z):
+                return np.where(np.abs(z) < q ** (rungs - 0.5), np.nan, 1.0)
+
+            result = jackson_q_integral(f, 0.0, 1.0, q)
+            assert result.nodes_used == rungs
+            assert result.value == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rung_before_a_long_block_stop_is_a_pole(self, bad):
+        # as above at q=0.9, but not finite from rung 300 on, six rungs before
+        # the stop; an infinite sum must not read as a met tail bound
 
         def f(z):
-            return np.where(np.abs(z) < 1e-15, np.nan, 1.0)
+            return np.where(np.abs(z) < 0.9 ** 299.5, bad, 1.0)
 
-        result = jackson_q_integral(f, 0.0, 1.0, 0.5)
-        assert result.nodes_used == 46
-        assert result.value == pytest.approx(1.0, rel=1e-13)
+        with pytest.raises(PoleError, match="rung 300$"):
+            jackson_q_integral(f, 0.0, 1.0, 0.9)
 
     def test_non_finite_integrand_is_a_pole(self):
         with pytest.raises(PoleError, match="rung 0"):

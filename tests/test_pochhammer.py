@@ -1,5 +1,6 @@
 """q-Pochhammer primitives: examples and product-law invariants."""
 
+import cmath
 import math
 
 import numpy as np
@@ -177,9 +178,10 @@ class TestInfinite:
             assert whole == pytest.approx(split, rel=1e-10, abs=1e-12)
 
     def test_array_argument_matches_scalars(self):
-        # q = 0.9 sums the log series
+        # q = 0.9, 0.99 and 0.95 e^{0.2i} sum the log series, the scalars in
+        # Python arithmetic and the arrays in numpy
         values = np.array([0.2 + 0.1j, -0.5, 0.9j])
-        for q in (0.4, 0.9):
+        for q in (0.4, 0.9, 0.99, cmath.rect(0.95, 0.2)):
             batch = qpoch_infinite(values, q)
             for got, a in zip(batch, values):
                 assert got == pytest.approx(qpoch_infinite(complex(a), q), rel=1e-14)
