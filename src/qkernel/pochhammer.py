@@ -31,9 +31,9 @@ taken only where it saves at least _SERIES_SAVING rows; below about
 |q| = 0.78 every product keeps the factor form.  _split makes this choice,
 from q and the largest |a| alone, for qpoch_infinite and for qpoch_ladder,
 which tabulates (v q^i; q)_inf down a Jackson ladder.  A scalar product
-runs in Python's complex arithmetic, without numpy, in the factor form and
-in a series form of at most _SCALAR_SERIES_ROWS rows K + M (q = 0.9 and
-0.99 at |a| = 1); arrays and longer splits run numpy blocks.  qpoch_product
+runs one Python loop, without numpy, in the factor form (M = 0) and in a
+series form of at most _SCALAR_SERIES_ROWS rows K + M (q = 0.9 and 0.99
+at |a| = 1); arrays and longer splits run numpy blocks.  qpoch_product
 multiplies several infinite symbols and, for real q, shares a conjugate
 pair of arguments between one product and its conjugate.
 """
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -82,8 +81,7 @@ def check_base(q) -> None:
 
 def _check_finite(name: str, *values) -> None:
     """DomainError unless every value, a scalar or an array, is finite.
-    Callers check once per call, outside _ascending_products, whose factor
-    loop the scalar qpoch_infinite also runs."""
+    Callers check once per call, before their factor loops."""
     for value in values:
         scalar = isinstance(value, _SCALARS)
         if not scalar:
@@ -101,11 +99,10 @@ def qpoch_finite(a, q, n: int):
     """
     _check_finite("qpoch_finite", a, q)
     if n >= 0:
-        return _last(_ascending_products(a, q, n))
+        return _ascending_products(a, q, n)[-1]
     if q == 0:
         raise DomainError("(a;q)_n with n < 0 requires q != 0")
-    denominator = _last(_ascending_products(a * q**n, q, -n, check_poles=True))
-    return 1.0 / denominator
+    return 1.0 / _ascending_products(a * q**n, q, -n, check_poles=True)[-1]
 
 
 def qpoch_finite_table(a, q, n: int) -> list:
@@ -115,15 +112,15 @@ def qpoch_finite_table(a, q, n: int) -> list:
     if n < 0:
         raise DomainError(f"qpoch_finite_table needs n >= 0, got {n}")
     _check_finite("qpoch_finite_table", a, q)
-    return list(_ascending_products(a, q, n))
+    return _ascending_products(a, q, n)
 
 
-def _ascending_products(a, q, n, check_poles=False):
-    """Yield 1, (1 - a), (1 - a)(1 - a q), ...: the n + 1 prefixes of the
+def _ascending_products(a, q, n, check_poles=False) -> list:
+    """[1, (1 - a), (1 - a)(1 - a q), ...]: the n + 1 prefixes of the
     sequential product of the factors 1 - a q^k, k < n."""
     acc = 1.0
     qk = 1.0
-    yield acc
+    products = [acc]
     for _ in range(n):
         w = a * qk
         factor = 1.0 - w
@@ -133,12 +130,8 @@ def _ascending_products(a, q, n, check_poles=False):
                 raise PoleError("negative-index q-Pochhammer symbol hit a vanishing factor")
         acc = acc * factor
         qk = qk * q
-        yield acc
-
-
-def _last(products):
-    """The final prefix, without keeping the others."""
-    return deque(products, maxlen=1)[0]
+        products.append(acc)
+    return products
 
 
 def qpoch_infinite(a, q):
@@ -147,17 +140,16 @@ def qpoch_infinite(a, q):
     `a` may be an array; the form (module docstring) and its truncation are
     chosen from q and the largest |a| alone, never from the number of
     points, so the certified tail bound holds elementwise.  A NaN or
-    infinite argument is a DomainError.  A scalar in the factor form is
-    the sequential product ((1 - a)(1 - q a))(1 - q^2 a)... of Python
-    complex numbers, with q^k = q^(k-1) q, as qpoch_finite forms it.  A
-    scalar in the series form with at most _SCALAR_SERIES_ROWS rows K + M
-    is the same loop over its K head factors times the exponential of its
-    log series, summed term by term in Python complex arithmetic
-    (_scalar_series).  An array, or a scalar with a longer split, takes the
-    same factors in blocks of rows k and columns a, at most _BLOCK_ELEMENTS
-    entries each, each block reduced over its rows after the running
-    product is multiplied into its first row; in the factor form this is
-    numpy's sequential product np.multiply(acc, 1 - a q^k) bit for bit.
+    infinite argument is a DomainError.  A scalar in the factor form, or
+    in the series form with at most _SCALAR_SERIES_ROWS rows K + M, is the
+    sequential product ((1 - a)(1 - q a))(1 - q^2 a)... of its K head
+    factors in Python complex numbers, q^k = q^(k-1) q as qpoch_finite
+    forms it, times the exponential of its log series (_scalar_product).
+    An array, or a scalar with a longer split, takes the same factors in
+    blocks of rows k and columns a, at most _BLOCK_ELEMENTS entries each,
+    each block reduced over its rows after the running product is
+    multiplied into its first row; in the factor form this is numpy's
+    sequential product np.multiply(acc, 1 - a q^k) bit for bit.
     The series forms are accurate, not bit for bit with the factor loop or
     with each other.
     """
@@ -166,11 +158,9 @@ def qpoch_infinite(a, q):
     if scalar:
         points = complex(a)
         n_factors, n_terms = _split(abs(points), abs(q))
-        if not n_terms:
-            # a few dozen factors: Python's complex arithmetic, no numpy set-up
-            return complex(_last(_ascending_products(points, complex(q), n_factors)))
-        if n_factors + n_terms <= _SCALAR_SERIES_ROWS:
-            return _scalar_series(points, complex(q), n_factors, n_terms)
+        if not n_terms or n_factors + n_terms <= _SCALAR_SERIES_ROWS:
+            # Python's complex arithmetic, no numpy set-up
+            return _scalar_product(points, complex(q), n_factors, n_terms)
     import numpy as np
     points = np.asarray(a, dtype=complex)
     if not scalar:
@@ -193,11 +183,12 @@ def qpoch_infinite(a, q):
     return complex(acc[0]) if points.ndim == 0 else acc.reshape(points.shape)
 
 
-def _scalar_series(a: complex, q: complex, n_factors: int, n_terms: int) -> complex:
-    """(a;q)_inf in the series form (K, M) = (n_factors, n_terms), in Python
+def _scalar_product(a: complex, q: complex, n_factors: int, n_terms: int) -> complex:
+    """(a;q)_inf in the split (K, M) = (n_factors, n_terms), in Python
     complex arithmetic: the K head factors as _ascending_products forms
     them, times exp(-sum_{n=1}^{M} b^n / (n (1 - q^n))) with b = a q^K,
-    b^n and q^n running products, summed from the smallest term."""
+    b^n and q^n running products, summed from the smallest term (the
+    factor form is M = 0)."""
     head = 1.0
     qk = 1.0
     for _ in range(n_factors):

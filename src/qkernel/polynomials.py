@@ -6,11 +6,12 @@ C_n^{(alpha,beta)}(e^{i theta}; q), both by the q-difference recurrence of
 their generating functions that gf_expand runs too; phi_poly the bivariate
 homogeneous polynomials, whose explicit sum on the circle, (q;q)_n gasper_c,
 is the independent route; q_hermite and chebyshev_t special cases.
-h_norm is the reciprocal of the diagonal orthogonality integral and
-connection_coeffs expands one parameter value of C_n in another.  phi_poly
-and connection_coeffs read their finite products (a;q)_k from one
-pochhammer.qpoch_finite_table per parameter, and a caller that needs C_0,
-..., C_n at the same points reads them from one ultraspherical_table.
+h_norm is 2 / N_n(beta, beta), N_n the circle norm of thm-1.3, and
+connection_coeffs expands one parameter value of C_n in another, as row n
+of tables that serve every lower degree too.  phi_poly and the connection
+tables read their finite products (a;q)_k from one qpoch_finite_table per
+parameter, and a caller that needs C_0, ..., C_n at the same points reads
+them from one ultraspherical_table.
 """
 
 from __future__ import annotations
@@ -123,24 +124,39 @@ def chebyshev_t(n: int, x: float):
     return np.cos(n * np.arccos(x))
 
 
-def h_norm(n: int, beta, q):
-    """Reciprocal of the diagonal orthogonality integral for C_n(.; beta | q):
+def _circle_prefactor(alpha, beta, q):
+    """2 pi (alpha, beta; q)_inf / (q, alpha beta; q)_inf, shared by thm-1.3
+    and thm-1.4; PoleError where (alpha beta; q)_inf vanishes."""
+    denominator = qpoch_product([q, alpha * beta], q)
+    if denominator == 0:
+        raise PoleError("the circle norm needs (q, alpha beta; q)_inf != 0")
+    return 2.0 * math.pi * qpoch_product([alpha, beta], q) / denominator
 
-        h_n(beta|q) = (q, beta^2; q)_inf (q;q)_n (1 - beta q^n)
-                      / (2 pi (beta, beta q; q)_inf (beta^2; q)_n (1 - beta))
-    """
+
+def _circle_norm(n: int, alpha, beta, q):
+    """N_n(alpha, beta), thm-1.3's norm: _circle_prefactor times
+    (1/(1 - alpha q^n) + 1/(1 - beta q^n)) (alpha beta;q)_n / (q;q)_n;
+    PoleError where (alpha beta; q)_inf, 1 - alpha q^n or 1 - beta q^n vanishes."""
+    alpha_factor = 1.0 - alpha * q**n
+    beta_factor = 1.0 - beta * q**n
+    if alpha_factor == 0 or beta_factor == 0:
+        raise PoleError(f"the circle norm needs 1 - alpha q^{n} != 0 and 1 - beta q^{n} != 0")
+    bracket = 1.0 / alpha_factor + 1.0 / beta_factor
+    return (_circle_prefactor(alpha, beta, q) * bracket
+            * qpoch_finite(alpha * beta, q, n) / qpoch_finite(q, q, n))
+
+
+def h_norm(n: int, beta, q):
+    """h_n(beta|q) = 2 / N_n(beta, beta): C_n(cos t; beta|q) is C_n^{(beta,beta)}(e^{it}; q)
+    and its orthogonality integral on [0, pi] is half of the circle's.
+    PoleError where N_n(beta, beta) vanishes or has a pole (beta = 1)."""
     if n < 0:
         raise DomainError("degree must be >= 0")
-    if beta == 1:
-        raise PoleError("h_norm has a pole at beta = 1")
-    num = (qpoch_product([q, beta * beta], q)
-           * qpoch_finite(q, q, n) * (1.0 - beta * q**n))
-    den = (2.0 * math.pi * qpoch_product([beta, beta * q], q)
-           * qpoch_finite(beta * beta, q, n) * (1.0 - beta))
-    value = num / den
-    if isinstance(beta, complex) or isinstance(q, complex):
-        return value
-    return value.real
+    norm = _circle_norm(n, beta, beta, q)
+    if norm == 0:
+        raise PoleError("h_norm needs N_n(beta, beta) != 0")
+    value = 2.0 / norm
+    return value if isinstance(beta, complex) or isinstance(q, complex) else value.real
 
 
 def connection_coeffs(n: int, beta, gamma, q):
@@ -158,19 +174,29 @@ def connection_coeffs(n: int, beta, gamma, q):
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
-    if beta == 1:
-        raise PoleError("connection_coeffs has a pole at beta = 1")
-    gamma_products = qpoch_finite_table(gamma, q, n)
-    q_products = _q_products("connection_coeffs", q, n)
-    beta_q_products = qpoch_finite_table(beta * q, q, n)
+    return _connection_row(n, beta, gamma, q, _connection_tables(n, beta, gamma, q))
+
+
+def _connection_tables(n: int, beta, gamma, q) -> tuple:
+    """The tables of every row up to n: beta^k (gamma/beta;q)_k as prod_{j<k}
+    (beta - gamma q^j) for k <= n/2, and (gamma;q)_k, (q;q)_k, (beta q;q)_k for k <= n."""
+    products = (qpoch_finite_table(gamma, q, n), _q_products("connection_coeffs", q, n),
+                qpoch_finite_table(beta * q, q, n))
+    fronts = [1.0]  # after _q_products has refused a q whose powers overflow
+    for k in range(n // 2):
+        fronts.append(fronts[-1] * (beta - gamma * q**k))
+    return (fronts, *products)
+
+
+def _connection_row(n: int, beta, gamma, q, tables) -> list:
+    """c_0, ..., c_{floor(n/2)} of C_n(x; gamma|q) in the C_{n-2k}(x; beta|q)
+    (connection_coeffs), from _connection_tables at degree n or higher."""
+    fronts, gamma_products, q_products, beta_q_products = tables
     coeffs = []
-    front = 1.0
     for k in range(n // 2 + 1):
         denominator = q_products[k] * beta_q_products[n - k] * (1.0 - beta)
         if denominator == 0:
-            raise PoleError(f"connection_coeffs needs (q;q)_{k} (beta q;q)_{n - k} != 0")
-        value = (front * gamma_products[n - k] * (1.0 - beta * q ** (n - 2 * k))
-                 / denominator)
-        coeffs.append(value)
-        front = front * (beta - gamma * q**k)
+            raise PoleError(f"connection_coeffs needs (q;q)_{k} (beta;q)_{n - k + 1} != 0")
+        coeffs.append(fronts[k] * gamma_products[n - k] * (1.0 - beta * q ** (n - 2 * k))
+                      / denominator)
     return coeffs

@@ -12,15 +12,15 @@ Check catalog (the ids the CLI accepts):
   rogers-connection  change-of-parameter expansion of C_n
   askey-ismail       integral of C_n against a Chebyshev polynomial
   gf-4.1             shifted generating function, coefficientwise
-  prop-4.2           double-sum re-expansion of the generating function
+  prop-4.2           double-sum re-expansion: the connection formula summed over the degree
   uniform-bound      |C_n^{(a,b)}(e^{i theta})| <= C_n^{(a,b)}(1)
   qbinomial          1phi0(a; -; q, z) = (az;q)_inf / (z;q)_inf
   rogers-6phi5       6W5 summation, series against product
 
 Every check returns a VerificationReport.  Left-hand sides come from the
 quadrature / ladder-sum / series engines, right-hand sides from closed forms
-(thm-1.4's from two phi_series sums), and
-rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
+(thm-1.1 to thm-1.3 from the one circle norm, thm-1.4's from two phi_series
+sums), and rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
 
 Each runner is written as a function of the check's own arguments that
 returns (lhs, rhs, nodes_used), under one decorator, @_check(check_id,
@@ -60,10 +60,10 @@ from .errors import DomainError, PoleError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
 from .pochhammer import (_check_finite, check_base, qbinom, qpoch_finite,
-                         qpoch_finite_table, qpoch_infinite, qpoch_ladder,
-                         qpoch_product)
-from .polynomials import (chebyshev_t, connection_coeffs, gasper_c, h_norm,
-                          phi_poly, ultraspherical_c, ultraspherical_table)
+                         qpoch_infinite, qpoch_ladder, qpoch_product)
+from .polynomials import (_circle_norm, _circle_prefactor, _connection_row,
+                          _connection_tables, chebyshev_t, connection_coeffs,
+                          gasper_c, phi_poly, ultraspherical_c, ultraspherical_table)
 from .series import gf_expand, phi_series, rogers_6w5_rhs, w_series
 
 # Baseline tolerance profile: quadrature-backed checks settle near the
@@ -170,8 +170,8 @@ def verify_thm_1_1(m: int, n: int, beta, q):
         = delta_{mn} / h_n(beta|q).
 
     The integrand is even and 2 pi periodic, so the left side is computed as
-    half of the full-period trapezoid value.  C_m and C_n come from one
-    recurrence table per node set.
+    half of the full-period trapezoid value, 1/h_n as N_n(beta, beta) / 2.
+    C_m and C_n come from one recurrence table per node set.
     """
     if min(m, n) < 0:
         raise DomainError("degree must be >= 0")
@@ -183,7 +183,7 @@ def verify_thm_1_1(m: int, n: int, beta, q):
 
     quad = periodic_quadrature(integrand)
     lhs = quad.value / 2.0
-    rhs = 1.0 / h_norm(n, beta, q) if m == n else 0.0
+    rhs = _circle_norm(n, beta, beta, q) / 2.0 if m == n else 0.0
     return lhs, rhs, quad.nodes_used
 
 
@@ -218,8 +218,8 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q):
         j = (m - n) // 2
         half_sum = (m + n) // 2
         rhs = ((1.0 - beta * q**n) * beta**j * qpoch_finite(gamma / beta, q, j)
-               * qpoch_finite(gamma, q, half_sum)
-               / ((1.0 - beta) * h_norm(n, beta, q) * qpoch_finite(q, q, j)
+               * qpoch_finite(gamma, q, half_sum) * _circle_norm(n, beta, beta, q)
+               / (2.0 * (1.0 - beta) * qpoch_finite(q, q, j)
                   * qpoch_finite(q * beta, q, half_sum)))
     return quad.value / 2.0, rhs, quad.nodes_used
 
@@ -244,21 +244,8 @@ def verify_thm_1_3(m: int, n: int, alpha, beta, q):
         return c_m * c_n * weight_omega_ab(theta, alpha, beta, q)
 
     quad = periodic_quadrature(integrand)
-    rhs = _thm_1_3_diagonal(n, alpha, beta, q) if m == n else 0.0
+    rhs = _circle_norm(n, alpha, beta, q) if m == n else 0.0
     return quad.value, rhs, quad.nodes_used
-
-
-def _circle_prefactor(alpha, beta, q):
-    """2 pi (alpha, beta; q)_inf / (q, alpha beta; q)_inf, shared by thm-1.3
-    and thm-1.4."""
-    return (2.0 * math.pi * qpoch_product([alpha, beta], q)
-            / qpoch_product([q, alpha * beta], q))
-
-
-def _thm_1_3_diagonal(n, alpha, beta, q):
-    bracket = 1.0 / (1.0 - alpha * q**n) + 1.0 / (1.0 - beta * q**n)
-    return (_circle_prefactor(alpha, beta, q) * bracket
-            * qpoch_finite(alpha * beta, q, n) / qpoch_finite(q, q, n))
 
 
 @_check("thm-1.4", 1e-8)
@@ -400,13 +387,15 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q):
                 * weight_omega_beta(theta, beta, q))
 
     quad = periodic_quadrature(integrand)
+    den = qpoch_product([q, beta * beta * q**n], q)
+    if den == 0:
+        raise PoleError("askey-ismail needs (q, beta^2 q^n; q)_inf != 0")
     front = 1.0
     for j in range(k):
         front *= (beta - q**j)
     rhs = (math.pi * qbinom(n + k, k, q)
            * (1.0 - q ** (n + 2 * k)) / (1.0 - q ** (n + k))
-           * qpoch_product([beta, beta * q ** (n + k + 1)], q)
-           / qpoch_product([q, beta * beta * q**n], q)
+           * qpoch_product([beta, beta * q ** (n + k + 1)], q) / den
            * front)
     return quad.value / 2.0, rhs, quad.nodes_used
 
@@ -445,7 +434,9 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12):
         = sum_{j,m} (1 - beta q^m) (gamma/beta;q)_j (gamma;q)_{j+m} beta^j
                     / ((q;q)_j (beta;q)_{m+j+1})
           C_m(cos u; beta|q) t^{m+2j}.
-    """
+
+    As (beta;q)_{m+j+1} = (1 - beta) (beta q;q)_{m+j}, the t^p coefficient is
+    row p of the connection formula; one set of tables serves every row."""
     if beta == 0:
         raise DomainError("prop-4.2 needs beta != 0")
     _check_finite("prop-4.2", theta)
@@ -453,22 +444,13 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12):
     x = math.cos(theta)
     gamma_table = ultraspherical_table(degree, x, gamma, q)
     beta_table = ultraspherical_table(degree, x, beta, q)
-    q_products = qpoch_finite_table(q, q, degree // 2)
-    beta_products = qpoch_finite_table(beta, q, degree + 1)
-    gamma_products = qpoch_finite_table(gamma, q, degree)
+    tables = _connection_tables(degree, beta, gamma, q)
     lhs_coeffs = np.asarray(gamma_table, dtype=complex)
     rhs_coeffs = np.zeros(degree + 1, dtype=complex)
     for p in range(degree + 1):
         acc = 0.0
-        front = 1.0
-        for j in range(p // 2 + 1):
-            m = p - 2 * j
-            denominator = q_products[j] * beta_products[m + j + 1]
-            if denominator == 0:
-                raise PoleError(f"prop-4.2 needs (beta;q)_{m + j + 1} != 0")
-            acc = acc + ((1.0 - beta * q**m) * front * gamma_products[j + m]
-                         / denominator * beta_table[m])
-            front = front * (beta - gamma * q**j)
+        for j, cj in enumerate(_connection_row(p, beta, gamma, q, tables)):
+            acc = acc + cj * beta_table[p - 2 * j]
         rhs_coeffs[p] = acc
     return lhs_coeffs, rhs_coeffs, degree + 1
 

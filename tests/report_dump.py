@@ -9,12 +9,17 @@ of the `suite`, `stress` and `expand` workloads at seeds 0-2 and of
 that no report prints: scalar qpoch_infinite and qpoch_product at real and
 complex bases, in the factor form (|q| <= 0.6) and the series form
 (|q| >= 0.9), for |a| in {0.3, 1, 2}, 4 rows of a qpoch_ladder table of
-the same arguments at each base, C_0, ..., C_12 of ultraspherical_table
-at beta = 0.6 and x in {-0.9, 0.3, 1} at each real base, and the value,
-nodes_used, error_estimate and magnitude of one jackson_q_integral at each
-of the bases in JACKSON_BASES, whose ladders stop in blocks of 32 to 1024
-rungs.  Running it at two versions and diffing the outputs shows every
-report and kernel value a change moves, params key order included.
+the same arguments at each base, qpoch_finite of the same scalars at
+n in {-3, 5, 40}, h_norm at n in {0, 2, 12} and beta in {0.6, -0.5,
+0.3+0.4i}, the thm-1.3 norm polynomials._circle_norm at the same n and
+(alpha, beta) in {(0.4, -0.3), (0.6, 0.6)}, connection_coeffs(12, 0.4,
+0.7, q) and qbinom(12, 5, q) at each base (the name of the exception where
+a call raises), C_0, ..., C_12 of ultraspherical_table at beta = 0.6 and x
+in {-0.9, 0.3, 1} at each real base, and the value, nodes_used,
+error_estimate and magnitude of one jackson_q_integral at each of the
+bases in JACKSON_BASES, whose ladders stop in blocks of 32 to 1024 rungs.
+Running it at two versions and diffing the outputs shows every report and
+kernel value a change moves, params key order included.
 
 bench/workloads.py is loaded read-only from the source checkout.  The file
 name keeps pytest from collecting it.
@@ -30,6 +35,10 @@ SEEDS = (0, 1, 2)
 KERNEL_BASES = (0.3, -0.6, 0.9, 0.99, 0.5 + 0.3j, -0.2 + 0.55j, 0.6 + 0.7j)
 KERNEL_MODULI = (0.3, 1.0, 2.0)
 TABLE_POINTS = (-0.9, 0.3, 1.0)
+FINITE_INDICES = (-3, 5, 40)
+NORM_DEGREES = (0, 2, 12)
+NORM_PARAMETERS = (0.6, -0.5, 0.3 + 0.4j)
+NORM_PAIRS = ((0.4, -0.3), (0.6, 0.6))
 JACKSON_BASES = (0.3, -0.6, 0.9, 0.97, cmath.rect(0.95, 0.2))
 
 
@@ -51,19 +60,39 @@ def dump_line(label, report) -> str:
     return " ".join([label, report.check_id] + [repr(field) for field in fields])
 
 
+def value_of(function, *args) -> str:
+    """The repr of function(*args), or the name of the exception it raises."""
+    try:
+        return repr(function(*args))
+    except Exception as error:
+        return type(error).__name__
+
+
 def kernel_lines():
-    from qkernel import jackson_q_integral, qpoch_infinite, qpoch_ladder, qpoch_product
-    from qkernel.polynomials import ultraspherical_table
+    from qkernel import (connection_coeffs, h_norm, jackson_q_integral, qbinom,
+                         qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product)
+    from qkernel.polynomials import _circle_norm, ultraspherical_table
 
     for q in KERNEL_BASES:
         for r in KERNEL_MODULI:
             for a in (r, cmath.rect(r, 2.0)):
                 yield f"kernel qpoch_infinite {q!r} {a!r} {qpoch_infinite(a, q)!r}"
+                for n in FINITE_INDICES:
+                    yield f"kernel qpoch_finite {q!r} {a!r} {n} {value_of(qpoch_finite, a, q, n)}"
             # a conjugate pair, which a real base shares, and a real argument
             values = [cmath.rect(r, 2.0), cmath.rect(r, -2.0), -r]
             yield f"kernel qpoch_product {q!r} {values!r} {qpoch_product(values, q)!r}"
             for i, row in enumerate(qpoch_ladder(values, q, 4)):
                 yield f"kernel qpoch_ladder {q!r} {values!r} {i} {list(row)!r}"
+        for n in NORM_DEGREES:
+            for beta in NORM_PARAMETERS:
+                yield f"kernel h_norm {q!r} {n} {beta!r} {value_of(h_norm, n, beta, q)}"
+            for alpha, beta in NORM_PAIRS:
+                value = value_of(_circle_norm, n, alpha, beta, q)
+                yield f"kernel _circle_norm {q!r} {n} {alpha!r} {beta!r} {value}"
+        yield (f"kernel connection_coeffs {q!r} 12 0.4 0.7 "
+               f"{value_of(connection_coeffs, 12, 0.4, 0.7, q)}")
+        yield f"kernel qbinom {q!r} 12 5 {value_of(qbinom, 12, 5, q)}"
         if isinstance(q, float):
             for x in TABLE_POINTS:
                 table = ultraspherical_table(12, x, 0.6, q)

@@ -19,7 +19,7 @@ from qkernel import (gf_expand, h_norm, periodic_quadrature, phi_poly,
                      verify_prop_4_2, verify_rogers_connection,
                      verify_thm_1_1, verify_thm_1_2, verify_thm_1_3,
                      verify_thm_1_4, verify_uniform_bound, w_series)
-from qkernel import verify
+from qkernel import polynomials, verify
 from qkernel.cli import report_from_dict, report_to_dict
 from qkernel.series import EPS_SERIES
 
@@ -125,7 +125,7 @@ def test_criterion_05_beta_integral(q_beta_oracle):
     for alpha, beta, s, t, q in cases:
         report = verify_thm_1_4(alpha, beta, s, t, q)
         worst = max(worst, report.rel_err)
-        series = report.rhs / verify._circle_prefactor(alpha, beta, q)
+        series = report.rhs / polynomials._circle_prefactor(alpha, beta, q)
         true, magnitude = q_beta_oracle(alpha, beta, s * t, q)
         worst_series = max(worst_series,
                            abs(series - true) / (2 * EPS_SERIES * (1 + magnitude)))

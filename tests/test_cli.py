@@ -140,6 +140,14 @@ class TestEval:
         assert code == 1
         assert "error" in err.lower()
 
+    def test_vanishing_norm_is_a_numeric_error(self, capsys):
+        # beta = 1/q, so (beta^2; q)_inf = 0 in N_2(beta, beta): this ended
+        # in a ZeroDivisionError traceback
+        code, out, err = run_cli(
+            ["eval", "h", "--n", "2", "--beta", "3.3333333333333335", "--q", "0.3"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_missing_argument_is_usage(self, capsys):
         code, _, err = run_cli(["eval", "C", "--n", "1"], capsys)
         assert code == 2
@@ -292,6 +300,18 @@ class TestSuiteCommand:
         assert [line.split()[0] for line in lines] == ["FAIL", "PASS", "FAIL", "FAIL"]
         assert lines[-1] == "FAIL 1/3"
 
+    def test_config_with_a_closed_form_pole_fails(self, tmp_path, capsys):
+        # alpha beta = 1 makes (alpha beta; q)_inf in the thm-1.3 norm zero:
+        # this ended in a ZeroDivisionError traceback
+        config = {"thm-1.3": [{"m": 1, "n": 1, "alpha": 0.5, "beta": 2, "q": 0.3}]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(["suite", "--config", str(path)], capsys)
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("FAIL thm-1.3 ")
+        assert lines[-1] == "FAIL 0/1"
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -389,8 +409,9 @@ GOLDEN = [
     ('eval H --n 3 --x 0.4 --q 0.5', 0, '-0.48799999999999988\n'),
     ('eval T --n 3 --x 1', 0, '1\n'),
     ('eval T --n 5 --x 0.3', 0, '0.99887999999999999\n'),
-    ('eval h --n 2 --beta 0.6 --q 0.3', 0, '0.61010237707709336\n'),
-    ('eval h --n 3 --beta 0.2,0.1 --q 0.4', 0, '0.062650844593472851+0.024982992684297857i\n'),
+    # h_n = 2 / N_n(beta, beta): 1.6e-16 and 4.0e-16 from 40-digit mpmath
+    ('eval h --n 2 --beta 0.6 --q 0.3', 0, '0.61010237707709347\n'),
+    ('eval h --n 3 --beta 0.2,0.1 --q 0.4', 0, '0.062650844593472879+0.024982992684297871i\n'),
     ('eval omega_b --theta 1.1 --beta 0.5 --q 0.3', 0, '2.2469583460907412\n'),
     ('eval omega_ab --theta 1.1 --alpha 0.4 --beta 0.2,0.1 --q 0.3', 0,
      '3.4871460438884641+0.29394411640475548i\n'),
@@ -450,11 +471,11 @@ GOLDEN = [
     # explicit sum in mpmath.  Against 40-digit mpmath each lhs below, and
     # both sides at every grid point or coefficient behind a worst-point
     # row, is within 7.1e-16 of the exact value.  Here lhs is off by 3.0e-16
-    # from 1/h_3.
+    # from 1/h_3, and rhs = N_3(0.6, 0.6) / 2 by 4.1e-17.
     ('check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3', 0,
      'PASS thm-1.1 [m=3 n=3 beta=0.6 q=0.3] '
-     'lhs=1.5673450639482842+3.4585519725551564e-18i rhs=1.5673450639482838 '
-     'rel_err=1.730e-16 tol=1.0e-09 nodes=256 t=*ms\n'),
+     'lhs=1.5673450639482842+3.4585519725551564e-18i rhs=1.5673450639482835 '
+     'rel_err=2.595e-16 tol=1.0e-09 nodes=256 t=*ms\n'),
     ('check thm-1.1 --m 3 --n 2 --beta 0.6 --q 0.3 --format json', 0,
      '{\n'
      '  "check_id": "thm-1.1",\n'
@@ -483,10 +504,11 @@ GOLDEN = [
      'PASS thm-1.2 [m=2 n=1 beta=0.25 gamma=0.5 q=0.4] '
      'lhs=1.1478629724891688e-16-6.533375207022455e-18i rhs=0.0 rel_err=1.150e-16 '
      'tol=1.0e-08 nodes=128 t=*ms\n'),
+    # rhs is 1.7e-15 (relative) from the 40-digit closed form
     ('check thm-1.2 --m 4 --n 2 --beta 0.25 --gamma 0.5 --q 0.4', 0,
      'PASS thm-1.2 [m=4 n=2 beta=0.25 gamma=0.5 q=0.4] '
-     'lhs=-2.6849093440671865-1.3372349774781456e-17i rhs=-2.684909344067191 '
-     'rel_err=1.205e-15 tol=1.0e-08 nodes=128 t=*ms\n'),
+     'lhs=-2.6849093440671865-1.3372349774781456e-17i rhs=-2.6849093440671914 '
+     'rel_err=1.326e-15 tol=1.0e-08 nodes=128 t=*ms\n'),
     # the closed form is 29.548969990579642820 at 40 digits: lhs is off by
     # 7.0e-16 relative, rhs by 1.3e-15
     ('check thm-1.3 --m 2 --n 2 --alpha 0.4 --beta -0.3 --q 0.35', 0,
@@ -550,7 +572,7 @@ GOLDEN = [
      '}\n'),
     ('check prop-4.2 --beta 0.3 --gamma 0.6 --q 0.4 --theta 1.1', 0,
      'PASS prop-4.2 [beta=0.3 gamma=0.6 q=0.4 theta=1.1 degree=12] '
-     'lhs=-0.4466631225502668 rhs=-0.446663122550267 rel_err=1.535e-16 tol=1.0e-09 '
+     'lhs=0.5672540095753166 rhs=0.5672540095753168 rel_err=1.417e-16 tol=1.0e-09 '
      'nodes=13 t=*ms\n'),
     ('check uniform-bound --n 10 --alpha 0.7 --beta -0.5 --q 0.6 --grid_size 32', 0,
      'PASS uniform-bound [n=10 alpha=0.7 beta=-0.5 q=0.6 grid_size=32] lhs=0.0 '
@@ -589,8 +611,8 @@ GOLDEN = [
      'rhs=1.0059447399984027 rel_err=7.749e-15 tol=1.0e-11 nodes=0 t=*ms\n'),
     ('check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3 --tol 1e-30', 1,
      'FAIL thm-1.1 [m=3 n=3 beta=0.6 q=0.3] '
-     'lhs=1.5673450639482842+3.4585519725551564e-18i rhs=1.5673450639482838 '
-     'rel_err=1.730e-16 tol=1.0e-30 nodes=256 t=*ms\n'),
+     'lhs=1.5673450639482842+3.4585519725551564e-18i rhs=1.5673450639482835 '
+     'rel_err=2.595e-16 tol=1.0e-30 nodes=256 t=*ms\n'),
     ('check rogers-6phi5 --a 0.1 --b 0 --c 0.6 --d 0.8 --q 0.4', 1,
      'FAIL rogers-6phi5 [a=0.1 b=0.0 c=0.6 d=0.8 q=0.4] lhs=0.0 rhs=0.0 rel_err=inf '
      'tol=1.0e-11 nodes=0 t=*ms\n'),

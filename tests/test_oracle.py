@@ -20,6 +20,11 @@ mpmath that step down by the ratio of consecutive rungs, (v q^{i+1}; q)_inf
 periodic_quadrature: the thm-1.3 closed form of the circle orthogonality,
 from mp.qp at 30 digits, against the quadrature value of the check.
 
+h_norm and polynomials._circle_norm: the textbook closed forms of h_n(beta|q)
+and of the thm-1.3 norm N_n(alpha, beta) in mpmath, at 40 digits.  The
+prop-4.2 right side: mpmath's explicit sum for C_p(x; gamma|q), which the
+coefficient of t^p equals, at 40 digits.
+
 Each bound sits 10-100x above the measured error.
 """
 
@@ -30,9 +35,12 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import (gasper_c, gf_expand, jackson_q_integral, qpoch_infinite,
-                     qpoch_ladder, verify, verify_prop_3_1, verify_thm_1_3)
-from qkernel.polynomials import ultraspherical_table
+from qkernel import (gasper_c, gf_expand, h_norm, jackson_q_integral, qpoch_infinite,
+                     qpoch_ladder, verify, verify_prop_3_1, verify_prop_4_2,
+                     verify_thm_1_3)
+from qkernel.polynomials import _circle_norm, ultraspherical_table
+from qkernel.verify import default_suite_config
+from report_dump import SEEDS, load_workloads
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -294,15 +302,20 @@ def test_prop_3_1_check_ladders_match_oracle(monkeypatch, q):
             assert float(abs(got - true) / abs(true)) <= 3e-13
 
 
-def oracle_thm_1_3_diagonal(n, alpha, beta, q):
+def oracle_circle_norms(alpha, beta, q, degrees, digits):
     """2 pi (a, b; q)_inf / (q, ab; q)_inf (1/(1 - a q^n) + 1/(1 - b q^n))
-    (ab; q)_n / (q; q)_n at 30 digits."""
-    with mpmath.workdps(30):
+    (ab; q)_n / (q; q)_n for each n in `degrees`, at `digits` digits."""
+    with mpmath.workdps(digits):
         a, b, q = (mpmath.mpmathify(v) for v in (alpha, beta, q))
-        return (2 * mpmath.pi * mpmath.qp(a, q) * mpmath.qp(b, q)
-                / (mpmath.qp(q, q) * mpmath.qp(a * b, q))
-                * (1 / (1 - a * q**n) + 1 / (1 - b * q**n))
-                * mpmath.qp(a * b, q, n) / mpmath.qp(q, q, n))
+        front = (2 * mpmath.pi * mpmath.qp(a, q) * mpmath.qp(b, q)
+                 / (mpmath.qp(q, q) * mpmath.qp(a * b, q)))
+        return [front * (1 / (1 - a * q**n) + 1 / (1 - b * q**n))
+                * mpmath.qp(a * b, q, n) / mpmath.qp(q, q, n) for n in degrees]
+
+
+def oracle_thm_1_3_diagonal(n, alpha, beta, q):
+    """The thm-1.3 norm N_n(alpha, beta) at 30 digits."""
+    return oracle_circle_norms(alpha, beta, q, [n], 30)[0]
 
 
 def test_circle_orthogonality_at_the_roundoff_floor_matches_oracle():
@@ -316,3 +329,60 @@ def test_circle_orthogonality_at_the_roundoff_floor_matches_oracle():
         with mpmath.workdps(30):
             assert float(abs(report.lhs - true) / abs(true)) <= bound
             assert float(abs(report.rhs - true) / abs(true)) <= 1e-14
+
+
+def oracle_h_norms(beta, q, degrees):
+    """h_n(beta|q) = (q, beta^2; q)_inf (q;q)_n (1 - beta q^n)
+    / (2 pi (beta, beta q; q)_inf (beta^2; q)_n (1 - beta)) for each n in
+    `degrees`, at 40 digits."""
+    with mpmath.workdps(40):
+        b, q = mpmath.mpmathify(beta), mpmath.mpmathify(q)
+        front = (mpmath.qp(q, q) * mpmath.qp(b * b, q)
+                 / (2 * mpmath.pi * mpmath.qp(b, q) * mpmath.qp(b * q, q)))
+        return [front * mpmath.qp(q, q, n) * (1 - b * q**n) / (mpmath.qp(b * b, q, n) * (1 - b))
+                for n in degrees]
+
+
+NORM_DEGREES = (0, 1, 2, 5, 12, 25, 40)
+NORM_PARAMETERS = [0.6, -0.5, 0.94, -0.9, 0.0, 0.3 + 0.4j, -0.6 + 0.7j, 0.9j]
+NORM_PAIRS = [(0.4, -0.3), (0.6, 0.6), (0.94, -0.9), (0.3 + 0.4j, 0.5), (-0.6 + 0.7j, 0.9j),
+              (0.0, 0.7), (0.2 - 0.8j, 0.2 + 0.8j)]
+
+
+# 1.0e-14 measured for h_norm and 9.2e-15 for _circle_norm, both at q = 0.95;
+# 3.6e-15 and 2.7e-15 at |q| <= 0.6
+@pytest.mark.parametrize("q", [0.3, 0.6, 0.9, 0.95, -0.5, 0.5 + 0.3j])
+def test_norms_match_oracle(q):
+    worst = 0.0
+    with mpmath.workdps(40):
+        for beta in NORM_PARAMETERS:
+            for n, true in zip(NORM_DEGREES, oracle_h_norms(beta, q, NORM_DEGREES)):
+                worst = max(worst, float(abs(h_norm(n, beta, q) - true) / abs(true)))
+        for alpha, beta in NORM_PAIRS:
+            for n, true in zip(NORM_DEGREES, oracle_circle_norms(alpha, beta, q, NORM_DEGREES, 40)):
+                worst = max(worst, float(abs(_circle_norm(n, alpha, beta, q) - true) / abs(true)))
+    assert worst <= 1e-13
+
+
+def prop_4_2_grid():
+    """The prop-4.2 entries of the default suite and of the `expand`
+    workload at its seeds."""
+    workloads = load_workloads()
+    grid = list(default_suite_config()["prop-4.2"])
+    for seed in SEEDS:
+        grid += [case.params for case in workloads.make_workload("expand", seed)
+                 if case.check_id == "prop-4.2"]
+    return grid
+
+
+# at most 6.2e-16 measured at q <= 0.6 and 3.4e-14 at q = 0.9 (degree 30),
+# where C_m(x; beta|q) from the recurrence is itself off by 3.4e-15
+@pytest.mark.parametrize("params", prop_4_2_grid(),
+                         ids=lambda params: "-".join(f"{value:.4g}" for value in params.values()))
+def test_prop_4_2_coefficients_match_oracle(params):
+    _, rhs, _ = verify_prop_4_2.__wrapped__(**params)
+    true = oracle_ultraspherical(params["degree"], math.cos(params["theta"]),
+                                 params["gamma"], params["q"], 40)
+    with mpmath.workdps(40):
+        worst = max(float(abs(complex(got) - t) / (1 + abs(t))) for got, t in zip(rhs, true))
+    assert worst <= (1e-14 if params["q"] <= 0.6 else 5e-13)

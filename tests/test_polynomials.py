@@ -13,7 +13,8 @@ from qkernel import (DomainError, PoleError, chebyshev_t,
                      connection_coeffs, gasper_c, gf_expand, h_norm,
                      periodic_quadrature, phi_poly, q_hermite, qbinom,
                      qpoch_finite, qpoch_infinite, ultraspherical_c)
-from qkernel.polynomials import ultraspherical_table
+from qkernel.polynomials import (_circle_norm, _connection_row, _connection_tables,
+                                 ultraspherical_table)
 
 # Property tests draw the same examples on every run.
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -300,6 +301,18 @@ class TestHNorm:
         with pytest.raises(PoleError):
             h_norm(2, 1.0, 0.3)
 
+    @pytest.mark.parametrize("beta,q", [(1 / 0.4, 0.4), (1 / 0.3, 0.3), (0.3**-2, 0.3)])
+    def test_vanishing_norm_or_its_pole_is_a_pole(self, beta, q):
+        # N_2(beta, beta) = 0 through (beta; q)_inf = 0 at beta = 1/0.4, and
+        # poles of N_2 at (beta^2; q)_inf = 0 and at 1 - beta q^2 = 0: each
+        # was a bare ZeroDivisionError
+        with pytest.raises(PoleError):
+            h_norm(2, beta, q)
+
+    def test_is_two_over_the_circle_norm(self):
+        for n, beta, q in [(0, 0.6, 0.3), (5, -0.5, 0.6), (3, 0.3 + 0.4j, 0.5 + 0.3j)]:
+            assert h_norm(n, beta, q) == 2 / _circle_norm(n, beta, beta, q)
+
     def test_rejects_negative_degree(self):
         # checked before (q;q)_n, whose negative-index form raises PoleError
         with pytest.raises(DomainError, match="degree must be >= 0"):
@@ -347,11 +360,21 @@ class TestConnectionCoeffs:
             front = front * (beta - gamma * q**k)
         assert repr(connection_coeffs(n, beta, gamma, q)) == repr(expected)
 
-    def test_huge_base_is_refused(self):
-        # q**4 overflowed: a bare OverflowError
+    def test_rows_from_longer_tables_are_bit_for_bit(self):
+        # prop-4.2 reads every row up to its degree from one set of tables
+        beta, gamma, q = 0.3, 0.6 + 0.1j, -0.4
+        tables = _connection_tables(40, beta, gamma, q)
+        for n in range(41):
+            assert (repr(_connection_row(n, beta, gamma, q, tables))
+                    == repr(connection_coeffs(n, beta, gamma, q)))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_huge_base_is_refused(self, n):
+        # q**4 overflowed: a bare OverflowError; at n = 8 the front factors'
+        # q**2 would overflow too, were they formed before (q;q)_n
         with pytest.raises(DomainError,
                            match=r"connection_coeffs needs finite powers of q, but \(q;q\)_2"):
-            connection_coeffs(4, 0.4, 0.7, 1e200)
+            connection_coeffs(n, 0.4, 0.7, 1e200)
 
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_vanishing_denominator_is_a_pole(self, n):

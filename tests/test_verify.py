@@ -22,7 +22,7 @@ from qkernel import (CHECK_RUNNERS, DomainError, PoleError, QuadratureResult,
                      verify_rogers_connection, verify_thm_1_1,
                      verify_thm_1_2, verify_thm_1_3, verify_thm_1_4,
                      verify_uniform_bound)
-from qkernel import pochhammer, verify
+from qkernel import pochhammer, polynomials, verify
 from qkernel.series import EPS_SERIES
 from qkernel.verify import default_suite_config
 
@@ -184,7 +184,7 @@ class TestBetaIntegral:
         # the series budget
         alpha, beta, s, t, q = 0.5, 0.2, 0.3, 0.25, 0.3
         report = verify_thm_1_4(alpha, beta, s, t, q)
-        series = report.rhs / verify._circle_prefactor(alpha, beta, q)
+        series = report.rhs / polynomials._circle_prefactor(alpha, beta, q)
         true, magnitude = q_beta_oracle(alpha, beta, s * t, q)
         assert report.params == {"alpha": alpha, "beta": beta, "s": s, "t": t, "q": q}
         assert abs(series - true) <= 2 * EPS_SERIES * (1 + magnitude)
@@ -200,7 +200,7 @@ class TestBetaIntegral:
         stub = QuadratureResult(0j, 0, 0.0, 0.0, "tolerance")
         with mock.patch.object(verify, "periodic_quadrature", lambda f: stub):
             rhs = verify_thm_1_4(alpha, beta, s, t, q).rhs
-        series = rhs / verify._circle_prefactor(alpha, beta, q)
+        series = rhs / polynomials._circle_prefactor(alpha, beta, q)
         true, magnitude = q_beta_oracle(alpha, beta, s * t, q)
         assert abs(series - true) <= 2 * EPS_SERIES * (1 + magnitude)
 
@@ -483,6 +483,18 @@ class TestCoefficientwise:
         assert report.passed
         assert report.rel_err <= 1e-12
 
+    def test_double_sum_is_the_connection_formula_at_every_degree(self):
+        # the coefficient of t^p is sum_j c_j C_{p-2j}(x; beta), c_j row p of
+        # the connection coefficients, bit for bit
+        beta, gamma, q, theta, degree = 0.3, 0.6, 0.4, 1.1, 12
+        beta_table = polynomials.ultraspherical_table(degree, math.cos(theta), beta, q)
+        _, rhs, _ = verify_prop_4_2.__wrapped__(beta, gamma, q, theta, degree)
+        for p in range(degree + 1):
+            expected = 0.0
+            for j, cj in enumerate(connection_coeffs(p, beta, gamma, q)):
+                expected = expected + cj * beta_table[p - 2 * j]
+            assert repr(complex(rhs[p])) == repr(complex(expected))
+
 
 class TestBoundsAndSummations:
     def test_degree_zero_equality(self):
@@ -704,3 +716,31 @@ class TestSuite:
             verify_qbinomial(0.4, 0.5, 0.3, tol=tol)
         with pytest.raises(DomainError):
             run_suite({"thm-1.1": [{"m": 1, "n": 1, "beta": 0.6, "q": 0.3, "tol": tol}]})
+
+
+# q = 0.3 and beta = q^{-1/2}, so beta^2 q = 1: (beta^2; q)_inf vanishes in
+# the thm-1.1 and thm-1.2 norm N_n(beta, beta) and (beta^2 q; q)_inf in the
+# askey-ismail denominator; thm-1.3 has alpha beta = 1, so (alpha beta; q)_inf
+# vanishes in its norm.  Each ended in a bare ZeroDivisionError.
+CLOSED_FORM_POLES = [
+    ("thm-1.1", {"m": 2, "n": 2, "beta": 0.3**-0.5, "q": 0.3}),
+    ("thm-1.2", {"m": 2, "n": 2, "beta": 0.3**-0.5, "gamma": 0.5, "q": 0.3}),
+    ("thm-1.3", {"m": 1, "n": 1, "alpha": 0.5, "beta": 2.0, "q": 0.3}),
+    ("askey-ismail", {"n": 1, "k": 1, "beta": 0.3**-0.5, "q": 0.3}),
+]
+
+
+class TestClosedFormPoles:
+    @pytest.mark.parametrize("check_id,entry", CLOSED_FORM_POLES,
+                             ids=[check_id for check_id, _ in CLOSED_FORM_POLES])
+    def test_pole_is_a_failed_report(self, check_id, entry):
+        with pytest.raises(PoleError):
+            CHECK_RUNNERS[check_id].__wrapped__(**entry)
+        report = CHECK_RUNNERS[check_id](**entry)
+        assert (report.passed, report.rel_err) == (False, math.inf)
+
+    def test_suite_runs_to_completion(self):
+        reports = run_suite({check_id: [entry] for check_id, entry in CLOSED_FORM_POLES})
+        assert [report.check_id for report in reports] == sorted(
+            check_id for check_id, _ in CLOSED_FORM_POLES)
+        assert not any(report.passed for report in reports)
