@@ -28,7 +28,7 @@ from .errors import ConvergenceError, PoleError
 # qpoch_infinite is not called here; bench/tests/test_spans.py reads it from
 # this module to check that the tracer puts it back.
 from .pochhammer import check_base, qpoch_infinite, qpoch_product  # noqa: F401
-from .series import EPS_SERIES, MAX_SERIES_TERMS
+from .series import EPS_SERIES, MAX_SERIES_TERMS, _running_sums
 
 # Budget of periodic_quadrature: doubling tolerance, node cap, and the
 # multiple of the roundoff floor u h sum|f| below which a doubling is noise.
@@ -234,6 +234,8 @@ def _long_block(f, endpoint, q, count, n, total, size, qn, recent):
     products are formed from real and imaginary parts as Python forms them,
     because numpy's vectorised complex multiply may fuse them; moduli are
     np.hypot, which is Python's abs (np.abs may differ in the last bit).
+    The running sums and their moduli are series._running_sums, which
+    phi_series' array blocks use too.
     """
     steps = np.full(count + 1, q, dtype=complex)
     steps[0] = qn
@@ -247,26 +249,26 @@ def _long_block(f, endpoint, q, count, n, total, size, qn, recent):
     with np.errstate(all="ignore"):
         values = np.broadcast_to(np.asarray(f(points), dtype=complex), (count,))
         v_re, v_im = values.real, values.imag
-        term_re = p_re * v_re - p_im * v_im
-        term_im = p_re * v_im + p_im * v_re
+        terms = np.empty(count, dtype=complex)
+        terms.real = p_re * v_re - p_im * v_im
+        terms.imag = p_re * v_im + p_im * v_re
         # running sums seeded with the carried ones: entry i + 1 is after rung n + i
-        sum_re = np.add.accumulate(np.concatenate(([total.real], term_re)))
-        sum_im = np.add.accumulate(np.concatenate(([total.imag], term_im)))
-        sizes = np.add.accumulate(np.concatenate(([size], np.hypot(term_re, term_im))))
+        sums, sum_moduli = _running_sums(total, terms)
+        sizes = np.add.accumulate(np.concatenate(([size], np.hypot(terms.real, terms.imag))))
         moduli = np.hypot(v_re, v_im)
         # max |f| over the 8 rungs up to each rung, in three doublings of the window
         window = np.concatenate((list(recent), moduli))
         for width in (1, 2, 4):
             window = np.maximum(window[width:], window[:-width])
         tails = window[1:] * np.hypot(powers.real[1:], powers.imag[1:]) / (1.0 - abs(q))
-        met = tails <= EPS_SERIES * (1.0 + np.hypot(sum_re[1:], sum_im[1:]))
+        met = tails <= EPS_SERIES * (1.0 + sum_moduli[1:])
     bad = np.flatnonzero(~np.isfinite(values))
     stops = np.flatnonzero(met[:bad[0]] if bad.size else met)
     if not stops.size and bad.size:
         raise PoleError(f"Jackson integrand is not finite at rung {n + int(bad[0])}")
     i = int(stops[0]) if stops.size else count - 1
     recent.extend(moduli[:i + 1][-8:].tolist())
-    return (bool(stops.size), complex(sum_re[i + 1], sum_im[i + 1]), n + i + 1,
+    return (bool(stops.size), complex(sums[i + 1]), n + i + 1,
             float(tails[i]), float(sizes[i + 1]), complex(powers[-1]))
 
 

@@ -15,9 +15,14 @@ n in {-3, 5, 40}, h_norm at n in {0, 2, 12} and beta in {0.6, -0.5,
 (alpha, beta) in {(0.4, -0.3), (0.6, 0.6)}, connection_coeffs(12, 0.4,
 0.7, q) and qbinom(12, 5, q) at each base (the name of the exception where
 a call raises), C_0, ..., C_12 of ultraspherical_table at beta = 0.6 and x
-in {-0.9, 0.3, 1} at each real base, and the value, nodes_used,
+in {-0.9, 0.3, 1} at each real base, the value, nodes_used,
 error_estimate and magnitude of one jackson_q_integral at each of the
-bases in JACKSON_BASES, whose ladders stop in blocks of 32 to 1024 rungs.
+bases in JACKSON_BASES, whose ladders stop in blocks of 32 to 1024 rungs,
+and, at each of the bases in SERIES_BASES, where series run for hundreds
+or thousands of terms, phi_series of the PHI_CASES (a 1phi0, a complex
+1phi0, a 2phi1, a 3phi2, a 2phi1 that terminates at term 100, one whose
+lower factor vanishes at term 150 and a divergent 1phi0) and the Rogers
+6W5 sum by w_series (the name of the exception where a call raises).
 Running it at two versions and diffing the outputs shows every report and
 kernel value a change moves, params key order included.
 
@@ -40,6 +45,16 @@ NORM_DEGREES = (0, 2, 12)
 NORM_PARAMETERS = (0.6, -0.5, 0.3 + 0.4j)
 NORM_PAIRS = ((0.4, -0.3), (0.6, 0.6))
 JACKSON_BASES = (0.3, -0.6, 0.9, 0.97, cmath.rect(0.95, 0.2))
+SERIES_BASES = (0.95, 0.99, 0.999, -0.97, cmath.rect(0.99, 0.2))
+PHI_CASES = (  # upper, z, lower, each a function of q
+    lambda q: ([0.4], 0.5, []),
+    lambda q: ([cmath.rect(0.8, 0.5)], cmath.rect(0.7, -0.3), []),
+    lambda q: ([0.25, 0.5j], 0.7, [0.45]),
+    lambda q: ([0.3 - 0.2j, -0.6, 0.9], cmath.rect(0.6, 1.0), [0.2j, -0.5]),
+    lambda q: ([q**-100, 0.5], 0.9, [0.45]),
+    lambda q: ([0.3, 0.5], 0.5, [q**-150]),
+    lambda q: ([0.4], 1.5, []),
+)
 
 
 def load_workloads():
@@ -69,8 +84,8 @@ def value_of(function, *args) -> str:
 
 
 def kernel_lines():
-    from qkernel import (connection_coeffs, h_norm, jackson_q_integral, qbinom,
-                         qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product)
+    from qkernel import (connection_coeffs, h_norm, jackson_q_integral, phi_series, qbinom,
+                         qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product, w_series)
     from qkernel.polynomials import _circle_norm, ultraspherical_table
 
     for q in KERNEL_BASES:
@@ -103,6 +118,13 @@ def kernel_lines():
                                     -0.6, 0.5 + 0.7j, q)
         yield (f"kernel jackson_q_integral {q!r} {result.value!r} {result.nodes_used!r} "
                f"{result.error_estimate!r} {result.magnitude!r}")
+    for q in SERIES_BASES:
+        for case in PHI_CASES:
+            upper, z, lower = case(q)
+            yield (f"kernel phi_series {q!r} {upper!r} {z!r} {lower!r} "
+                   f"{value_of(phi_series, upper, z, q, lower)}")
+        a, b = 0.1, [0.7, 0.6, 0.8]
+        yield f"kernel w_series {q!r} {a!r} {b!r} {value_of(w_series, a, b, q, a * q / 0.336)}"
 
 
 def main() -> None:

@@ -967,6 +967,14 @@ def test_scalar_target_runs_without_numpy(child_env, line, value):
     assert (proc.stdout.splitlines(), proc.stderr) == ([value, "0 False"], "")
 
 
+def test_long_series_imports_numpy(child_env):
+    # 876 terms: the terms after the first 64 are summed in numpy blocks
+    line = "eval phi --upper 0.4 --z 0.5 --q 0.999"
+    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *line.split()],
+                          capture_output=True, text=True, timeout=120, env=child_env)
+    assert (proc.stdout.splitlines(), proc.stderr) == (["1.7682070582740079e+161", "0 True"], "")
+
+
 def test_bare_import_loads_no_numpy(child_env):
     script = "import json, sys, qkernel; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

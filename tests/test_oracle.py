@@ -20,6 +20,10 @@ mpmath that step down by the ratio of consecutive rungs, (v q^{i+1}; q)_inf
 periodic_quadrature: the thm-1.3 closed form of the circle orthogonality,
 from mp.qp at 30 digits, against the quadrature value of the check.
 
+phi_series near q = 1: the q-binomial theorem and the Rogers 6W5 sum, their
+products from mp.qp at 30 digits.  The bound is a priori, from the series
+itself (see phi_series_error_bound).
+
 h_norm and polynomials._circle_norm: the textbook closed forms of h_n(beta|q)
 and of the thm-1.3 norm N_n(alpha, beta) in mpmath, at 40 digits.  The
 prop-4.2 right side: mpmath's explicit sum for C_p(x; gamma|q), which the
@@ -35,9 +39,9 @@ import math
 import numpy as np
 import pytest
 
-from qkernel import (gasper_c, gf_expand, h_norm, jackson_q_integral, qpoch_infinite,
+from qkernel import (gasper_c, gf_expand, h_norm, jackson_q_integral, phi_series, qpoch_infinite,
                      qpoch_ladder, verify, verify_prop_3_1, verify_prop_4_2,
-                     verify_thm_1_3)
+                     verify_thm_1_3, w_series)
 from qkernel.polynomials import _circle_norm, ultraspherical_table
 from qkernel.verify import default_suite_config
 from report_dump import SEEDS, load_workloads
@@ -386,3 +390,64 @@ def test_prop_4_2_coefficients_match_oracle(params):
     with mpmath.workdps(40):
         worst = max(float(abs(complex(got) - t) / (1 + abs(t))) for got, t in zip(rhs, true))
     assert worst <= (1e-14 if params["q"] <= 0.6 else 5e-13)
+
+
+def phi_series_error_bound(upper, z, q, lower=()):
+    """u sum_n |t_n| (64 + K_n), u = 2**-53, from the terms t_n of the series
+    in 30-digit mpmath.  64 u |t_n| covers the summation, the tail the
+    stop rule leaves and the few roundings of each term; K_n u bounds the
+    error that term n carries in from the factors 1 - c q^k, k < n, of
+    every upper and lower parameter c and of q: c q^k is k + 1 complex
+    products away from c, each within 3 u (Brent, Percival and
+    Zimmermann, Math. Comp. 76, 2007: sqrt(5) u), and 1 - w magnifies a
+    relative error of w by |w| / |1 - w|.  So K_n sums 3 m |w| / |1 - w|
+    over those factors, m the products behind w."""
+    with mpmath.workdps(30):
+        upper = [mpmath.mpmathify(c) for c in upper]
+        lower = [mpmath.mpmathify(c) for c in lower]
+        q, z = mpmath.mpmathify(q), mpmath.mpmathify(z)
+        term, qk, carried, k = mpmath.mpc(1), mpmath.mpf(1), 0.0, 0
+        size = weighted = mpmath.mpf(0)
+        while k < 10 or abs(term) > mpmath.mpf(10) ** -35 * size:
+            size += abs(term)
+            weighted += abs(term) * (64 + carried)
+            factors = [(c * qk, k + 1) for c in upper + lower] + [(q * qk, k + 2)]
+            carried += sum(3 * m * float(abs(w) / abs(1 - w)) for w, m in factors)
+            term *= (mpmath.fprod(1 - c * qk for c in upper)
+                     / ((1 - q * qk) * mpmath.fprod(1 - c * qk for c in lower)) * z)
+            qk *= q
+            k += 1
+        return float(weighted) * 2.0**-53
+
+
+# stress's qbinomial 1phi0(0.4; -; q, 0.5), 139 and 876 terms in
+# phi_series: measured 187 and 8876 u sum|t_n| off, bound 15183 and
+# 1411227 u sum|t_n|; its terms are positive, so sum|t_n| is the value,
+# 1.4e16 and 1.8e161
+@pytest.mark.parametrize("q", [0.99, 0.999])
+def test_q_binomial_near_q_one_matches_oracle(q):
+    with mpmath.workdps(30):
+        base = mpmath.mpf(q)
+        true = (mpmath.qp(mpmath.mpf(0.4) * mpmath.mpf(0.5), base, maxterms=10**6)
+                / mpmath.qp(mpmath.mpf(0.5), base, maxterms=10**6))
+        error = float(abs(mpmath.mpc(phi_series([0.4], 0.5, q)) - true))
+    assert error <= phi_series_error_bound([0.4], 0.5, q)
+
+
+def test_rogers_6w5_near_q_one_matches_oracle():
+    # the expand workload's 6W5 at q = 0.99, 139 terms: measured 5.2 u
+    # sum|t_n| off, bound 696 u sum|t_n|, sum|t_n| = 2.89
+    a, b, c, d, q = 0.1, 0.7, 0.6, 0.8, 0.99
+    z = a * q / (b * c * d)
+    root = cmath.sqrt(a)
+    upper = [a, q * root, -q * root, b, c, d]  # w_series' substitution
+    lower = [root, -root, q * a / b, q * a / c, q * a / d]
+    with mpmath.workdps(30):
+        mp_a, mp_b, mp_c, mp_d, base = (mpmath.mpf(v) for v in (a, b, c, d, q))
+        aq = mp_a * base
+        factors = [mpmath.qp(v, base, maxterms=10**6) for v in
+                   (aq, aq / (mp_b * mp_c), aq / (mp_c * mp_d), aq / (mp_b * mp_d),
+                    aq / mp_b, aq / mp_c, aq / mp_d, aq / (mp_b * mp_c * mp_d))]
+        true = mpmath.fprod(factors[:4]) / mpmath.fprod(factors[4:])
+        error = float(abs(mpmath.mpc(w_series(a, [b, c, d], q, z)) - true))
+    assert error <= phi_series_error_bound(upper, z, q, lower)

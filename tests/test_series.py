@@ -1,15 +1,18 @@
 """Truncated power series, generating-function expansion, and the basic
 hypergeometric summation engine."""
 
+import cmath
 import math
 import time
 
 import numpy as np
 import pytest
 
-from qkernel import (ConvergenceError, DomainError, PoleError, TruncatedPowerSeries, gasper_c, gf_expand,
-                     phi_series, qpoch_finite, qpoch_infinite,
+from qkernel import (CHECK_RUNNERS, ConvergenceError, DomainError, PoleError, TruncatedPowerSeries,
+                     gasper_c, gf_expand, phi_series, qpoch_finite, qpoch_infinite,
                      rogers_6w5_rhs, w_series)
+from qkernel import series
+from report_dump import SEEDS, load_workloads
 
 
 class TestPowerSeries:
@@ -217,3 +220,161 @@ class TestVeryWellPoised:
             expected = rogers_6w5_rhs(a, b, c, d, q)
             assert abs(got - expected) <= 1e-11 * (1 + abs(expected))
             done += 1
+
+
+# the summers themselves, which the array_blocks fixture wraps in phi_series
+LONG_TERMS, TERM_LOOP = series._long_terms, series._term_loop
+
+
+def outcome(function, *args) -> str:
+    """repr of function(*args), or the type and message of what it raises."""
+    try:
+        return repr(function(*args))
+    except Exception as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def after_loop(upper, z, q, lower=(), terms=8):
+    """The series and the term loop's state after its first `terms` terms."""
+    prepared = series._series_of([complex(a) for a in upper], [complex(b) for b in lower],
+                                 complex(z), complex(q))
+    start = series._State(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0, math.inf)
+    state = TERM_LOOP(prepared, terms, start)
+    assert isinstance(state, series._State)
+    return prepared, state
+
+
+def both_summers(upper, z, q, lower=(), count=128):
+    """The outcomes of the array summer and the term loop on the same block
+    of `count` terms, from the same state after the first 8 terms."""
+    prepared, state = after_loop(upper, z, q, lower)
+    return (outcome(LONG_TERMS, prepared, count, state),
+            outcome(TERM_LOOP, prepared, count, state))
+
+
+@pytest.fixture
+def array_blocks(monkeypatch):
+    """The sizes of the blocks phi_series hands to the array summer."""
+    sizes = []
+
+    def counted(prepared, count, state):
+        sizes.append(count)
+        return LONG_TERMS(prepared, count, state)
+
+    monkeypatch.setattr(series, "_long_terms", counted)
+    return sizes
+
+
+LONG_BASES = [0.95, 0.99, 0.999, -0.97, cmath.rect(0.99, 0.2), cmath.rect(0.999, -2.0)]
+
+
+class TestArrayPath:
+    """phi_series sums long series in numpy blocks, bit for bit the term
+    loop's, exceptions included."""
+
+    @pytest.mark.parametrize("q", LONG_BASES)
+    @pytest.mark.parametrize("upper,z,lower", [
+        ([0.4], 0.5, []),
+        ([cmath.rect(0.8, 0.5)], cmath.rect(0.7, -0.3), []),
+        ([0.25, 0.5j], 0.7, [0.45]),
+        ([0.3 - 0.2j, -0.6, 0.9], cmath.rect(0.6, 1.0), [0.2j, -0.5]),
+    ])
+    @pytest.mark.parametrize("count", [64, 128, 1024])
+    def test_block_is_the_loop_bit_for_bit(self, upper, z, q, lower, count):
+        # most series run past a block of 64 terms, which compares the
+        # carried state, signed zeros included
+        array, loop = both_summers(upper, z, q, lower, count)
+        assert array == loop
+
+    @pytest.mark.parametrize("q", LONG_BASES)
+    def test_terminating_upper_parameter_stops_inside_a_block(self, q, array_blocks):
+        # (q^-100; q)_n vanishes from n = 101: the last term is term 100
+        upper, z, lower = [q**-100, 0.5], 0.9, [0.45]
+        array, loop = both_summers(upper, z, q, lower)
+        assert array == loop == repr(phi_series(upper, z, q, lower))
+        assert array_blocks
+
+    @pytest.mark.parametrize("q", LONG_BASES)
+    def test_vanishing_lower_factor_inside_a_block(self, q, array_blocks):
+        # 1 - b q^150 is zero: the loop's DomainError at term 150
+        upper, z, lower = [0.3, 0.5], 0.5, [q**-150]
+        array, loop = both_summers(upper, z, q, lower, count=256)
+        assert array == loop == ("DomainError: phi_series reached a vanishing "
+                                 "lower-parameter factor")
+        with pytest.raises(DomainError, match="vanishing lower-parameter"):
+            phi_series(upper, z, q, lower)
+        assert array_blocks
+
+    @pytest.mark.parametrize("z", [1e3, cmath.rect(1e3, 2.5)])
+    def test_overflowing_sum_inside_a_block(self, z, array_blocks):
+        # terms grow about 1000-fold a term and overflow near term 103
+        array, loop = both_summers([0.4], z, 0.5)
+        assert array == loop == ("ConvergenceError: phi_series reached a non-finite "
+                                 "term before its tail bound")
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            phi_series([0.4], z, 0.5)
+        assert array_blocks == [128]
+
+    def test_term_cap_ends_in_an_array_block(self, monkeypatch, array_blocks):
+        # |z| > 1: the terms grow slowly, and no tail bound holds
+        monkeypatch.setattr(series, "MAX_SERIES_TERMS", 300)
+        with pytest.raises(ConvergenceError, match="within MAX_SERIES_TERMS"):
+            phi_series([0.4], 1.001, 0.5)
+        assert array_blocks == [128, 108]
+
+    def test_phi_series_is_the_loop_cloud(self, monkeypatch, array_blocks):
+        rng = np.random.default_rng(97)
+        cases = []
+        for _ in range(60):
+            r = int(rng.integers(0, 4))
+            modulus = rng.choice([0.9, 0.97, 0.99, 0.999])
+            q = complex(modulus * np.exp(1j * rng.choice([0.0, np.pi, rng.uniform(-np.pi, np.pi)])))
+            upper = [complex(*rng.uniform(-0.9, 0.9, 2)) for _ in range(r + 1)]
+            lower = [complex(*rng.uniform(-0.9, 0.9, 2)) for _ in range(r)]
+            z = complex(*rng.uniform(-0.7, 0.7, 2))
+            cases.append((upper, z, q, lower))
+        blocked = [outcome(phi_series, *case) for case in cases]
+        assert len(array_blocks) > 20
+        monkeypatch.setattr(series, "_long_terms", TERM_LOOP)
+        assert blocked == [outcome(phi_series, *case) for case in cases]
+
+    def test_chain_accumulate_is_pythons_product(self):
+        # the terms are np.multiply.accumulate over term, r_0, z, r_1, z, ...;
+        # numpy's vectorised complex multiply is not Python's, so this pins
+        # the sequential one to (t * r) * z
+        rng = np.random.default_rng(5)
+        for scale in (1.0, 1e-150, 1e150):
+            ratios = rng.normal(size=500) + 1j * rng.normal(size=500)
+            z = complex(*rng.normal(size=2))
+            chain = np.empty(1001, dtype=complex)
+            chain[0], chain[1::2], chain[2::2] = scale * (0.3 - 0.7j), ratios, z
+            term, expected = scale * (0.3 - 0.7j), []
+            for ratio in ratios.tolist():
+                term = term * ratio * z
+                expected.append(term)
+            assert np.multiply.accumulate(chain)[2::2].tolist() == expected
+
+    def test_quotient_is_pythons_division(self):
+        rng = np.random.default_rng(13)
+        num = rng.normal(size=(2, 400))
+        den = rng.normal(size=(2, 400)) * rng.choice([1.0, 1e-3, 1e3], size=(2, 400))
+        den[1, :50] = 0.0  # real denominators, by the real part
+        den[0, 50:100] = 0.0  # imaginary ones
+        for low, high in ((0, 400), (0, 100), (0, 50), (50, 100)):  # mixed and one-branch blocks
+            parts = (num[0, low:high], num[1, low:high], den[0, low:high], den[1, low:high])
+            with np.errstate(all="ignore"):  # as in the summer
+                re, im = series._quotient(*parts)
+            expected = [complex(a, b) / complex(c, d) for a, b, c, d in zip(*map(list, parts))]
+            assert [complex(x, y) for x, y in zip(re.tolist(), im.tolist())] == expected
+            assert [math.copysign(1.0, v.imag) for v in expected] == np.copysign(1.0, im).tolist()
+
+    def test_default_suite_stays_in_the_loop(self, array_blocks):
+        workloads = load_workloads()
+        for seed in SEEDS:
+            for case in workloads.make_workload("suite", seed):
+                CHECK_RUNNERS[case.check_id](**case.params)
+        assert array_blocks == []
+        for case in workloads.make_workload("expand", SEEDS[0]):
+            if case.check_id in ("qbinomial", "rogers-6phi5"):
+                CHECK_RUNNERS[case.check_id](**case.params)
+        assert len(array_blocks) == 8  # four long series of five
