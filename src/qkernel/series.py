@@ -147,7 +147,7 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
     if z == 0:
         return 1.0 + 0j
     series = _series_of(upper, lower, z, q)
-    state = _State(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0, math.inf)
+    state = _State(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, math.inf)
     n = 0
     block = _LONG_SERIES
     while n < MAX_SERIES_TERMS:
@@ -183,13 +183,12 @@ def _series_of(upper: list, lower: list, z: complex, q: complex) -> _Series:
 
 
 class _State(NamedTuple):
-    """The term loop after term_n: term_n, the sum up to it, q^n, |q^n| and
-    the bound rho past n (inf while a lower factor bound is not positive)."""
+    """The term loop after term_n: term_n, the sum up to it, q^n and the
+    bound rho past n (inf while a lower factor bound is not positive)."""
 
     term: complex
     total: complex
     qn: complex
-    abs_qn: float
     rho: float
 
 
@@ -207,7 +206,8 @@ def _term_loop(series: _Series, count: int, state: _State) -> _State | complex:
     where the series stops, at a terminating factor or at the tail bound,
     or else the state after the last term."""
     upper, lower, z, q, abs_upper, abs_lower, abs_z, abs_q, reach = series
-    term, total, qn, abs_qn, rho = state
+    term, total, qn, rho = state
+    abs_qn = abs(qn)
     for _ in range(count):
         # |a q^n| < 1/4 keeps |1 - a q^n| above 3/4, far from the snap
         snappable = reach * abs_qn >= 0.25
@@ -242,7 +242,7 @@ def _term_loop(series: _Series, count: int, state: _State) -> _State | complex:
             rho /= g
         if rho < 1.0 and abs(term) * rho / (1.0 - rho) <= EPS_SERIES * (1.0 + abs(total)):
             return total
-    return _State(term, total, qn, abs_qn, rho)
+    return _State(term, total, qn, rho)
 
 
 def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
@@ -299,24 +299,24 @@ def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
             rho = rho / (1.0 - abs_b * abs_qn)
         if lower:  # the loop's rho is inf where some 1 - |b| |q|^(n+1) <= 0
             rho[1.0 - max(abs_lower) * abs_qn <= 0.0] = math.inf
-        met = (rho < 1.0) & (t_abs * rho / (1.0 - rho) <= EPS_SERIES * (1.0 + sizes[1:]))
+        stops = (rho < 1.0) & (t_abs * rho / (1.0 - rho) <= EPS_SERIES * (1.0 + sizes[1:]))
         moduli = [t_abs, sizes[1:]]
         # as in the loop, |a q^n| < 1/4 at the block's first term keeps
         # every factor of the block far from the snap
-        snappable = reach * state.abs_qn >= 0.25
+        snappable = reach * abs(state.qn) >= 0.25
         if snappable:
             f_abs, w_abs = np.hypot(f_re, f_im), np.hypot(w_re, w_im)
             snap = f_abs <= _TERMINATION_SNAP * (1.0 + w_abs)
             upper_snap, lower_snap = snap[:k].any(axis=0), snap[k + 1:].any(axis=0)
-            met |= upper_snap | lower_snap
+            stops |= upper_snap | lower_snap
             moduli += [f_abs, w_abs]
-    events = np.flatnonzero(met)
+    events = np.flatnonzero(stops)
     end = int(events[0]) + 1 if events.size else count
     if not all(m[..., :end].max() < math.inf for m in moduli):
         return _term_loop(series, count, state)
     if not events.size:
         return _State(complex(terms[-1]), complex(sums[-1]), complex(powers[-1]),
-                      float(abs_qn[-1]), float(rho[-1]))
+                      float(rho[-1]))
     i = end - 1
     if snappable and upper_snap[i]:
         return complex(sums[i])

@@ -238,7 +238,7 @@ def after_loop(upper, z, q, lower=(), terms=8):
     """The series and the term loop's state after its first `terms` terms."""
     prepared = series._series_of([complex(a) for a in upper], [complex(b) for b in lower],
                                  complex(z), complex(q))
-    start = series._State(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0, math.inf)
+    start = series._State(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, math.inf)
     state = TERM_LOOP(prepared, terms, start)
     assert isinstance(state, series._State)
     return prepared, state
