@@ -360,13 +360,15 @@ class TestArrayPath:
         den = rng.normal(size=(2, 400)) * rng.choice([1.0, 1e-3, 1e3], size=(2, 400))
         den[1, :50] = 0.0  # real denominators, by the real part
         den[0, 50:100] = 0.0  # imaginary ones
+        num[0, 10:20], num[0, 60:70], num[1, 30:40] = 0.0, -0.0, -0.0  # signed zero parts
         for low, high in ((0, 400), (0, 100), (0, 50), (50, 100)):  # mixed and one-branch blocks
             parts = (num[0, low:high], num[1, low:high], den[0, low:high], den[1, low:high])
             with np.errstate(all="ignore"):  # as in the summer
                 re, im = series._quotient(*parts)
             expected = [complex(a, b) / complex(c, d) for a, b, c, d in zip(*map(list, parts))]
-            assert [complex(x, y) for x, y in zip(re.tolist(), im.tolist())] == expected
-            assert [math.copysign(1.0, v.imag) for v in expected] == np.copysign(1.0, im).tolist()
+            # repr, which tells -0.0 from 0.0
+            assert [repr(complex(x, y)) for x, y in zip(re.tolist(), im.tolist())] == list(
+                map(repr, expected))
 
     def test_default_suite_stays_in_the_loop(self, array_blocks):
         workloads = load_workloads()
