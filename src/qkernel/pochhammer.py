@@ -74,9 +74,14 @@ _SCALARS = (int, float, complex)
 
 def check_base(q) -> None:
     """DomainError unless the base q lies strictly inside the unit disk
-    (a NaN base is refused too)."""
-    if not abs(q) < 1.0:
-        raise DomainError(f"base q must satisfy |q| < 1, got |q| = {abs(q)}")
+    (a NaN base is refused too, and so is a complex one whose modulus is
+    past the largest double)."""
+    try:
+        modulus = abs(q)
+    except OverflowError:
+        modulus = math.inf
+    if not modulus < 1.0:
+        raise DomainError(f"base q must satisfy |q| < 1, got |q| = {modulus}")
 
 
 def _check_finite(name: str, *values) -> None:
@@ -157,7 +162,11 @@ def qpoch_infinite(a, q):
     scalar = isinstance(a, _SCALARS)
     if scalar:
         points = complex(a)
-        n_factors, n_terms = _split(abs(points), abs(q))
+        try:
+            modulus = abs(points)
+        except OverflowError:  # finite parts, modulus past the largest double
+            modulus = math.inf  # refused by _split as on the array path
+        n_factors, n_terms = _split(modulus, abs(q))
         if not n_terms or n_factors + n_terms <= _SCALAR_SERIES_ROWS:
             # Python's complex arithmetic, no numpy set-up
             return _scalar_product(points, complex(q), n_factors, n_terms)

@@ -176,9 +176,14 @@ class _Series(NamedTuple):
 
 
 def _series_of(upper: list, lower: list, z: complex, q: complex) -> _Series:
-    """The _Series of phi_series' checked parameters, argument and base."""
-    abs_upper, abs_lower = [abs(a) for a in upper], [abs(b) for b in lower]
-    return _Series(upper, lower, z, q, abs_upper, abs_lower, abs(z), abs(q),
+    """The _Series of phi_series' checked parameters, argument and base;
+    DomainError for a finite parameter or argument whose modulus is past
+    the largest double."""
+    try:
+        abs_upper, abs_lower, abs_z = [abs(a) for a in upper], [abs(b) for b in lower], abs(z)
+    except OverflowError:
+        raise DomainError("phi_series needs parameters and argument of finite modulus") from None
+    return _Series(upper, lower, z, q, abs_upper, abs_lower, abs_z, abs(q),
                    max(abs_upper + abs_lower))
 
 

@@ -18,9 +18,14 @@ Check catalog (the ids the CLI accepts):
   rogers-6phi5       6W5 summation, series against product
 
 Every check returns a VerificationReport.  Left-hand sides come from the
-quadrature / ladder-sum / series engines, right-hand sides from closed forms
-(thm-1.1 to thm-1.3 from the one circle norm, thm-1.4's from two phi_series
-sums), and rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
+quadrature / ladder-sum / series engines (thm-1.1, thm-1.2 and askey-ismail
+through one half-period rule, _half_period), right-hand sides from closed
+forms: thm-1.1 and thm-1.3 from the one circle norm N_n (polynomials.
+_circle_norm), thm-1.2 from one connection coefficient times N_n / 2,
+rogers-connection and prop-4.2 from rows of the connection coefficients
+summed by one body (_connection_sums), thm-1.4's from two phi_series sums,
+askey-ismail's from the product the paper states, the others as each
+runner's docstring says.  rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
 
 Each runner is written as a function of the check's own arguments that
 returns (lhs, rhs, nodes_used), under one decorator, @_check(check_id,
@@ -167,24 +172,21 @@ def verify_thm_1_1(m: int, n: int, beta, q):
     """Orthogonality on [0, pi]:
 
         int_0^pi C_m(cos t; beta|q) C_n(cos t; beta|q) omega_beta(cos t|q) dt
-        = delta_{mn} / h_n(beta|q).
+        = delta_{mn} / h_n(beta|q),
 
-    The integrand is even and 2 pi periodic, so the left side is computed as
-    half of the full-period trapezoid value, 1/h_n as N_n(beta, beta) / 2.
-    C_m and C_n come from one recurrence table per node set.
+    1/h_n taken as N_n(beta, beta) / 2.  C_m and C_n come from one
+    recurrence table per node set.
     """
     if min(m, n) < 0:
         raise DomainError("degree must be >= 0")
-    check_base(q)
 
-    def integrand(theta):
-        table = ultraspherical_table(max(m, n), np.cos(theta), beta, q)
-        return table[m] * table[n] * weight_omega_beta(theta, beta, q)
+    def product(x):
+        table = ultraspherical_table(max(m, n), x, beta, q)
+        return table[m] * table[n]
 
-    quad = periodic_quadrature(integrand)
-    lhs = quad.value / 2.0
+    lhs, nodes = _half_period(product, beta, q)
     rhs = _circle_norm(n, beta, beta, q) / 2.0 if m == n else 0.0
-    return lhs, rhs, quad.nodes_used
+    return lhs, rhs, nodes
 
 
 @_check("thm-1.2", 1e-8)
@@ -192,36 +194,40 @@ def verify_thm_1_2(m: int, n: int, beta, gamma, q):
     """Mixed-parameter integral on [0, pi]:
 
         int_0^pi C_m(cos t; gamma|q) C_n(cos t; beta|q) omega_beta(cos t|q) dt
+        = c_j / h_n(beta|q),  j = (m - n)/2,
 
-    equals, for m >= n with m = n (mod 2) and j = (m-n)/2,
+    for m >= n with m = n (mod 2), and zero otherwise: c_j is the
+    coefficient of C_n(x; beta|q) in the connection formula of degree m
+    (connection_coeffs), and thm-1.1 leaves only that term.  Written out,
+    c_j / h_n is the paper's
 
         (1 - beta q^n) beta^j (gamma/beta;q)_j (gamma;q)_{(m+n)/2}
-        / ((1 - beta) h_n(beta|q) (q;q)_j (q beta;q)_{(m+n)/2})
+        / ((1 - beta) h_n(beta|q) (q;q)_j (q beta;q)_{(m+n)/2}),
 
-    and zero otherwise.  The m < n even-gap closed form carries the factor
-    1/(q;q)_{-j}, which vanishes under the negative-index convention, so the
-    right side is taken as zero there (the degree argument gives the same).
+    whose beta^j (gamma/beta;q)_j connection_coeffs forms as
+    prod_{i<j} (beta - gamma q^i), so beta = 0 is accepted.
     """
-    if beta == 0:
-        raise DomainError("thm-1.2 closed form needs beta != 0")
+    def product(x):
+        return ultraspherical_c(m, x, gamma, q) * ultraspherical_c(n, x, beta, q)
+
+    lhs, nodes = _half_period(product, beta, q)
+    j = (m - n) // 2
+    rhs = (connection_coeffs(m, beta, gamma, q)[j] * _circle_norm(n, beta, beta, q) / 2.0
+           if m >= n and m - n == 2 * j else 0.0)
+    return lhs, rhs, nodes
+
+
+def _half_period(product, beta, q):
+    """(int_0^pi product(cos t) omega_beta(cos t|q) dt, nodes_used): the
+    integrand is even and 2 pi periodic, so the integral is half of the
+    full-period trapezoid value."""
     check_base(q)
 
     def integrand(theta):
-        x = np.cos(theta)
-        return (ultraspherical_c(m, x, gamma, q) * ultraspherical_c(n, x, beta, q)
-                * weight_omega_beta(theta, beta, q))
+        return product(np.cos(theta)) * weight_omega_beta(theta, beta, q)
 
     quad = periodic_quadrature(integrand)
-    if (m - n) % 2 != 0 or m < n:
-        rhs = 0.0
-    else:
-        j = (m - n) // 2
-        half_sum = (m + n) // 2
-        rhs = ((1.0 - beta * q**n) * beta**j * qpoch_finite(gamma / beta, q, j)
-               * qpoch_finite(gamma, q, half_sum) * _circle_norm(n, beta, beta, q)
-               / (2.0 * (1.0 - beta) * qpoch_finite(q, q, j)
-                  * qpoch_finite(q * beta, q, half_sum)))
-    return quad.value / 2.0, rhs, quad.nodes_used
+    return quad.value / 2.0, quad.nodes_used
 
 
 @_check("thm-1.3", _QUAD_TOL)
@@ -350,19 +356,32 @@ def verify_prop_3_2(n: int, a, b, x, y, q):
 def verify_rogers_connection(n: int, beta, gamma, q, theta_grid: int = 16):
     """Pointwise reconstruction C_n(x; gamma) = sum_k c_k C_{n-2k}(x; beta)
     with the connection coefficients, on the theta_grid midpoints
-    (j + 1/2) pi / theta_grid; the report carries the worst grid point.
-    Every C_{n-2k}(x; beta) comes from one recurrence table."""
+    (j + 1/2) pi / theta_grid; the report carries the worst grid point."""
     if theta_grid < 1:
         raise DomainError("rogers-connection needs at least one grid point")
     check_base(q)
     x = np.cos((np.arange(theta_grid) + 0.5) * math.pi / theta_grid)
-    coeffs = connection_coeffs(n, beta, gamma, q)
-    lhs_values = ultraspherical_c(n, x, gamma, q) + 0j
-    beta_table = ultraspherical_table(n, x, beta, q)
-    rhs_values = np.zeros_like(lhs_values)
-    for k, ck in enumerate(coeffs):
-        rhs_values = rhs_values + ck * beta_table[n - 2 * k]
-    return lhs_values, rhs_values, theta_grid
+    [lhs], [rhs] = _connection_sums([n], x, beta, gamma, q)
+    return lhs, rhs, theta_grid
+
+
+def _connection_sums(degrees, x, beta, gamma, q):
+    """C_p(x; gamma|q) and sum_j c_j C_{p-2j}(x; beta|q), c_j row p of the
+    connection coefficients, for each degree p in `degrees`: two lists.
+    Each parameter's C_k come from one recurrence table and every row from
+    one _connection_tables set, both at the top degree (an empty `degrees`
+    is refused there)."""
+    top = max(degrees, default=-1)
+    tables = _connection_tables(top, beta, gamma, q)  # refuses a non-finite parameter first
+    gamma_table = ultraspherical_table(top, x, gamma, q)
+    beta_table = ultraspherical_table(top, x, beta, q)
+    sums = []
+    for p in degrees:
+        acc = 0.0
+        for j, cj in enumerate(_connection_row(p, beta, gamma, q, tables)):
+            acc = acc + cj * beta_table[p - 2 * j]
+        sums.append(acc)
+    return [gamma_table[p] for p in degrees], sums
 
 
 @_check("askey-ismail", 1e-8)
@@ -379,14 +398,11 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q):
     """
     if k < 1:
         raise DomainError("askey-ismail needs k >= 1")
-    check_base(q)
 
-    def integrand(theta):
-        x = np.cos(theta)
-        return (ultraspherical_c(n, x, beta, q) * chebyshev_t(n + 2 * k, x)
-                * weight_omega_beta(theta, beta, q))
+    def product(x):
+        return ultraspherical_c(n, x, beta, q) * chebyshev_t(n + 2 * k, x)
 
-    quad = periodic_quadrature(integrand)
+    lhs, nodes = _half_period(product, beta, q)
     den = qpoch_product([q, beta * beta * q**n], q)
     if den == 0:
         raise PoleError("askey-ismail needs (q, beta^2 q^n; q)_inf != 0")
@@ -397,7 +413,7 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q):
            * (1.0 - q ** (n + 2 * k)) / (1.0 - q ** (n + k))
            * qpoch_product([beta, beta * q ** (n + k + 1)], q) / den
            * front)
-    return quad.value / 2.0, rhs, quad.nodes_used
+    return lhs, rhs, nodes
 
 
 @_check("gf-4.1", _QUAD_TOL)
@@ -436,23 +452,13 @@ def verify_prop_4_2(beta, gamma, q, theta: float, degree: int = 12):
           C_m(cos u; beta|q) t^{m+2j}.
 
     As (beta;q)_{m+j+1} = (1 - beta) (beta q;q)_{m+j}, the t^p coefficient is
-    row p of the connection formula; one set of tables serves every row."""
-    if beta == 0:
-        raise DomainError("prop-4.2 needs beta != 0")
+    row p of the connection formula, whose beta^j (gamma/beta;q)_j is formed
+    as prod_{i<j} (beta - gamma q^i), so beta = 0 is accepted; one set of
+    tables serves every row."""
     _check_finite("prop-4.2", theta)
     check_base(q)
-    x = math.cos(theta)
-    gamma_table = ultraspherical_table(degree, x, gamma, q)
-    beta_table = ultraspherical_table(degree, x, beta, q)
-    tables = _connection_tables(degree, beta, gamma, q)
-    lhs_coeffs = np.asarray(gamma_table, dtype=complex)
-    rhs_coeffs = np.zeros(degree + 1, dtype=complex)
-    for p in range(degree + 1):
-        acc = 0.0
-        for j, cj in enumerate(_connection_row(p, beta, gamma, q, tables)):
-            acc = acc + cj * beta_table[p - 2 * j]
-        rhs_coeffs[p] = acc
-    return lhs_coeffs, rhs_coeffs, degree + 1
+    lhs, rhs = _connection_sums(range(degree + 1), math.cos(theta), beta, gamma, q)
+    return np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex), degree + 1
 
 
 @_check("uniform-bound", 1e-12)

@@ -4,8 +4,10 @@
 
 One line per report: workload, seed, check id, then the repr of lhs, rhs,
 rel_err, abs_err, params, nodes_used, pass and tol.  The reports are those
-of the `suite`, `stress` and `expand` workloads at seeds 0-2 and of
-`run_suite()` (385 in all).  Then one line per kernel value on a fixed grid
+of the `suite`, `stress` and `expand` workloads at seeds 0-2, of
+`run_suite()` (385 in all), and the DOMAIN_CASES of thm-1.2 and prop-4.2 at
+beta = 0 and at a complex beta, which neither covers (8 more).  Then one
+line per kernel value on a fixed grid
 that no report prints: scalar qpoch_infinite and qpoch_product at real and
 complex bases, in the factor form (|q| <= 0.6) and the series form
 (|q| >= 0.9), for |a| in {0.3, 1, 2}, 4 rows of a qpoch_ladder table of
@@ -46,6 +48,13 @@ NORM_PARAMETERS = (0.6, -0.5, 0.3 + 0.4j)
 NORM_PAIRS = ((0.4, -0.3), (0.6, 0.6))
 JACKSON_BASES = (0.3, -0.6, 0.9, 0.97, cmath.rect(0.95, 0.2))
 SERIES_BASES = (0.95, 0.99, 0.999, -0.97, cmath.rect(0.99, 0.2))
+DOMAIN_CASES = (
+    *(("thm-1.2", {"m": m, "n": n, "beta": beta, "gamma": 0.5, "q": q})
+      for m, n, beta, q in [(2, 2, 0.0, 0.4), (4, 2, 0.0, 0.4), (8, 6, 0.0, 0.85),
+                            (4, 2, 0.3 + 0.2j, 0.4), (5, 1, 0.3 + 0.2j, 0.85)]),
+    *(("prop-4.2", {"beta": beta, "gamma": 0.6, "q": q, "theta": 1.1, "degree": degree})
+      for beta, q, degree in [(0.0, 0.4, 12), (0.0, 0.9, 30), (0.3 + 0.2j, 0.4, 12)]),
+)
 PHI_CASES = (  # upper, z, lower, each a function of q
     lambda q: ([0.4], 0.5, []),
     lambda q: ([cmath.rect(0.8, 0.5)], cmath.rect(0.7, -0.3), []),
@@ -138,6 +147,8 @@ def main() -> None:
                 print(dump_line(f"{name}:{seed}", report))
     for report in run_suite():
         print(dump_line("run_suite", report))
+    for check_id, params in DOMAIN_CASES:
+        print(dump_line("domain", CHECK_RUNNERS[check_id](**params)))
     for line in kernel_lines():
         print(line)
 

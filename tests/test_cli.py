@@ -439,6 +439,11 @@ GOLDEN = [
     ('eval C --n 3 --beta nan --q 0.3 --x 0.3', 1, ''),
     ('eval C --n 3 --beta 0.5 --q nan --x 0.3', 1, ''),
     ('eval Phi --n 2 --alpha 0.3 --beta 0.2 --x nan --y 1 --q 0.3', 1, ''),
+    # finite parts, modulus past the largest double: refused, where abs()
+    # raised OverflowError
+    ('eval qpoch --a 1.5e308,1.5e308 --q 0.9 --n inf', 1, ''),
+    ('eval qpoch --a 0.5 --q 1.5e308,1.5e308 --n inf', 1, ''),
+    ('eval phi --upper 1.5e308,1.5e308 --z 0.5 --q 0.9', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
     ('eval T --n 3 --x 2', 1, ''),
     ('eval T --n 3 --x nan', 1, ''),
@@ -635,6 +640,9 @@ GOLDEN = [
     ('check uniform-bound --n 3 --alpha nan --beta 0.2 --q 0.3', 1,
      'FAIL uniform-bound [n=3 alpha=nan beta=0.2 q=0.3 grid_size=64] lhs=0.0 rhs=0.0 '
      'rel_err=inf tol=1.0e-12 nodes=0 t=*ms\n'),
+    ('check qbinomial --a 1.5e308,1.5e308 --z 0.5 --q 0.9', 1,
+     'FAIL qbinomial [a=1.5e+308+1.5e+308i z=0.5 q=0.9] lhs=0.0 rhs=0.0 rel_err=inf '
+     'tol=1.0e-11 nodes=0 t=*ms\n'),
     ('check thm-1.1 --m 3', 2, ''),
     ('check qbinomial --a 0.4 --z 0.5 --q 0.3 --ctx 1', 2, ''),
     ('check qbinomial --a 0.4 --z 0.5 --q 0.3 --zz 1', 2, ''),
@@ -902,6 +910,19 @@ def test_report_params_rerun_their_check(tmp_path, capsys):
     assert len(again) == len(reports) == 76
     assert ([{key: r[key] for key in keys} for r in again]
             == [{key: r[key] for key in keys} for r in reports])
+
+
+# finite parts whose modulus is past the largest double: each ended in an
+# OverflowError traceback from abs()
+@pytest.mark.parametrize("line", [
+    "eval qpoch --a 1.5e308,1.5e308 --q 0.9 --n inf",
+    "eval qpoch --a 0.5 --q 1.5e308,1.5e308 --n inf",
+    "eval phi --upper 1.5e308,1.5e308 --z 0.5 --q 0.9",
+])
+def test_modulus_past_the_largest_double_is_an_error_line(capsys, line):
+    code, out, err = run_cli(line.split(), capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # a zero of a weight denominator at a quadrature node

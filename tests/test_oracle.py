@@ -29,19 +29,26 @@ and of the thm-1.3 norm N_n(alpha, beta) in mpmath, at 40 digits.  The
 prop-4.2 right side: mpmath's explicit sum for C_p(x; gamma|q), which the
 coefficient of t^p equals, at 40 digits.
 
-Each bound sits 10-100x above the measured error.
+Each bound above sits 10-100x above the measured error.  The thm-1.2 right
+side, c_j / h_n from the connection row, is held to Theorem 1.2 as the
+paper states it, in 40-digit mpmath, and the askey-ismail closed form to
+the connection rows it equals, under a priori roundoff budgets
+(qpoch_budget) instead.
 """
 
 import cmath
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qkernel import (gasper_c, gf_expand, h_norm, jackson_q_integral, phi_series, qpoch_infinite,
-                     qpoch_ladder, verify, verify_prop_3_1, verify_prop_4_2,
-                     verify_thm_1_3, w_series)
+from qkernel import (QuadratureResult, connection_coeffs, gasper_c, gf_expand, h_norm,
+                     jackson_q_integral, phi_series, qpoch_infinite, qpoch_ladder, verify,
+                     verify_askey_ismail_chebyshev, verify_prop_3_1, verify_prop_4_2,
+                     verify_thm_1_2, verify_thm_1_3, w_series)
+from qkernel.pochhammer import EPS_PRODUCT, _split
 from qkernel.polynomials import _circle_norm, ultraspherical_table
 from qkernel.verify import default_suite_config
 from report_dump import SEEDS, load_workloads
@@ -370,13 +377,14 @@ def test_norms_match_oracle(q):
 
 def prop_4_2_grid():
     """The prop-4.2 entries of the default suite and of the `expand`
-    workload at its seeds."""
+    workload at its seeds, and two at beta = 0."""
     workloads = load_workloads()
     grid = list(default_suite_config()["prop-4.2"])
     for seed in SEEDS:
         grid += [case.params for case in workloads.make_workload("expand", seed)
                  if case.check_id == "prop-4.2"]
-    return grid
+    return grid + [{"beta": 0.0, "gamma": 0.6, "q": 0.4, "theta": 1.1, "degree": 12},
+                   {"beta": 0.0, "gamma": 0.6, "q": 0.9, "theta": 1.1, "degree": 30}]
 
 
 # at most 6.2e-16 measured at q <= 0.6 and 3.4e-14 at q = 0.9 (degree 30),
@@ -390,6 +398,147 @@ def test_prop_4_2_coefficients_match_oracle(params):
     with mpmath.workdps(40):
         worst = max(float(abs(complex(got) - t) / (1 + abs(t))) for got, t in zip(rhs, true))
     assert worst <= (1e-14 if params["q"] <= 0.6 else 5e-13)
+
+
+U = 2.0**-53
+
+
+def factor_budget(w, products, one=1.0):
+    """Roundings, in units of u, that a factor one - w brings into a
+    product: w is `products` complex products (each within 3 u) away from
+    exact inputs, one - w magnifies their relative error by
+    |w| / |one - w|, and the subtraction and the product into the
+    accumulator cost 4 u more."""
+    return 4 + 3 * products * abs(w) / abs(one - w)
+
+
+def qpoch_budget(a, q, n=None, carried=0):
+    """Roundings, in units of u, of (a;q)_n as qpoch_finite forms it or, n
+    None, of (a;q)_inf as qpoch_infinite does, `a` itself `carried`
+    products from exact inputs.  Factor k is 1 - a q^k, q^k a running
+    product of k factors q.  The series form (pochhammer._split's M > 0)
+    follows its K head factors with exp(-sum_{m <= M} b^m / (m (1 - q^m))),
+    b = a q^K: term m is within 3 m (K + 2 + carried) + 3 m |q^m| / |1 - q^m|
+    + 4 roundings, the sum adds M and exp and the last product 8."""
+    head, terms = (n, 0) if n is not None else _split(abs(a), abs(q))
+    budget = sum(factor_budget(a * q**k, k + 1 + carried) for k in range(head))
+    b = a * q**head
+    for m in range(1, terms + 1):
+        budget += (abs(b**m / (m * (1 - q**m)))
+                   * (3 * m * (head + 2 + carried) + 3 * m * abs(q**m / (1 - q**m)) + 4 + terms))
+    return budget + (8 if terms else 0)
+
+
+def connection_budget(m, k, beta, gamma, q):
+    """Roundings, in units of u, of c_k, the coefficient of C_{m-2k}(x; beta|q)
+    in connection_coeffs(m, beta, gamma, q): prod_{i<k} (beta - gamma q^i)
+    (q^i a power, gamma q^i one product more) times (gamma;q)_{m-k}
+    (1 - beta q^{m-2k}) over (q;q)_k (beta q;q)_{m-k} (1 - beta), four
+    products and quotients."""
+    fronts = sum(factor_budget(gamma * q**i, 2, one=beta) for i in range(k))
+    return (fronts + qpoch_budget(gamma, q, m - k) + factor_budget(beta * q ** (m - 2 * k), 2)
+            + qpoch_budget(q, q, k) + qpoch_budget(beta * q, q, m - k, carried=1)
+            + factor_budget(beta, 0) + 12)
+
+
+def circle_norm_budget(n, beta, q):
+    """Roundings, in units of u, of N_n(beta, beta) / 2 from
+    polynomials._circle_norm: 2 pi (beta, beta; q)_inf / (q, beta^2; q)_inf
+    times 1/(1 - beta q^n) + 1/(1 - beta q^n) times (beta^2;q)_n / (q;q)_n,
+    about ten products, quotients and sums."""
+    products = (2 * qpoch_budget(beta, q) + qpoch_budget(q, q)
+                + qpoch_budget(beta * beta, q, carried=1))
+    return (products + 2 * factor_budget(beta * q**n, 2)
+            + qpoch_budget(beta * beta, q, n, carried=1) + qpoch_budget(q, q, n) + 30)
+
+
+def oracle_thm_1_2(m, n, beta, gamma, q):
+    """Theorem 1.2 as the paper states it, at 40 digits: for m >= n, m = n
+    (mod 2), j = (m - n)/2,
+
+        beta^j (gamma/beta;q)_j (gamma;q)_{(m+n)/2} (1 - beta q^n)
+        / ((1 - beta) (q;q)_j (beta q;q)_{(m+n)/2} h_n(beta|q)),
+
+    beta^j (gamma/beta;q)_j taken as its limit prod_{i<j} (-gamma q^i) at
+    beta = 0; zero otherwise."""
+    if m < n or (m - n) % 2:
+        return 0
+    j, half = (m - n) // 2, (m + n) // 2
+    h_n = oracle_h_norms(beta, q, [n])[0]
+    with mpmath.workdps(40):
+        b, g, q = (mpmath.mpmathify(v) for v in (beta, gamma, q))
+        front = (b**j * mpmath.qp(g / b, q, j, maxterms=10**6) if b != 0
+                 else mpmath.fprod(-g * q**i for i in range(j)))
+        return (front * mpmath.qp(g, q, half, maxterms=10**6) * (1 - b * q**n)
+                / ((1 - b) * mpmath.qp(q, q, j, maxterms=10**6)
+                   * mpmath.qp(b * q, q, half, maxterms=10**6) * h_n))
+
+
+def thm_1_2_grid():
+    """The thm-1.2 entries of the default suite, the `stress` entry at its
+    seeds, and entries at beta = 0 and at a complex beta."""
+    workloads = load_workloads()
+    grid = list(default_suite_config()["thm-1.2"])
+    for seed in SEEDS:
+        grid += [case.params for case in workloads.make_workload("stress", seed)
+                 if case.check_id == "thm-1.2"]
+    return grid + [{"m": m, "n": n, "beta": beta, "gamma": 0.5, "q": q}
+                   for m, n, beta, q in [(2, 2, 0.0, 0.4), (4, 2, 0.0, 0.4), (6, 0, 0.0, 0.4),
+                                         (3, 1, 0.0, 0.4), (8, 6, 0.0, 0.85),
+                                         (4, 2, 0.3 + 0.2j, 0.4), (5, 1, 0.3 + 0.2j, 0.85)]]
+
+
+# the bound is u times the roundings of c_j and N_n / 2 plus the truncation
+# of the four infinite products, 2 EPS_PRODUCT each: 3.6e-14 to 9.4e-14 here,
+# against 2.5e-16 to 2.2e-15 measured
+@pytest.mark.parametrize("params", thm_1_2_grid(),
+                         ids=lambda params: "-".join(f"{value:.4g}" for value in params.values()))
+def test_thm_1_2_rhs_matches_the_stated_formula(params):
+    m, n, beta, gamma, q = params.values()
+    rhs = stubbed_rhs(verify_thm_1_2, params)
+    true = oracle_thm_1_2(m, n, beta, gamma, q)
+    if true == 0:
+        assert rhs == 0
+        return
+    j = (m - n) // 2
+    bound = (U * (connection_budget(m, j, beta, gamma, q) + circle_norm_budget(n, beta, q) + 3)
+             + 4 * 2 * EPS_PRODUCT)
+    with mpmath.workdps(40):
+        assert float(abs(rhs - true) / abs(true)) <= bound
+
+
+def stubbed_rhs(runner, params):
+    """The right side of `runner` at `params`, its quadrature stubbed out."""
+    stub = QuadratureResult(0j, 0, 0.0, 0.0, "tolerance")
+    with mock.patch.object(verify, "periodic_quadrature", lambda f: stub):
+        return runner(**params).rhs
+
+
+# T_m = (U_m - U_{m-2}) / 2 and U_m(x) = C_m(x; q|q), so by thm-1.2 at gamma = q
+# the stated closed form is (c_k(n+2k) - c_{k-1}(n+2k-2)) / 2 times 1/h_n =
+# N_n(beta, beta) / 2.  The difference magnifies the roundings of the two
+# coefficients by kappa = (|c_k| + |c_{k-1}|) / |c_k - c_{k-1}|, up to 197
+# here (n = 10, k = 4, beta = 0.99, q = 0.3); 4.2e-14 measured at worst.
+@pytest.mark.parametrize("beta,q", itertools.product([-0.4, 0.5, 0.99], [0.3, 0.9]))
+def test_askey_ismail_closed_form_is_two_connection_rows(beta, q):
+    for n, k in itertools.product(range(11), range(1, 5)):
+        stated = stubbed_rhs(verify_askey_ismail_chebyshev,
+                                   {"n": n, "k": k, "beta": beta, "q": q})
+        upper = connection_coeffs(n + 2 * k, beta, q, q)[k]
+        lower = connection_coeffs(n + 2 * k - 2, beta, q, q)[k - 1]
+        rows = (upper - lower) / 2 * (_circle_norm(n, beta, beta, q) / 2)
+        kappa = (abs(upper) + abs(lower)) / abs(upper - lower)
+        coefficients = max(connection_budget(n + 2 * k, k, beta, q, q),
+                           connection_budget(n + 2 * k - 2, k - 1, beta, q, q))
+        stated_budget = (qpoch_budget(q, q, n + k) + qpoch_budget(q, q, k) + qpoch_budget(q, q, n)
+                         + factor_budget(q ** (n + 2 * k), 1) + factor_budget(q ** (n + k), 1)
+                         + qpoch_budget(beta, q) + qpoch_budget(q, q)
+                         + qpoch_budget(beta * q ** (n + k + 1), q, carried=2)
+                         + qpoch_budget(beta * beta * q**n, q, carried=3)
+                         + sum(factor_budget(q**j, 1, one=beta) for j in range(k)) + 20)
+        bound = (U * (kappa * (coefficients + 2) + circle_norm_budget(n, beta, q) + stated_budget)
+                 + 8 * 2 * EPS_PRODUCT)
+        assert abs(stated - rows) <= bound * abs(rows), (n, k)
 
 
 def phi_series_error_bound(upper, z, q, lower=()):

@@ -51,7 +51,9 @@ ENGINES = {
 
 
 class TestBase:
-    @pytest.mark.parametrize("q", [1.0, -1.0, 1.2, 1j, 0.8 + 0.7j, math.nan])
+    # the last base has finite parts but a modulus past the largest double
+    @pytest.mark.parametrize("q", [1.0, -1.0, 1.2, 1j, 0.8 + 0.7j, math.nan,
+                                   complex(1.5e308, 1.5e308)])
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_engine_rejects_base_off_the_disk(self, engine, q):
         with pytest.raises(DomainError, match=r"\|q\| < 1"):
@@ -196,6 +198,17 @@ class TestInfinite:
         assert _split(1.0, q) == split
         assert _truncation_length(1.0, q, EPS_PRODUCT * (1 - q)) == {
             0.3: 29, 0.6: 70, 0.9: 350, 0.99: 3895, 0.999: 41426}[q]
+
+    # finite parts whose modulus is past the largest double: the scalar path
+    # let abs()'s bare OverflowError out, where the array path refused |a| = inf
+    @pytest.mark.parametrize("call", [
+        lambda: qpoch_infinite(complex(1.5e308, 1.5e308), 0.9),
+        lambda: qpoch_infinite(np.array([complex(1.5e308, 1.5e308)]), 0.9),
+        lambda: qpoch_product([0.3, complex(1.5e308, -1.5e308)], 0.9),
+    ])
+    def test_modulus_past_the_largest_double_is_refused(self, call):
+        with pytest.raises(DomainError, match=r"finite argument, got \|a\| = inf"):
+            call()
 
     def test_cap_hit_raises(self, monkeypatch):
         monkeypatch.setattr("qkernel.pochhammer.MAX_PRODUCT_TERMS", 16)

@@ -15,6 +15,9 @@ from qkernel import series
 from report_dump import SEEDS, load_workloads
 
 
+HUGE = complex(1.5e308, 1.5e308)  # finite parts, |HUGE| > the largest double
+
+
 class TestPowerSeries:
     def test_needs_constant_term(self):
         with pytest.raises(DomainError):
@@ -120,6 +123,18 @@ class TestPhiSeries:
     def test_non_finite_input_is_refused(self, upper, z, lower):
         with pytest.raises(DomainError, match="finite"):
             phi_series(upper, z, 0.3, lower)
+
+    # finite parts whose modulus is past the largest double: abs() raised a
+    # bare OverflowError out of phi_series, and so out of w_series
+    @pytest.mark.parametrize("call", [
+        lambda: phi_series([HUGE], 0.5, 0.9),
+        lambda: phi_series([0.4], HUGE, 0.9),
+        lambda: phi_series([0.3, 0.2], 0.5, 0.9, [HUGE]),
+        lambda: w_series(HUGE, [0.7, 0.6, 0.8], 0.4, 0.3),
+    ])
+    def test_modulus_past_the_largest_double_is_refused(self, call):
+        with pytest.raises(DomainError, match="finite modulus"):
+            call()
 
     def test_overflowing_terms_fail_fast(self):
         # the second term is near 1e600: no tail bound can hold, so the sum

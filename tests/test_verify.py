@@ -96,10 +96,15 @@ class TestMixedParameterIntegral:
         assert report.passed
         assert report.rel_err <= 1e-8
 
-    def test_beta_zero_is_a_recorded_failure(self):
+    def test_beta_zero_is_accepted(self):
+        # the connection row's front product is finite at beta = 0, where the
+        # written-out beta^j (gamma/beta;q)_j was refused; test_oracle.py holds
+        # this rhs to the paper's formula
         report = verify_thm_1_2(2, 2, 0.0, 0.5, 0.4)
-        assert not report.passed
-        assert report.rel_err == math.inf
+        assert report.passed
+        assert report.rel_err <= 1e-14
+        assert report.rhs == pytest.approx(
+            connection_coeffs(2, 0.0, 0.5, 0.4)[0] / h_norm(2, 0.0, 0.4), rel=1e-14)
 
 
 class TestTwoParameterOrthogonality:
@@ -448,7 +453,7 @@ class TestPolynomialReuse:
         assert repr(report.lhs) == repr(complex(expected))
         assert len(calls) == (1 if m == n else 2) * len(nodes)
 
-    def test_rogers_connection_reads_every_degree_from_one_table(self, monkeypatch):
+    def test_rogers_connection_reads_each_parameter_from_one_table(self, monkeypatch):
         n, beta, gamma, q = 9, 0.4, 0.7, 0.3
         x = np.cos((np.arange(16) + 0.5) * math.pi / 16)
         lhs = ultraspherical_c(n, x, gamma, q) + 0j
@@ -456,11 +461,18 @@ class TestPolynomialReuse:
         for k, ck in enumerate(connection_coeffs(n, beta, gamma, q)):
             rhs = rhs + ck * ultraspherical_c(n - 2 * k, x, beta, q)
         worst = int(np.argmax(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))))
-        tables = counting(monkeypatch, verify, "ultraspherical_table")
+        tables = []
+        table = verify.ultraspherical_table
+
+        def recorded(degree, points, parameter, base):
+            tables.append((degree, parameter))
+            return table(degree, points, parameter, base)
+
+        monkeypatch.setattr(verify, "ultraspherical_table", recorded)
         report = verify_rogers_connection(n, beta, gamma, q)
         assert ((repr(report.lhs), repr(report.rhs))
                 == (repr(complex(lhs[worst])), repr(complex(rhs[worst]))))
-        assert tables == [n]
+        assert sorted(tables) == [(n, beta), (n, gamma)]
 
 
 class TestCoefficientwise:
@@ -482,6 +494,15 @@ class TestCoefficientwise:
         report = verify_prop_4_2(0.5, 0.5, 0.3, 0.9, degree=10)
         assert report.passed
         assert report.rel_err <= 1e-12
+
+    # the connection row's front product is finite at beta = 0, where the
+    # written-out beta^j (gamma/beta;q)_j was refused; test_oracle.py holds
+    # these coefficients to the explicit sum
+    @pytest.mark.parametrize("q,degree", [(0.4, 12), (0.9, 30)])
+    def test_double_sum_at_beta_zero(self, q, degree):
+        report = verify_prop_4_2(0.0, 0.6, q, 1.1, degree=degree)
+        assert report.passed
+        assert report.nodes_used == degree + 1
 
     def test_double_sum_is_the_connection_formula_at_every_degree(self):
         # the coefficient of t^p is sum_j c_j C_{p-2j}(x; beta), c_j row p of
