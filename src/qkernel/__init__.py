@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _MODULE_OF = {name: module for module, names in {
     "errors": "QKernelError DomainError PoleError ConvergenceError",
-    "pochhammer": "qpoch_finite qpoch_infinite qpoch_product qpoch_ladder qbinom",
+    "pochhammer": "qpoch_finite qpoch_infinite qpoch_product qpoch_ratio qpoch_ladder qbinom",
     "series": "TruncatedPowerSeries gf_expand phi_series w_series rogers_6w5_rhs",
     "polynomials": "ultraspherical_c gasper_c phi_poly q_hermite chebyshev_t h_norm "
                    "connection_coeffs",

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConvergenceError, PoleError
 # qpoch_infinite is not called here; bench/tests/test_spans.py reads it from
 # this module to check that the tracer puts it back.
-from .pochhammer import check_base, qpoch_infinite, qpoch_product  # noqa: F401
+from .pochhammer import check_base, qpoch_infinite, qpoch_ratio  # noqa: F401
 from .series import EPS_SERIES, MAX_SERIES_TERMS, _running_sums
 
 # Budget of periodic_quadrature: doubling tolerance, node cap, and the
@@ -288,10 +288,11 @@ def weight_omega_ab(theta: float, alpha, beta, q):
 
         (e^{2i theta}, e^{-2i theta}; q)_inf / (alpha e^{2i theta}, beta e^{-2i theta}; q)_inf.
 
-    For real q, qpoch_product shares the numerator's conjugate pair, and the
-    denominator's when beta = conj alpha.
+    For real q, qpoch_ratio shares the numerator's conjugate pair, and the
+    denominator's when beta = conj alpha.  Where the denominator vanishes,
+    a scalar theta raises PoleError and an array gives inf or nan.
     """
     plus = np.exp(2j * np.asarray(theta))
     minus = plus.conjugate()  # bit for bit np.exp(-2j * theta)
-    value = qpoch_product([plus, minus], q) / qpoch_product([alpha * plus, beta * minus], q)
+    value = qpoch_ratio([plus, minus], [alpha * plus, beta * minus], q)
     return complex(value) if np.ndim(theta) == 0 else value

@@ -35,7 +35,10 @@ runs one Python loop, without numpy, in the factor form (M = 0) and in a
 series form of at most _SCALAR_SERIES_ROWS rows K + M (q = 0.9 and 0.99
 at |a| = 1); arrays and longer splits run numpy blocks.  qpoch_product
 multiplies several infinite symbols and, for real q, shares a conjugate
-pair of arguments between one product and its conjugate.
+pair of arguments between one product and its conjugate.  qpoch_ratio
+divides one qpoch_product by another; every closed form, weight and
+integrand that is a quotient of infinite products is formed by it, and a
+scalar quotient is a pole exactly where its denominator is 0.
 """
 
 from __future__ import annotations
@@ -85,13 +88,18 @@ def check_base(q) -> None:
 
 
 def _check_finite(name: str, *values) -> None:
-    """DomainError unless every value, a scalar or an array, is finite.
-    Callers check once per call, before their factor loops."""
+    """DomainError unless every value, a scalar or an array, is finite and,
+    if complex, has a finite modulus (finite parts can lie past the largest
+    double).  Callers check once per call, before their factor loops."""
     for value in values:
         scalar = isinstance(value, _SCALARS)
         if not scalar:
             import numpy as np
-        if not (cmath.isfinite(value) if scalar else np.isfinite(value).all()):
+        try:  # abs(nan) < inf is False
+            finite = abs(value) < math.inf if scalar else (np.abs(value) < math.inf).all()
+        except OverflowError:  # abs() of a complex modulus past the largest double
+            finite = False
+        if not finite:
             raise DomainError(f"{name} needs finite arguments")
 
 
@@ -100,7 +108,8 @@ def qpoch_finite(a, q, n: int):
 
     For n < 0 the value is 1/(a q^n; q)_{-n}; a vanishing factor in that
     denominator raises PoleError, and q = 0 raises DomainError.  `a` may be
-    an array.  A NaN or infinite a or q is a DomainError.
+    an array.  A NaN or infinite a or q is a DomainError, and so is a
+    complex one whose modulus is past the largest double.
     """
     _check_finite("qpoch_finite", a, q)
     if n >= 0:
@@ -113,7 +122,7 @@ def qpoch_finite(a, q, n: int):
 def qpoch_finite_table(a, q, n: int) -> list:
     """[(a;q)_0, ..., (a;q)_n] for n >= 0, the prefixes of one factor loop,
     so entry k equals qpoch_finite(a, q, k) bit for bit; DomainError for
-    n < 0 and for a NaN or infinite a or q.  `a` may be an array."""
+    n < 0 and for a non-finite a or q (_check_finite).  `a` may be an array."""
     if n < 0:
         raise DomainError(f"qpoch_finite_table needs n >= 0, got {n}")
     _check_finite("qpoch_finite_table", a, q)
@@ -313,6 +322,23 @@ def qpoch_product(values, q):
     for product in products[1:]:
         out = out * product
     return out
+
+
+def qpoch_ratio(numerators, denominators, q):
+    """(a_1, ..., a_j; q)_inf / (b_1, ..., b_k; q)_inf for the lists
+    `numerators` a and `denominators` b (scalars or same-shape arrays): the
+    denominators' qpoch_product, then the numerators', then one division, so
+    each side shares its conjugate pairs.  A scalar quotient whose
+    denominator is 0, or underflows to 0, raises PoleError naming the
+    denominators; an array quotient divides as numpy does (inf or nan there).
+    """
+    den = qpoch_product(denominators, q)
+    num = qpoch_product(numerators, q)
+    try:
+        return num / den
+    except ZeroDivisionError:  # Python's complex division by zero
+        args = ", ".join(map(str, denominators))
+        raise PoleError(f"the denominator ({args}; q)_inf is 0") from None
 
 
 def _conjugate_index(values, i: int):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .pochhammer import (_check_finite, _q_products, qpoch_finite,
-                         qpoch_finite_table, qpoch_product)
+                         qpoch_finite_table, qpoch_ratio)
 from .series import _qdifference_coeffs
 
 
@@ -126,11 +126,8 @@ def chebyshev_t(n: int, x: float):
 
 def _circle_prefactor(alpha, beta, q):
     """2 pi (alpha, beta; q)_inf / (q, alpha beta; q)_inf, shared by thm-1.3
-    and thm-1.4; PoleError where (alpha beta; q)_inf vanishes."""
-    denominator = qpoch_product([q, alpha * beta], q)
-    if denominator == 0:
-        raise PoleError("the circle norm needs (q, alpha beta; q)_inf != 0")
-    return 2.0 * math.pi * qpoch_product([alpha, beta], q) / denominator
+    and thm-1.4; PoleError where (alpha beta; q)_inf vanishes (qpoch_ratio)."""
+    return 2.0 * math.pi * qpoch_ratio([alpha, beta], [q, alpha * beta], q)
 
 
 def _circle_norm(n: int, alpha, beta, q):

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, PoleError
-from .pochhammer import _check_finite, check_base, qpoch_product
+from .errors import ConvergenceError, DomainError
+from .pochhammer import _check_finite, check_base, qpoch_ratio
 
 # Budget of every summed series (phi_series and the Jackson ladder):
 # relative tail bound and term cap.
@@ -402,8 +402,5 @@ def rogers_6w5_rhs(a, b, c, d, q) -> complex:
     if b * c * d == 0:
         raise DomainError("6W5 closed form needs nonzero b, c, d")
     aq = a * q
-    num = qpoch_product([aq, aq / (b * c), aq / (c * d), aq / (b * d)], q)
-    den = qpoch_product([aq / b, aq / c, aq / d, aq / (b * c * d)], q)
-    if den == 0:
-        raise PoleError("vanishing denominator product in the 6W5 closed form")
-    return complex(num / den)
+    return complex(qpoch_ratio([aq, aq / (b * c), aq / (c * d), aq / (b * d)],
+                               [aq / b, aq / c, aq / d, aq / (b * c * d)], q))

@@ -25,7 +25,12 @@ _circle_norm), thm-1.2 from one connection coefficient times N_n / 2,
 rogers-connection and prop-4.2 from rows of the connection coefficients
 summed by one body (_connection_sums), thm-1.4's from two phi_series sums,
 askey-ismail's from the product the paper states, the others as each
-runner's docstring says.  rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
+runner's docstring says.  Every quotient of infinite products among them,
+N_n's 2 pi (a, b; q)_inf / (q, ab; q)_inf, the prop-3.1, prop-3.2,
+askey-ismail and qbinomial closed forms and the thm-1.4 integrand, is one
+pochhammer.qpoch_ratio, which is also the one pole rule: a scalar quotient
+whose denominator product is 0 (or underflows to 0) raises PoleError, and
+the report fails.  rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
 
 Each runner is written as a function of the check's own arguments that
 returns (lhs, rhs, nodes_used), under one decorator, @_check(check_id,
@@ -61,11 +66,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError, QKernelError
+from .errors import DomainError, QKernelError
 from .integrate import (jackson_q_integral, periodic_quadrature,
                         weight_omega_ab, weight_omega_beta)
-from .pochhammer import (_check_finite, check_base, qbinom, qpoch_finite,
-                         qpoch_infinite, qpoch_ladder, qpoch_product)
+# qpoch_infinite is not called here; bench/tests/test_spans.py reads it from
+# this module to check that the tracer puts it back.
+from .pochhammer import (_check_finite, check_base, qbinom, qpoch_finite,  # noqa: F401
+                         qpoch_infinite, qpoch_ladder, qpoch_ratio)
 from .polynomials import (_circle_norm, _circle_prefactor, _connection_row,
                           _connection_tables, chebyshev_t, connection_coeffs,
                           gasper_c, phi_poly, ultraspherical_c, ultraspherical_table)
@@ -280,11 +287,10 @@ def verify_thm_1_4(alpha, beta, s, t, q):
         minus = plus.conjugate()
         plus2 = plus * plus
         minus2 = minus * minus
-        num = qpoch_product([alpha * t * plus, beta * t * minus, alpha * s * plus,
-                             beta * s * minus, plus2, minus2], q)
-        den = qpoch_product([t * plus, t * minus, s * plus, s * minus,
-                             alpha * plus2, beta * minus2], q)
-        return num / den
+        return qpoch_ratio([alpha * t * plus, beta * t * minus, alpha * s * plus,
+                            beta * s * minus, plus2, minus2],
+                           [t * plus, t * minus, s * plus, s * minus,
+                            alpha * plus2, beta * minus2], q)
 
     quad = periodic_quadrature(integrand)
     w = s * t
@@ -310,9 +316,8 @@ def verify_prop_3_1(a, b, c, x, y, q):
         return _ladder_ratio([q / x, q / y, a * b * c], [a / y, b / x, c], z, q)
 
     ladder = jackson_q_integral(integrand, x, y, q)
-    rhs = ((1.0 - q) * y
-           * qpoch_product([q, x / y, q * y / x, a * b, a * c * x, b * c * y], q)
-           / qpoch_product([a * x / y, b * y / x, a, b, c * x, c * y], q))
+    rhs = (1.0 - q) * y * qpoch_ratio([q, x / y, q * y / x, a * b, a * c * x, b * c * y],
+                                      [a * x / y, b * y / x, a, b, c * x, c * y], q)
     return ladder.value, rhs, ladder.nodes_used
 
 
@@ -332,8 +337,9 @@ def verify_prop_3_2(n: int, a, b, x, y, q):
                                 int_x^y (qz/x, qz/y; q)_inf z^n
                                         / (bz/x, az/y; q)_inf d_q z.
 
-    A vanishing closed-form denominator (q, ab, x/y, qy/x; q)_inf raises
-    PoleError.
+    The closed-form factor is (ab;q)_n / ((1-q) y) times the qpoch_ratio
+    of the two infinite products, so a vanishing denominator
+    (q, ab, x/y, qy/x; q)_inf raises PoleError.
     """
     if x == 0 or y == 0 or x == y:
         raise DomainError("prop-3.2 needs distinct nonzero endpoints")
@@ -342,11 +348,8 @@ def verify_prop_3_2(n: int, a, b, x, y, q):
         return _ladder_ratio([q / x, q / y], [b / x, a / y], z, q) * z**n
 
     ladder = jackson_q_integral(integrand, x, y, q)
-    den = (1.0 - q) * y * qpoch_product([q, a * b, x / y, q * y / x], q)
-    if den == 0:
-        raise PoleError("prop-3.2 needs (q, ab, x/y, qy/x; q)_inf != 0")
-    prefactor = (qpoch_finite(a * b, q, n)
-                 * qpoch_product([a, b, b * y / x, a * x / y], q) / den)
+    prefactor = (qpoch_ratio([a, b, b * y / x, a * x / y], [q, a * b, x / y, q * y / x], q)
+                 * qpoch_finite(a * b, q, n) / ((1.0 - q) * y))
     lhs = phi_poly(n, a, b, x, y, q)
     rhs = prefactor * ladder.value
     return lhs, rhs, ladder.nodes_used
@@ -403,15 +406,12 @@ def verify_askey_ismail_chebyshev(n: int, k: int, beta, q):
         return ultraspherical_c(n, x, beta, q) * chebyshev_t(n + 2 * k, x)
 
     lhs, nodes = _half_period(product, beta, q)
-    den = qpoch_product([q, beta * beta * q**n], q)
-    if den == 0:
-        raise PoleError("askey-ismail needs (q, beta^2 q^n; q)_inf != 0")
     front = 1.0
     for j in range(k):
         front *= (beta - q**j)
     rhs = (math.pi * qbinom(n + k, k, q)
            * (1.0 - q ** (n + 2 * k)) / (1.0 - q ** (n + k))
-           * qpoch_product([beta, beta * q ** (n + k + 1)], q) / den
+           * qpoch_ratio([beta, beta * q ** (n + k + 1)], [q, beta * beta * q**n], q)
            * front)
     return lhs, rhs, nodes
 
@@ -481,15 +481,10 @@ def verify_uniform_bound(n: int, alpha, beta, q, grid_size: int = 64):
 def verify_qbinomial(a, z, q):
     """q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf / (z;q)_inf for |z| < 1.
 
-    A denominator (z;q)_inf that is zero, or underflows to zero, raises
-    PoleError.
+    The right side is qpoch_ratio([a z], [z], q): a denominator (z;q)_inf
+    that is zero, or underflows to zero, raises PoleError.
     """
-    lhs = phi_series([a], z, q)
-    den = qpoch_infinite(z, q)
-    if den == 0:
-        raise PoleError("qbinomial needs (z;q)_inf != 0")
-    rhs = qpoch_infinite(a * z, q) / den
-    return lhs, rhs, 0
+    return phi_series([a], z, q), qpoch_ratio([a * z], [z], q), 0
 
 
 @_check("rogers-6phi5", _SERIES_TOL)

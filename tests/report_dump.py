@@ -11,7 +11,9 @@ line per kernel value on a fixed grid
 that no report prints: scalar qpoch_infinite and qpoch_product at real and
 complex bases, in the factor form (|q| <= 0.6) and the series form
 (|q| >= 0.9), for |a| in {0.3, 1, 2}, 4 rows of a qpoch_ladder table of
-the same arguments at each base, qpoch_finite of the same scalars at
+the same arguments at each base, one qpoch_ratio of RATIO_SIDES at each
+base and one whose scalar denominator vanishes (PoleError), qpoch_finite
+of the same scalars at
 n in {-3, 5, 40}, h_norm at n in {0, 2, 12} and beta in {0.6, -0.5,
 0.3+0.4i}, the thm-1.3 norm polynomials._circle_norm at the same n and
 (alpha, beta) in {(0.4, -0.3), (0.6, 0.6)}, connection_coeffs(12, 0.4,
@@ -43,6 +45,10 @@ KERNEL_BASES = (0.3, -0.6, 0.9, 0.99, 0.5 + 0.3j, -0.2 + 0.55j, 0.6 + 0.7j)
 KERNEL_MODULI = (0.3, 1.0, 2.0)
 TABLE_POINTS = (-0.9, 0.3, 1.0)
 FINITE_INDICES = (-3, 5, 40)
+# numerators and denominators: a weight-like quotient with a conjugate pair
+# on each side and a real denominator argument
+RATIO_SIDES = ([cmath.rect(1.0, 2.0), cmath.rect(1.0, -2.0), 0.3],
+               [cmath.rect(0.6, 2.0), cmath.rect(0.6, -2.0), -0.5])
 NORM_DEGREES = (0, 2, 12)
 NORM_PARAMETERS = (0.6, -0.5, 0.3 + 0.4j)
 NORM_PAIRS = ((0.4, -0.3), (0.6, 0.6))
@@ -94,7 +100,8 @@ def value_of(function, *args) -> str:
 
 def kernel_lines():
     from qkernel import (connection_coeffs, h_norm, jackson_q_integral, phi_series, qbinom,
-                         qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product, w_series)
+                         qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product, qpoch_ratio,
+                         w_series)
     from qkernel.polynomials import _circle_norm, ultraspherical_table
 
     for q in KERNEL_BASES:
@@ -108,6 +115,9 @@ def kernel_lines():
             yield f"kernel qpoch_product {q!r} {values!r} {qpoch_product(values, q)!r}"
             for i, row in enumerate(qpoch_ladder(values, q, 4)):
                 yield f"kernel qpoch_ladder {q!r} {values!r} {i} {list(row)!r}"
+        numerators, denominators = RATIO_SIDES
+        yield (f"kernel qpoch_ratio {q!r} {numerators!r} {denominators!r} "
+               f"{qpoch_ratio(numerators, denominators, q)!r}")
         for n in NORM_DEGREES:
             for beta in NORM_PARAMETERS:
                 yield f"kernel h_norm {q!r} {n} {beta!r} {value_of(h_norm, n, beta, q)}"
@@ -121,6 +131,7 @@ def kernel_lines():
             for x in TABLE_POINTS:
                 table = ultraspherical_table(12, x, 0.6, q)
                 yield f"kernel ultraspherical_table {q!r} 0.6 {x!r} {table!r}"
+    yield f"kernel qpoch_ratio 0.3 [0.5] [1.0] {value_of(qpoch_ratio, [0.5], [1.0], 0.3)}"
     for q in JACKSON_BASES:
         # a rational integrand in numpy's arithmetic, from a real to a complex endpoint
         result = jackson_q_integral(lambda z: (0.3 - 1.2j * z) / (1.0 + 0.5 * z * z),

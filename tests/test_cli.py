@@ -148,6 +148,15 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("line", ["eval omega_b --theta 0 --beta 1 --q 0.3",
+                                      "eval omega_ab --theta 0 --alpha 1 --beta 0.5 --q 0.3"])
+    def test_weight_pole_is_a_numeric_error(self, capsys, line):
+        # (alpha e^{2i theta}; q)_inf = 0 at theta = 0, alpha = 1: these
+        # ended in a ZeroDivisionError traceback
+        code, out, err = run_cli(line.split(), capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the denominator (")
+
     def test_missing_argument_is_usage(self, capsys):
         code, _, err = run_cli(["eval", "C", "--n", "1"], capsys)
         assert code == 2
@@ -419,6 +428,7 @@ GOLDEN = [
     ('eval jackson --coeff 1,2 --coeff 0,-0.5 --coeff 0.25 --a 0.3,-0.2 --b 0.9,0.1 --q 0.6', 0,
      '0.18443877551020443+1.302359693877535i\n'),
     ('eval qpoch --a 0.3 --q 0.3 --n -1', 1, ''),
+    ('eval omega_b --theta 0 --beta 1 --q 0.3', 1, ''),
     ('eval qpoch --a 0.5 --q 1.5 --n inf', 1, ''),
     ('eval qpoch --a nan --q 0.5 --n inf', 1, ''),
     ('eval qpoch --a nan --q 0.5 --n 2', 1, ''),
@@ -442,6 +452,7 @@ GOLDEN = [
     # finite parts, modulus past the largest double: refused, where abs()
     # raised OverflowError
     ('eval qpoch --a 1.5e308,1.5e308 --q 0.9 --n inf', 1, ''),
+    ('eval qpoch --a 1.5e308,1.5e308 --q 0.9 --n 3', 1, ''),  # printed nan+nani
     ('eval qpoch --a 0.5 --q 1.5e308,1.5e308 --n inf', 1, ''),
     ('eval phi --upper 1.5e308,1.5e308 --z 0.5 --q 0.9', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
@@ -475,12 +486,13 @@ GOLDEN = [
     # C_n from ultraspherical_table, which test_oracle.py bounds against the
     # explicit sum in mpmath.  Against 40-digit mpmath each lhs below, and
     # both sides at every grid point or coefficient behind a worst-point
-    # row, is within 7.1e-16 of the exact value.  Here lhs is off by 3.0e-16
-    # from 1/h_3, and rhs = N_3(0.6, 0.6) / 2 by 4.1e-17.
+    # row, is within 7.1e-16 of the exact value.  Here lhs is off by 4.9e-16
+    # (relative) from 1/h_3, and rhs = N_3(0.6, 0.6) / 2 by 7.4e-17, one
+    # ulp below the 6.8e-17 of forming (2 pi N) / D instead of 2 pi (N / D).
     ('check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3', 0,
      'PASS thm-1.1 [m=3 n=3 beta=0.6 q=0.3] '
-     'lhs=1.5673450639482842+3.4585519725551564e-18i rhs=1.5673450639482835 '
-     'rel_err=2.595e-16 tol=1.0e-09 nodes=256 t=*ms\n'),
+     'lhs=1.5673450639482842+3.4585519725551564e-18i rhs=1.5673450639482833 '
+     'rel_err=3.460e-16 tol=1.0e-09 nodes=256 t=*ms\n'),
     ('check thm-1.1 --m 3 --n 2 --beta 0.6 --q 0.3 --format json', 0,
      '{\n'
      '  "check_id": "thm-1.1",\n'
@@ -520,17 +532,21 @@ GOLDEN = [
      'PASS thm-1.3 [m=2 n=2 alpha=0.4 beta=-0.3 q=0.35] '
      'lhs=29.54896999057962+3.814856169696941e-16i rhs=29.548969990579682 '
      'rel_err=1.977e-15 tol=1.0e-09 nodes=128 t=*ms\n'),
+    # rhs is 2.6e-15 (relative) from the 40-digit closed form, 2.4e-15 when
+    # 2 pi (a, b; q)_inf was divided by (q, ab; q)_inf after the multiply
     ('check thm-1.4 --alpha 0.5 --beta 0.2 --s 0.3 --t 0.25 --q 0.3', 0,
      'PASS thm-1.4 [alpha=0.5 beta=0.2 s=0.3 t=0.25 q=0.3] '
-     'lhs=12.091649623542251-6.982549239177436e-18i rhs=12.091649623542228 '
-     'rel_err=1.764e-15 tol=1.0e-08 nodes=256 t=*ms\n'),
+     'lhs=12.091649623542251-6.982549239177436e-18i rhs=12.091649623542226 '
+     'rel_err=1.900e-15 tol=1.0e-08 nodes=256 t=*ms\n'),
     ('check prop-3.1 --a 0.3 --b 0.2 --c 0.4 --x 0.5 --y 0.7 --q 0.35', 0,
      'PASS prop-3.1 [a=0.3 b=0.2 c=0.4 x=0.5 y=0.7 q=0.35] lhs=0.1643224493614951 '
      'rhs=0.16432244936149726 rel_err=1.859e-15 tol=1.0e-09 nodes=62 t=*ms\n'),
+    # rhs is 9.4e-16 (relative) from Phi_3 in 40-digit mpmath, 9.2e-16 when
+    # the closed-form factor divided one product by (1-q) y times the other
     ('check prop-3.2 --n 3 --a 0.3 --b 0.2 --x 0.6,0.3 --y 0.6,-0.3 --q 0.3', 0,
      'PASS prop-3.2 [n=3 a=0.3 b=0.2 x=0.6+0.3i y=0.6-0.3i q=0.3] '
      'lhs=0.46215711000000004-0.03839543100000001i '
-     'rhs=0.4621571099999996-0.038395430999999744i rel_err=3.528e-16 tol=1.0e-09 '
+     'rhs=0.4621571099999996-0.03839543099999973i rel_err=3.578e-16 tol=1.0e-09 '
      'nodes=26 t=*ms\n'),
     ('check rogers-connection --n 4 --beta 0.4 --gamma 0.7 --q 0.3', 0,
      'PASS rogers-connection [n=4 beta=0.4 gamma=0.7 q=0.3 theta_grid=16] '
@@ -616,8 +632,8 @@ GOLDEN = [
      'rhs=1.0059447399984027 rel_err=7.749e-15 tol=1.0e-11 nodes=0 t=*ms\n'),
     ('check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3 --tol 1e-30', 1,
      'FAIL thm-1.1 [m=3 n=3 beta=0.6 q=0.3] '
-     'lhs=1.5673450639482842+3.4585519725551564e-18i rhs=1.5673450639482835 '
-     'rel_err=2.595e-16 tol=1.0e-30 nodes=256 t=*ms\n'),
+     'lhs=1.5673450639482842+3.4585519725551564e-18i rhs=1.5673450639482833 '
+     'rel_err=3.460e-16 tol=1.0e-30 nodes=256 t=*ms\n'),
     ('check rogers-6phi5 --a 0.1 --b 0 --c 0.6 --d 0.8 --q 0.4', 1,
      'FAIL rogers-6phi5 [a=0.1 b=0.0 c=0.6 d=0.8 q=0.4] lhs=0.0 rhs=0.0 rel_err=inf '
      'tol=1.0e-11 nodes=0 t=*ms\n'),
@@ -912,11 +928,13 @@ def test_report_params_rerun_their_check(tmp_path, capsys):
             == [{key: r[key] for key in keys} for r in reports])
 
 
-# finite parts whose modulus is past the largest double: each ended in an
-# OverflowError traceback from abs()
+# finite parts whose modulus is past the largest double: the infinite
+# products and phi ended in an OverflowError traceback from abs(), and the
+# finite product printed nan+nani
 @pytest.mark.parametrize("line", [
     "eval qpoch --a 1.5e308,1.5e308 --q 0.9 --n inf",
     "eval qpoch --a 0.5 --q 1.5e308,1.5e308 --n inf",
+    "eval qpoch --a 1.5e308,1.5e308 --q 0.9 --n 3",
     "eval phi --upper 1.5e308,1.5e308 --z 0.5 --q 0.9",
 ])
 def test_modulus_past_the_largest_double_is_an_error_line(capsys, line):

@@ -33,7 +33,11 @@ Each bound above sits 10-100x above the measured error.  The thm-1.2 right
 side, c_j / h_n from the connection row, is held to Theorem 1.2 as the
 paper states it, in 40-digit mpmath, and the askey-ismail closed form to
 the connection rows it equals, under a priori roundoff budgets
-(qpoch_budget) instead.
+(qpoch_budget) instead.  So are the closed forms that multiply a prefactor
+by one qpoch_ratio, against mp.qp products at 40 digits: the right sides of
+prop-3.1, askey-ismail (as stated) and thm-1.4 (with mp.qhyper for its two
+2phi1 sums), and prop-3.2's closed-form factor, at the default-suite and
+`stress` entries.
 """
 
 import cmath
@@ -46,10 +50,11 @@ import pytest
 
 from qkernel import (QuadratureResult, connection_coeffs, gasper_c, gf_expand, h_norm,
                      jackson_q_integral, phi_series, qpoch_infinite, qpoch_ladder, verify,
-                     verify_askey_ismail_chebyshev, verify_prop_3_1, verify_prop_4_2,
-                     verify_thm_1_2, verify_thm_1_3, w_series)
+                     verify_askey_ismail_chebyshev, verify_prop_3_1, verify_prop_3_2,
+                     verify_prop_4_2, verify_thm_1_2, verify_thm_1_3, verify_thm_1_4, w_series)
 from qkernel.pochhammer import EPS_PRODUCT, _split
 from qkernel.polynomials import _circle_norm, ultraspherical_table
+from qkernel.series import EPS_SERIES
 from qkernel.verify import default_suite_config
 from report_dump import SEEDS, load_workloads
 
@@ -508,9 +513,12 @@ def test_thm_1_2_rhs_matches_the_stated_formula(params):
 
 
 def stubbed_rhs(runner, params):
-    """The right side of `runner` at `params`, its quadrature stubbed out."""
-    stub = QuadratureResult(0j, 0, 0.0, 0.0, "tolerance")
-    with mock.patch.object(verify, "periodic_quadrature", lambda f: stub):
+    """The right side of `runner` at `params`, its quadrature and its
+    Jackson ladder stubbed out by the value 1, so prop-3.2's right side is
+    its closed-form factor."""
+    stub = QuadratureResult(1 + 0j, 0, 0.0, 0.0, "tolerance")
+    with mock.patch.object(verify, "periodic_quadrature", lambda f: stub), \
+            mock.patch.object(verify, "jackson_q_integral", lambda *args: stub):
         return runner(**params).rhs
 
 
@@ -530,18 +538,141 @@ def test_askey_ismail_closed_form_is_two_connection_rows(beta, q):
         kappa = (abs(upper) + abs(lower)) / abs(upper - lower)
         coefficients = max(connection_budget(n + 2 * k, k, beta, q, q),
                            connection_budget(n + 2 * k - 2, k - 1, beta, q, q))
-        stated_budget = (qpoch_budget(q, q, n + k) + qpoch_budget(q, q, k) + qpoch_budget(q, q, n)
-                         + factor_budget(q ** (n + 2 * k), 1) + factor_budget(q ** (n + k), 1)
-                         + qpoch_budget(beta, q) + qpoch_budget(q, q)
-                         + qpoch_budget(beta * q ** (n + k + 1), q, carried=2)
-                         + qpoch_budget(beta * beta * q**n, q, carried=3)
-                         + sum(factor_budget(q**j, 1, one=beta) for j in range(k)) + 20)
-        bound = (U * (kappa * (coefficients + 2) + circle_norm_budget(n, beta, q) + stated_budget)
+        bound = (U * (kappa * (coefficients + 2) + circle_norm_budget(n, beta, q)
+                      + askey_ismail_budget(n, k, beta, q))
                  + 8 * 2 * EPS_PRODUCT)
         assert abs(stated - rows) <= bound * abs(rows), (n, k)
 
 
-def phi_series_error_bound(upper, z, q, lower=()):
+def askey_ismail_budget(n, k, beta, q):
+    """Roundings, in units of u, of the askey-ismail closed form as the
+    check forms it: pi [n+k choose k]_q from three (q;q)_j, the factors
+    1 - q^{n+2k} and 1 - q^{n+k}, the qpoch_ratio of (beta, beta q^{n+k+1};
+    q)_inf over (q, beta^2 q^n; q)_inf and prod_{j<k} (beta - q^j), and 20
+    for the products and quotients that join them."""
+    return (qpoch_budget(q, q, n + k) + qpoch_budget(q, q, k) + qpoch_budget(q, q, n)
+            + factor_budget(q ** (n + 2 * k), 1) + factor_budget(q ** (n + k), 1)
+            + qpoch_budget(beta, q) + qpoch_budget(q, q)
+            + qpoch_budget(beta * q ** (n + k + 1), q, carried=2)
+            + qpoch_budget(beta * beta * q**n, q, carried=3)
+            + sum(factor_budget(q**j, 1, one=beta) for j in range(k)) + 20)
+
+
+def ratio_budget(numerators, denominators, q):
+    """Roundings, in units of u, of pochhammer.qpoch_ratio: qpoch_budget of
+    each argument, given as a pair (a, carried), 3 u for each complex
+    product that joins the factors of a side and 6 u for the quotient."""
+    sides = [*numerators, *denominators]
+    return sum(qpoch_budget(a, q, carried=c) for a, c in sides) + 3 * (len(sides) - 2) + 6
+
+
+def closed_form_grid(check_id):
+    """The `check_id` entries of the default suite and of the `stress`
+    workload at its seeds, each once."""
+    workloads = load_workloads()
+    grid = list(default_suite_config()[check_id])
+    for seed in SEEDS:
+        grid += [case.params for case in workloads.make_workload("stress", seed)
+                 if case.check_id == check_id and case.params not in grid]
+    return grid
+
+
+def oracle_ratio(numerators, denominators, q):
+    """(a_1, ...; q)_inf / (b_1, ...; q)_inf of mpmath numbers at the
+    working precision, by mp.qp."""
+    return (mpmath.fprod(oracle_qp(a, q) for a in numerators)
+            / mpmath.fprod(oracle_qp(b, q) for b in denominators))
+
+
+def grid_ids(params):
+    return "-".join(f"{value:.4g}" for value in params.values())
+
+
+# The closed forms below multiply a prefactor by one qpoch_ratio.  Each
+# bound is u times the roundings of that evaluation plus 2 EPS_PRODUCT per
+# infinite product: 1.5e-13 to 1.4e-12 for prop-3.1, against 4.0e-17 to
+# 1.2e-14 measured (q = 0.95)
+@pytest.mark.parametrize("params", closed_form_grid("prop-3.1"), ids=grid_ids)
+def test_prop_3_1_rhs_matches_oracle(params):
+    a, b, c, x, y, q = params.values()
+    rhs = stubbed_rhs(verify_prop_3_1, params)
+    numerators = [(q, 0), (x / y, 1), (q * y / x, 2), (a * b, 1), (a * c * x, 2), (b * c * y, 2)]
+    denominators = [(a * x / y, 2), (b * y / x, 2), (a, 0), (b, 0), (c * x, 1), (c * y, 1)]
+    # (1 - q) y times the ratio: a subtraction and two products
+    bound = U * (ratio_budget(numerators, denominators, q) + 7) + 12 * 2 * EPS_PRODUCT
+    with mpmath.workdps(40):
+        a, b, c, x, y, q = (mpmath.mpmathify(v) for v in params.values())
+        true = (1 - q) * y * oracle_ratio([q, x / y, q * y / x, a * b, a * c * x, b * c * y],
+                                          [a * x / y, b * y / x, a, b, c * x, c * y], q)
+        assert float(abs(rhs - true) / abs(true)) <= bound
+
+
+# the right side at a stubbed ladder value 1 is the closed-form factor
+# (ab;q)_n (a, b, by/x, ax/y; q)_inf / ((1-q) y (q, ab, x/y, qy/x; q)_inf):
+# bound 1.2e-13 to 4.3e-13, 1.4e-15 to 2.6e-15 measured
+@pytest.mark.parametrize("params", closed_form_grid("prop-3.2"), ids=grid_ids)
+def test_prop_3_2_closed_form_factor_matches_oracle(params):
+    n, a, b, x, y, q = params.values()
+    factor = stubbed_rhs(verify_prop_3_2, params)
+    numerators = [(a, 0), (b, 0), (b * y / x, 2), (a * x / y, 2)]
+    denominators = [(q, 0), (a * b, 1), (x / y, 1), (q * y / x, 2)]
+    # times (ab;q)_n, over (1 - q) y: two products, a subtraction, a quotient
+    bound = (U * (ratio_budget(numerators, denominators, q)
+                  + qpoch_budget(a * b, q, n, carried=1) + 13)
+             + 8 * 2 * EPS_PRODUCT)
+    with mpmath.workdps(40):
+        a, b, x, y, q = (mpmath.mpmathify(v) for v in (a, b, x, y, q))
+        true = (mpmath.qp(a * b, q, n) / ((1 - q) * y)
+                * oracle_ratio([a, b, b * y / x, a * x / y], [q, a * b, x / y, q * y / x], q))
+        assert float(abs(factor - true) / abs(true)) <= bound
+
+
+# the closed form as the paper states it: bound 6.6e-14 to 1.9e-13, 2.8e-16
+# to 2.1e-15 measured
+@pytest.mark.parametrize("params", closed_form_grid("askey-ismail"), ids=grid_ids)
+def test_askey_ismail_stated_closed_form_matches_oracle(params):
+    n, k, beta, q = params.values()
+    rhs = stubbed_rhs(verify_askey_ismail_chebyshev, params)
+    bound = U * askey_ismail_budget(n, k, beta, q) + 4 * 2 * EPS_PRODUCT
+    with mpmath.workdps(40):
+        b, q = mpmath.mpmathify(beta), mpmath.mpmathify(q)
+        true = (mpmath.pi * mpmath.qp(q, q, n + k) / (mpmath.qp(q, q, k) * mpmath.qp(q, q, n))
+                * (1 - q ** (n + 2 * k)) / (1 - q ** (n + k))
+                * oracle_ratio([b, b * q ** (n + k + 1)], [q, b * b * q**n], q)
+                * mpmath.fprod(b - q**j for j in range(k)))
+        assert float(abs(rhs - true) / abs(true)) <= bound
+
+
+# 2 pi (a, b; q)_inf / (q, ab; q)_inf times the two 2phi1 sums divided by
+# 1 - a and 1 - b.  Each sum is within phi_series_error_bound, its upper and
+# lower parameters and z a product from the exact inputs, plus the tail
+# that phi_series' stop rule leaves, EPS_SERIES (1 + |sum|) at most: bound
+# 8.8e-14 to 1.5e-13, 5.7e-16 to 1.1e-14 measured, mostly that tail
+@pytest.mark.parametrize("params", closed_form_grid("thm-1.4"), ids=grid_ids)
+def test_thm_1_4_rhs_matches_oracle(params):
+    alpha, beta, s, t, q = params.values()
+    rhs = stubbed_rhs(verify_thm_1_4, params)
+    w = s * t
+    sums = [([alpha * beta, alpha], [alpha * q], alpha), ([alpha * beta, beta], [beta * q], beta)]
+    with mpmath.workdps(40):
+        a, b, s, t, base = (mpmath.mpmathify(v) for v in params.values())
+        # mp.qhyper does not converge at z = 0, where each sum is 1
+        phis = [mpmath.qhyper([a * b, c], [c * base], base, s * t) if s * t else 1
+                for c in (a, b)]
+        terms = [phi / (1 - c) for phi, c in zip(phis, (a, b))]
+        true = 2 * mpmath.pi * oracle_ratio([a, b], [base, a * b], base) * mpmath.fsum(terms)
+        # each sum within its bounds, then 1 - c, the quotient and the sum of the two
+        series_error = sum((phi_series_error_bound(upper, w, q, lower, inputs=1)
+                            + EPS_SERIES * (1 + float(abs(phi)))) / abs(1 - c)
+                           + 10 * U * float(abs(term))
+                           for (upper, lower, c), phi, term in zip(sums, phis, terms))
+        # 2 pi times the ratio, times the series: two products
+        bound = (U * (ratio_budget([(alpha, 0), (beta, 0)], [(q, 0), (alpha * beta, 1)], q) + 7)
+                 + 4 * 2 * EPS_PRODUCT + series_error / float(abs(mpmath.fsum(terms))))
+        assert float(abs(rhs - true) / abs(true)) <= bound
+
+
+def phi_series_error_bound(upper, z, q, lower=(), inputs=0):
     """u sum_n |t_n| (64 + K_n), u = 2**-53, from the terms t_n of the series
     in 30-digit mpmath.  64 u |t_n| covers the summation, the tail the
     stop rule leaves and the few roundings of each term; K_n u bounds the
@@ -550,7 +681,9 @@ def phi_series_error_bound(upper, z, q, lower=()):
     products away from c, each within 3 u (Brent, Percival and
     Zimmermann, Math. Comp. 76, 2007: sqrt(5) u), and 1 - w magnifies a
     relative error of w by |w| / |1 - w|.  So K_n sums 3 m |w| / |1 - w|
-    over those factors, m the products behind w."""
+    over those factors, m the products behind w.  When the parameters and
+    z are themselves `inputs` products from exact inputs, each c q^k is
+    that many products further away and z^n carries 3 n inputs u more."""
     with mpmath.workdps(30):
         upper = [mpmath.mpmathify(c) for c in upper]
         lower = [mpmath.mpmathify(c) for c in lower]
@@ -560,8 +693,8 @@ def phi_series_error_bound(upper, z, q, lower=()):
         while k < 10 or abs(term) > mpmath.mpf(10) ** -35 * size:
             size += abs(term)
             weighted += abs(term) * (64 + carried)
-            factors = [(c * qk, k + 1) for c in upper + lower] + [(q * qk, k + 2)]
-            carried += sum(3 * m * float(abs(w) / abs(1 - w)) for w, m in factors)
+            factors = [(c * qk, k + 1 + inputs) for c in upper + lower] + [(q * qk, k + 2)]
+            carried += 3 * inputs + sum(3 * m * float(abs(w) / abs(1 - w)) for w, m in factors)
             term *= (mpmath.fprod(1 - c * qk for c in upper)
                      / ((1 - q * qk) * mpmath.fprod(1 - c * qk for c in lower)) * z)
             qk *= q

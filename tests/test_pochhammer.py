@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qkernel import (ConvergenceError, DomainError, PoleError,
                      gf_expand, jackson_q_integral, phi_series, pochhammer, qbinom,
-                     qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product)
+                     qpoch_finite, qpoch_infinite, qpoch_ladder, qpoch_product, qpoch_ratio)
 from qkernel.pochhammer import EPS_PRODUCT, _split, _truncation_length, qpoch_finite_table
 
 # Property tests draw the same examples on every run.
@@ -83,11 +83,15 @@ class TestFinite:
         with pytest.raises(DomainError):
             qpoch_finite(0.5, 0.0, -1)
 
-    # refused once per call, before the factor loop, for every index sign
+    # refused once per call, before the factor loop, for every index sign;
+    # the last four have finite parts whose modulus is past the largest
+    # double, where the products were nan+nanj
     @pytest.mark.parametrize("a,q,n", [
         (math.nan, 0.3, 3), (math.inf, 0.3, 2), (complex(0.5, math.nan), 0.3, 0),
         (np.array([0.2, math.nan]), 0.3, 2), (0.5, math.nan, 2), (0.5, -math.inf, 1),
         (math.nan, 0.3, -2),
+        (complex(1.5e308, 1.5e308), 0.9, 3), (np.array([0.5, complex(1.5e308, -1.5e308)]), 0.9, 3),
+        (0.5, complex(1.5e308, 1.5e308), 2), (complex(-1.5e308, 1.5e308), 0.9, -2),
     ])
     def test_non_finite_argument_is_refused(self, a, q, n):
         with pytest.raises(DomainError, match="qpoch_finite needs finite arguments"):
@@ -137,9 +141,12 @@ class TestFiniteTable:
             qpoch_finite_table(0.7, 0.3, -1)
 
     @pytest.mark.parametrize("a,q", [(math.inf, 0.3), (math.nan, 0.3), (0.7, math.nan),
-                                     (np.array([0.3, -math.inf]), 0.45)])
+                                     (np.array([0.3, -math.inf]), 0.45),
+                                     (complex(1.5e308, 1.5e308), 0.45),
+                                     (np.array([0.3, complex(1.5e308, 1.5e308)]), 0.45)])
     def test_non_finite_argument_is_refused(self, a, q):
-        # the table was [1, -inf, inf] at a = inf
+        # the table was [1, -inf, inf] at a = inf, and nan+nanj entries for a
+        # modulus past the largest double
         with pytest.raises(DomainError, match="qpoch_finite_table needs finite arguments"):
             qpoch_finite_table(a, q, 2)
 
@@ -376,6 +383,45 @@ class TestMulti:
         got = qpoch_product(values, q)
         assert len(product_calls) == len(values)
         assert np.array_equal(bits(got), bits(unshared_product(values, q)))
+
+
+class TestRatio:
+    """qpoch_ratio, the quotient of two qpoch_product sides."""
+
+    PLUS = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    CASES = [  # numerators, denominators
+        ([0.5], [0.2]),
+        ([0.4 + 0.3j, 0.4 - 0.3j, -0.6], [0.2j, 0.7, -0.2j]),
+        ([PLUS, PLUS.conjugate()], [0.4 * PLUS, 0.3 * PLUS.conjugate()]),
+        ([0.5 * PLUS, 0.5 * PLUS.conjugate(), PLUS**2], [0.2 * PLUS, 0.2 * PLUS.conjugate()]),
+    ]
+
+    @pytest.mark.parametrize("q", [0.3, -0.6, 0.9, 0.5 + 0.3j])
+    @pytest.mark.parametrize("numerators,denominators", CASES)
+    def test_is_the_quotient_of_the_products_bit_for_bit(self, numerators, denominators, q):
+        got = qpoch_ratio(numerators, denominators, q)
+        want = qpoch_product(numerators, q) / qpoch_product(denominators, q)
+        assert type(got) is type(want)
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_vanishing_scalar_denominator_is_a_pole(self):
+        # (1; q)_inf = 0: its first factor is 1 - 1
+        with pytest.raises(PoleError, match=r"the denominator \(1\.0; q\)_inf is 0"):
+            qpoch_ratio([0.5], [1.0], 0.3)
+        with pytest.raises(PoleError, match=r"\(0\.2, \(1\+0j\); q\)_inf"):
+            qpoch_ratio([0.5, 0.4j], [0.2, 1 + 0j], 0.5 + 0.3j)
+        # (0.9999; 0.999)_inf is below the smallest double
+        assert qpoch_infinite(0.9999, 0.999) == 0
+        with pytest.raises(PoleError, match=r"\(0\.9999; q\)_inf is 0"):
+            qpoch_ratio([0.5], [0.9999], 0.999)
+
+    def test_array_divides_as_numpy_does(self):
+        # the denominator (a; q)_inf is exactly zero at a = 1, entry 1
+        a = np.array([0.5, 1.0, -0.3 + 0.2j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = qpoch_ratio([0.5 * a], [a], 0.3)
+        assert not np.isfinite(got[1])
+        assert np.isfinite(got[[0, 2]]).all()
 
 
 class TestAdditionLaw:
