@@ -9,10 +9,11 @@ Its first call of the integrand takes the first two levels, the 64
 starting nodes and their midpoints; each later doubling evaluates only the
 new midpoints, and the rule stops at that floor as well as at its
 tolerance.  Integrals over [0, pi] of even periodic integrands are taken
-as one half of the full-period value, keeping the spectral rate.  Both
-engines return a QuadratureResult: the value with the work it took (nodes
-or ladder rungs), its error estimate, the sum of |f| it was formed from and
-why it stopped.
+as one half of the full-period value, keeping the spectral rate.  The
+ladder sums its long blocks in numpy's own complex arithmetic, by the stop
+rule of its rung loop.  Both engines return a QuadratureResult: the value
+with the work it took (nodes or ladder rungs), its error estimate, the sum
+of |f| it was formed from and why it stopped.
 """
 
 from __future__ import annotations
@@ -144,9 +145,10 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
     where the max runs over the latest 8 rungs (the ladder accumulates at
     0).  A block of _LONG_BLOCK rungs or more whose stop the last tail
     bound puts more than _NEAR_STOP rungs away, as on ladders near |q| = 1,
-    finds that rung with array operations instead, to the same stop and
-    sums bit for bit.  The stop and the sum are those of one call per rung;
-    the blocks evaluate at most 2 (rungs summed) + 6 rungs per ladder.
+    finds that rung with array operations in numpy's complex arithmetic
+    instead, by the same stop rule, so the stop and the sum are those of
+    one call per rung up to roundoff; the blocks evaluate at most 2 (rungs
+    summed) + 6 rungs per ladder.
 
     The result's nodes_used is the number of rungs the two sums used,
     error_estimate |1-q| (|b| tail_b + |a| tail_a) from their final tail
@@ -167,9 +169,10 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
 def _ladder_sum(f, endpoint, q) -> tuple[complex, int, float, float]:
     """sum_n q^n f(endpoint q^n), the rungs summed, the last tail bound and
     sum_n |q^n f(endpoint q^n)|.  A block is summed by _rung_block, one
-    rung at a time, or by _long_block, to the same stop and sums bit for
-    bit: _long_block takes the blocks of _LONG_BLOCK rungs or more whose
-    stop lies more than _NEAR_STOP rungs away by the last tail bound."""
+    rung at a time, or by _long_block, by the same stop rule in numpy's
+    complex arithmetic: _long_block takes the blocks of _LONG_BLOCK rungs
+    or more whose stop lies more than _NEAR_STOP rungs away by the last
+    tail bound."""
     if endpoint == 0:
         return 0.0 + 0j, 0, 0.0, 0.0
     total = 0.0 + 0j
@@ -225,42 +228,33 @@ def _rung_block(f, endpoint, q, count, n, total, size, qn, recent):
 
 
 def _long_block(f, endpoint, q, count, n, total, size, qn, recent):
-    """_rung_block in array operations, with the rung loop's arithmetic in
-    its order, so that every value it returns is the loop's bit for bit.
-    The blocks of _LONG_BLOCK rungs or more come after the first 56 rungs,
-    so `recent` holds 8 values.
+    """_rung_block in numpy's own complex arithmetic: the same call of f,
+    stop rule and PoleError, so that it stops at the rung the loop stops
+    at, with sums within roundoff of the loop's.  The blocks of _LONG_BLOCK
+    rungs or more come after the first 56 rungs, so `recent` holds 8
+    values.
 
-    q^n is np.multiply.accumulate, the loop's sequential product; complex
-    products are formed from real and imaginary parts as Python forms them,
-    because numpy's vectorised complex multiply may fuse them; moduli are
-    np.hypot, which is Python's abs (np.abs may differ in the last bit).
-    The running sums and their moduli are series._running_sums, which
-    phi_series' array blocks use too.
+    q^n is np.multiply.accumulate, the loop's sequential product; the
+    points and the terms are numpy complex products and every modulus is
+    np.abs.  The running sums and their moduli are series._running_sums,
+    which phi_series' array blocks use too.
     """
     steps = np.full(count + 1, q, dtype=complex)
     steps[0] = qn
     powers = np.multiply.accumulate(steps)  # q^n, ..., q^(n + count)
-    p_re, p_im = powers.real[:-1], powers.imag[:-1]
-    e = complex(endpoint)
-    points = np.empty(count, dtype=complex)
-    points.real = e.real * p_re - e.imag * p_im
-    points.imag = e.real * p_im + e.imag * p_re
     # Non-finite values are refused below, at the first one before the stop.
     with np.errstate(all="ignore"):
-        values = np.broadcast_to(np.asarray(f(points), dtype=complex), (count,))
-        v_re, v_im = values.real, values.imag
-        terms = np.empty(count, dtype=complex)
-        terms.real = p_re * v_re - p_im * v_im
-        terms.imag = p_re * v_im + p_im * v_re
+        values = np.broadcast_to(np.asarray(f(endpoint * powers[:-1]), dtype=complex), (count,))
+        terms = powers[:-1] * values
         # running sums seeded with the carried ones: entry i + 1 is after rung n + i
         sums, sum_moduli = _running_sums(total, terms)
-        sizes = np.add.accumulate(np.concatenate(([size], np.hypot(terms.real, terms.imag))))
-        moduli = np.hypot(v_re, v_im)
+        sizes = np.add.accumulate(np.concatenate(([size], np.abs(terms))))
+        moduli = np.abs(values)
         # max |f| over the 8 rungs up to each rung, in three doublings of the window
         window = np.concatenate((list(recent), moduli))
         for width in (1, 2, 4):
             window = np.maximum(window[width:], window[:-width])
-        tails = window[1:] * np.hypot(powers.real[1:], powers.imag[1:]) / (1.0 - abs(q))
+        tails = window[1:] * np.abs(powers[1:]) / (1.0 - abs(q))
         met = tails <= EPS_SERIES * (1.0 + sum_moduli[1:])
     bad = np.flatnonzero(~np.isfinite(values))
     stops = np.flatnonzero(met[:bad[0]] if bad.size else met)

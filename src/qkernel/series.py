@@ -15,8 +15,9 @@ geometric tail bound, within the series budget EPS_SERIES / MAX_SERIES_TERMS.
 Its first 64 terms run in Python's complex arithmetic, without numpy.  A
 series that runs longer, as near |q| = 1 (Gasper & Rahman, *Basic
 Hypergeometric Series*, section 1.3: hundreds or thousands of terms), sums
-its later blocks in numpy where the tail bound puts the stop far away, to
-the loop's value bit for bit.  It is the package's one summed
+its later blocks in numpy's own complex arithmetic where the tail bound
+puts the stop far away, by the loop's stop rule; the two values agree to
+roundoff, within the same error bound.  It is the package's one summed
 hypergeometric series: w_series wraps it with the very-well-poised
 parameter substitution (rogers_6w5_rhs is the matching closed product
 form), and thm-1.4's q-beta series is two 2phi1 calls.
@@ -45,9 +46,10 @@ _TERMINATION_SNAP = 1e-13
 # phi_series sums its first _LONG_SERIES terms in the term loop, and then
 # blocks of 2, 4, ... times as many in numpy, unless the tail bound, falling
 # by rho a term, would meet the stop rule within _SERIES_NEAR_STOP terms.
-# The loop costs 0.6, 1.1 and 2.9 us a term at r = 0, 1 and 5, a numpy
-# block of 128 terms 61, 80 and 129 us: as much as 97, 73 and 45 terms of
-# the loop, and 64 terms of a 1phi0 take 40 us in the loop, 53 in numpy.
+# The loop costs 0.9, 1.6 and 4.2 us a term at r = 0, 1 and 5, a numpy
+# block of 128 terms 63, 75 and 107 us: as much as 72, 49 and 25 terms of
+# the loop, and 64 terms of a 1phi0 take 58 us in the loop, 62 in numpy
+# (q = 0.999, best of 40 rounds on a shared 2-vCPU x86-64 host).
 _LONG_SERIES = 64
 _SERIES_NEAR_STOP = 64
 
@@ -130,9 +132,10 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
     so does every series that stops within them.  The terms after them
     come in blocks of 2, 4, 8, ... times as many.  A block whose stop the
     last rho puts more than _SERIES_NEAR_STOP terms away, or which starts
-    at rho >= 1, as near |q| = 1, is summed in numpy by _long_terms, to the
-    same stop, value and exception as the loop, bit for bit; the others
-    stay in the loop.
+    at rho >= 1, as near |q| = 1, is summed in numpy by _long_terms, by
+    the loop's stop rule and with its exceptions, in numpy's complex
+    arithmetic, whose roundings differ from Python's but obey the same
+    bounds; the others stay in the loop.
     """
     upper = [complex(a) for a in upper]
     lower = [complex(b) for b in lower]
@@ -251,22 +254,20 @@ def _term_loop(series: _Series, count: int, state: _State) -> _State | complex:
 
 
 def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
-    """_term_loop in array operations, with the loop's arithmetic in its
-    order, so that it stops at the same term with the same value, bit for
-    bit.
+    """_term_loop in numpy's own complex arithmetic: the same stop rule
+    and events, so that it stops where the loop stops, with a value within
+    roundoff of the loop's.
 
-    q^n and the terms are np.multiply.accumulate, the loop's sequential
-    products (the terms over the chain term_n, ratio_n, z, ratio_{n+1}, z,
-    ...); every other complex product and the quotient num / den
-    (CPython's Smith division) are formed from real and imaginary parts as
-    Python forms them, because numpy's vectorised complex multiply may fuse
-    them; moduli are np.hypot, which is Python's abs.  The first event of
-    the block decides, in the loop's order within a term: a terminating
-    upper factor, a vanishing lower factor (DomainError), the tail bound.
-    Every modulus up to that event must be finite; otherwise (a sum that is
-    no longer finite, a zero denominator, a modulus past the largest
-    double, where Python's abs raises) the block is summed by _term_loop
-    from the same state, which raises as the loop does.
+    q^n is np.multiply.accumulate, and the terms are too, over the chain
+    term_n, ratio_n, z, ratio_{n+1}, z, ...; the factors 1 - c q^n of all
+    parameters and q are one 2-D array, num and den their np.prod, and
+    every modulus is np.abs.  The first event of the block decides, in the
+    loop's order within a term: a terminating upper factor, a vanishing
+    lower factor (DomainError), the tail bound.  Every modulus up to that
+    event must be finite; otherwise (a sum that is no longer finite, a zero
+    denominator, a modulus past the largest double, where np.abs gives inf
+    and Python's abs raises) the block is summed by _term_loop from the
+    same state, which raises as the loop does.
     """
     import numpy as np
 
@@ -274,29 +275,20 @@ def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
     steps = np.full(count + 1, q)
     steps[0] = state.qn
     powers = np.multiply.accumulate(steps)  # q^n, ..., q^(n + count)
-    p_re, p_im = powers.real[:-1], powers.imag[:-1]
-    # 1 - q q^n, the first factor of den, is formed as the factors are
-    params = np.array([*upper, q, *lower])[:, None]
-    a_re, a_im = params.real, params.imag
     k = len(upper)
     # Non-finite values send the block to the term loop below.
     with np.errstate(all="ignore"):
-        w_re = a_re * p_re - a_im * p_im
-        w_im = a_re * p_im + a_im * p_re
-        f_re, f_im = 1.0 - w_re, 0.0 - w_im  # 1.0 - w, 1.0 taken as 1.0 + 0j
-        # 1.0 - x and 0.0 - x are never -0.0, so (1 + 0j) f, the loop's
-        # first product, is f bit for bit
-        num = _products(f_re[0], f_im[0], f_re[1:k], f_im[1:k])
-        den = _products(f_re[k], f_im[k], f_re[k + 1:], f_im[k + 1:])
+        # q's row gives 1 - q q^n, the first factor of den
+        w = np.array([*upper, q, *lower])[:, None] * powers[:-1]
+        factors = 1.0 - w
         chain = np.empty(2 * count + 1, dtype=complex)
         chain[0] = state.term
-        ratios = chain[1::2]
-        ratios.real, ratios.imag = _quotient(*num, *den)
+        chain[1::2] = np.prod(factors[:k], axis=0) / np.prod(factors[k:], axis=0)
         chain[2::2] = z
         terms = np.multiply.accumulate(chain)[2::2]  # term_(n+1), ..., term_(n+count)
-        t_abs = np.hypot(terms.real, terms.imag)
+        t_abs = np.abs(terms)
         sums, sizes = _running_sums(state.total, terms)
-        abs_qn = np.hypot(powers.real[1:], powers.imag[1:])
+        abs_qn = np.abs(powers[1:])
         rho = abs_z / (1.0 - abs_q * abs_qn)
         for abs_a in abs_upper:
             rho = rho * (1.0 + abs_a * abs_qn)
@@ -310,7 +302,7 @@ def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
         # every factor of the block far from the snap
         snappable = reach * abs(state.qn) >= 0.25
         if snappable:
-            f_abs, w_abs = np.hypot(f_re, f_im), np.hypot(w_re, w_im)
+            f_abs, w_abs = np.abs(factors), np.abs(w)
             snap = f_abs <= _TERMINATION_SNAP * (1.0 + w_abs)
             upper_snap, lower_snap = snap[:k].any(axis=0), snap[k + 1:].any(axis=0)
             stops |= upper_snap | lower_snap
@@ -330,52 +322,14 @@ def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
     return complex(sums[end])
 
 
-def _products(re, im, f_re, f_im):
-    """(re + i im) times the rows of f_re + i f_im, row after row, in
-    Python's complex product."""
-    for row_re, row_im in zip(f_re, f_im):
-        re, im = re * row_re - im * row_im, re * row_im + im * row_re
-    return re, im
-
-
-def _quotient(n_re, n_im, d_re, d_im):
-    """Real and imaginary parts of (n_re + i n_im) / (d_re + i d_im),
-    elementwise in CPython's complex division: Smith's method, which
-    divides by the part of the denominator larger in modulus (NaN where
-    that part is NaN)."""
-    import numpy as np
-
-    by_re = np.abs(d_re) >= np.abs(d_im)
-    if by_re.all():
-        return _by_real_part(n_re, n_im, d_re, d_im)
-    if not by_re.any():
-        return _by_imag_part(n_re, n_im, d_re, d_im)
-    (re, im), (other_re, other_im) = (_by_real_part(n_re, n_im, d_re, d_im),
-                                      _by_imag_part(n_re, n_im, d_re, d_im))
-    return np.where(by_re, re, other_re), np.where(by_re, im, other_im)
-
-
-def _by_real_part(n_re, n_im, d_re, d_im):
-    ratio = d_im / d_re
-    denom = d_re + d_im * ratio
-    return (n_re + n_im * ratio) / denom, (n_im - n_re * ratio) / denom
-
-
-def _by_imag_part(n_re, n_im, d_re, d_im):
-    ratio = d_re / d_im
-    denom = d_re * ratio + d_im
-    return (n_re * ratio + n_im) / denom, (n_im * ratio - n_re) / denom
-
-
 def _running_sums(total: complex, terms):
     """Running sums of the complex array `terms` seeded with the carried
     sum `total`, and their moduli: entry k is total plus the first k terms,
-    added in order as Python adds complex numbers, its modulus np.hypot,
-    which is Python's abs."""
+    added in order."""
     import numpy as np
 
     sums = np.add.accumulate(np.concatenate(([total], terms)))
-    return sums, np.hypot(sums.real, sums.imag)
+    return sums, np.abs(sums)
 
 
 def w_series(a1, b: list, q, z) -> complex:

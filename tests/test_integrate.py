@@ -39,6 +39,23 @@ def rung_by_rung(f, endpoint, q):
     raise AssertionError("reference ladder did not stop")
 
 
+U = 2.0**-53
+
+
+def sums_agree(got, want) -> bool:
+    """Whether two (sum, rungs, tail bound, sum of moduli) of one ladder
+    stop at the same rung with the same sums up to roundoff: each sum of
+    N terms is a recursive sum, within (N - 1) u sum|t_n| (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 4.2), and each term
+    and the tail bound carry a few roundings more, so two such sums lie
+    within 2 (N + 8) u sum|t_n| of each other."""
+    total, rungs, tail, size = got
+    want_total, want_rungs, want_tail, want_size = want
+    summed = 2 * (rungs + 8) * U * want_size
+    return (rungs == want_rungs and abs(total - want_total) <= summed
+            and abs(size - want_size) <= summed and abs(tail - want_tail) <= 8 * U * want_tail)
+
+
 def plain_trapezoid(f, n):
     theta = 2 * np.pi * np.arange(n) / n
     return 2 * np.pi / n * complex(np.sum(f(theta)))
@@ -169,8 +186,9 @@ class TestJackson:
                                    pytest.param(cmath.rect(0.95, 0.2), id="0.95e^0.2i"),
                                    pytest.param(cmath.rect(0.95, 2.5), id="0.95e^2.5i")])
     def test_blocks_stop_and_sum_as_rung_by_rung(self, monkeypatch, q):
-        # the blocked ladder must give the rung-by-rung sum and stop exactly,
-        # whether a block is summed rung by rung or with array operations
+        # the blocked ladder must stop at the rung-by-rung sum's rung and
+        # give its sums up to roundoff, whether a block is summed rung by
+        # rung or with array operations
         long_blocks = []
 
         def spied(f, endpoint, q, count, *state):
@@ -180,8 +198,7 @@ class TestJackson:
         long_block = integrate._long_block
         monkeypatch.setattr(integrate, "_long_block", spied)
         # a cubic, and z^-0.8, whose terms fall slowly, so that every rung
-        # moves the sums; each in Python's complex arithmetic at every point,
-        # so that a block and one call per rung see the same values
+        # moves the sums; each in Python's complex arithmetic at every point
         for point_value in (lambda z: 0.3 + z * (-1.2 + z * (0.7 + z * 2.1)),
                             lambda z: complex(z) ** -0.8):
             for a, b in ((-0.6, 0.9), (-0.6, 0.5 + 0.7j)):
@@ -195,20 +212,23 @@ class TestJackson:
                 result = jackson_q_integral(counted, a, b, q)
                 upper, upper_rungs, upper_tail, upper_size = rung_by_rung(point_value, b, q)
                 lower, lower_rungs, lower_tail, lower_size = rung_by_rung(point_value, a, q)
-                assert result.value == (1.0 - q) * (b * upper - a * lower)
                 assert result.nodes_used == upper_rungs + lower_rungs
-                assert result.error_estimate == abs(1.0 - q) * (abs(b) * upper_tail
-                                                                + abs(a) * lower_tail)
-                assert result.magnitude == abs(1.0 - q) * (abs(b) * upper_size
-                                                           + abs(a) * lower_size)
+                # the two sums of |t_n| within 2 (N + 8) u sum|t_n| of the
+                # reference's, and (1 - q) (b upper - a lower) a few roundings more
+                summed = 2 * (result.nodes_used + 16) * U * result.magnitude
+                assert abs(result.value - (1.0 - q) * (b * upper - a * lower)) <= summed
+                estimate = abs(1.0 - q) * (abs(b) * upper_tail + abs(a) * lower_tail)
+                assert abs(result.error_estimate - estimate) <= 8 * U * estimate
+                magnitude = abs(1.0 - q) * (abs(b) * upper_size + abs(a) * lower_size)
+                assert abs(result.magnitude - magnitude) <= summed
                 assert result.stop_reason == "tolerance"
                 assert blocks[:3] == [8, 16, 32]
                 assert all(m >= 64 for m in long_blocks)
                 assert long_blocks or abs(q) < 0.9
                 # each of the two ladders evaluates at most 2 (rungs summed) + 6 rungs
                 assert sum(blocks) <= 2 * result.nodes_used + 12
-                # the sums themselves, whose last bits the value may round
-                # away, and the points, which are Python's products endpoint * q^n
+                # each ladder on its own, and the points, which are the
+                # products endpoint * q^n up to two roundings
                 for endpoint, want in ((b, (upper, upper_rungs, upper_tail, upper_size)),
                                        (a, (lower, lower_rungs, lower_tail, lower_size))):
                     points = []
@@ -217,17 +237,18 @@ class TestJackson:
                         points.extend(z.tolist())
                         return counted(z)
 
-                    assert integrate._ladder_sum(recorded, endpoint, q) == want
+                    assert sums_agree(integrate._ladder_sum(recorded, endpoint, q), want)
                     qn = 1.0 + 0j
                     for point in points:
-                        assert point == endpoint * qn
+                        assert abs(point - endpoint * qn) <= 5 * U * abs(endpoint * qn)
                         qn *= q
 
     def test_long_block_sums_as_the_rung_loop(self):
         # from the state after the first 56 rungs, the array summer and the
-        # rung loop give the same stop, sums, tail bound and power, and leave
-        # the same window of |f|, on every block of 64 rungs or more up to the
-        # stop, wherever in its block the stop falls
+        # rung loop give the same stop and power, the same sums and tail
+        # bound up to roundoff, and leave the same window of |f| up to a
+        # rounding, on every block of 64 rungs or more up to the stop,
+        # wherever in its block the stop falls
         stops = []
         for q in [*np.linspace(0.55, 0.9, 36).tolist(), -0.8, cmath.rect(0.8, 1.0)]:
             for f in (lambda z: z, lambda z: (0.3 - 1.2j * z) / (1.0 + 0.5 * z * z)):
@@ -240,8 +261,10 @@ class TestJackson:
                     else:
                         window = deque(recent, maxlen=8)
                         got = integrate._long_block(*state, window)
-                        assert got == integrate._rung_block(*state, recent)
-                        assert list(window) == list(recent)
+                        want = integrate._rung_block(*state, recent)
+                        assert got[0] == want[0] and got[5] == want[5]
+                        assert sums_agree(got[1:5], want[1:5])
+                        assert np.allclose(window, recent, rtol=2 * U, atol=0)
                     stopped, total, rungs, _, size, qn = got
                     if stopped:
                         if count >= 64:

@@ -41,6 +41,7 @@ prop-3.1, askey-ismail (as stated) and thm-1.4 (with mp.qhyper for its two
 """
 
 import cmath
+import functools
 import itertools
 import math
 from unittest import mock
@@ -645,9 +646,9 @@ def test_askey_ismail_stated_closed_form_matches_oracle(params):
 
 # 2 pi (a, b; q)_inf / (q, ab; q)_inf times the two 2phi1 sums divided by
 # 1 - a and 1 - b.  Each sum is within phi_series_error_bound, its upper and
-# lower parameters and z a product from the exact inputs, plus the tail
-# that phi_series' stop rule leaves, EPS_SERIES (1 + |sum|) at most: bound
-# 8.8e-14 to 1.5e-13, 5.7e-16 to 1.1e-14 measured, mostly that tail
+# lower parameters and z a product from the exact inputs, which holds the
+# tail that phi_series' stop rule leaves, EPS_SERIES (1 + |sum|) at most:
+# bound 8.8e-14 to 1.5e-13, 5.7e-16 to 1.1e-14 measured, mostly that tail
 @pytest.mark.parametrize("params", closed_form_grid("thm-1.4"), ids=grid_ids)
 def test_thm_1_4_rhs_matches_oracle(params):
     alpha, beta, s, t, q = params.values()
@@ -662,10 +663,9 @@ def test_thm_1_4_rhs_matches_oracle(params):
         terms = [phi / (1 - c) for phi, c in zip(phis, (a, b))]
         true = 2 * mpmath.pi * oracle_ratio([a, b], [base, a * b], base) * mpmath.fsum(terms)
         # each sum within its bounds, then 1 - c, the quotient and the sum of the two
-        series_error = sum((phi_series_error_bound(upper, w, q, lower, inputs=1)
-                            + EPS_SERIES * (1 + float(abs(phi)))) / abs(1 - c)
+        series_error = sum(phi_series_error_bound(upper, w, q, lower, inputs=1) / abs(1 - c)
                            + 10 * U * float(abs(term))
-                           for (upper, lower, c), phi, term in zip(sums, phis, terms))
+                           for (upper, lower, c), term in zip(sums, terms))
         # 2 pi times the ratio, times the series: two products
         bound = (U * (ratio_budget([(alpha, 0), (beta, 0)], [(q, 0), (alpha * beta, 1)], q) + 7)
                  + 4 * 2 * EPS_PRODUCT + series_error / float(abs(mpmath.fsum(terms))))
@@ -673,38 +673,68 @@ def test_thm_1_4_rhs_matches_oracle(params):
 
 
 def phi_series_error_bound(upper, z, q, lower=(), inputs=0):
-    """u sum_n |t_n| (64 + K_n), u = 2**-53, from the terms t_n of the series
-    in 30-digit mpmath.  64 u |t_n| covers the summation, the tail the
-    stop rule leaves and the few roundings of each term; K_n u bounds the
+    """u sum_n |t_n| (64 + K_n) + EPS_SERIES (1 + |sum_n t_n|), u = 2**-53,
+    from the terms t_n of the series in 30-digit mpmath (mp_phi_series).
+    The second term is the tail that phi_series' stop rule leaves: it
+    stops once its certified tail bound is at most EPS_SERIES (1 + |total|),
+    about 90 u (1 + |total|).  64 u |t_n| covers the summation and the few
+    roundings of each term; K_n u bounds the
     error that term n carries in from the factors 1 - c q^k, k < n, of
     every upper and lower parameter c and of q: c q^k is k + 1 complex
     products away from c, each within 3 u (Brent, Percival and
     Zimmermann, Math. Comp. 76, 2007: sqrt(5) u), and 1 - w magnifies a
     relative error of w by |w| / |1 - w|.  So K_n sums 3 m |w| / |1 - w|
-    over those factors, m the products behind w.  When the parameters and
-    z are themselves `inputs` products from exact inputs, each c q^k is
-    that many products further away and z^n carries 3 n inputs u more."""
+    over those factors, m the products behind w, with w in double
+    precision, as phi_series forms it.  When the parameters and z are
+    themselves `inputs` products from exact inputs, each c q^k is that
+    many products further away and z^n carries 3 n inputs u more."""
+    return mp_phi_series(tuple(upper), z, q, tuple(lower), inputs)[1]
+
+
+@functools.cache
+def mp_phi_series(upper: tuple, z, q, lower: tuple = (), inputs=0):
+    """The series summed in 30-digit mpmath, an mpc, and its
+    phi_series_error_bound; each series is summed once per test run.  The
+    sum stops at a term below 1e-25 sum|t_n|: the tail it leaves is far
+    below the bound's 64 u sum|t_n|, even at a term ratio of 0.999."""
     with mpmath.workdps(30):
-        upper = [mpmath.mpmathify(c) for c in upper]
-        lower = [mpmath.mpmathify(c) for c in lower]
-        q, z = mpmath.mpmathify(q), mpmath.mpmathify(z)
-        term, qk, carried, k = mpmath.mpc(1), mpmath.mpf(1), 0.0, 0
-        size = weighted = mpmath.mpf(0)
-        while k < 10 or abs(term) > mpmath.mpf(10) ** -35 * size:
-            size += abs(term)
-            weighted += abs(term) * (64 + carried)
-            factors = [(c * qk, k + 1 + inputs) for c in upper + lower] + [(q * qk, k + 2)]
-            carried += 3 * inputs + sum(3 * m * float(abs(w) / abs(1 - w)) for w, m in factors)
-            term *= (mpmath.fprod(1 - c * qk for c in upper)
-                     / ((1 - q * qk) * mpmath.fprod(1 - c * qk for c in lower)) * z)
+        params = [complex(c) for c in upper + lower]
+        mp_params = [mpmath.mpmathify(c) for c in params]
+        mp_q, mp_z = mpmath.mpmathify(q), mpmath.mpmathify(z)
+        r = len(upper)
+        term, mp_qk, qk, carried, k = mpmath.mpc(1), mpmath.mpf(1), 1.0 + 0j, 0.0, 0
+        size = weighted = total = mpmath.mpf(0)
+        modulus, negligible = mpmath.mpf(1), mpmath.mpf(10) ** -25
+        while k < 10 or modulus > negligible * size:
+            size += modulus
+            total += term
+            weighted += modulus * (64 + carried)
+            factors = [(c * qk, k + 1 + inputs) for c in params] + [(q * qk, k + 2)]
+            carried += 3 * inputs + sum(3 * m * abs(w) / abs(1 - w) for w, m in factors)
+            ones = [1 - c * mp_qk for c in mp_params]
+            term *= mpmath.fprod(ones[:r]) / ((1 - mp_q * mp_qk) * mpmath.fprod(ones[r:])) * mp_z
+            modulus = abs(term)
+            mp_qk *= mp_q
             qk *= q
             k += 1
-        return float(weighted) * 2.0**-53
+        return total, float(weighted) * 2.0**-53 + EPS_SERIES * (1 + float(abs(total)))
+
+
+def test_series_error_bound_covers_the_stop_rule_tail():
+    # a 2phi1 at q = 0.3 that stops on its tail bound: 8.68e-15 off the
+    # 40-digit value, more than the 7.37e-15 that the roundings alone
+    # allow, and within the 2.77e-14 that adds the tail the stop rule leaves
+    upper, z, q, lower = [0.16, 0.4], 0.04, 0.3, [0.12]
+    with mpmath.workdps(40):
+        true = mpmath.qhyper([mpmath.mpf(c) for c in upper], [mpmath.mpf(c) for c in lower],
+                             mpmath.mpf(q), mpmath.mpf(z))
+        error = float(abs(phi_series(upper, z, q, lower) - true))
+    assert error <= phi_series_error_bound(upper, z, q, lower)
 
 
 # stress's qbinomial 1phi0(0.4; -; q, 0.5), 139 and 876 terms in
-# phi_series: measured 187 and 8876 u sum|t_n| off, bound 15183 and
-# 1411227 u sum|t_n|; its terms are positive, so sum|t_n| is the value,
+# phi_series: measured 187 and 8816 u sum|t_n| off, bound 15273 and
+# 1411317 u sum|t_n|; its terms are positive, so sum|t_n| is the value,
 # 1.4e16 and 1.8e161
 @pytest.mark.parametrize("q", [0.99, 0.999])
 def test_q_binomial_near_q_one_matches_oracle(q):
@@ -718,7 +748,7 @@ def test_q_binomial_near_q_one_matches_oracle(q):
 
 def test_rogers_6w5_near_q_one_matches_oracle():
     # the expand workload's 6W5 at q = 0.99, 139 terms: measured 5.2 u
-    # sum|t_n| off, bound 696 u sum|t_n|, sum|t_n| = 2.89
+    # sum|t_n| off, bound 816 u sum|t_n|, sum|t_n| = 2.89
     a, b, c, d, q = 0.1, 0.7, 0.6, 0.8, 0.99
     z = a * q / (b * c * d)
     root = cmath.sqrt(a)
