@@ -10,10 +10,11 @@ starting nodes and their midpoints; each later doubling evaluates only the
 new midpoints, and the rule stops at that floor as well as at its
 tolerance.  Integrals over [0, pi] of even periodic integrands are taken
 as one half of the full-period value, keeping the spectral rate.  The
-ladder sums its long blocks in numpy's own complex arithmetic, by the stop
-rule of its rung loop.  Both engines return a QuadratureResult: the value
-with the work it took (nodes or ladder rungs), its error estimate, the sum
-of |f| it was formed from and why it stopped.
+ladder runs series._sum_blocks, the block driver of phi_series, with its
+own summers: a rung loop, and for its long blocks numpy's own complex
+arithmetic by the rung loop's stop rule.  Both engines return a
+QuadratureResult: the value with the work it took (nodes or ladder rungs),
+its error estimate, the sum of |f| it was formed from and why it stopped.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import numpy as np
 from .errors import ConvergenceError, PoleError
 # qpoch_infinite is not called here; bench/tests/test_spans.py reads it from
 # this module to check that the tracer puts it back.
-from .pochhammer import check_base, qpoch_infinite, qpoch_ratio  # noqa: F401
-from .series import EPS_SERIES, MAX_SERIES_TERMS, _running_sums
+from .pochhammer import (_check_finite, _power_column, check_base, qpoch_infinite,  # noqa: F401
+                         qpoch_ratio)
+from .series import EPS_SERIES, _running_sums, _Sum, _sum_blocks
 
 # Budget of periodic_quadrature: doubling tolerance, node cap, and the
 # multiple of the roundoff floor u h sum|f| below which a doubling is noise.
@@ -38,11 +40,10 @@ MAX_QUAD_NODES = 2**20
 QUAD_NOISE = 32
 _UNIT_ROUNDOFF = 2.0**-53
 
-# Jackson ladder blocks of at least this many rungs find their stop in
-# numpy, unless the tail bound, falling by |q| a rung, would meet the stop
+# Jackson ladder blocks of series._LONG_BLOCK rungs or more find their stop
+# in numpy, unless the tail bound, falling by |q| a rung, would meet the stop
 # rule within _NEAR_STOP rungs: numpy's set-up costs about as much as that
 # many rungs of the loop.
-_LONG_BLOCK = 64
 _NEAR_STOP = 40
 
 
@@ -143,66 +144,53 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
     then runs rung by rung and stops once the geometric tail bound
     max_recent|f| * |q|^{n+1} / (1 - |q|) drops below EPS_SERIES relative,
     where the max runs over the latest 8 rungs (the ladder accumulates at
-    0).  A block of _LONG_BLOCK rungs or more whose stop the last tail
-    bound puts more than _NEAR_STOP rungs away, as on ladders near |q| = 1,
-    finds that rung with array operations in numpy's complex arithmetic
-    instead, by the same stop rule, so the stop and the sum are those of
-    one call per rung up to roundoff; the blocks evaluate at most 2 (rungs
-    summed) + 6 rungs per ladder.
+    0).  The blocks come from series._sum_blocks, the block driver that
+    phi_series runs too: a block of 64 rungs or more whose stop the last
+    tail bound puts more than _NEAR_STOP rungs away, as on ladders near
+    |q| = 1, finds that rung with array operations in numpy's complex
+    arithmetic instead, by the same stop rule, so the stop and the sum are
+    those of one call per rung up to roundoff; the blocks evaluate at most
+    2 (rungs summed) + 6 rungs per ladder.
 
     The result's nodes_used is the number of rungs the two sums used,
     error_estimate |1-q| (|b| tail_b + |a| tail_a) from their final tail
     bounds, magnitude |1-q| (|b| sum|q^n f(b q^n)| + |a| sum|q^n f(a q^n)|),
-    and stop_reason "tolerance".  PoleError at the first summed rung where f
-    is not finite; ConvergenceError if f grows too fast along the ladder for
-    the bound to be met within MAX_SERIES_TERMS.
+    and stop_reason "tolerance".  DomainError for an infinite or NaN
+    endpoint; PoleError at the first summed rung where f, or its modulus,
+    is not finite; ConvergenceError if f grows too fast along the ladder
+    for the bound to be met within series.MAX_SERIES_TERMS.
     """
     check_base(q)
-    upper, upper_rungs, upper_tail, upper_size = _ladder_sum(f, b, q)
-    lower, lower_rungs, lower_tail, lower_size = _ladder_sum(f, a, q)
+    _check_finite("jackson_q_integral", a, b)
+    upper, lower = _ladder_sum(f, b, q), _ladder_sum(f, a, q)
     scale = abs(1.0 - q)
-    return QuadratureResult((1.0 - q) * (b * upper - a * lower), upper_rungs + lower_rungs,
-                            scale * (abs(b) * upper_tail + abs(a) * lower_tail),
-                            scale * (abs(b) * upper_size + abs(a) * lower_size), "tolerance")
+    return QuadratureResult((1.0 - q) * (b * upper.total - a * lower.total), upper.n + lower.n,
+                            scale * (abs(b) * upper.tail + abs(a) * lower.tail),
+                            scale * (abs(b) * upper.carry + abs(a) * lower.carry), "tolerance")
 
 
-def _ladder_sum(f, endpoint, q) -> tuple[complex, int, float, float]:
-    """sum_n q^n f(endpoint q^n), the rungs summed, the last tail bound and
-    sum_n |q^n f(endpoint q^n)|.  A block is summed by _rung_block, one
-    rung at a time, or by _long_block, by the same stop rule in numpy's
-    complex arithmetic: _long_block takes the blocks of _LONG_BLOCK rungs
-    or more whose stop lies more than _NEAR_STOP rungs away by the last
-    tail bound."""
+def _ladder_sum(f, endpoint, q) -> _Sum:
+    """The stopped record of sum_n q^n f(endpoint q^n): the rungs summed,
+    the sum, the last tail bound and, as its carry, sum_n |q^n f(endpoint q^n)|.
+    series._sum_blocks sums blocks of 8, 16, 32, ... rungs by _rung_block,
+    one rung at a time, or by _long_block, by the same stop rule in numpy's
+    complex arithmetic, which takes the blocks of 64 rungs or more whose
+    stop lies more than _NEAR_STOP rungs away by the last tail bound."""
     if endpoint == 0:
-        return 0.0 + 0j, 0, 0.0, 0.0
-    total = 0.0 + 0j
-    size = 0.0
-    qn = 1.0 + 0j
-    recent = deque(maxlen=8)
-    n = 0
-    block = 8
-    tail = math.inf
-    reach = abs(q) ** _NEAR_STOP
-    while n < MAX_SERIES_TERMS:
-        count = min(block, MAX_SERIES_TERMS - n)
-        far = count >= _LONG_BLOCK and tail * reach > EPS_SERIES * (1.0 + abs(total))
-        sum_block = _long_block if far else _rung_block
-        stopped, total, n, tail, size, qn = sum_block(f, endpoint, q, count, n, total, size,
-                                                      qn, recent)
-        if stopped:
-            return total, n, tail, size
-        block *= 2
-    raise ConvergenceError("Jackson ladder sum did not meet its tail bound")
+        return _Sum(0, 0.0 + 0j, 1.0 + 0j, 0.0, abs(q), 0.0, True)
+    return _sum_blocks("Jackson ladder sum", 8, _NEAR_STOP, _rung_block, _long_block,
+                       (f, endpoint, q, deque(maxlen=8)),
+                       _Sum(0, 0.0 + 0j, 1.0 + 0j, math.inf, abs(q), 0.0, False))
 
 
-def _rung_block(f, endpoint, q, count, n, total, size, qn, recent):
-    """Rungs n, ..., n + count - 1 of _ladder_sum, given the running sum
-    `total`, the running sum of moduli `size`, qn = q^n and `recent`, the
-    last 8 |f|, which it moves on.  One call of f on the block's points,
-    then a Python loop that sums rung by rung and stops at the first rung
-    whose tail bound is met.  Returns (stopped, total, rungs, tail, size,
-    q^(n + count)), the sums and bound after that rung, or after the block
-    if none meets it; PoleError at the first non-finite value it would sum."""
+def _rung_block(f, endpoint, q, recent, count: int, state: _Sum) -> _Sum:
+    """Rungs n, ..., n + count - 1 of _ladder_sum from its record after
+    rung n - 1 and `recent`, the last 8 |f|, which it moves on.  One call
+    of f on the block's points, then a Python loop that sums rung by rung
+    and stops at the first rung whose tail bound is met.  Returns the
+    record after that rung, stopped, or after the block if none meets it;
+    PoleError at the first value it would sum whose modulus is not finite."""
+    n, total, qn, tail, abs_q, size, _ = state
     powers = []
     for _ in range(count):
         powers.append(qn)
@@ -210,9 +198,8 @@ def _rung_block(f, endpoint, q, count, n, total, size, qn, recent):
     # Non-finite values are refused below, rung by rung, as they are summed.
     with np.errstate(all="ignore"):
         values = f(np.array([endpoint * power for power in powers]))
-    values = np.broadcast_to(np.asarray(values, dtype=complex), (count,))
-    finite = np.isfinite(values).tolist()
-    abs_q = abs(q)
+        values = np.broadcast_to(np.asarray(values, dtype=complex), (count,))
+        finite = (np.abs(values) < math.inf).tolist()
     for power, value, ok in zip(powers, values.tolist(), finite):
         if not ok:
             raise PoleError(f"Jackson integrand is not finite at rung {n}")
@@ -223,25 +210,23 @@ def _rung_block(f, endpoint, q, count, n, total, size, qn, recent):
         n += 1
         tail = max(recent) * abs(power * q) / (1.0 - abs_q)
         if n >= 8 and tail <= EPS_SERIES * (1.0 + abs(total)):
-            return True, total, n, tail, size, qn
-    return False, total, n, tail, size, qn
+            return _Sum(n, total, power * q, tail, abs_q, size, True)
+    return _Sum(n, total, qn, tail, abs_q, size, False)
 
 
-def _long_block(f, endpoint, q, count, n, total, size, qn, recent):
+def _long_block(f, endpoint, q, recent, count: int, state: _Sum) -> _Sum:
     """_rung_block in numpy's own complex arithmetic: the same call of f,
     stop rule and PoleError, so that it stops at the rung the loop stops
-    at, with sums within roundoff of the loop's.  The blocks of _LONG_BLOCK
-    rungs or more come after the first 56 rungs, so `recent` holds 8
-    values.
+    at, with sums within roundoff of the loop's.  The blocks of 64 rungs
+    or more come after the first 56 rungs, so `recent` holds 8 values.
 
-    q^n is np.multiply.accumulate, the loop's sequential product; the
+    q^n is pochhammer._power_column, the loop's sequential product; the
     points and the terms are numpy complex products and every modulus is
     np.abs.  The running sums and their moduli are series._running_sums,
     which phi_series' array blocks use too.
     """
-    steps = np.full(count + 1, q, dtype=complex)
-    steps[0] = qn
-    powers = np.multiply.accumulate(steps)  # q^n, ..., q^(n + count)
+    n, total, qn, _, abs_q, size, _ = state
+    powers = _power_column(qn, q, count)  # q^n, ..., q^(n + count)
     # Non-finite values are refused below, at the first one before the stop.
     with np.errstate(all="ignore"):
         values = np.broadcast_to(np.asarray(f(endpoint * powers[:-1]), dtype=complex), (count,))
@@ -254,16 +239,16 @@ def _long_block(f, endpoint, q, count, n, total, size, qn, recent):
         window = np.concatenate((list(recent), moduli))
         for width in (1, 2, 4):
             window = np.maximum(window[width:], window[:-width])
-        tails = window[1:] * np.abs(powers[1:]) / (1.0 - abs(q))
+        tails = window[1:] * np.abs(powers[1:]) / (1.0 - abs_q)
         met = tails <= EPS_SERIES * (1.0 + sum_moduli[1:])
-    bad = np.flatnonzero(~np.isfinite(values))
+        bad = np.flatnonzero(~(moduli < math.inf))
     stops = np.flatnonzero(met[:bad[0]] if bad.size else met)
     if not stops.size and bad.size:
         raise PoleError(f"Jackson integrand is not finite at rung {n + int(bad[0])}")
     i = int(stops[0]) if stops.size else count - 1
     recent.extend(moduli[:i + 1][-8:].tolist())
-    return (bool(stops.size), complex(sums[i + 1]), n + i + 1,
-            float(tails[i]), float(sizes[i + 1]), complex(powers[-1]))
+    return _Sum(n + i + 1, complex(sums[i + 1]), complex(powers[i + 1]), float(tails[i]), abs_q,
+                float(sizes[i + 1]), bool(stops.size))
 
 
 def weight_omega_beta(theta: float, beta, q):

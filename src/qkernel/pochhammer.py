@@ -183,10 +183,7 @@ def qpoch_infinite(a, q):
     points = np.asarray(a, dtype=complex)
     if not scalar:
         n_factors, n_terms = _split(float(np.abs(points).max(initial=0.0)), abs(q))
-    # q^0, ..., q^max(K, M), each the previous one times q
-    powers = np.full(max(n_factors, n_terms) + 1, q, dtype=complex)
-    powers[0] = 1.0
-    powers = np.multiply.accumulate(powers)
+    powers = _power_column(1.0, q, max(n_factors, n_terms))
     head = powers[:n_factors, None]
     row = points.reshape(1, -1)
     acc = np.ones(row.shape[1], dtype=complex)
@@ -246,6 +243,15 @@ def _split(a_max: float, abs_q: float) -> tuple:
     return split
 
 
+def _power_column(start, q, count: int):
+    """The complex array start, start q, ..., start q^count, each entry the
+    previous one times q (np.multiply.accumulate)."""
+    import numpy as np
+    steps = np.full(count + 1, q, dtype=complex)
+    steps[0] = start
+    return np.multiply.accumulate(steps)
+
+
 def _log_series(np, b, powers, n_terms: int):
     """(b;q)_inf for each entry of the row b (shape (1, points)), all
     |b| < _SERIES_RADIUS, as exp(-sum_{n=1}^{M} b^n / (n (1 - q^n))) with
@@ -273,10 +279,7 @@ def qpoch_ladder(values, q, count: int):
     values = np.asarray(values, dtype=complex)
     n_factors, n_terms = _split(float(np.abs(values).max(initial=0.0)), abs(q))
     steps = max(count - 1, 0) + n_factors
-    # q^0, ..., q^max(steps, M), each the previous one times q
-    powers = np.full(max(steps, n_terms) + 1, q, dtype=complex)
-    powers[0] = 1.0
-    powers = np.multiply.accumulate(powers)
+    powers = _power_column(1.0, q, max(steps, n_terms))
     # a row of ones closes the suffix products in the factor form (M = 0)
     factors = np.ones((steps + 1,) + values.shape, dtype=complex)
     np.subtract(1.0, np.multiply.outer(powers[:steps], values), out=factors[:-1])

@@ -21,6 +21,12 @@ roundoff, within the same error bound.  It is the package's one summed
 hypergeometric series: w_series wraps it with the very-well-poised
 parameter substitution (rogers_6w5_rhs is the matching closed product
 form), and thm-1.4's q-beta series is two 2phi1 calls.
+
+phi_series and the Jackson ladder of integrate.jackson_q_integral run one
+block driver, _sum_blocks.  It holds the block schedule, the gate that
+sends a long block to the engine's numpy summer, the term cap and its
+ConvergenceError, and it carries one record, _Sum, from block to block.
+Each engine keeps its own summers, stop rule and near-stop constant.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .pochhammer import _check_finite, check_base, qpoch_ratio
+from .pochhammer import _check_finite, _power_column, check_base, qpoch_ratio
 
 # Budget of every summed series (phi_series and the Jackson ladder):
 # relative tail bound and term cap.
@@ -43,14 +49,16 @@ MAX_SERIES_TERMS = 100_000
 # series (an upper parameter of the form q^{-m} up to roundoff).
 _TERMINATION_SNAP = 1e-13
 
-# phi_series sums its first _LONG_SERIES terms in the term loop, and then
-# blocks of 2, 4, ... times as many in numpy, unless the tail bound, falling
-# by rho a term, would meet the stop rule within _SERIES_NEAR_STOP terms.
-# The loop costs 0.9, 1.6 and 4.2 us a term at r = 0, 1 and 5, a numpy
-# block of 128 terms 63, 75 and 107 us: as much as 72, 49 and 25 terms of
-# the loop, and 64 terms of a 1phi0 take 58 us in the loop, 62 in numpy
-# (q = 0.999, best of 40 rounds on a shared 2-vCPU x86-64 host).
-_LONG_SERIES = 64
+# _sum_blocks sends a block of _LONG_BLOCK terms or more, after the first
+# block, to the engine's numpy summer, unless the tail bound, falling by rho
+# a term, would meet the stop rule within the engine's near_stop terms.
+# phi_series sums blocks of _LONG_BLOCK, 2 _LONG_BLOCK, ... terms, with
+# near_stop _SERIES_NEAR_STOP.  Its term loop costs 0.9, 1.6 and 4.2 us a
+# term at r = 0, 1 and 5, a numpy block of 128 terms 63, 75 and 107 us: as
+# much as 72, 49 and 25 terms of the loop, and 64 terms of a 1phi0 take 58
+# us in the loop, 62 in numpy (q = 0.999, best of 40 rounds on a shared
+# 2-vCPU x86-64 host).
+_LONG_BLOCK = 64
 _SERIES_NEAR_STOP = 64
 
 
@@ -128,14 +136,15 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
     which decreases with n, so the tail after term_n is at most
     |term_n| rho / (1 - rho) once rho < 1.
 
-    The first _LONG_SERIES terms run in a Python loop, without numpy, and
-    so does every series that stops within them.  The terms after them
-    come in blocks of 2, 4, 8, ... times as many.  A block whose stop the
-    last rho puts more than _SERIES_NEAR_STOP terms away, or which starts
-    at rho >= 1, as near |q| = 1, is summed in numpy by _long_terms, by
-    the loop's stop rule and with its exceptions, in numpy's complex
-    arithmetic, whose roundings differ from Python's but obey the same
-    bounds; the others stay in the loop.
+    The terms come in blocks of 64, 128, 256, ... from the block driver
+    _sum_blocks, which the Jackson ladder runs too.  The first block runs
+    in a Python loop, _term_loop, without numpy, and so does every series
+    that stops within it.  A later block whose stop the last rho puts more
+    than _SERIES_NEAR_STOP terms away, or which starts at rho >= 1, as near
+    |q| = 1, is summed in numpy by _long_terms, by the loop's stop rule and
+    with its exceptions, in numpy's complex arithmetic, whose roundings
+    differ from Python's but obey the same bounds; the others stay in the
+    loop.
     """
     upper = [complex(a) for a in upper]
     lower = [complex(b) for b in lower]
@@ -149,19 +158,54 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
         raise DomainError("phi_series needs finite parameters and argument")
     if z == 0:
         return 1.0 + 0j
-    series = _series_of(upper, lower, z, q)
-    state = _State(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, math.inf)
-    n = 0
-    block = _LONG_SERIES
-    while n < MAX_SERIES_TERMS:
-        count = min(block, MAX_SERIES_TERMS - n)
-        far = n > 0 and count >= _LONG_SERIES and _stop_is_far(state)
-        state = (_long_terms if far else _term_loop)(series, count, state)
-        if not isinstance(state, _State):
+    return _sum_blocks("phi_series", _LONG_BLOCK, _SERIES_NEAR_STOP, _term_loop, _long_terms,
+                       (_series_of(upper, lower, z, q),), _FIRST_TERM).total
+
+
+class _Sum(NamedTuple):
+    """A series summed for n steps, terms of phi_series after term_0 or
+    rungs of the Jackson ladder: the sum, q^n, the tail bound past it (inf
+    while none holds), the bound rho on the next steps' ratio (|q| on the
+    ladder; inf while a lower factor bound of phi_series is not positive),
+    what the engine carries besides (term_n of phi_series, sum |q^k f| of
+    the ladder), and whether the sum has stopped."""
+
+    n: int
+    total: complex
+    qn: complex
+    tail: float
+    rho: float
+    carry: complex | float
+    stopped: bool
+
+
+# phi_series at term_0 = 1
+_FIRST_TERM = _Sum(0, 1.0 + 0j, 1.0 + 0j, math.inf, math.inf, 1.0 + 0j, False)
+
+
+def _sum_blocks(name: str, first_block: int, near_stop: int, loop, array, args: tuple,
+                state: _Sum) -> _Sum:
+    """The stopped record of a series summed on from `state` in blocks of
+    first_block, 2 first_block, 4 first_block, ... steps, each block by
+    loop(*args, count, state) or by array(*args, count, state), which take
+    the same steps by the same stop rule, one at a time or with array
+    operations.  A block of _LONG_BLOCK steps or more after the first goes
+    to `array` unless rho < 1 and the tail bound, falling by rho a step,
+    meets the stop rule within near_stop steps:
+    tail rho^near_stop <= EPS_SERIES (1 + |total|).  ConvergenceError,
+    naming `name`, if MAX_SERIES_TERMS steps pass without a stop."""
+    block = first_block
+    while state.n < MAX_SERIES_TERMS:
+        count = min(block, MAX_SERIES_TERMS - state.n)
+        # rho < 1 first: past it, rho ** near_stop and |total| can overflow
+        far = count >= _LONG_BLOCK and state.n > 0 and (
+            not state.rho < 1.0
+            or state.tail * state.rho ** near_stop > EPS_SERIES * (1.0 + abs(state.total)))
+        state = (array if far else loop)(*args, count, state)
+        if state.stopped:
             return state
-        n += count
         block *= 2
-    raise ConvergenceError("phi_series did not meet its tail bound within MAX_SERIES_TERMS")
+    raise ConvergenceError(f"{name} did not meet its tail bound within MAX_SERIES_TERMS")
 
 
 class _Series(NamedTuple):
@@ -190,33 +234,21 @@ def _series_of(upper: list, lower: list, z: complex, q: complex) -> _Series:
                    max(abs_upper + abs_lower))
 
 
-class _State(NamedTuple):
-    """The term loop after term_n: term_n, the sum up to it, q^n and the
-    bound rho past n (inf while a lower factor bound is not positive)."""
-
-    term: complex
-    total: complex
-    qn: complex
-    rho: float
+def _after_term(n: int, term: complex, total: complex, qn: complex, rho: float) -> _Sum:
+    """The record of phi_series after term_n, not stopped, with the tail
+    bound |term_n| rho / (1 - rho), or inf while rho >= 1."""
+    tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else math.inf
+    return _Sum(n, total, qn, tail, rho, term, False)
 
 
-def _stop_is_far(state: _State) -> bool:
-    """Whether the tail bound, falling by rho a term, stays above the stop
-    rule for _SERIES_NEAR_STOP more terms (always while rho >= 1)."""
-    if not state.rho < 1.0:
-        return True
-    tail = abs(state.term) * state.rho / (1.0 - state.rho)
-    return tail * state.rho ** _SERIES_NEAR_STOP > EPS_SERIES * (1.0 + abs(state.total))
-
-
-def _term_loop(series: _Series, count: int, state: _State) -> _State | complex:
-    """`count` terms of phi_series from `state`, one at a time: the value
-    where the series stops, at a terminating factor or at the tail bound,
-    or else the state after the last term."""
+def _term_loop(series: _Series, count: int, state: _Sum) -> _Sum:
+    """`count` terms of phi_series from `state`, one at a time: the stopped
+    record where the series stops, at a terminating factor (tail 0) or at
+    the tail bound, or else the record after the last term."""
     upper, lower, z, q, abs_upper, abs_lower, abs_z, abs_q, reach = series
-    term, total, qn, rho = state
+    n, total, qn, _, rho, term, _ = state
     abs_qn = abs(qn)
-    for _ in range(count):
+    for n in range(n + 1, n + count + 1):  # term_n from term_(n-1)
         # |a q^n| < 1/4 keeps |1 - a q^n| above 3/4, far from the snap
         snappable = reach * abs_qn >= 0.25
         num = 1.0 + 0j
@@ -224,7 +256,7 @@ def _term_loop(series: _Series, count: int, state: _State) -> _State | complex:
             w = a * qn
             factor = 1.0 - w
             if snappable and abs(factor) <= _TERMINATION_SNAP * (1.0 + abs(w)):
-                return total
+                return _Sum(n - 1, total, qn, 0.0, rho, term, True)
             num *= factor
         den = 1.0 - q * qn
         for b in lower:
@@ -248,18 +280,21 @@ def _term_loop(series: _Series, count: int, state: _State) -> _State | complex:
                 rho = math.inf
                 break
             rho /= g
-        if rho < 1.0 and abs(term) * rho / (1.0 - rho) <= EPS_SERIES * (1.0 + abs(total)):
-            return total
-    return _State(term, total, qn, rho)
+        if rho < 1.0:
+            tail = abs(term) * rho / (1.0 - rho)
+            if tail <= EPS_SERIES * (1.0 + abs(total)):
+                return _Sum(n, total, qn, tail, rho, term, True)
+    return _after_term(n, term, total, qn, rho)
 
 
-def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
+def _long_terms(series: _Series, count: int, state: _Sum) -> _Sum:
     """_term_loop in numpy's own complex arithmetic: the same stop rule
     and events, so that it stops where the loop stops, with a value within
     roundoff of the loop's.
 
-    q^n is np.multiply.accumulate, and the terms are too, over the chain
-    term_n, ratio_n, z, ratio_{n+1}, z, ...; the factors 1 - c q^n of all
+    q^n is pochhammer._power_column, and the terms are
+    np.multiply.accumulate over the chain term_n, ratio_n, z, ratio_{n+1},
+    z, ...; the factors 1 - c q^n of all
     parameters and q are one 2-D array, num and den their np.prod, and
     every modulus is np.abs.  The first event of the block decides, in the
     loop's order within a term: a terminating upper factor, a vanishing
@@ -272,9 +307,7 @@ def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
     import numpy as np
 
     upper, lower, z, q, abs_upper, abs_lower, abs_z, abs_q, reach = series
-    steps = np.full(count + 1, q)
-    steps[0] = state.qn
-    powers = np.multiply.accumulate(steps)  # q^n, ..., q^(n + count)
+    powers = _power_column(state.qn, q, count)  # q^n, ..., q^(n + count)
     k = len(upper)
     # Non-finite values send the block to the term loop below.
     with np.errstate(all="ignore"):
@@ -282,7 +315,7 @@ def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
         w = np.array([*upper, q, *lower])[:, None] * powers[:-1]
         factors = 1.0 - w
         chain = np.empty(2 * count + 1, dtype=complex)
-        chain[0] = state.term
+        chain[0] = state.carry
         chain[1::2] = np.prod(factors[:k], axis=0) / np.prod(factors[k:], axis=0)
         chain[2::2] = z
         terms = np.multiply.accumulate(chain)[2::2]  # term_(n+1), ..., term_(n+count)
@@ -311,15 +344,18 @@ def _long_terms(series: _Series, count: int, state: _State) -> _State | complex:
     end = int(events[0]) + 1 if events.size else count
     if not all(m[..., :end].max() < math.inf for m in moduli):
         return _term_loop(series, count, state)
+    n = state.n
     if not events.size:
-        return _State(complex(terms[-1]), complex(sums[-1]), complex(powers[-1]),
-                      float(rho[-1]))
+        return _after_term(n + count, complex(terms[-1]), complex(sums[-1]),
+                           complex(powers[-1]), float(rho[-1]))
     i = end - 1
-    if snappable and upper_snap[i]:
-        return complex(sums[i])
+    if snappable and upper_snap[i]:  # term_(n+i+1) is 0: the sum ends at term_(n+i)
+        term, rho_i = (complex(terms[i - 1]), float(rho[i - 1])) if i else (state.carry, state.rho)
+        return _Sum(n + i, complex(sums[i]), complex(powers[i]), 0.0, rho_i, term, True)
     if snappable and lower_snap[i]:
         raise DomainError("phi_series reached a vanishing lower-parameter factor")
-    return complex(sums[end])
+    return _Sum(n + end, complex(sums[end]), complex(powers[end]),
+                float(t_abs[i] * rho[i] / (1.0 - rho[i])), float(rho[i]), complex(terms[i]), True)
 
 
 def _running_sums(total: complex, terms):

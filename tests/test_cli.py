@@ -455,6 +455,9 @@ GOLDEN = [
     ('eval qpoch --a 1.5e308,1.5e308 --q 0.9 --n 3', 1, ''),  # printed nan+nani
     ('eval qpoch --a 0.5 --q 1.5e308,1.5e308 --n inf', 1, ''),
     ('eval phi --upper 1.5e308,1.5e308 --z 0.5 --q 0.9', 1, ''),
+    ('eval jackson --coeff 1.3e308,1.3e308 --a 0 --b 1 --q 0.5', 1, ''),
+    # an infinite endpoint: refused, where it printed nan+nani and exited 0
+    ('eval jackson --coeff 1 --a 0 --b inf --q 0.5', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
     ('eval T --n 3 --x 2', 1, ''),
     ('eval T --n 3 --x nan', 1, ''),

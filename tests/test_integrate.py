@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from qkernel import (ConvergenceError, DomainError, PoleError, QuadratureResult,
                      jackson_q_integral, periodic_quadrature, qpoch_infinite,
                      ultraspherical_c, weight_omega_ab, weight_omega_beta)
-from qkernel import integrate, verify
-from qkernel.integrate import (EPS_QUAD, EPS_SERIES, MAX_QUAD_NODES, MAX_SERIES_TERMS,
-                               QUAD_NOISE)
+from qkernel import integrate, series, verify
+from qkernel.integrate import EPS_QUAD, EPS_SERIES, MAX_QUAD_NODES, QUAD_NOISE
+from qkernel.series import MAX_SERIES_TERMS
 from qkernel.verify import CHECK_RUNNERS, default_suite_config
 
 
@@ -40,6 +40,11 @@ def rung_by_rung(f, endpoint, q):
 
 
 U = 2.0**-53
+
+
+def ladder_sums(record) -> tuple:
+    """(sum, rungs, tail bound, sum of moduli) of a ladder's record."""
+    return record.total, record.n, record.tail, record.carry
 
 
 def sums_agree(got, want) -> bool:
@@ -177,8 +182,9 @@ class TestJackson:
             assert jackson_q_integral(f, a, b, q).value == pytest.approx(expected, rel=1e-12)
 
     def test_growing_integrand_raises(self, monkeypatch):
-        monkeypatch.setattr("qkernel.integrate.MAX_SERIES_TERMS", 500)
-        with pytest.raises(ConvergenceError):
+        # the cap of the block driver, which phi_series shares
+        monkeypatch.setattr("qkernel.series.MAX_SERIES_TERMS", 500)
+        with pytest.raises(ConvergenceError, match="within MAX_SERIES_TERMS"):
             jackson_q_integral(lambda z: 1.0 / (z * z), 0.0, 1.0, 0.5)
 
     # from |q| = 0.9 on, the stops lie far into blocks of 64 rungs or more
@@ -191,9 +197,9 @@ class TestJackson:
         # rung or with array operations
         long_blocks = []
 
-        def spied(f, endpoint, q, count, *state):
+        def spied(f, endpoint, q, recent, count, state):
             long_blocks.append(count)
-            return long_block(f, endpoint, q, count, *state)
+            return long_block(f, endpoint, q, recent, count, state)
 
         long_block = integrate._long_block
         monkeypatch.setattr(integrate, "_long_block", spied)
@@ -237,7 +243,8 @@ class TestJackson:
                         points.extend(z.tolist())
                         return counted(z)
 
-                    assert sums_agree(integrate._ladder_sum(recorded, endpoint, q), want)
+                    assert sums_agree(ladder_sums(integrate._ladder_sum(recorded, endpoint, q)),
+                                      want)
                     qn = 1.0 + 0j
                     for point in points:
                         assert abs(point - endpoint * qn) <= 5 * U * abs(endpoint * qn)
@@ -252,25 +259,23 @@ class TestJackson:
         stops = []
         for q in [*np.linspace(0.55, 0.9, 36).tolist(), -0.8, cmath.rect(0.8, 1.0)]:
             for f in (lambda z: z, lambda z: (0.3 - 1.2j * z) / (1.0 + 0.5 * z * z)):
-                n, total, size, qn = 0, 0j, 0.0, 1.0 + 0j
+                state = series._Sum(0, 0j, 1.0 + 0j, math.inf, abs(q), 0.0, False)
                 recent = deque(maxlen=8)
                 for count in (8, 16, 32, 64, 128, 256):
-                    state = (f, 0.9, q, count, n, total, size, qn)
                     if count < 64:
-                        got = integrate._rung_block(*state, recent)
+                        got = integrate._rung_block(f, 0.9, q, recent, count, state)
                     else:
                         window = deque(recent, maxlen=8)
-                        got = integrate._long_block(*state, window)
-                        want = integrate._rung_block(*state, recent)
-                        assert got[0] == want[0] and got[5] == want[5]
-                        assert sums_agree(got[1:5], want[1:5])
+                        got = integrate._long_block(f, 0.9, q, window, count, state)
+                        want = integrate._rung_block(f, 0.9, q, recent, count, state)
+                        assert got.stopped == want.stopped and got.qn == want.qn
+                        assert sums_agree(ladder_sums(got), ladder_sums(want))
                         assert np.allclose(window, recent, rtol=2 * U, atol=0)
-                    stopped, total, rungs, _, size, qn = got
-                    if stopped:
+                    if got.stopped:
                         if count >= 64:
-                            stops.append(rungs - n)
+                            stops.append(got.n - state.n)
                         break
-                    n = rungs
+                    state = got
         # stops at the first rungs of a block read the window carried into it
         assert min(stops) == 1 and max(stops) > 64
 
@@ -282,9 +287,9 @@ class TestJackson:
         # at q=0.75
         spied = []
 
-        def spy(f, endpoint, q, count, *state):
+        def spy(f, endpoint, q, recent, count, state):
             spied.append(count)
-            return long_block(f, endpoint, q, count, *state)
+            return long_block(f, endpoint, q, recent, count, state)
 
         long_block = integrate._long_block
         monkeypatch.setattr(integrate, "_long_block", spy)
@@ -330,6 +335,30 @@ class TestJackson:
 
         def f(z):
             return np.where(np.abs(z) < 0.9 ** 299.5, bad, 1.0)
+
+        with pytest.raises(PoleError, match="rung 300$"):
+            jackson_q_integral(f, 0.0, 1.0, 0.9)
+
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, complex(0.5, math.inf)])
+    def test_non_finite_endpoint_is_refused(self, bound):
+        # an infinite endpoint gave nan+nanj with stop_reason "tolerance"
+        for a, b in ((0.0, bound), (bound, 0.5)):
+            with pytest.raises(DomainError, match="finite"):
+                jackson_q_integral(lambda z: 1.0, a, b, 0.5)
+
+    def test_value_whose_modulus_overflows_is_a_pole(self):
+        # finite parts, modulus past the largest double: abs() of the rung
+        # loop raised a bare OverflowError
+        with pytest.raises(PoleError, match="rung 0$"):
+            jackson_q_integral(lambda z: 1.3e308 * (1 + 1j), 0.0, 1.0, 0.5)
+
+    def test_value_whose_modulus_overflows_before_a_long_block_stop_is_a_pole(self):
+        # the constant ladder at q=0.9 stops after 306 rungs inside the
+        # 256-rung block from rung 248, which numpy sums; from rung 300 the
+        # integrand's modulus is past the largest double
+
+        def f(z):
+            return np.where(np.abs(z) < 0.9 ** 299.5, 1.3e308 * (1 + 1j), 1.0)
 
         with pytest.raises(PoleError, match="rung 300$"):
             jackson_q_integral(f, 0.0, 1.0, 0.9)

@@ -147,6 +147,18 @@ class TestPhiSeries:
             phi_series([0.3], 1e300, 0.4)
         assert time.perf_counter() - started < 0.1
 
+    def test_overflowing_sum_at_rho_above_one_is_a_convergence_error(self):
+        # |z| = 1.5 keeps rho above 1 until the sum overflows in a numpy
+        # block: a ConvergenceError, not an OverflowError of the block gate
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            phi_series([0.4], 1.5, cmath.rect(0.99, 0.2))
+
+    def test_block_gate_tests_rho_before_its_power(self):
+        # sum_n (q;q)_n^12 0.9^n: rho is 7.7e4 after the first 64 terms, so
+        # rho ** _SERIES_NEAR_STOP would overflow; the terms vanish at once
+        q = 0.999
+        assert phi_series([q] * 13, 0.9, q, [0.0] * 12) == 1.0
+
     def test_two_one_matches_per_term_summation(self):
         rng = np.random.default_rng(71)
         for _ in range(15):
@@ -253,12 +265,11 @@ def outcome(function, *args) -> str:
 
 
 def after_loop(upper, z, q, lower=(), terms=8):
-    """The series and the term loop's state after its first `terms` terms."""
+    """The series and the term loop's record after its first `terms` terms."""
     prepared = series._series_of([complex(a) for a in upper], [complex(b) for b in lower],
                                  complex(z), complex(q))
-    start = series._State(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, math.inf)
-    state = TERM_LOOP(prepared, terms, start)
-    assert isinstance(state, series._State)
+    state = TERM_LOOP(prepared, terms, series._FIRST_TERM)
+    assert not state.stopped and state.n == terms
     return prepared, state
 
 
@@ -275,10 +286,10 @@ def block_then_loop(summer, prepared, count, state):
     (None if the series stops in it), and the value of phi_series that
     the term loop then reaches from there."""
     state = summer(prepared, count, state)
-    qn = state.qn if isinstance(state, series._State) else None
-    while isinstance(state, series._State):
+    qn = None if state.stopped else state.qn
+    while not state.stopped:
         state = TERM_LOOP(prepared, series.MAX_SERIES_TERMS, state)
-    return qn, state
+    return qn, state.total
 
 
 def within_oracle_bound(value, upper, z, q, lower=()) -> bool:
@@ -341,8 +352,10 @@ class TestArrayPath:
         upper, z, lower = [q**-100, 0.5], 0.9, [0.45]
         prepared, state = after_loop(upper, z, q, lower)
         for summer in (LONG_TERMS, TERM_LOOP):
-            assert isinstance(summer(prepared, 92, state), series._State)
+            assert not summer(prepared, 92, state).stopped
         array, loop = (LONG_TERMS(prepared, 128, state), TERM_LOOP(prepared, 128, state))
+        assert array.stopped and loop.stopped and array.n == loop.n == 100
+        array, loop = array.total, loop.total
         value = phi_series(upper, z, q, lower)
         assert array_blocks
         # so ill-conditioned (sum|t_n| / |sum| up to 1e18) that the summers
