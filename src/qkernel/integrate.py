@@ -11,8 +11,10 @@ new midpoints, and the rule stops at that floor as well as at its
 tolerance.  Integrals over [0, pi] of even periodic integrands are taken
 as one half of the full-period value, keeping the spectral rate.  The
 ladder runs series._sum_blocks, the block driver of phi_series, with its
-own summers: a rung loop, and for its long blocks numpy's own complex
-arithmetic by the rung loop's stop rule.  Both engines return a
+own summers: a rung loop, and for every block of 64 rungs or more numpy's
+own complex arithmetic by the rung loop's stop rule.  The driver raises
+its ConvergenceError for a ladder sum that is no longer finite.  Both
+engines return a
 QuadratureResult: the value with the work it took (nodes or ladder rungs),
 its error estimate, the sum of |f| it was formed from and why it stopped.
 """
@@ -39,12 +41,6 @@ EPS_QUAD = 1e-11
 MAX_QUAD_NODES = 2**20
 QUAD_NOISE = 32
 _UNIT_ROUNDOFF = 2.0**-53
-
-# Jackson ladder blocks of series._LONG_BLOCK rungs or more find their stop
-# in numpy, unless the tail bound, falling by |q| a rung, would meet the stop
-# rule within _NEAR_STOP rungs: numpy's set-up costs about as much as that
-# many rungs of the loop.
-_NEAR_STOP = 40
 
 
 @dataclass(frozen=True)
@@ -145,11 +141,10 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
     max_recent|f| * |q|^{n+1} / (1 - |q|) drops below EPS_SERIES relative,
     where the max runs over the latest 8 rungs (the ladder accumulates at
     0).  The blocks come from series._sum_blocks, the block driver that
-    phi_series runs too: a block of 64 rungs or more whose stop the last
-    tail bound puts more than _NEAR_STOP rungs away, as on ladders near
-    |q| = 1, finds that rung with array operations in numpy's complex
-    arithmetic instead, by the same stop rule, so the stop and the sum are
-    those of one call per rung up to roundoff; the blocks evaluate at most
+    phi_series runs too: a block of 64 rungs or more, from rung 56 on,
+    finds its stop with array operations in numpy's complex arithmetic
+    instead, by the same stop rule, so the stop and the sum are those of
+    one call per rung up to roundoff; the blocks evaluate at most
     2 (rungs summed) + 6 rungs per ladder.
 
     The result's nodes_used is the number of rungs the two sums used,
@@ -157,8 +152,9 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
     bounds, magnitude |1-q| (|b| sum|q^n f(b q^n)| + |a| sum|q^n f(a q^n)|),
     and stop_reason "tolerance".  DomainError for an infinite or NaN
     endpoint; PoleError at the first summed rung where f, or its modulus,
-    is not finite; ConvergenceError if f grows too fast along the ladder
-    for the bound to be met within series.MAX_SERIES_TERMS.
+    is not finite; ConvergenceError at the first rung where a ladder sum,
+    or its modulus, is not finite, and if f grows too fast along the
+    ladder for the bound to be met within series.MAX_SERIES_TERMS.
     """
     check_base(q)
     _check_finite("jackson_q_integral", a, b)
@@ -173,12 +169,12 @@ def _ladder_sum(f, endpoint, q) -> _Sum:
     """The stopped record of sum_n q^n f(endpoint q^n): the rungs summed,
     the sum, the last tail bound and, as its carry, sum_n |q^n f(endpoint q^n)|.
     series._sum_blocks sums blocks of 8, 16, 32, ... rungs by _rung_block,
-    one rung at a time, or by _long_block, by the same stop rule in numpy's
-    complex arithmetic, which takes the blocks of 64 rungs or more whose
-    stop lies more than _NEAR_STOP rungs away by the last tail bound."""
+    one rung at a time, or, every block of 64 rungs or more, by _long_block,
+    by the same stop rule in numpy's complex arithmetic; it raises
+    ConvergenceError for a sum that is not finite."""
     if endpoint == 0:
         return _Sum(0, 0.0 + 0j, 1.0 + 0j, 0.0, abs(q), 0.0, True)
-    return _sum_blocks("Jackson ladder sum", 8, _NEAR_STOP, _rung_block, _long_block,
+    return _sum_blocks("Jackson ladder", 8, _rung_block, _long_block,
                        (f, endpoint, q, deque(maxlen=8)),
                        _Sum(0, 0.0 + 0j, 1.0 + 0j, math.inf, abs(q), 0.0, False))
 
@@ -187,9 +183,10 @@ def _rung_block(f, endpoint, q, recent, count: int, state: _Sum) -> _Sum:
     """Rungs n, ..., n + count - 1 of _ladder_sum from its record after
     rung n - 1 and `recent`, the last 8 |f|, which it moves on.  One call
     of f on the block's points, then a Python loop that sums rung by rung
-    and stops at the first rung whose tail bound is met.  Returns the
-    record after that rung, stopped, or after the block if none meets it;
-    PoleError at the first value it would sum whose modulus is not finite."""
+    and stops at the first rung whose tail bound is met or whose sum is
+    not finite.  Returns the record after that rung, stopped, or after the
+    block if there is none; PoleError at the first value it would sum
+    whose modulus is not finite."""
     n, total, qn, tail, abs_q, size, _ = state
     powers = []
     for _ in range(count):
@@ -209,7 +206,9 @@ def _rung_block(f, endpoint, q, recent, count: int, state: _Sum) -> _Sum:
         recent.append(abs(value))
         n += 1
         tail = max(recent) * abs(power * q) / (1.0 - abs_q)
-        if n >= 8 and tail <= EPS_SERIES * (1.0 + abs(total)):
+        # hypot, not abs(), which overflows; _sum_blocks raises for it
+        if (not math.hypot(total.real, total.imag) < math.inf
+                or n >= 8 and tail <= EPS_SERIES * (1.0 + abs(total))):
             return _Sum(n, total, power * q, tail, abs_q, size, True)
     return _Sum(n, total, qn, tail, abs_q, size, False)
 
@@ -219,6 +218,9 @@ def _long_block(f, endpoint, q, recent, count: int, state: _Sum) -> _Sum:
     stop rule and PoleError, so that it stops at the rung the loop stops
     at, with sums within roundoff of the loop's.  The blocks of 64 rungs
     or more come after the first 56 rungs, so `recent` holds 8 values.
+    The terms of finite values are not NaN, so the first sum that is not
+    finite has an infinite modulus, which meets the stop rule: the block
+    ends there, as the loop's does.
 
     q^n is pochhammer._power_column, the loop's sequential product; the
     points and the terms are numpy complex products and every modulus is

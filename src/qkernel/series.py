@@ -15,18 +15,20 @@ geometric tail bound, within the series budget EPS_SERIES / MAX_SERIES_TERMS.
 Its first 64 terms run in Python's complex arithmetic, without numpy.  A
 series that runs longer, as near |q| = 1 (Gasper & Rahman, *Basic
 Hypergeometric Series*, section 1.3: hundreds or thousands of terms), sums
-its later blocks in numpy's own complex arithmetic where the tail bound
-puts the stop far away, by the loop's stop rule; the two values agree to
-roundoff, within the same error bound.  It is the package's one summed
-hypergeometric series: w_series wraps it with the very-well-poised
-parameter substitution (rogers_6w5_rhs is the matching closed product
-form), and thm-1.4's q-beta series is two 2phi1 calls.
+its later blocks in numpy's own complex arithmetic, by the loop's stop
+rule; the two values agree to roundoff, within the same error bound.  It
+is the package's one summed hypergeometric series: w_series wraps it with
+the very-well-poised parameter substitution (rogers_6w5_rhs is the
+matching closed product form), and thm-1.4's q-beta series is two 2phi1
+calls.
 
 phi_series and the Jackson ladder of integrate.jackson_q_integral run one
-block driver, _sum_blocks.  It holds the block schedule, the gate that
-sends a long block to the engine's numpy summer, the term cap and its
-ConvergenceError, and it carries one record, _Sum, from block to block.
-Each engine keeps its own summers, stop rule and near-stop constant.
+block driver, _sum_blocks.  It holds the block schedule, picks each
+block's summer by the block's size alone, and raises the engines'
+ConvergenceErrors: for a sum that is no longer finite, and at the term
+cap.  It carries one record, _Sum, from block to block.  Each engine keeps
+its own summers and stop rule; a summer ends its block at its stop or at
+the first step whose sum is not finite, whichever comes first.
 """
 
 from __future__ import annotations
@@ -49,17 +51,16 @@ MAX_SERIES_TERMS = 100_000
 # series (an upper parameter of the form q^{-m} up to roundoff).
 _TERMINATION_SNAP = 1e-13
 
-# _sum_blocks sends a block of _LONG_BLOCK terms or more, after the first
-# block, to the engine's numpy summer, unless the tail bound, falling by rho
-# a term, would meet the stop rule within the engine's near_stop terms.
-# phi_series sums blocks of _LONG_BLOCK, 2 _LONG_BLOCK, ... terms, with
-# near_stop _SERIES_NEAR_STOP.  Its term loop costs 0.9, 1.6 and 4.2 us a
-# term at r = 0, 1 and 5, a numpy block of 128 terms 63, 75 and 107 us: as
-# much as 72, 49 and 25 terms of the loop, and 64 terms of a 1phi0 take 58
-# us in the loop, 62 in numpy (q = 0.999, best of 40 rounds on a shared
-# 2-vCPU x86-64 host).
+# _sum_blocks sends every block of _LONG_BLOCK steps or more, after the
+# first block, to the engine's numpy summer.  phi_series sums blocks of
+# _LONG_BLOCK, 2 _LONG_BLOCK, ... terms.  Its term loop costs 0.9, 1.6 and
+# 4.2 us a term at r = 0, 1 and 5, a numpy block of 128 terms 63, 75 and
+# 107 us: as much as 72, 49 and 25 terms of the loop, and 64 terms of a
+# 1phi0 take 58 us in the loop, 62 in numpy (q = 0.999, best of 40 rounds
+# on a shared 2-vCPU x86-64 host).  So a block of _LONG_BLOCK terms costs
+# about the same either way, and a longer one less in numpy unless the
+# series stops early in it; the driver does not guess where the stop lies.
 _LONG_BLOCK = 64
-_SERIES_NEAR_STOP = 64
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,10 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
     """Value of the basic hypergeometric series with upper parameters
     a_1..a_{r+1}, lower parameters b_1..b_r and argument z.
 
-    A NaN or infinite parameter or argument is a DomainError.  Terms
-    follow the running recurrence term_{n+1} = term_n * ratio(n), and a
-    sum that stops being finite is a ConvergenceError at once.
+    A NaN or infinite parameter or argument, or one whose modulus is past
+    the largest double, is a DomainError.  Terms follow the running
+    recurrence term_{n+1} = term_n * ratio(n), and a sum that stops being
+    finite, or whose modulus overflows, is a ConvergenceError at once.
     Summation stops at a terminating zero factor (upper parameter q^{-m}),
     or once the remaining tail is certifiably below EPS_SERIES relative:
     past index n every term ratio is bounded by
@@ -139,12 +141,10 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
     The terms come in blocks of 64, 128, 256, ... from the block driver
     _sum_blocks, which the Jackson ladder runs too.  The first block runs
     in a Python loop, _term_loop, without numpy, and so does every series
-    that stops within it.  A later block whose stop the last rho puts more
-    than _SERIES_NEAR_STOP terms away, or which starts at rho >= 1, as near
-    |q| = 1, is summed in numpy by _long_terms, by the loop's stop rule and
-    with its exceptions, in numpy's complex arithmetic, whose roundings
-    differ from Python's but obey the same bounds; the others stay in the
-    loop.
+    that stops within it.  Every later block is summed in numpy by
+    _long_terms, by the loop's stop rule and with its events, in numpy's
+    complex arithmetic, whose roundings differ from Python's but obey the
+    same bounds.
     """
     upper = [complex(a) for a in upper]
     lower = [complex(b) for b in lower]
@@ -154,11 +154,10 @@ def phi_series(upper: list, z, q, lower: list = ()) -> complex:
     check_base(q)
     q = complex(q)
     z = complex(z)
-    if not all(map(cmath.isfinite, [z, *upper, *lower])):
-        raise DomainError("phi_series needs finite parameters and argument")
+    _check_finite("phi_series", z, *upper, *lower)
     if z == 0:
         return 1.0 + 0j
-    return _sum_blocks("phi_series", _LONG_BLOCK, _SERIES_NEAR_STOP, _term_loop, _long_terms,
+    return _sum_blocks("phi_series", _LONG_BLOCK, _term_loop, _long_terms,
                        (_series_of(upper, lower, z, q),), _FIRST_TERM).total
 
 
@@ -183,25 +182,23 @@ class _Sum(NamedTuple):
 _FIRST_TERM = _Sum(0, 1.0 + 0j, 1.0 + 0j, math.inf, math.inf, 1.0 + 0j, False)
 
 
-def _sum_blocks(name: str, first_block: int, near_stop: int, loop, array, args: tuple,
-                state: _Sum) -> _Sum:
+def _sum_blocks(name: str, first_block: int, loop, array, args: tuple, state: _Sum) -> _Sum:
     """The stopped record of a series summed on from `state` in blocks of
     first_block, 2 first_block, 4 first_block, ... steps, each block by
     loop(*args, count, state) or by array(*args, count, state), which take
     the same steps by the same stop rule, one at a time or with array
-    operations.  A block of _LONG_BLOCK steps or more after the first goes
-    to `array` unless rho < 1 and the tail bound, falling by rho a step,
-    meets the stop rule within near_stop steps:
-    tail rho^near_stop <= EPS_SERIES (1 + |total|).  ConvergenceError,
-    naming `name`, if MAX_SERIES_TERMS steps pass without a stop."""
+    operations, and end the block at the stop or at the first step whose
+    sum is not finite, whichever comes first.  Every block of _LONG_BLOCK
+    steps or more after the first goes to `array`, the others to `loop`.
+    ConvergenceError, naming `name`, for a sum that is not finite or whose
+    modulus overflows, and if MAX_SERIES_TERMS steps pass without a stop."""
     block = first_block
     while state.n < MAX_SERIES_TERMS:
         count = min(block, MAX_SERIES_TERMS - state.n)
-        # rho < 1 first: past it, rho ** near_stop and |total| can overflow
-        far = count >= _LONG_BLOCK and state.n > 0 and (
-            not state.rho < 1.0
-            or state.tail * state.rho ** near_stop > EPS_SERIES * (1.0 + abs(state.total)))
-        state = (array if far else loop)(*args, count, state)
+        state = (array if count >= _LONG_BLOCK and state.n > 0 else loop)(*args, count, state)
+        # abs() raises OverflowError where finite parts have an infinite modulus
+        if not math.hypot(state.total.real, state.total.imag) < math.inf:
+            raise ConvergenceError(f"{name} reached a non-finite sum before its tail bound")
         if state.stopped:
             return state
         block *= 2
@@ -223,14 +220,9 @@ class _Series(NamedTuple):
 
 
 def _series_of(upper: list, lower: list, z: complex, q: complex) -> _Series:
-    """The _Series of phi_series' checked parameters, argument and base;
-    DomainError for a finite parameter or argument whose modulus is past
-    the largest double."""
-    try:
-        abs_upper, abs_lower, abs_z = [abs(a) for a in upper], [abs(b) for b in lower], abs(z)
-    except OverflowError:
-        raise DomainError("phi_series needs parameters and argument of finite modulus") from None
-    return _Series(upper, lower, z, q, abs_upper, abs_lower, abs_z, abs(q),
+    """The _Series of phi_series' checked parameters, argument and base."""
+    abs_upper, abs_lower = [abs(a) for a in upper], [abs(b) for b in lower]
+    return _Series(upper, lower, z, q, abs_upper, abs_lower, abs(z), abs(q),
                    max(abs_upper + abs_lower))
 
 
@@ -244,7 +236,8 @@ def _after_term(n: int, term: complex, total: complex, qn: complex, rho: float) 
 def _term_loop(series: _Series, count: int, state: _Sum) -> _Sum:
     """`count` terms of phi_series from `state`, one at a time: the stopped
     record where the series stops, at a terminating factor (tail 0) or at
-    the tail bound, or else the record after the last term."""
+    the tail bound, the record of the first term whose sum is not finite
+    (for _sum_blocks to raise), or else the record after the last term."""
     upper, lower, z, q, abs_upper, abs_lower, abs_z, abs_q, reach = series
     n, total, qn, _, rho, term, _ = state
     abs_qn = abs(qn)
@@ -267,8 +260,8 @@ def _term_loop(series: _Series, count: int, state: _Sum) -> _Sum:
             den *= factor
         term = term * (num / den) * z
         total += term
-        if not cmath.isfinite(total):
-            raise ConvergenceError("phi_series reached a non-finite term before its tail bound")
+        if not math.hypot(total.real, total.imag) < math.inf:  # not abs(): it can overflow
+            return _Sum(n, total, qn, math.inf, rho, term, True)
         qn *= q
         abs_qn = abs(qn)
         rho = abs_z / (1.0 - abs_q * abs_qn)
@@ -298,18 +291,15 @@ def _long_terms(series: _Series, count: int, state: _Sum) -> _Sum:
     parameters and q are one 2-D array, num and den their np.prod, and
     every modulus is np.abs.  The first event of the block decides, in the
     loop's order within a term: a terminating upper factor, a vanishing
-    lower factor (DomainError), the tail bound.  Every modulus up to that
-    event must be finite; otherwise (a sum that is no longer finite, a zero
-    denominator, a modulus past the largest double, where np.abs gives inf
-    and Python's abs raises) the block is summed by _term_loop from the
-    same state, which raises as the loop does.
+    lower factor (DomainError), a sum that is not finite (whose modulus
+    np.abs gives as inf or nan), the tail bound.
     """
     import numpy as np
 
     upper, lower, z, q, abs_upper, abs_lower, abs_z, abs_q, reach = series
     powers = _power_column(state.qn, q, count)  # q^n, ..., q^(n + count)
     k = len(upper)
-    # Non-finite values send the block to the term loop below.
+    # A sum that is not finite is an event below, for _sum_blocks to raise.
     with np.errstate(all="ignore"):
         # q's row gives 1 - q q^n, the first factor of den
         w = np.array([*upper, q, *lower])[:, None] * powers[:-1]
@@ -319,7 +309,6 @@ def _long_terms(series: _Series, count: int, state: _Sum) -> _Sum:
         chain[1::2] = np.prod(factors[:k], axis=0) / np.prod(factors[k:], axis=0)
         chain[2::2] = z
         terms = np.multiply.accumulate(chain)[2::2]  # term_(n+1), ..., term_(n+count)
-        t_abs = np.abs(terms)
         sums, sizes = _running_sums(state.total, terms)
         abs_qn = np.abs(powers[1:])
         rho = abs_z / (1.0 - abs_q * abs_qn)
@@ -329,33 +318,28 @@ def _long_terms(series: _Series, count: int, state: _Sum) -> _Sum:
             rho = rho / (1.0 - abs_b * abs_qn)
         if lower:  # the loop's rho is inf where some 1 - |b| |q|^(n+1) <= 0
             rho[1.0 - max(abs_lower) * abs_qn <= 0.0] = math.inf
-        stops = (rho < 1.0) & (t_abs * rho / (1.0 - rho) <= EPS_SERIES * (1.0 + sizes[1:]))
-        moduli = [t_abs, sizes[1:]]
+        tails = np.abs(terms) * rho / (1.0 - rho)
+        stops = ((rho < 1.0) & (tails <= EPS_SERIES * (1.0 + sizes[1:]))) | ~(sizes[1:] < math.inf)
         # as in the loop, |a q^n| < 1/4 at the block's first term keeps
         # every factor of the block far from the snap
         snappable = reach * abs(state.qn) >= 0.25
         if snappable:
-            f_abs, w_abs = np.abs(factors), np.abs(w)
-            snap = f_abs <= _TERMINATION_SNAP * (1.0 + w_abs)
+            snap = np.abs(factors) <= _TERMINATION_SNAP * (1.0 + np.abs(w))
             upper_snap, lower_snap = snap[:k].any(axis=0), snap[k + 1:].any(axis=0)
             stops |= upper_snap | lower_snap
-            moduli += [f_abs, w_abs]
     events = np.flatnonzero(stops)
-    end = int(events[0]) + 1 if events.size else count
-    if not all(m[..., :end].max() < math.inf for m in moduli):
-        return _term_loop(series, count, state)
     n = state.n
     if not events.size:
         return _after_term(n + count, complex(terms[-1]), complex(sums[-1]),
                            complex(powers[-1]), float(rho[-1]))
-    i = end - 1
+    i = int(events[0])
     if snappable and upper_snap[i]:  # term_(n+i+1) is 0: the sum ends at term_(n+i)
         term, rho_i = (complex(terms[i - 1]), float(rho[i - 1])) if i else (state.carry, state.rho)
         return _Sum(n + i, complex(sums[i]), complex(powers[i]), 0.0, rho_i, term, True)
     if snappable and lower_snap[i]:
         raise DomainError("phi_series reached a vanishing lower-parameter factor")
-    return _Sum(n + end, complex(sums[end]), complex(powers[end]),
-                float(t_abs[i] * rho[i] / (1.0 - rho[i])), float(rho[i]), complex(terms[i]), True)
+    return _Sum(n + i + 1, complex(sums[i + 1]), complex(powers[i + 1]), float(tails[i]),
+                float(rho[i]), complex(terms[i]), True)
 
 
 def _running_sums(total: complex, terms):

@@ -17,16 +17,17 @@ of the same scalars at
 n in {-3, 5, 40}, h_norm at n in {0, 2, 12} and beta in {0.6, -0.5,
 0.3+0.4i}, the thm-1.3 norm polynomials._circle_norm at the same n and
 (alpha, beta) in {(0.4, -0.3), (0.6, 0.6)}, connection_coeffs(12, 0.4,
-0.7, q) and qbinom(12, 5, q) at each base (the name of the exception where
-a call raises), C_0, ..., C_12 of ultraspherical_table at beta = 0.6 and x
-in {-0.9, 0.3, 1} at each real base, the value, nodes_used,
-error_estimate and magnitude of one jackson_q_integral at each of the
-bases in JACKSON_BASES, whose ladders stop in blocks of 32 to 1024 rungs,
-and, at each of the bases in SERIES_BASES, where series run for hundreds
-or thousands of terms, phi_series of the PHI_CASES (a 1phi0, a complex
-1phi0, a 2phi1, a 3phi2, a 2phi1 that terminates at term 100, one whose
-lower factor vanishes at term 150 and a divergent 1phi0) and the Rogers
-6W5 sum by w_series (the name of the exception where a call raises).
+0.7, q) and qbinom(12, 5, q) at each base, C_0, ..., C_12 of
+ultraspherical_table at beta = 0.6 and x in {-0.9, 0.3, 1} at each real
+base, the value, nodes_used, error_estimate and magnitude of one
+jackson_q_integral at each of the bases in JACKSON_BASES, whose ladders
+stop in blocks of 32 to 1024 rungs, and of the JACKSON_OVERFLOWS, whose
+ladder sums overflow, at each of the bases in SERIES_BASES, where series
+run for hundreds or thousands of terms, phi_series of the PHI_CASES (a
+1phi0, a complex 1phi0, a 2phi1, a 3phi2, a 2phi1 that terminates at term
+100, one whose lower factor vanishes at term 150 and a divergent 1phi0)
+and the Rogers 6W5 sum by w_series, and the 2phi1 EVENT_ORDER_CASE.  Where
+a kernel call raises, its line ends in the exception's class and message.
 Running it at two versions and diffing the outputs shows every report and
 kernel value a change moves, params key order included.
 
@@ -70,6 +71,11 @@ PHI_CASES = (  # upper, z, lower, each a function of q
     lambda q: ([0.3, 0.5], 0.5, [q**-150]),
     lambda q: ([0.4], 1.5, []),
 )
+# constant integrands at q = 0.9 whose ladder sums overflow, the second in
+# its modulus alone
+JACKSON_OVERFLOWS = (1e308, 0.7e308 * (1 + 1j))
+# upper, z, q, lower: the sum overflows before 1 - b q^50 vanishes at term 50
+EVENT_ORDER_CASE = ([0.4, 0.3], 1e8, 0.9, [0.9**-50])
 
 
 def load_workloads():
@@ -91,11 +97,12 @@ def dump_line(label, report) -> str:
 
 
 def value_of(function, *args) -> str:
-    """The repr of function(*args), or the name of the exception it raises."""
+    """The repr of function(*args), or the class and message of the
+    exception it raises."""
     try:
         return repr(function(*args))
     except Exception as error:
-        return type(error).__name__
+        return f"{type(error).__name__}: {error}"
 
 
 def kernel_lines():
@@ -138,6 +145,9 @@ def kernel_lines():
                                     -0.6, 0.5 + 0.7j, q)
         yield (f"kernel jackson_q_integral {q!r} {result.value!r} {result.nodes_used!r} "
                f"{result.error_estimate!r} {result.magnitude!r}")
+    for value in JACKSON_OVERFLOWS:
+        result = value_of(lambda: jackson_q_integral(lambda z: value, 0.0, 1.0, 0.9).value)
+        yield f"kernel jackson_q_integral 0.9 constant {value!r} {result}"
     for q in SERIES_BASES:
         for case in PHI_CASES:
             upper, z, lower = case(q)
@@ -145,6 +155,9 @@ def kernel_lines():
                    f"{value_of(phi_series, upper, z, q, lower)}")
         a, b = 0.1, [0.7, 0.6, 0.8]
         yield f"kernel w_series {q!r} {a!r} {b!r} {value_of(w_series, a, b, q, a * q / 0.336)}"
+    upper, z, q, lower = EVENT_ORDER_CASE
+    yield (f"kernel phi_series {q!r} {upper!r} {z!r} {lower!r} "
+           f"{value_of(phi_series, upper, z, q, lower)}")
 
 
 def main() -> None:

@@ -458,6 +458,9 @@ GOLDEN = [
     ('eval jackson --coeff 1.3e308,1.3e308 --a 0 --b 1 --q 0.5', 1, ''),
     # an infinite endpoint: refused, where it printed nan+nani and exited 0
     ('eval jackson --coeff 1 --a 0 --b inf --q 0.5', 1, ''),
+    # finite values whose ladder sum overflows: refused, where it printed
+    # nan+nani and exited 0
+    ('eval jackson --coeff 1e308 --a 0 --b 1 --q 0.9', 1, ''),
     ('eval T --n -1 --x 0.5', 1, ''),
     ('eval T --n 3 --x 2', 1, ''),
     ('eval T --n 3 --x nan', 1, ''),

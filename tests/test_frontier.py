@@ -1,5 +1,6 @@
 """The verdicts the north star asks for at the corners of its domain: q near
-1, high degree, results much smaller than 1 and complex parameters.
+1, complex and negative q, high degree, results much smaller than 1 and
+complex parameters.
 
 Each row runs one check and states the verdict it must reach: a pass, or a
 failure whose cause the row names.  A row whose verdict is wrong today is
@@ -28,8 +29,18 @@ ABSOLUTE_STOP = pytest.mark.xfail(
 ZERO_RHS = pytest.mark.xfail(
     strict=True, reason="rhs = 0, and lhs is the roundoff of a sum with kappa = 8.6e14, "
                         "so rel_err reads 1.0; against h sum|f| it is 1e-15")
+EARLY_FLOOR = pytest.mark.xfail(
+    strict=True, reason="the quadrature stops at 256 nodes on its roundoff floor, "
+                        "32 kappa u = 5.4e-9 (kappa = 1.5e6) above tol; without the "
+                        "floor it reaches 2.7e-11 at 131072 nodes")
+ALIASED = pytest.mark.xfail(
+    strict=True, reason="C_n omega has no Fourier mode below n, so the 64- and 128-node "
+                        "sums alias the same mode and agree, and the rule stops at 128 "
+                        "nodes; from 256 nodes the sum is within 2e-14 of rhs")
 PROP_3_2 = {"a": 0.3, "b": 0.2, "x": 0.5, "y": 0.7, "q": 0.95}
 THM_1_3 = {"alpha": 0.4, "beta": -0.3}
+THM_1_4 = {"alpha": 0.5, "beta": 0.2, "s": 0.3, "t": 0.25}
+COMPLEX_BASES = {"q0.95e^0.1i": cmath.rect(0.95, 0.1), "q0.99e^0.1i": cmath.rect(0.99, 0.1)}
 
 ROWS = [  # check id, parameters, whether the report must pass
     # lhs -7.5e-17 after 1353 rungs against rhs 5.1e-30
@@ -73,6 +84,58 @@ ROWS = [  # check id, parameters, whether the report must pass
                                "q": 0.995}, False, id="qbinomial-complex-q0.995"),
     # 876 terms, most of them in numpy blocks
     pytest.param("qbinomial", {"a": 0.4, "z": 0.5, "q": 0.999}, True, id="qbinomial-q0.999"),
+    # complex bases: thm-1.1 reads 2.8e-13 and 9.0e-12, thm-1.4 1.8e-15 and
+    # 2.0e-15, prop-3.1 5.6e-14 at 1353 rungs and 1.4e-12 at 6306
+    *(pytest.param(check_id, {**params, "q": q}, True, id=f"{label}-{base}")
+      for base, q in COMPLEX_BASES.items()
+      for check_id, label, params in [
+          ("thm-1.1", "thm-1.1-m20-n20", {"m": 20, "n": 20, "beta": 0.6}),
+          ("thm-1.4", "thm-1.4", THM_1_4), ("prop-3.1", "prop-3.1", PROP_3_1),
+          ("qbinomial", "qbinomial", {"a": 0.4, "z": 0.5})]),
+    pytest.param("thm-1.3", {"m": 10, "n": 10, **THM_1_3, "q": cmath.rect(0.95, 0.1)}, True,
+                 marks=EARLY_FLOOR, id="thm-1.3-m10-n10-q0.95e^0.1i"),
+    # ill-conditioned quadrature: kappa = 8.8e8, kappa u = 9.7e-8 > tol; it
+    # reads 7.0e-7 at 512 nodes
+    pytest.param("thm-1.3", {"m": 10, "n": 10, **THM_1_3, "q": cmath.rect(0.99, 0.1)}, False,
+                 id="thm-1.3-m10-n10-q0.99e^0.1i"),
+    # lhs -7.3e-18 after 16 rungs against rhs 8.7e-46
+    pytest.param("prop-3.1", {**PROP_3_1, "q": -0.99}, False, marks=FALSE_PASS,
+                 id="prop-3.1-q-0.99"),
+    # an ill-conditioned ladder: its first 16 rungs alone have kappa 1.3e24
+    # against the integral phi_poly implies; it reads 1.0
+    pytest.param("prop-3.2", {"n": 20, **PROP_3_2, "q": -0.99}, False, id="prop-3.2-n20-q-0.99"),
+    # every family at q = -0.95, with the parameters of its rows above or,
+    # for the last three, of the default suite
+    *(pytest.param(check_id, {**params, "q": -0.95}, True, id=f"{label}-q-0.95")
+      for check_id, label, params in [
+          ("thm-1.1", "thm-1.1-m20-n20", {"m": 20, "n": 20, "beta": 0.6}),
+          ("thm-1.2", "thm-1.2-m40-n38", {"m": 40, "n": 38, "beta": 0.25, "gamma": 0.5}),
+          ("thm-1.3", "thm-1.3-m10-n10", {"m": 10, "n": 10, **THM_1_3}),
+          ("thm-1.4", "thm-1.4", THM_1_4),
+          ("prop-3.1", "prop-3.1", PROP_3_1),
+          ("prop-3.2", "prop-3.2-n20", {"n": 20, **PROP_3_2}),
+          ("rogers-connection", "rogers-connection-n40", {"n": 40, "beta": 0.4, "gamma": 0.7}),
+          ("gf-4.1", "gf-4.1-degree80", {"beta": 0.5, "theta": 0.9, "degree": 80}),
+          ("prop-4.2", "prop-4.2-degree12",
+           {"beta": 0.3, "gamma": 0.6, "theta": 1.1, "degree": 12}),
+          ("uniform-bound", "uniform-bound-n10", {"n": 10, "alpha": 0.7, "beta": -0.5}),
+          ("qbinomial", "qbinomial", {"a": 0.4, "z": 0.5}),
+          ("rogers-6phi5", "rogers-6phi5", {"a": 0.1, "b": 0.7, "c": 0.6, "d": 0.8})]),
+    # 7.4e-8 at 128 nodes, 1.2e-15 at 256
+    pytest.param("askey-ismail", {"n": 40, "k": 3, "beta": 0.5, "q": -0.95}, True,
+                 marks=ALIASED, id="askey-ismail-n40-k3-q-0.95"),
+    # degree 60
+    pytest.param("thm-1.1", {"m": 60, "n": 60, "beta": 0.6, "q": 0.95}, True,
+                 id="thm-1.1-m60-n60-q0.95"),
+    pytest.param("thm-1.3", {"m": 60, "n": 60, **THM_1_3, "q": 0.9}, True,
+                 id="thm-1.3-m60-n60-q0.9"),
+    pytest.param("rogers-connection", {"n": 60, "beta": 0.4, "gamma": 0.7, "q": 0.95}, True,
+                 id="rogers-connection-n60-q0.95"),
+    pytest.param("gf-4.1", {"beta": 0.5, "theta": 0.9, "degree": 60, "q": 0.99}, True,
+                 id="gf-4.1-degree60-q0.99"),
+    # 7.4e-2 at 128 nodes, 1.1e-14 at 256
+    pytest.param("askey-ismail", {"n": 60, "k": 3, "beta": 0.5, "q": 0.95}, True,
+                 marks=ALIASED, id="askey-ismail-n60-k3-q0.95"),
 ]
 
 

@@ -279,12 +279,11 @@ class TestJackson:
         # stops at the first rungs of a block read the window carried into it
         assert min(stops) == 1 and max(stops) > 64
 
-    @pytest.mark.parametrize("q,rungs,long_blocks", [(0.6, 63, []), (0.75, 112, [64])])
-    def test_only_a_distant_stop_takes_a_long_block_to_numpy(self, monkeypatch, q, rungs,
-                                                             long_blocks):
+    @pytest.mark.parametrize("q,rungs,long_blocks", [(0.6, 63, [64]), (0.75, 112, [64])])
+    def test_every_long_block_goes_to_numpy(self, monkeypatch, q, rungs, long_blocks):
         # the constant ladder stops 7 rungs into the 64-rung block from rung 56
-        # at q=0.6, within _NEAR_STOP of its last tail bound, and 56 rungs in
-        # at q=0.75
+        # at q=0.6 and 56 rungs in at q=0.75: the block's size alone sends
+        # it to numpy, however near its stop
         spied = []
 
         def spy(f, endpoint, q, recent, count, state):
@@ -362,6 +361,33 @@ class TestJackson:
 
         with pytest.raises(PoleError, match="rung 300$"):
             jackson_q_integral(f, 0.0, 1.0, 0.9)
+
+    @pytest.mark.parametrize("value", [1e308, 0.7e308 * (1 + 1j), 2.15e307 * (1 + 1j)])
+    def test_sum_that_overflows_is_a_convergence_error(self, value):
+        # every value is finite, but the sum overflows: at rung 1 (the
+        # second in its modulus alone), where the first two gave nan+nanj
+        # with stop_reason "tolerance", and in its modulus alone at rung 8,
+        # where the stop test first runs and the third raised a bare
+        # OverflowError from abs()
+        with pytest.raises(ConvergenceError, match="^Jackson ladder reached a non-finite sum"):
+            jackson_q_integral(lambda z: value, 0.0, 1.0, 0.9)
+
+    @pytest.mark.parametrize("value", [1.8e307, 1.2728e307 * (1 + 1j)])
+    def test_sum_that_overflows_in_a_long_block_is_a_convergence_error(self, monkeypatch,
+                                                                      value):
+        # the first 56 rungs sum to 0.9973 of 10 |value|, below the largest
+        # double, and the numpy block from rung 56 takes the sum past it
+        long_blocks = []
+
+        def spy(f, endpoint, q, recent, count, state):
+            long_blocks.append(count)
+            return long_block(f, endpoint, q, recent, count, state)
+
+        long_block = integrate._long_block
+        monkeypatch.setattr(integrate, "_long_block", spy)
+        with pytest.raises(ConvergenceError, match="^Jackson ladder reached a non-finite sum"):
+            jackson_q_integral(lambda z: value, 0.0, 1.0, 0.9)
+        assert long_blocks == [64]
 
     def test_non_finite_integrand_is_a_pole(self):
         with pytest.raises(PoleError, match="rung 0"):

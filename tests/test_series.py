@@ -2,8 +2,10 @@
 hypergeometric summation engine."""
 
 import cmath
+import collections
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from qkernel import (CHECK_RUNNERS, ConvergenceError, DomainError, PoleError, TruncatedPowerSeries,
                      gasper_c, gf_expand, phi_series, qpoch_finite, qpoch_infinite,
                      rogers_6w5_rhs, w_series)
-from qkernel import series
+from qkernel import integrate, series
 from report_dump import SEEDS, load_workloads
 from test_oracle import mp_phi_series
 
@@ -136,7 +138,7 @@ class TestPhiSeries:
         lambda: w_series(HUGE, [0.7, 0.6, 0.8], 0.4, 0.3),
     ])
     def test_modulus_past_the_largest_double_is_refused(self, call):
-        with pytest.raises(DomainError, match="finite modulus"):
+        with pytest.raises(DomainError, match="phi_series needs finite arguments"):
             call()
 
     def test_overflowing_terms_fail_fast(self):
@@ -149,13 +151,20 @@ class TestPhiSeries:
 
     def test_overflowing_sum_at_rho_above_one_is_a_convergence_error(self):
         # |z| = 1.5 keeps rho above 1 until the sum overflows in a numpy
-        # block: a ConvergenceError, not an OverflowError of the block gate
-        with pytest.raises(ConvergenceError, match="non-finite"):
+        # block, first in its modulus (8.87e307-1.59e308j has finite parts):
+        # a ConvergenceError, not that sum as the value
+        with pytest.raises(ConvergenceError, match="non-finite sum"):
             phi_series([0.4], 1.5, cmath.rect(0.99, 0.2))
 
-    def test_block_gate_tests_rho_before_its_power(self):
-        # sum_n (q;q)_n^12 0.9^n: rho is 7.7e4 after the first 64 terms, so
-        # rho ** _SERIES_NEAR_STOP would overflow; the terms vanish at once
+    def test_overflow_before_a_vanishing_lower_factor_decides(self):
+        # the sum overflows before 1 - b q^50 vanishes at term 50, both in the
+        # first block: the first event decides, as it does for a stop
+        with pytest.raises(ConvergenceError, match="non-finite sum"):
+            phi_series([0.4, 0.3], 1e8, 0.9, [0.9**-50])
+
+    def test_vanishing_terms_at_a_large_rho_sum_to_one(self):
+        # sum_n (q;q)_n^12 0.9^n: rho is 7.7e4 after the first 64 terms and
+        # stays above 1 for thousands of terms, but the terms vanish at once
         q = 0.999
         assert phi_series([q] * 13, 0.9, q, [0.0] * 12) == 1.0
 
@@ -284,12 +293,17 @@ def both_summers(upper, z, q, lower=(), count=128):
 def block_then_loop(summer, prepared, count, state):
     """q^n after a block of `count` terms that `summer` sums from `state`
     (None if the series stops in it), and the value of phi_series that
-    the term loop then reaches from there."""
-    state = summer(prepared, count, state)
-    qn = None if state.stopped else state.qn
-    while not state.stopped:
-        state = TERM_LOOP(prepared, series.MAX_SERIES_TERMS, state)
-    return qn, state.total
+    the term loop then reaches from there.  The block driver runs both, so
+    a sum that is not finite raises ConvergenceError, as in phi_series."""
+    records = []
+
+    def first_then_loop(prepared, count, state):
+        records.append((TERM_LOOP if records else summer)(prepared, count, state))
+        return records[-1]
+
+    total = series._sum_blocks("phi_series", count, first_then_loop, first_then_loop,
+                               (prepared,), state).total
+    return (None if records[0].stopped else records[0].qn), total
 
 
 def within_oracle_bound(value, upper, z, q, lower=()) -> bool:
@@ -385,13 +399,41 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("z", [1e3, cmath.rect(1e3, 2.5)])
     def test_overflowing_sum_inside_a_block(self, z, array_blocks):
-        # terms grow about 1000-fold a term and overflow near term 103
-        array, loop = both_summers([0.4], z, 0.5)
+        # terms grow about 1000-fold a term and overflow at term 103: both
+        # summers end their block there, and the driver raises for both
+        prepared, state = after_loop([0.4], z, 0.5)
+        ends = [summer(prepared, 128, state) for summer in (LONG_TERMS, TERM_LOOP)]
+        assert [(end.n, end.stopped) for end in ends] == [(103, True)] * 2
+        assert not any(cmath.isfinite(end.total) for end in ends)
+        array, loop = (outcome(block_then_loop, summer, prepared, 128, state)
+                       for summer in (LONG_TERMS, TERM_LOOP))
         assert array == loop == ("ConvergenceError: phi_series reached a non-finite "
-                                 "term before its tail bound")
-        with pytest.raises(ConvergenceError, match="non-finite"):
+                                 "sum before its tail bound")
+        with pytest.raises(ConvergenceError, match="non-finite sum"):
             phi_series([0.4], z, 0.5)
         assert array_blocks == [128]
+
+    def test_overflow_event_in_a_block_warns_nothing(self):
+        # 1phi0(0.4; -; 0.99e^{0.2i}, 1.5): the first sum past the largest
+        # double has finite parts, and so has its term, so the tail bound of
+        # that event overflows too, which outside np.errstate is a
+        # RuntimeWarning
+        prepared, state = after_loop([0.4], 1.5, cmath.rect(0.99, 0.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite sum"):
+                series._sum_blocks("phi_series", 64, LONG_TERMS, LONG_TERMS, (prepared,), state)
+
+    @pytest.mark.parametrize("total", [complex(8.87e307, -1.59e308), complex(math.inf, 0.0),
+                                       complex(math.nan, math.nan)])
+    def test_driver_raises_for_a_sum_that_is_not_finite(self, total):
+        # finite parts whose modulus overflows are not finite either, though
+        # cmath.isfinite says they are
+        def summer(count, state):
+            return state._replace(n=state.n + count, total=total, stopped=True)
+
+        with pytest.raises(ConvergenceError, match="^name reached a non-finite sum before"):
+            series._sum_blocks("name", 64, summer, summer, (), series._FIRST_TERM)
 
     def test_term_cap_ends_in_an_array_block(self, monkeypatch, array_blocks):
         # |z| > 1: the terms grow slowly, and no tail bound holds
@@ -438,13 +480,30 @@ class TestArrayPath:
                 expected.append(term)
             assert np.multiply.accumulate(chain)[2::2].tolist() == expected
 
-    def test_default_suite_stays_in_the_loop(self, array_blocks):
+    def test_workload_blocks_go_to_numpy_by_size_alone(self, monkeypatch):
+        # after the first block, every block of 64 steps or more goes to the
+        # engine's numpy summer, the Jackson ladder's as well as phi_series';
+        # on suite that is one block per seed, the qbinomial a=0.2,
+        # z=0.7e^{-0.3i}, q=0.6, whose 128 terms from term 64 stop at term 92
+        long_blocks = []
+        for module, name in ((series, "_term_loop"), (series, "_long_terms"),
+                             (integrate, "_rung_block"), (integrate, "_long_block")):
+            def spy(*args, summer=getattr(module, name), name=name):
+                end = summer(*args)
+                count, state = args[-2:]
+                if count >= series._LONG_BLOCK and state.n > 0:
+                    long_blocks.append((workload, seed, name, count, end.n))
+                return end
+
+            monkeypatch.setattr(module, name, spy)
         workloads = load_workloads()
-        for seed in SEEDS:
-            for case in workloads.make_workload("suite", seed):
-                CHECK_RUNNERS[case.check_id](**case.params)
-        assert array_blocks == []
-        for case in workloads.make_workload("expand", SEEDS[0]):
-            if case.check_id in ("qbinomial", "rogers-6phi5"):
-                CHECK_RUNNERS[case.check_id](**case.params)
-        assert len(array_blocks) == 8  # four long series of five
+        for workload in ("suite", "stress", "expand"):
+            for seed in SEEDS:
+                for case in workloads.make_workload(workload, seed):
+                    CHECK_RUNNERS[case.check_id](**case.params)
+        per_seed = {("suite", "_long_terms"): 1, ("stress", "_long_block"): 18,
+                    ("stress", "_long_terms"): 3, ("expand", "_long_terms"): 8}
+        assert collections.Counter(block[:3] for block in long_blocks) == {
+            (workload, seed, name): count
+            for (workload, name), count in per_seed.items() for seed in SEEDS}
+        assert [block[3:] for block in long_blocks if block[0] == "suite"] == [(128, 92)] * 3
