@@ -11,25 +11,22 @@ kernel function and of the check's runner; `suite --config` entries use the
 same names as keys.  One binder converts all three by the parameter
 annotations: `int` takes an integer, `float` a real number, an unannotated
 parameter a number, and a `list` parameter is a repeatable flag (`--upper`,
-`--lower`, `--b`, `--coeff`).  The number rule: "re" and a JSON number stay
-real, "re,im" and [re, im] become complex.  Exit codes: 0 all good, 1
-numeric failure (a failed check or a pole/convergence error), 2 usage or
-configuration error.  A check's default tolerance is its runner's `tol`
-default; `check --tol` or a config entry's "tol" overrides it, and a tol
-that is not finite and positive is a usage error.
+`--lower`, `--b`, `--coeff`).  The binder reads the parameters from the
+function itself and each report format imports its serializer when used, so
+`eval` starts without inspect, json and csv.  The number rule: "re" and a
+JSON number stay real, "re,im" and [re, im] become complex.  Exit codes: 0
+all good, 1 numeric failure (a failed check or a pole/convergence error), 2
+usage or configuration error.  A check's default tolerance is its runner's
+`tol` default; `check --tol` or a config entry's "tol" overrides it, and a
+tol that is not finite and positive is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
-import inspect
-import io
-import json
 import math
 import sys
-import types
 
 from .errors import DomainError, QKernelError
 
@@ -137,11 +134,16 @@ _FORMATS = ("json", "csv", "text")
 
 
 def render_reports(reports, fmt: str, single: bool = False) -> str:
+    """`reports` in one wire format; each format imports its serializer here,
+    so that `eval` starts without json and csv."""
     if fmt == "json":
+        import json
         if single and len(reports) == 1:
             return json.dumps(report_to_dict(reports[0]), indent=2)
         return json.dumps([report_to_dict(r) for r in reports], indent=2)
     if fmt == "csv":
+        import csv
+        import io
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
@@ -189,47 +191,56 @@ def _integer(name, value) -> int:
         raise UsageError(f"--{name} expects an integer, got {value!r}")
 
 
-def _text(name, value) -> str:
-    return str(value)
+_CONVERTERS = {"int": _integer, "float": _real, "str": lambda name, value: str(value)}
 
 
-_CONVERTERS = {int: _integer, float: _real, str: _text}
-
-
-def _convert(name, annotation, value):
-    """Convert one argument by its parameter's annotation.  A tuple holds the
-    values of a repeated flag, which only a `list` parameter takes."""
-    if isinstance(annotation, types.UnionType):  # `float | None` converts as float
-        annotation = annotation.__args__[0]
-    if annotation is list:
+def _convert(name, annotation: str, value):
+    """Convert one argument by its parameter's annotation string ("" when
+    unannotated).  A tuple holds the values of a repeated flag, which only a
+    `list` parameter takes."""
+    annotation = annotation.removesuffix(" | None")  # `float | None` converts as float
+    if annotation == "list":
         return [_number(name, v) for v in (value if isinstance(value, tuple) else (value,))]
     if isinstance(value, tuple):
         raise UsageError(f"--{name} given more than once")
     return _CONVERTERS.get(annotation, _number)(name, value)
 
 
-def _bind(func, raw: dict, name: str) -> dict:
-    """Convert the named arguments `raw` for `func` and check that they bind;
-    UsageError for an unknown, missing or repeated argument, or a value of
-    the wrong type."""
-    signature = inspect.signature(func, eval_str=True)
+def _signature(func) -> tuple[dict, tuple]:
+    """The parameters of `func` in order, as {name: annotation string}, and
+    the names of those without a default.  Read from the function itself, not
+    by inspect, which `eval` would otherwise import for this alone (with ast,
+    dis and tokenize).  The annotations are strings because every module with
+    a target or a check has `from __future__ import annotations`: each is its
+    source text, such as "int" or "float | None"."""
+    names = func.__code__.co_varnames[:func.__code__.co_argcount]
+    required = names[:len(names) - len(func.__defaults__ or ())]
+    return {p: func.__annotations__.get(p, "") for p in names}, required
+
+
+def _bind(func, raw: dict, name: str, added: dict | None = None) -> dict:
+    """Convert the named arguments `raw` for `func`, whose parameters `added`
+    extends, and check that they bind; UsageError for an unknown, missing or
+    repeated argument, or a value of the wrong type."""
+    annotations, required = _signature(func)
+    annotations.update(added or {})
     kwargs = {}
     for key, value in raw.items():
-        if key not in signature.parameters:
+        if key not in annotations:
             raise UsageError(f"{name} takes no argument --{key}")
-        kwargs[key] = _convert(key, signature.parameters[key].annotation, value)
-    try:
-        signature.bind(**kwargs)
-    except TypeError as exc:
-        raise UsageError(f"bad arguments for {name}: {exc}")
+        kwargs[key] = _convert(key, annotations[key], value)
+    missing = [p for p in required if p not in kwargs]
+    if missing:
+        raise UsageError(f"bad arguments for {name}: missing a required argument: {missing[0]!r}")
     return kwargs
 
 
 def _bind_check(check_id: str, raw: dict) -> dict:
-    """_bind for the runner of `check_id`; a tol that is not finite and
-    positive is a UsageError too."""
+    """_bind for the body of the runner of `check_id` and the `tol` its
+    decorator adds; a tol that is not finite and positive is a UsageError
+    too."""
     from . import verify
-    kwargs = _bind(verify.CHECK_RUNNERS[check_id], raw, check_id)
+    kwargs = _bind(verify.CHECK_RUNNERS[check_id].__wrapped__, raw, check_id, {"tol": "float"})
     if "tol" in kwargs:
         try:
             verify.check_tol(kwargs["tol"])
@@ -328,8 +339,8 @@ def _cmd_eval(ns) -> int:
 def _cmd_check(ns) -> int:
     from . import verify
     pairs = _parse_pairs(ns.args)
-    fmt = _convert("format", str, pairs.pop("format", "text"))
-    out = _convert("out", str, pairs.pop("out")) if "out" in pairs else None
+    fmt = _convert("format", "str", pairs.pop("format", "text"))
+    out = _convert("out", "str", pairs.pop("out")) if "out" in pairs else None
     if fmt not in _FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
     report = verify.CHECK_RUNNERS[ns.check_id](**_bind_check(ns.check_id, pairs))
@@ -340,6 +351,7 @@ def _cmd_check(ns) -> int:
 def _cmd_suite(ns) -> int:
     from . import verify
     if ns.config:
+        import json
         try:
             with open(ns.config, encoding="utf-8") as handle:
                 raw = json.load(handle)

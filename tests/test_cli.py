@@ -19,8 +19,8 @@ import pytest
 
 import qkernel
 from qkernel import default_suite_config, run_suite, verify_thm_1_1, verify_thm_1_4
-from qkernel.cli import (EVAL_TARGETS, eval_target, format_complex, main, parse_number,
-                         report_from_dict, report_to_dict, render_reports)
+from qkernel.cli import (_CONVERTERS, EVAL_TARGETS, _signature, eval_target, format_complex,
+                         main, parse_number, report_from_dict, report_to_dict, render_reports)
 from qkernel.verify import CHECK_RUNNERS
 
 
@@ -163,9 +163,8 @@ class TestEval:
         assert "usage" in err.lower()
 
     def test_unknown_flag_is_usage(self, capsys):
-        code, _, _ = run_cli(
-            ["eval", "T", "--n", "1", "--x", "0.5", "--bogus", "1"], capsys)
-        assert code == 2
+        assert (run_cli(["eval", "T", "--n", "1", "--x", "0.5", "--bogus", "1"], capsys)
+                == (2, "", "usage error: T takes no argument --bogus\n"))
 
     def test_unknown_target_exits_two(self):
         with pytest.raises(SystemExit) as info:
@@ -206,9 +205,9 @@ class TestCheck:
         assert all(check_id in err for check_id in CHECK_RUNNERS)
 
     def test_missing_parameters_are_usage(self, capsys):
-        code, _, err = run_cli(["check", "thm-1.1", "--m", "3"], capsys)
-        assert code == 2
-        assert "usage" in err.lower()
+        assert (run_cli(["check", "thm-1.1", "--m", "3"], capsys)
+                == (2, "", "usage error: bad arguments for thm-1.1: "
+                           "missing a required argument: 'n'\n"))
 
     def test_ctx_is_usage(self, capsys):
         code, _, err = run_cli(
@@ -860,6 +859,28 @@ def _usage_cases():
     return cases
 
 
+def _binder_reads(verb, name):
+    """The parameters `cli._bind` reads for `name`: {name: annotation string}
+    and the required names.  A check binds its runner's body plus `tol`."""
+    if verb == "eval":
+        return _signature(eval_target(name))
+    annotations, required = _signature(CHECK_RUNNERS[name].__wrapped__)
+    return {**annotations, "tol": "float"}, required
+
+
+@pytest.mark.parametrize("verb,name", TARGETS, ids=[name for _, name in TARGETS])
+def test_binder_reads_what_inspect_reads(verb, name):
+    annotations, required = _binder_reads(verb, name)
+    parameters = _parameters(verb, name)
+    assert list(annotations) == list(parameters)
+    assert set(required) == {p for p, par in parameters.items() if par.default is par.empty}
+    assert {par.kind for par in parameters.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert {annotation.removesuffix(" | None") for annotation in annotations.values()} <= {
+        "", "list", *_CONVERTERS}
+    assert ({p: eval(a) if a else inspect.Parameter.empty for p, a in annotations.items()}
+            == {p: par.annotation for p, par in parameters.items()})
+
+
 def test_every_target_and_check_has_a_passing_golden_row():
     assert [target for target in TARGETS if _valid_invocation(*target) is None] == []
 
@@ -869,6 +890,25 @@ def test_bad_argument_is_a_usage_error(capsys, args, culprit):
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("usage error:") and culprit in err
+
+
+# the exact text of the usage errors that the binder words itself
+@pytest.mark.parametrize("line,err", [
+    ("eval qpoch --a 0.5 --q 0.3",
+     "usage error: bad arguments for qpoch: missing a required argument: 'n'\n"),
+    ("eval qpoch --a 0.5 --q 0.3 --n 2 --n 3", "usage error: --n given more than once\n"),
+    ("check thm-1.1 --m 3 --n 3 --beta 0.6 --q 0.3 --tol 0",
+     "usage error: tol must be finite and positive, got 0.0\n"),
+])
+def test_usage_message(capsys, line, err):
+    assert run_cli(line.split(), capsys) == (2, "", err)
+
+
+def test_config_tol_message(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"qbinomial": [{"a": 0.4, "z": 0.5, "q": 0.3, "tol": -1}]}))
+    assert (run_cli(["suite", "--config", str(path)], capsys)
+            == (2, "", "config error: tol must be finite and positive, got -1.0\n"))
 
 
 def test_repeated_output_flag_is_a_usage_error(tmp_path, capsys):
@@ -990,26 +1030,30 @@ def test_every_export_resolves(child_env):
 
 
 # The scalar targets run in plain Python arithmetic and never import numpy;
-# their values are the golden rows', where a golden row exists.
+# their values are the golden rows', where a golden row exists.  Nor does
+# `eval` import inspect, json or csv for itself: `eval qpoch` loads none of
+# the four, while phi and wseries load inspect through series.py's
+# `from dataclasses import dataclass`.
 _NUMPY_FREE = [
-    ("eval qpoch --a 0.5 --q 0.3 --n 2", "0.42499999999999999"),
-    ("eval qpoch --a 0.5 --q 0.3 --n -2", "0.32926829268292679"),
-    ("eval qpoch --a 0.5 --q 0.3 --n inf", "0.39808220430187774"),
+    ("eval qpoch --a 0.5 --q 0.3 --n 2", "0.42499999999999999", ""),
+    ("eval qpoch --a 0.5 --q 0.3 --n -2", "0.32926829268292679", ""),
+    ("eval qpoch --a 0.5 --q 0.3 --n inf", "0.39808220430187774", ""),
     # series form, K + M = 14 + 17 rows; 0.0027905465671710931865 by mp.qp,
     # 3.1e-16 away (the array path read ...0932, 5e-19 away)
-    ("eval qpoch --a 0.5 --q 0.9 --n inf", "0.0027905465671710923"),
-    ("eval phi --upper 0.4 --z 0.5 --q 0.3", "1.8407690827383283"),
-    ("eval wseries --a1 0.2 --b 0.3 --b 0.4 --q 0.5 --z 0.3", "1.7226339251962521"),
+    ("eval qpoch --a 0.5 --q 0.9 --n inf", "0.0027905465671710923", ""),
+    ("eval phi --upper 0.4 --z 0.5 --q 0.3", "1.8407690827383283", " inspect"),
+    ("eval wseries --a1 0.2 --b 0.3 --b 0.4 --q 0.5 --z 0.3", "1.7226339251962521", " inspect"),
 ]
+# prints the exit code, then which of numpy, inspect, json and csv were loaded
 _RUN_MAIN = ("import sys; from qkernel.cli import main; code = main(sys.argv[1:]); "
-             "print(code, 'numpy' in sys.modules)")
+             "print(code, *sorted({'numpy', 'inspect', 'json', 'csv'} & sys.modules.keys()))")
 
 
-@pytest.mark.parametrize("line,value", _NUMPY_FREE, ids=[row[0] for row in _NUMPY_FREE])
-def test_scalar_target_runs_without_numpy(child_env, line, value):
+@pytest.mark.parametrize("line,value,loaded", _NUMPY_FREE, ids=[row[0] for row in _NUMPY_FREE])
+def test_scalar_target_runs_without_numpy(child_env, line, value, loaded):
     proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *line.split()],
                           capture_output=True, text=True, timeout=120, env=child_env)
-    assert (proc.stdout.splitlines(), proc.stderr) == ([value, "0 False"], "")
+    assert (proc.stdout.splitlines(), proc.stderr) == ([value, "0" + loaded], "")
 
 
 def test_long_series_imports_numpy(child_env):
@@ -1021,7 +1065,8 @@ def test_long_series_imports_numpy(child_env):
     line = "eval phi --upper 0.4 --z 0.5 --q 0.999"
     proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *line.split()],
                           capture_output=True, text=True, timeout=120, env=child_env)
-    assert (proc.stdout.splitlines(), proc.stderr) == (["1.7682070582739962e+161", "0 True"], "")
+    assert ((proc.stdout.splitlines(), proc.stderr)
+            == (["1.7682070582739962e+161", "0 inspect numpy"], ""))
     assert abs(float(proc.stdout.split()[0]) / 1.76820705827226553e+161 - 1) <= 1411317 * 2.0**-53
 
 
