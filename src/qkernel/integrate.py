@@ -12,9 +12,12 @@ tolerance.  Integrals over [0, pi] of even periodic integrands are taken
 as one half of the full-period value, keeping the spectral rate.  The
 ladder runs series._sum_blocks, the block driver of phi_series, with its
 own summers: a rung loop, and for every block of 64 rungs or more numpy's
-own complex arithmetic by the rung loop's stop rule.  The driver raises
-its ConvergenceError for a ladder sum that is no longer finite.  Both
-engines return a
+own complex arithmetic by the rung loop's stop rule.  Its first block, a
+probe of 8 rungs, ends the ladders that stop on the absolute rule; the
+next runs up to the reach, the rung where the stop rule holds for an |f|
+on the scale of 1 + |sum|, so most ladders call their integrand twice,
+and the blocks double past it.  The driver raises its ConvergenceError
+for a ladder sum that is no longer finite.  Both engines return a
 QuadratureResult: the value with the work it took (nodes or ladder rungs),
 its error estimate, the sum of |f| it was formed from and why it stopped.
 """
@@ -31,8 +34,8 @@ import numpy as np
 from .errors import ConvergenceError, PoleError
 # qpoch_infinite is not called here; bench/tests/test_spans.py reads it from
 # this module to check that the tracer puts it back.
-from .pochhammer import (_check_finite, _power_column, check_base, qpoch_infinite,  # noqa: F401
-                         qpoch_ratio)
+from .pochhammer import (_check_finite, _power_column, _truncation_length,  # noqa: F401
+                         check_base, qpoch_infinite, qpoch_ratio)
 from .series import EPS_SERIES, _running_sums, _Sum, _sum_blocks
 
 # Budget of periodic_quadrature: doubling tolerance, node cap, and the
@@ -135,17 +138,22 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
     `f` receives a numpy array of ladder points and must return the matching
     array of (possibly complex) values, or a scalar, which is broadcast.
     Each call of f receives consecutive rungs endpoint q^n, n = n0, ...,
-    n0 + m - 1, in that order, in blocks of m = 8, 16, 32, ... rungs, so an
-    integrand may treat a block as one ladder from its first point.  The sum
-    then runs rung by rung and stops once the geometric tail bound
-    max_recent|f| * |q|^{n+1} / (1 - |q|) drops below EPS_SERIES relative,
-    where the max runs over the latest 8 rungs (the ladder accumulates at
-    0).  The blocks come from series._sum_blocks, the block driver that
-    phi_series runs too: a block of 64 rungs or more, from rung 56 on,
+    n0 + m - 1, in that order, so an integrand may treat a block as one
+    ladder from its first point.  The sum then runs rung by rung and stops
+    once the geometric tail bound max_recent|f| * |q|^{n+1} / (1 - |q|)
+    drops below EPS_SERIES (1 + |sum|), where the max runs over the latest 8
+    rungs (the ladder accumulates at 0).  The blocks come from
+    series._sum_blocks, the block driver that phi_series runs too: a probe
+    of m = 8 rungs, then m = max(2 m, reach - n) rungs each, n the rungs so
+    far and reach the smallest K with |q|^K < EPS_SERIES (1 - |q|), where the
+    rule holds for an |f| on the scale of 1 + |sum|.  A ladder that stops on
+    the absolute rule within the probe calls f once, one whose |f| keeps
+    that scale twice, and one whose |f| outgrows it doubles its blocks past
+    the reach; each ladder evaluates at most 2 (rungs summed) +
+    max(24, reach) rungs.  A block of 64 rungs or more, from rung 8 on,
     finds its stop with array operations in numpy's complex arithmetic
     instead, by the same stop rule, so the stop and the sum are those of
-    one call per rung up to roundoff; the blocks evaluate at most
-    2 (rungs summed) + 6 rungs per ladder.
+    one call per rung up to roundoff.
 
     The result's nodes_used is the number of rungs the two sums used,
     error_estimate |1-q| (|b| tail_b + |a| tail_a) from their final tail
@@ -168,15 +176,18 @@ def jackson_q_integral(f, a, b, q) -> QuadratureResult:
 def _ladder_sum(f, endpoint, q) -> _Sum:
     """The stopped record of sum_n q^n f(endpoint q^n): the rungs summed,
     the sum, the last tail bound and, as its carry, sum_n |q^n f(endpoint q^n)|.
-    series._sum_blocks sums blocks of 8, 16, 32, ... rungs by _rung_block,
-    one rung at a time, or, every block of 64 rungs or more, by _long_block,
-    by the same stop rule in numpy's complex arithmetic; it raises
-    ConvergenceError for a sum that is not finite."""
+    series._sum_blocks sums a probe of 8 rungs, then blocks up to the reach
+    (see jackson_q_integral) and doubling past it, by _rung_block, one rung
+    at a time, or, every block of 64 rungs or more, by _long_block, by the
+    same stop rule in numpy's complex arithmetic; it raises ConvergenceError
+    for a sum that is not finite."""
+    abs_q = abs(q)
     if endpoint == 0:
-        return _Sum(0, 0.0 + 0j, 1.0 + 0j, 0.0, abs(q), 0.0, True)
+        return _Sum(0, 0.0 + 0j, 1.0 + 0j, 0.0, abs_q, 0.0, True)
     return _sum_blocks("Jackson ladder", 8, _rung_block, _long_block,
                        (f, endpoint, q, deque(maxlen=8)),
-                       _Sum(0, 0.0 + 0j, 1.0 + 0j, math.inf, abs(q), 0.0, False))
+                       _Sum(0, 0.0 + 0j, 1.0 + 0j, math.inf, abs_q, 0.0, False),
+                       _truncation_length(1.0, abs_q, EPS_SERIES * (1.0 - abs_q)))
 
 
 def _rung_block(f, endpoint, q, recent, count: int, state: _Sum) -> _Sum:
@@ -217,7 +228,7 @@ def _long_block(f, endpoint, q, recent, count: int, state: _Sum) -> _Sum:
     """_rung_block in numpy's own complex arithmetic: the same call of f,
     stop rule and PoleError, so that it stops at the rung the loop stops
     at, with sums within roundoff of the loop's.  The blocks of 64 rungs
-    or more come after the first 56 rungs, so `recent` holds 8 values.
+    or more come after the first 8, so `recent` holds 8 values.
     The terms of finite values are not NaN, so the first sum that is not
     finite has an infinite modulus, which meets the stop rule: the block
     ends there, as the loop's does.

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .pochhammer import (_check_finite, _q_products, qpoch_finite,
+from .pochhammer import (_POLE_SNAP, _check_finite, _q_products, qpoch_finite,
                          qpoch_finite_table, qpoch_ratio)
 from .series import _qdifference_coeffs
 
@@ -133,12 +133,12 @@ def _circle_prefactor(alpha, beta, q):
 def _circle_norm(n: int, alpha, beta, q):
     """N_n(alpha, beta), thm-1.3's norm: _circle_prefactor times
     (1/(1 - alpha q^n) + 1/(1 - beta q^n)) (alpha beta;q)_n / (q;q)_n;
-    PoleError where (alpha beta; q)_inf, 1 - alpha q^n or 1 - beta q^n vanishes."""
-    alpha_factor = 1.0 - alpha * q**n
-    beta_factor = 1.0 - beta * q**n
-    if alpha_factor == 0 or beta_factor == 0:
+    PoleError where (alpha beta; q)_inf vanishes, and where 1 - w, w = alpha q^n
+    or beta q^n, is within pochhammer._POLE_SNAP (1 + |w|) of zero."""
+    alpha_qn, beta_qn = alpha * q**n, beta * q**n
+    if any(abs(1.0 - w) <= _POLE_SNAP * (1.0 + abs(w)) for w in (alpha_qn, beta_qn)):
         raise PoleError(f"the circle norm needs 1 - alpha q^{n} != 0 and 1 - beta q^{n} != 0")
-    bracket = 1.0 / alpha_factor + 1.0 / beta_factor
+    bracket = 1.0 / (1.0 - alpha_qn) + 1.0 / (1.0 - beta_qn)
     return (_circle_prefactor(alpha, beta, q) * bracket
             * qpoch_finite(alpha * beta, q, n) / qpoch_finite(q, q, n))
 

@@ -23,12 +23,14 @@ matching closed product form), and thm-1.4's q-beta series is two 2phi1
 calls.
 
 phi_series and the Jackson ladder of integrate.jackson_q_integral run one
-block driver, _sum_blocks.  It holds the block schedule, picks each
-block's summer by the block's size alone, and raises the engines'
-ConvergenceErrors: for a sum that is no longer finite, and at the term
-cap.  It carries one record, _Sum, from block to block.  Each engine keeps
-its own summers and stop rule; a summer ends its block at its stop or at
-the first step whose sum is not finite, whichever comes first.
+block driver, _sum_blocks.  It holds the block schedule (blocks that
+double, or for the ladder one block up to the step its stop rule is
+expected at, then doubling), picks each block's summer by the block's
+size alone, and raises the engines' ConvergenceErrors: for a sum that is
+no longer finite, and at the term cap.  It carries one record, _Sum,
+from block to block.  Each engine keeps its own summers and stop rule; a
+summer ends its block at its stop or at the first step whose sum is not
+finite, whichever comes first.
 """
 
 from __future__ import annotations
@@ -53,13 +55,15 @@ _TERMINATION_SNAP = 1e-13
 
 # _sum_blocks sends every block of _LONG_BLOCK steps or more, after the
 # first block, to the engine's numpy summer.  phi_series sums blocks of
-# _LONG_BLOCK, 2 _LONG_BLOCK, ... terms.  Its term loop costs 0.9, 1.6 and
-# 4.2 us a term at r = 0, 1 and 5, a numpy block of 128 terms 63, 75 and
-# 107 us: as much as 72, 49 and 25 terms of the loop, and 64 terms of a
-# 1phi0 take 58 us in the loop, 62 in numpy (q = 0.999, best of 40 rounds
-# on a shared 2-vCPU x86-64 host).  So a block of _LONG_BLOCK terms costs
-# about the same either way, and a longer one less in numpy unless the
-# series stops early in it; the driver does not guess where the stop lies.
+# _LONG_BLOCK, 2 _LONG_BLOCK, ... terms, and the Jackson ladder a probe of
+# 8 rungs, then one block up to its reach, a long one from about
+# |q| = 0.63 on.  phi_series' term loop costs 0.9, 1.6 and 4.2 us a term
+# at r = 0, 1 and 5, a numpy block of 128 terms 63, 75 and 107 us: as much
+# as 72, 49 and 25 terms of the loop, and 64 terms of a 1phi0 take 58 us
+# in the loop, 62 in numpy (q = 0.999, best of 40 rounds on a shared
+# 2-vCPU x86-64 host).  So a block of _LONG_BLOCK terms costs about the
+# same either way, and a longer one less in numpy unless the series stops
+# early in it; the driver does not guess where the stop lies.
 _LONG_BLOCK = 64
 
 
@@ -182,10 +186,14 @@ class _Sum(NamedTuple):
 _FIRST_TERM = _Sum(0, 1.0 + 0j, 1.0 + 0j, math.inf, math.inf, 1.0 + 0j, False)
 
 
-def _sum_blocks(name: str, first_block: int, loop, array, args: tuple, state: _Sum) -> _Sum:
+def _sum_blocks(name: str, first_block: int, loop, array, args: tuple, state: _Sum,
+                reach: int = 0) -> _Sum:
     """The stopped record of a series summed on from `state` in blocks of
-    first_block, 2 first_block, 4 first_block, ... steps, each block by
-    loop(*args, count, state) or by array(*args, count, state), which take
+    first_block steps, then max(2 block, reach - n) steps each, block the
+    last block's size and n the steps summed: with reach 0 (phi_series)
+    the blocks double, and a larger reach, the step its stop rule is
+    expected to hold at, takes the steps up to it in one block.  Each block
+    by loop(*args, count, state) or by array(*args, count, state), which take
     the same steps by the same stop rule, one at a time or with array
     operations, and end the block at the stop or at the first step whose
     sum is not finite, whichever comes first.  Every block of _LONG_BLOCK
@@ -201,7 +209,7 @@ def _sum_blocks(name: str, first_block: int, loop, array, args: tuple, state: _S
             raise ConvergenceError(f"{name} reached a non-finite sum before its tail bound")
         if state.stopped:
             return state
-        block *= 2
+        block = max(2 * block, reach - state.n)
     raise ConvergenceError(f"{name} did not meet its tail bound within MAX_SERIES_TERMS")
 
 

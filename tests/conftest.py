@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import qkernel
+from qkernel import integrate
 
 
 @pytest.fixture
@@ -39,3 +40,26 @@ def q_beta_oracle():
                 wn *= w
 
     return series
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch):
+    """A list that receives, for each Jackson ladder summed, the number of
+    times it called its integrand and the number of rungs it summed."""
+    calls = []
+    ladder_sum = integrate._ladder_sum
+
+    def counted(f, endpoint, q):
+        count = 0
+
+        def integrand(z):
+            nonlocal count
+            count += 1
+            return f(z)
+
+        record = ladder_sum(integrand, endpoint, q)
+        calls.append((count, record.n))
+        return record
+
+    monkeypatch.setattr(integrate, "_ladder_sum", counted)
+    return calls

@@ -43,7 +43,7 @@ THM_1_4 = {"alpha": 0.5, "beta": 0.2, "s": 0.3, "t": 0.25}
 COMPLEX_BASES = {"q0.95e^0.1i": cmath.rect(0.95, 0.1), "q0.99e^0.1i": cmath.rect(0.99, 0.1)}
 
 ROWS = [  # check id, parameters, whether the report must pass
-    # lhs -7.5e-17 after 1353 rungs against rhs 5.1e-30
+    # lhs 1.4e-16 after 1353 rungs against rhs 5.1e-30
     pytest.param("prop-3.1", {**PROP_3_1, "q": 0.95}, False, marks=FALSE_PASS,
                  id="prop-3.1-q0.95"),
     # lhs -2.1e-72 after 16 rungs against rhs -3.7e-151

@@ -15,6 +15,7 @@ from qkernel import (ConvergenceError, DomainError, PoleError, QuadratureResult,
                      ultraspherical_c, weight_omega_ab, weight_omega_beta)
 from qkernel import integrate, series, verify
 from qkernel.integrate import EPS_QUAD, EPS_SERIES, MAX_QUAD_NODES, QUAD_NOISE
+from qkernel.pochhammer import _truncation_length
 from qkernel.series import MAX_SERIES_TERMS
 from qkernel.verify import CHECK_RUNNERS, default_suite_config
 
@@ -39,7 +40,32 @@ def rung_by_rung(f, endpoint, q):
     raise AssertionError("reference ladder did not stop")
 
 
+def reach(q) -> int:
+    """The rung at which the ladder's stop rule holds for an |f| on the
+    scale of 1 + |total|: the smallest K with |q|^K < EPS_SERIES (1 - |q|)."""
+    return _truncation_length(1.0, abs(q), EPS_SERIES * (1 - abs(q)))
+
+
+def ladder_blocks(q, rungs) -> list:
+    """The block sizes of a ladder at base q that stops after `rungs` rungs:
+    a probe of 8, then max(2 block, reach - n) rungs each, n the rungs so far."""
+    blocks, block, n = [], 8, 0
+    while n < rungs:
+        blocks.append(block)
+        n += block
+        block = max(2 * block, reach(q) - n)
+    return blocks
+
+
 U = 2.0**-53
+# From |q| = 0.9 on, the stops lie far into blocks of 64 rungs or more.
+LADDER_BASES = [0.3, -0.6, 0.9, 0.97, 0.95, 0.99,
+                pytest.param(cmath.rect(0.95, 0.2), id="0.95e^0.2i"),
+                pytest.param(cmath.rect(0.95, 2.5), id="0.95e^2.5i")]
+# a cubic, and z^-0.8, whose terms fall slowly, so that every rung moves the
+# sums; each in Python's complex arithmetic at every point
+LADDER_INTEGRANDS = (lambda z: 0.3 + z * (-1.2 + z * (0.7 + z * 2.1)),
+                     lambda z: complex(z) ** -0.8)
 
 
 def ladder_sums(record) -> tuple:
@@ -187,10 +213,7 @@ class TestJackson:
         with pytest.raises(ConvergenceError, match="within MAX_SERIES_TERMS"):
             jackson_q_integral(lambda z: 1.0 / (z * z), 0.0, 1.0, 0.5)
 
-    # from |q| = 0.9 on, the stops lie far into blocks of 64 rungs or more
-    @pytest.mark.parametrize("q", [0.3, -0.6, 0.9, 0.97, 0.95, 0.99,
-                                   pytest.param(cmath.rect(0.95, 0.2), id="0.95e^0.2i"),
-                                   pytest.param(cmath.rect(0.95, 2.5), id="0.95e^2.5i")])
+    @pytest.mark.parametrize("q", LADDER_BASES)
     def test_blocks_stop_and_sum_as_rung_by_rung(self, monkeypatch, q):
         # the blocked ladder must stop at the rung-by-rung sum's rung and
         # give its sums up to roundoff, whether a block is summed rung by
@@ -203,10 +226,7 @@ class TestJackson:
 
         long_block = integrate._long_block
         monkeypatch.setattr(integrate, "_long_block", spied)
-        # a cubic, and z^-0.8, whose terms fall slowly, so that every rung
-        # moves the sums; each in Python's complex arithmetic at every point
-        for point_value in (lambda z: 0.3 + z * (-1.2 + z * (0.7 + z * 2.1)),
-                            lambda z: complex(z) ** -0.8):
+        for point_value in LADDER_INTEGRANDS:
             for a, b in ((-0.6, 0.9), (-0.6, 0.5 + 0.7j)):
                 blocks = []
                 long_blocks.clear()
@@ -228,11 +248,10 @@ class TestJackson:
                 magnitude = abs(1.0 - q) * (abs(b) * upper_size + abs(a) * lower_size)
                 assert abs(result.magnitude - magnitude) <= summed
                 assert result.stop_reason == "tolerance"
-                assert blocks[:3] == [8, 16, 32]
+                # the upper ladder's blocks, then the lower's, each sized from the reach
+                assert blocks == ladder_blocks(q, upper_rungs) + ladder_blocks(q, lower_rungs)
                 assert all(m >= 64 for m in long_blocks)
                 assert long_blocks or abs(q) < 0.9
-                # each of the two ladders evaluates at most 2 (rungs summed) + 6 rungs
-                assert sum(blocks) <= 2 * result.nodes_used + 12
                 # each ladder on its own, and the points, which are the
                 # products endpoint * q^n up to two roundings
                 for endpoint, want in ((b, (upper, upper_rungs, upper_tail, upper_size)),
@@ -249,6 +268,62 @@ class TestJackson:
                     for point in points:
                         assert abs(point - endpoint * qn) <= 5 * U * abs(endpoint * qn)
                         qn *= q
+
+    @pytest.mark.parametrize("q", LADDER_BASES)
+    def test_evaluated_rungs_are_bounded_by_the_rungs_summed(self, q):
+        # a ladder that stops in its probe evaluates its 8 rungs, one that
+        # stops in the block up to the reach at most max(24, reach), and one
+        # that stops in a later, doubled block less than twice what it sums
+        for point_value in LADDER_INTEGRANDS:
+            for endpoint in (-0.6, 0.9, 0.5 + 0.7j):
+                evaluated = []
+
+                def counted(z):
+                    evaluated.append(len(z))
+                    return np.array([point_value(point) for point in z.tolist()])
+
+                summed = integrate._ladder_sum(counted, endpoint, q).n
+                assert sum(evaluated) <= 2 * summed + max(24, reach(q))
+
+    def test_ladder_that_stops_in_its_probe_calls_f_once(self, ladder_calls):
+        # the frontier prop-3.1 row at q = 0.99: each ladder stops on the
+        # absolute rule after 8 rungs, in the probe, though the reach is 3666
+        verify.verify_prop_3_1(0.3, 0.2, 0.4, 0.5, 0.7, 0.99)
+        assert ladder_calls == [(1, 8), (1, 8)]
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
+    def test_integrand_that_outgrows_the_reach_still_doubles(self, q):
+        # |f(q^n)| = q^(-n/2) grows along the ladder, so its stop lies past
+        # the reach, in the block that doubles the one up to it; on [0, 1]
+        # the integral is (1 - q) sum_n q^(n/2) = (1 - q) / (1 - q^(1/2))
+        blocks = []
+
+        def f(z):
+            blocks.append(len(z))
+            return z**-0.5
+
+        result = jackson_q_integral(f, 0.0, 1.0, q)
+        assert blocks == [8, reach(q) - 8, 2 * (reach(q) - 8)]
+        assert blocks == ladder_blocks(q, result.nodes_used)
+        assert result.value == pytest.approx((1 - q) / (1 - math.sqrt(q)), rel=1e-13)
+
+    @pytest.mark.parametrize("q", [0.9999, pytest.param(cmath.rect(0.9999, 1.0),
+                                                        id="0.9999e^1i")])
+    def test_ladder_past_the_term_cap_is_a_convergence_error(self, q):
+        # the reach, 414445 rungs, lies past MAX_SERIES_TERMS: the block after
+        # the probe ends at the cap, and the driver raises there, as when the
+        # blocks doubled up to it
+        blocks = []
+
+        def f(z):
+            blocks.append(len(z))
+            return 1.0
+
+        with pytest.raises(ConvergenceError, match="^Jackson ladder did not meet its tail "
+                                                   "bound within MAX_SERIES_TERMS$"):
+            jackson_q_integral(f, 0.0, 1.0, q)
+        assert reach(q) > MAX_SERIES_TERMS
+        assert blocks == [8, MAX_SERIES_TERMS - 8]
 
     def test_long_block_sums_as_the_rung_loop(self):
         # from the state after the first 56 rungs, the array summer and the
@@ -279,11 +354,12 @@ class TestJackson:
         # stops at the first rungs of a block read the window carried into it
         assert min(stops) == 1 and max(stops) > 64
 
-    @pytest.mark.parametrize("q,rungs,long_blocks", [(0.6, 63, [64]), (0.75, 112, [64])])
+    @pytest.mark.parametrize("q,rungs,long_blocks", [(0.6, 63, []), (0.75, 112, [109])])
     def test_every_long_block_goes_to_numpy(self, monkeypatch, q, rungs, long_blocks):
-        # the constant ladder stops 7 rungs into the 64-rung block from rung 56
-        # at q=0.6 and 56 rungs in at q=0.75: the block's size alone sends
-        # it to numpy, however near its stop
+        # the block after the probe runs up to the reach, 65 rungs at q=0.6
+        # and 117 at q=0.75: the constant ladder stops 55 rungs into a block
+        # of 57, which the loop sums, and 104 rungs into one of 109, which
+        # numpy sums: the block's size alone decides
         spied = []
 
         def spy(f, endpoint, q, recent, count, state):
@@ -296,8 +372,9 @@ class TestJackson:
         assert spied == long_blocks
 
     def test_blocks_are_consecutive_rungs(self):
-        # the contract a ladder integrand may rely on: blocks of 8, 16, 32,
-        # ... rungs, each starting one step of q below the last
+        # the contract a ladder integrand may rely on: a probe of 8 rungs,
+        # then blocks up to the reach and doubling past it, each starting
+        # one step of q below the last; here the stop lies within the reach
         q, endpoint = 0.9, 0.7
         blocks = []
 
@@ -305,9 +382,9 @@ class TestJackson:
             blocks.append(z.copy())
             return 1.0 / (1.0 + z)
 
-        jackson_q_integral(recorded, 0.0, endpoint, q)
-        assert [len(block) for block in blocks] == [8 * 2**k for k in range(len(blocks))]
-        assert len(blocks) >= 4
+        result = jackson_q_integral(recorded, 0.0, endpoint, q)
+        assert [len(block) for block in blocks] == ladder_blocks(q, result.nodes_used)
+        assert [len(block) for block in blocks] == [8, reach(q) - 8]
         assert blocks[0][0] == endpoint
         rungs = np.concatenate(blocks)
         steps = rungs[1:] / rungs[:-1]
@@ -375,8 +452,9 @@ class TestJackson:
     @pytest.mark.parametrize("value", [1.8e307, 1.2728e307 * (1 + 1j)])
     def test_sum_that_overflows_in_a_long_block_is_a_convergence_error(self, monkeypatch,
                                                                       value):
-        # the first 56 rungs sum to 0.9973 of 10 |value|, below the largest
-        # double, and the numpy block from rung 56 takes the sum past it
+        # the 8 rungs of the probe sum to 0.57 of 10 |value|, below the
+        # largest double, and the numpy block from rung 8 up to the reach,
+        # 328, takes the sum past it
         long_blocks = []
 
         def spy(f, endpoint, q, recent, count, state):
@@ -387,7 +465,7 @@ class TestJackson:
         monkeypatch.setattr(integrate, "_long_block", spy)
         with pytest.raises(ConvergenceError, match="^Jackson ladder reached a non-finite sum"):
             jackson_q_integral(lambda z: value, 0.0, 1.0, 0.9)
-        assert long_blocks == [64]
+        assert long_blocks == [reach(0.9) - 8]
 
     def test_non_finite_integrand_is_a_pole(self):
         with pytest.raises(PoleError, match="rung 0"):

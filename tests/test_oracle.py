@@ -297,11 +297,15 @@ def test_jackson_ladders_of_prop_3_1_match_oracle():
             assert float(abs(got - true) / abs(true)) <= 3e-13
 
 
-@pytest.mark.parametrize("q", [0.35, 0.9, 0.95])
-def test_prop_3_1_check_ladders_match_oracle(monkeypatch, q):
+@pytest.mark.parametrize("a,b,c,q", [
+    (0.3, 0.2, 0.4, 0.35), (0.3, 0.2, 0.4, 0.9), (0.3, 0.2, 0.4, 0.95),
+    # the jittered q=0.85 stress cases of seeds 0, 1 and 2
+    (0.2718, 0.1441, 0.4724, 0.85), (0.3916, 0.1515, 0.443, 0.85),
+    (0.3085, 0.183, 0.3025, 0.85)])
+def test_prop_3_1_check_ladders_match_oracle(monkeypatch, a, b, c, q):
     # the integrand verify_prop_3_1 hands the ladder, one qpoch_ladder table
     # per block, on each ladder alone: at most 2.4e-14 measured
-    a, b, c, x, y = 0.3, 0.2, 0.4, 0.5, 0.7
+    x, y = 0.5, 0.7
     integrands = []
     jackson = verify.jackson_q_integral
 

@@ -309,6 +309,13 @@ class TestHNorm:
         with pytest.raises(PoleError):
             h_norm(2, beta, q)
 
+    def test_pole_left_nonzero_by_roundoff_is_a_pole(self):
+        # 1 - beta q^2 rounds to -1.1e-16 at beta = 0.7^-2, q = 0.7: compared
+        # with exact 0 it gave 0.109; the relative snap of the products
+        # makes it the pole it is
+        with pytest.raises(PoleError, match="1 - beta q\\^2 != 0"):
+            h_norm(2, 0.7**-2, 0.7)
+
     def test_is_two_over_the_circle_norm(self):
         for n, beta, q in [(0, 0.6, 0.3), (5, -0.5, 0.6), (3, 0.3 + 0.4j, 0.5 + 0.3j)]:
             assert h_norm(n, beta, q) == 2 / _circle_norm(n, beta, beta, q)

@@ -484,7 +484,9 @@ class TestArrayPath:
         # after the first block, every block of 64 steps or more goes to the
         # engine's numpy summer, the Jackson ladder's as well as phi_series';
         # on suite that is one block per seed, the qbinomial a=0.2,
-        # z=0.7e^{-0.3i}, q=0.6, whose 128 terms from term 64 stop at term 92
+        # z=0.7e^{-0.3i}, q=0.6, whose 128 terms from term 64 stop at term 92.
+        # On stress it is the block after the probe of each of the 8
+        # ladders, reach - 8 rungs: 203 at q=0.85, 320 at q=0.9, 679 at 0.95
         long_blocks = []
         for module, name in ((series, "_term_loop"), (series, "_long_terms"),
                              (integrate, "_rung_block"), (integrate, "_long_block")):
@@ -501,9 +503,10 @@ class TestArrayPath:
             for seed in SEEDS:
                 for case in workloads.make_workload(workload, seed):
                     CHECK_RUNNERS[case.check_id](**case.params)
-        per_seed = {("suite", "_long_terms"): 1, ("stress", "_long_block"): 18,
+        per_seed = {("suite", "_long_terms"): 1, ("stress", "_long_block"): 8,
                     ("stress", "_long_terms"): 3, ("expand", "_long_terms"): 8}
         assert collections.Counter(block[:3] for block in long_blocks) == {
             (workload, seed, name): count
             for (workload, name), count in per_seed.items() for seed in SEEDS}
         assert [block[3:] for block in long_blocks if block[0] == "suite"] == [(128, 92)] * 3
+        assert {block[3] for block in long_blocks if block[2] == "_long_block"} == {203, 320, 679}

@@ -5,7 +5,8 @@ report_dump.load_workloads).  A case not marked known_failure must pass; a
 known failure must still come back as a report.  A change that moves results
 in their last digits cannot flip a benchmark verdict without this module
 failing.  Every report's params, fed back to its runner, give the same
-report.
+report, and every Jackson ladder of the suite and stress workloads calls
+its integrand twice.
 """
 
 import pytest
@@ -33,3 +34,16 @@ def test_workload_verdicts(name, seed):
         again = CHECK_RUNNERS[case.check_id](**report.params)
         assert again.params == report.params
         assert _computed(again) == _computed(report), case
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["suite", "stress"])
+def test_workload_ladders_call_their_integrand_twice(ladder_calls, name, seed):
+    # the probe of 8 rungs, then one block up to the reach, within which
+    # every prop-3.1 and prop-3.2 ladder of these workloads stops; blocks of
+    # 8, 16, 32, ... rungs took 5 to 7 calls a stress prop-3.1 ladder
+    for case in workloads.make_workload(name, seed):
+        if case.check_id in ("prop-3.1", "prop-3.2"):
+            ladder_calls.clear()
+            CHECK_RUNNERS[case.check_id](**case.params)
+            assert [calls for calls, _ in ladder_calls] == [2, 2], case
