@@ -19,20 +19,28 @@ all good, 1 numeric failure (a failed check or a pole/convergence error), 2
 usage or configuration error.  A check's default tolerance is its runner's
 `tol` default; `check --tol` or a config entry's "tol" overrides it, and a
 tol that is not finite and positive is a usage error.
+
+Each front-end rule is stated once.  One table, _COLUMNS, holds the ten
+wire columns in their order, and JSON, CSV and report_from_dict all read it
+(the text line has its own layout).  One rule, _check_id, refuses an
+unknown check id given to `check`, to `suite --only` or as a config key,
+and lists the valid ones; render_reports alone refuses an unknown format.
+An eval target is a cli adapter or the public name of a kernel function,
+which the package's lazy attribute access imports with its module.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import math
 import sys
 
 from .errors import DomainError, QKernelError
 
 
-class UsageError(Exception):
-    """Bad command line or configuration input (exit code 2)."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad command line or configuration input (exit code 2); raised by an
+    argparse type, argparse reports it as its own."""
 
 
 def format_complex(value) -> str:
@@ -57,25 +65,6 @@ def parse_number(text: str) -> float | complex:
 # ---------------------------------------------------------------------------
 # report serialization (this module owns the wire formats)
 
-_CSV_COLUMNS = ["check_id", "params", "lhs", "rhs", "abs_err", "rel_err",
-                "tol", "nodes_used", "pass", "runtime_ms"]
-
-
-def report_to_dict(report) -> dict:
-    return {
-        "check_id": report.check_id,
-        "params": {k: _param_to_json(v) for k, v in report.params.items()},
-        "lhs": [report.lhs.real, report.lhs.imag],
-        "rhs": [report.rhs.real, report.rhs.imag],
-        "abs_err": report.abs_err,
-        "rel_err": report.rel_err,
-        "tol": report.tol,
-        "nodes_used": report.nodes_used,
-        "pass": report.passed,
-        "runtime_ms": report.runtime_ms,
-    }
-
-
 def _param_to_json(value):
     if isinstance(value, bool) or isinstance(value, int):
         return value
@@ -85,22 +74,19 @@ def _param_to_json(value):
     return [z.real, z.imag]
 
 
-def report_from_dict(data: dict):
-    from .verify import VerificationReport
-    params = {k: (complex(v[0], v[1]) if isinstance(v, list) else v)
-              for k, v in data["params"].items()}
-    return VerificationReport(
-        check_id=data["check_id"],
-        params=params,
-        lhs=complex(data["lhs"][0], data["lhs"][1]),
-        rhs=complex(data["rhs"][0], data["rhs"][1]),
-        abs_err=data["abs_err"],
-        rel_err=data["rel_err"],
-        tol=data["tol"],
-        nodes_used=data["nodes_used"],
-        passed=data["pass"],
-        runtime_ms=data["runtime_ms"],
-    )
+def _to_json(value):
+    """A report field in JSON: a complex number (lhs, rhs) as [re, im], the
+    params dict by _param_to_json, anything else as it is."""
+    if isinstance(value, dict):
+        return {k: _param_to_json(v) for k, v in value.items()}
+    return [value.real, value.imag] if isinstance(value, complex) else value
+
+
+def _from_json(value):
+    """The inverse of _to_json: every [re, im] pair is complex again."""
+    if isinstance(value, dict):
+        return {k: _from_json(v) for k, v in value.items()}
+    return complex(value[0], value[1]) if isinstance(value, list) else value
 
 
 def _shortest(value) -> str:
@@ -113,20 +99,40 @@ def _shortest(value) -> str:
     return f"{z.real!r}{z.imag:+}i"
 
 
-def _report_row(report) -> list[str]:
-    params = ";".join(f"{k}={_shortest(v)}" for k, v in report.params.items())
-    return [report.check_id, params, _shortest(report.lhs), _shortest(report.rhs),
-            repr(report.abs_err), repr(report.rel_err), repr(report.tol),
-            str(report.nodes_used), "true" if report.passed else "false",
-            repr(report.runtime_ms)]
+def _params_text(params: dict, sep: str) -> str:
+    return sep.join(f"{k}={_shortest(v)}" for k, v in params.items())
+
+
+# The wire columns in their pinned order: the column name (a JSON key and a
+# CSV header), the report field it reads, and the field's CSV cell.
+_COLUMNS = (
+    ("check_id", "check_id", str),
+    ("params", "params", lambda params: _params_text(params, ";")),
+    ("lhs", "lhs", _shortest),
+    ("rhs", "rhs", _shortest),
+    ("abs_err", "abs_err", repr),
+    ("rel_err", "rel_err", repr),
+    ("tol", "tol", repr),
+    ("nodes_used", "nodes_used", str),
+    ("pass", "passed", lambda passed: "true" if passed else "false"),
+    ("runtime_ms", "runtime_ms", repr),
+)
+
+
+def report_to_dict(report) -> dict:
+    return {name: _to_json(getattr(report, field)) for name, field, _ in _COLUMNS}
+
+
+def report_from_dict(data: dict):
+    from .verify import VerificationReport
+    return VerificationReport(**{field: _from_json(data[name]) for name, field, _ in _COLUMNS})
 
 
 def _report_line(report) -> str:
     tag = "PASS" if report.passed else "FAIL"
-    params = " ".join(f"{k}={_shortest(v)}" for k, v in report.params.items())
-    return (f"{tag} {report.check_id} [{params}] lhs={_shortest(report.lhs)} "
-            f"rhs={_shortest(report.rhs)} rel_err={report.rel_err:.3e} "
-            f"tol={report.tol:.1e} nodes={report.nodes_used} "
+    return (f"{tag} {report.check_id} [{_params_text(report.params, ' ')}] "
+            f"lhs={_shortest(report.lhs)} rhs={_shortest(report.rhs)} "
+            f"rel_err={report.rel_err:.3e} tol={report.tol:.1e} nodes={report.nodes_used} "
             f"t={report.runtime_ms:.1f}ms")
 
 
@@ -138,17 +144,16 @@ def render_reports(reports, fmt: str, single: bool = False) -> str:
     so that `eval` starts without json and csv."""
     if fmt == "json":
         import json
-        if single and len(reports) == 1:
-            return json.dumps(report_to_dict(reports[0]), indent=2)
-        return json.dumps([report_to_dict(r) for r in reports], indent=2)
+        data = [report_to_dict(r) for r in reports]
+        return json.dumps(data[0] if single and len(data) == 1 else data, indent=2)
     if fmt == "csv":
         import csv
         import io
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for report in reports:
-            writer.writerow(_report_row(report))
+        writer.writerow([name for name, _, _ in _COLUMNS])
+        writer.writerows([cell(getattr(report, field)) for _, field, cell in _COLUMNS]
+                         for report in reports)
         return buffer.getvalue().rstrip("\n")
     if fmt == "text":
         return "\n".join(_report_line(r) for r in reports)
@@ -252,22 +257,14 @@ def _bind_check(check_id: str, raw: dict) -> dict:
 def _parse_pairs(tokens) -> dict:
     """--name value pairs; the values of a repeated name collect in a tuple."""
     out: dict = {}
-    i = 0
-    while i < len(tokens):
+    for i in range(0, len(tokens), 2):
         token = tokens[i]
         if not token.startswith("--") or len(token) <= 2:
             raise UsageError(f"expected --name value, got {token!r}")
         if i + 1 >= len(tokens):
             raise UsageError(f"flag {token} is missing its value")
-        key = token[2:].replace("-", "_")
-        value = tokens[i + 1]
-        if key in out:
-            previous = out[key]
-            out[key] = (previous if isinstance(previous, tuple) else (previous,)) + (value,)
-        else:
-            out[key] = value
-        i += 2
-    return out
+        out.setdefault(token[2:].replace("-", "_"), []).append(tokens[i + 1])
+    return {key: values[0] if len(values) == 1 else tuple(values) for key, values in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +300,29 @@ def _jackson(coeff: list, a, b, q):
     return jackson_q_integral(poly, a, b, q).value
 
 
-# target -> (module, function); a module is imported only when its target
-# runs, so the scalar targets qpoch, phi and wseries start without numpy
+# target -> its cli adapter, or the public name of its kernel function, which
+# the package imports with its module when the target runs; so the scalar
+# targets qpoch, phi and wseries start without numpy
 EVAL_TARGETS = {
-    "qpoch": ("cli", "_qpoch"),
-    "phi": ("series", "phi_series"),
-    "wseries": ("series", "w_series"),
-    "C": ("cli", "_big_c"),
-    "Cg": ("polynomials", "gasper_c"),
-    "Phi": ("polynomials", "phi_poly"),
-    "H": ("polynomials", "q_hermite"),
-    "T": ("polynomials", "chebyshev_t"),
-    "h": ("polynomials", "h_norm"),
-    "omega_b": ("integrate", "weight_omega_beta"),
-    "omega_ab": ("integrate", "weight_omega_ab"),
-    "jackson": ("cli", "_jackson"),
+    "qpoch": _qpoch,
+    "phi": "phi_series",
+    "wseries": "w_series",
+    "C": _big_c,
+    "Cg": "gasper_c",
+    "Phi": "phi_poly",
+    "H": "q_hermite",
+    "T": "chebyshev_t",
+    "h": "h_norm",
+    "omega_b": "weight_omega_beta",
+    "omega_ab": "weight_omega_ab",
+    "jackson": _jackson,
 }
 
 
 def eval_target(name: str):
     """The function behind eval target `name`, importing its module."""
-    module, function = EVAL_TARGETS[name]
-    return getattr(importlib.import_module(f"{__package__}.{module}"), function)
+    target = EVAL_TARGETS[name]
+    return getattr(sys.modules[__package__], target) if isinstance(target, str) else target
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +339,6 @@ def _cmd_check(ns) -> int:
     pairs = _parse_pairs(ns.args)
     fmt = _convert("format", "str", pairs.pop("format", "text"))
     out = _convert("out", "str", pairs.pop("out")) if "out" in pairs else None
-    if fmt not in _FORMATS:
-        raise UsageError(f"unknown format {fmt!r}")
     report = verify.CHECK_RUNNERS[ns.check_id](**_bind_check(ns.check_id, pairs))
     _emit(render_reports([report], fmt, single=True), out)
     return 0 if report.passed else 1
@@ -362,10 +358,7 @@ def _cmd_suite(ns) -> int:
     else:
         config = verify.default_suite_config()
     if ns.only:
-        unknown = sorted(set(ns.only) - set(verify.CHECK_RUNNERS))
-        if unknown:
-            raise UsageError(f"unknown check id(s): {', '.join(unknown)}")
-        config = {cid: entries for cid, entries in config.items() if cid in set(ns.only)}
+        config = {cid: entries for cid, entries in config.items() if cid in ns.only}
     reports = verify.run_suite(config)
     _emit(render_reports(reports, ns.format), ns.out)
     passing = sum(1 for r in reports if r.passed)
@@ -375,13 +368,11 @@ def _cmd_suite(ns) -> int:
 
 
 def _convert_config(raw) -> dict:
-    from . import verify
     if not isinstance(raw, dict):
         raise UsageError("config must be an object mapping check ids to parameter lists")
     config = {}
     for check_id, entries in raw.items():
-        if check_id not in verify.CHECK_RUNNERS:
-            raise UsageError(f"unknown check id {check_id!r}")
+        _check_id(check_id)
         if not isinstance(entries, list):
             raise UsageError(f"config entry for {check_id!r} must be a list")
         converted = []
@@ -394,12 +385,13 @@ def _convert_config(raw) -> dict:
 
 
 def _check_id(text: str) -> str:
-    """`text` if it names a check; argparse refuses any other id (exit code 2)
-    and lists the valid ones."""
+    """`text` if it names a check, else a UsageError that lists the valid
+    ids: the one test of a check id given to `check`, to `suite --only` or
+    as a `suite --config` key (exit code 2 for each)."""
     from . import verify
     if text not in verify.CHECK_RUNNERS:
         valid = ", ".join(map(repr, sorted(verify.CHECK_RUNNERS)))
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {valid})")
+        raise UsageError(f"invalid choice: {text!r} (choose from {valid})")
     return text
 
 
@@ -430,7 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run the verification suite")
     p_suite.add_argument("--config", help="JSON file mapping check ids to parameter lists")
-    p_suite.add_argument("--only", action="append", help="restrict to one check id (repeatable)")
+    p_suite.add_argument("--only", action="append", type=_check_id,
+                         help="restrict to one check id (repeatable)")
     p_suite.add_argument("--format", choices=_FORMATS, default="text")
     p_suite.add_argument("--out", help="write reports to this path instead of stdout")
     p_suite.set_defaults(command=_cmd_suite)
@@ -441,13 +434,10 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return ns.command(ns)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except QKernelError as exc:
+    except QKernelError as exc:  # before ValueError, which DomainError also is
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -67,16 +66,20 @@ _TERMINATION_SNAP = 1e-13
 _LONG_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class TruncatedPowerSeries:
-    """Coefficients c_0 .. c_D of a formal power series in t, nothing beyond."""
-
+class _Coeffs(NamedTuple):
     coeffs: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+
+# On a NamedTuple rather than a frozen dataclass, whose import loads inspect
+class TruncatedPowerSeries(_Coeffs):
+    """Coefficients c_0 .. c_D of a formal power series in t, nothing beyond."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
+        if len(coeffs) == 0:
             raise DomainError("a truncated power series needs at least the t^0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        return super().__new__(cls, tuple(complex(c) for c in coeffs))
 
 
 def _qdifference_coeffs(c, d, q, degree: int) -> list:

@@ -28,15 +28,20 @@ run for hundreds or thousands of terms, phi_series of the PHI_CASES (a
 100, one whose lower factor vanishes at term 150 and a divergent 1phi0)
 and the Rogers 6W5 sum by w_series, and the 2phi1 EVENT_ORDER_CASE.  Where
 a kernel call raises, its line ends in the exception's class and message.
-Running it at two versions and diffing the outputs shows every report and
-kernel value a change moves, params key order included.
+Last, the CSV wire format of the run_suite() reports as `qkernel suite
+--format csv` prints it, header included, with each runtime_ms cell
+masked as "*".  Running it at two versions and diffing the outputs shows
+every report, kernel value and wire-format byte a change moves, params key
+order included.
 
 bench/workloads.py is loaded read-only from the source checkout.  The file
 name keeps pytest from collecting it.
 """
 
 import cmath
+import csv
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -160,6 +165,19 @@ def kernel_lines():
            f"{value_of(phi_series, upper, z, q, lower)}")
 
 
+def masked_csv(reports) -> str:
+    """render_reports(reports, "csv") with every runtime_ms cell "*"."""
+    from qkernel.cli import render_reports
+
+    rows = list(csv.reader(io.StringIO(render_reports(reports, "csv"))))
+    column = rows[0].index("runtime_ms")
+    for row in rows[1:]:
+        row[column] = "*"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def main() -> None:
     from qkernel import CHECK_RUNNERS, run_suite
 
@@ -175,6 +193,7 @@ def main() -> None:
         print(dump_line("domain", CHECK_RUNNERS[check_id](**params)))
     for line in kernel_lines():
         print(line)
+    print(masked_csv(run_suite()), end="")
 
 
 if __name__ == "__main__":

@@ -171,6 +171,15 @@ class TestEval:
             main(["eval", "nope"])
         assert info.value.code == 2
 
+    def test_targets_are_adapters_or_public_names(self):
+        # a kernel function resolves through the package, by its public name
+        for target, value in EVAL_TARGETS.items():
+            if isinstance(value, str):
+                assert value in qkernel.__all__
+                assert eval_target(target) is getattr(qkernel, value)
+            else:
+                assert (value.__module__, eval_target(target)) == ("qkernel.cli", value)
+
 
 class TestCheck:
     def test_passing_check_exits_zero(self, capsys):
@@ -203,6 +212,11 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert "invalid choice: 'thm-9.9'" in err
         assert all(check_id in err for check_id in CHECK_RUNNERS)
+
+    def test_unknown_format_is_usage(self, capsys):
+        assert (run_cli(["check", "qbinomial", "--a", "0.4", "--z", "0.5", "--q", "0.3",
+                         "--format", "bogus"], capsys)
+                == (2, "", "usage error: unknown format 'bogus'\n"))
 
     def test_missing_parameters_are_usage(self, capsys):
         assert (run_cli(["check", "thm-1.1", "--m", "3"], capsys)
@@ -333,6 +347,13 @@ class TestSuiteCommand:
         code, _, _ = run_cli(["suite", "--config", str(path)], capsys)
         assert code == 2
 
+    def test_unknown_check_in_config_lists_the_valid_ids(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"qbinomial": [], "thm-77": []}))
+        valid = ", ".join(map(repr, sorted(CHECK_RUNNERS)))
+        assert (run_cli(["suite", "--config", str(path)], capsys)
+                == (2, "", f"config error: invalid choice: 'thm-77' (choose from {valid})\n"))
+
     @pytest.mark.parametrize("check_id,entry", [
         ("qbinomial", {"a": 0.4, "z": 0.5, "q": 0.3, "zz": 1.0}),
         ("qbinomial", {"a": 0.4, "z": 0.5}),
@@ -357,6 +378,12 @@ class TestSuiteCommand:
     def test_unknown_only_id_exits_two(self, capsys):
         code, _, _ = run_cli(["suite", "--only", "nope"], capsys)
         assert code == 2
+
+    def test_unknown_only_id_lists_the_valid_ids(self, capsys):
+        code, out, err = run_cli(["suite", "--only", "nope"], capsys)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'nope'" in err
+        assert all(check_id in err for check_id in CHECK_RUNNERS)
 
     def test_forced_failure_exits_one(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -1031,9 +1058,7 @@ def test_every_export_resolves(child_env):
 
 # The scalar targets run in plain Python arithmetic and never import numpy;
 # their values are the golden rows', where a golden row exists.  Nor does
-# `eval` import inspect, json or csv for itself: `eval qpoch` loads none of
-# the four, while phi and wseries load inspect through series.py's
-# `from dataclasses import dataclass`.
+# `eval` import inspect, json or csv: each of these loads none of the four.
 _NUMPY_FREE = [
     ("eval qpoch --a 0.5 --q 0.3 --n 2", "0.42499999999999999", ""),
     ("eval qpoch --a 0.5 --q 0.3 --n -2", "0.32926829268292679", ""),
@@ -1041,8 +1066,8 @@ _NUMPY_FREE = [
     # series form, K + M = 14 + 17 rows; 0.0027905465671710931865 by mp.qp,
     # 3.1e-16 away (the array path read ...0932, 5e-19 away)
     ("eval qpoch --a 0.5 --q 0.9 --n inf", "0.0027905465671710923", ""),
-    ("eval phi --upper 0.4 --z 0.5 --q 0.3", "1.8407690827383283", " inspect"),
-    ("eval wseries --a1 0.2 --b 0.3 --b 0.4 --q 0.5 --z 0.3", "1.7226339251962521", " inspect"),
+    ("eval phi --upper 0.4 --z 0.5 --q 0.3", "1.8407690827383283", ""),
+    ("eval wseries --a1 0.2 --b 0.3 --b 0.4 --q 0.5 --z 0.3", "1.7226339251962521", ""),
 ]
 # prints the exit code, then which of numpy, inspect, json and csv were loaded
 _RUN_MAIN = ("import sys; from qkernel.cli import main; code = main(sys.argv[1:]); "
